@@ -156,7 +156,41 @@ class UniformScheme(AveragingScheme):
         return lawa_step(self.ring, ckpt.epoch, self.k)
 
 
-class EmaScheme(AveragingScheme):
+class _RunningScheme(AveragingScheme):
+    """A float64 fold over every checkpoint since the start of the run.
+
+    The first checkpoint starts the state; each later one is folded in by
+    the subclass's ``_fold(acc, x)``, with ``count`` already advanced.
+    Subclasses bind ``observe`` in their own namespace, so perfbench's
+    tracer can rebind it per class.
+    """
+
+    def __init__(self):
+        self._state: dict[str, np.ndarray] | None = None
+        self._template: ParameterSet | None = None
+        self.count = 0
+
+    def observe(self, ckpt: Checkpoint) -> ParameterSet:
+        """Advance the fold by one checkpoint and return its value."""
+        check_finite(ckpt.params, f"checkpoint at epoch {ckpt.epoch}")
+        if self._state is None:
+            self._template = ckpt.params
+            self._state = {
+                name: arr.astype(np.float64) for name, arr in ckpt.params.items()
+            }
+            self.count = 1
+        else:
+            check_same_structure(self._template, ckpt.params)
+            self.count += 1
+            for name, arr in ckpt.params.items():
+                self._state[name] = self._fold(self._state[name], arr.astype(np.float64))
+        dtype = self._template.dtype
+        return ParameterSet(
+            (name, value.astype(dtype)) for name, value in self._state.items()
+        )
+
+
+class EmaScheme(_RunningScheme):
     """Exponentially decayed coefficients; newest checkpoint weighs ``alpha``."""
 
     kind = "ema"
@@ -164,65 +198,24 @@ class EmaScheme(AveragingScheme):
     def __init__(self, alpha: float = DEFAULT_EMA_ALPHA):
         if not 0.0 <= alpha <= 1.0:
             raise ConfigError(f"ema alpha must lie in [0, 1], got {alpha}")
+        super().__init__()
         self.alpha = alpha
-        self._state: dict[str, np.ndarray] | None = None
-        self._template: ParameterSet | None = None
-        self.count = 0
 
-    def observe(self, ckpt: Checkpoint) -> ParameterSet:
-        return self.update(ckpt)
+    def _fold(self, acc, x):
+        return self.alpha * x + (1.0 - self.alpha) * acc
 
-    def update(self, ckpt: Checkpoint) -> ParameterSet:
-        """Advance the recursion by one checkpoint and return its value."""
-        check_finite(ckpt.params, f"checkpoint at epoch {ckpt.epoch}")
-        if self._state is None:
-            self._template = ckpt.params
-            self._state = {
-                name: arr.astype(np.float64) for name, arr in ckpt.params.items()
-            }
-        else:
-            check_same_structure(self._template, ckpt.params)
-            a = self.alpha
-            for name, arr in ckpt.params.items():
-                self._state[name] = a * arr.astype(np.float64) + (1.0 - a) * self._state[name]
-        self.count += 1
-        dtype = self._template.dtype
-        return ParameterSet(
-            (name, value.astype(dtype)) for name, value in self._state.items()
-        )
+    observe = update = _RunningScheme.observe
 
 
-class PolyakScheme(AveragingScheme):
+class PolyakScheme(_RunningScheme):
     """Running mean of all checkpoints since the start of the run."""
 
     kind = "polyak"
 
-    def __init__(self):
-        self._mean: dict[str, np.ndarray] | None = None
-        self._template: ParameterSet | None = None
-        self.count = 0
+    def _fold(self, acc, x):
+        return acc + (x - acc) / self.count
 
-    def observe(self, ckpt: Checkpoint) -> ParameterSet:
-        return self.update(ckpt)
-
-    def update(self, ckpt: Checkpoint) -> ParameterSet:
-        """Incremental mean update: mean += (params - mean) / t."""
-        check_finite(ckpt.params, f"checkpoint at epoch {ckpt.epoch}")
-        self.count += 1
-        if self._mean is None:
-            self._template = ckpt.params
-            self._mean = {
-                name: arr.astype(np.float64) for name, arr in ckpt.params.items()
-            }
-        else:
-            check_same_structure(self._template, ckpt.params)
-            t = self.count
-            for name, arr in ckpt.params.items():
-                self._mean[name] += (arr.astype(np.float64) - self._mean[name]) / t
-        dtype = self._template.dtype
-        return ParameterSet(
-            (name, value.astype(dtype)) for name, value in self._mean.items()
-        )
+    observe = update = _RunningScheme.observe
 
 
 def make_scheme(

@@ -8,17 +8,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .averaging import average_checkpoint_dir
+from .averaging import DEFAULT_EMA_ALPHA, average_checkpoint_dir
 from .checkpoint_io import read_checkpoint, write_checkpoint
 from .compare import compare_runs, write_comparison_csv
 from .config import (
-    BN_MODES,
-    DATASETS,
-    OPTIMIZERS,
-    SCHEDULES,
-    SCHEMES,
+    CHOICES,
+    FIELD_TYPES,
+    RunConfig,
     config_from_mapping,
     parse_config_file,
     resolved_text,
@@ -37,58 +36,31 @@ from .params import check_same_structure
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    """Training-run flags; defaults are suppressed so a config file can
-    supply values and explicit flags override it."""
-    s = argparse.SUPPRESS
+    """One flag per RunConfig field; defaults are suppressed so a config
+    file can supply values and explicit flags override it."""
     parser.add_argument("--config", help="flat key=value config file")
-    g = parser.add_argument_group("dataset")
-    g.add_argument("--dataset", choices=DATASETS, default=s)
-    g.add_argument("--n-per-class", type=int, default=s)
-    g.add_argument("--classes", type=int, default=s)
-    g.add_argument("--noise", type=float, default=s)
-    g.add_argument("--csv", default=s, help="CSV path for --dataset csv")
-    g.add_argument("--label-column", default=s)
-    g = parser.add_argument_group("model")
-    g.add_argument("--hidden", default=s, help="comma list of hidden widths")
-    g.add_argument("--use-bn", action=argparse.BooleanOptionalAction, default=s)
-    g.add_argument("--dtype", choices=("f32", "f64"), default=s)
-    g = parser.add_argument_group("optimizer")
-    g.add_argument("--optimizer", choices=OPTIMIZERS, default=s)
-    g.add_argument("--lr", type=float, default=s)
-    g.add_argument("--momentum", type=float, default=s)
-    g.add_argument("--beta1", type=float, default=s)
-    g.add_argument("--beta2", type=float, default=s)
-    g.add_argument("--adam-eps", type=float, default=s)
-    g.add_argument("--lookahead-alpha", type=float, default=s)
-    g.add_argument("--lookahead-k", type=int, default=s)
-    g.add_argument("--lookahead-inner", choices=("sgd", "adam"), default=s)
-    g = parser.add_argument_group("schedule")
-    g.add_argument("--schedule", choices=SCHEDULES, default=s)
-    g.add_argument("--warmup-steps", type=int, default=s)
-    g.add_argument("--end-lr", type=float, default=s)
-    g.add_argument("--power", type=float, default=s)
-    g = parser.add_argument_group("run")
-    g.add_argument("--epochs", type=int, default=s)
-    g.add_argument("--batch-size", type=int, default=s)
-    g.add_argument("--seed", type=int, default=s)
-    g.add_argument("--out", default=s)
-    g = parser.add_argument_group("averaging")
-    g.add_argument("--scheme", choices=SCHEMES, default=s)
-    g.add_argument("--k", type=int, default=s, help="averaging window")
-    g.add_argument("--alpha", type=float, default=s, help="ema coefficient")
-    g.add_argument("--bn-mode", choices=BN_MODES, default=s)
-    g.add_argument("--save-every-steps", type=int, default=s)
-    g.add_argument("--save-averaged", action=argparse.BooleanOptionalAction, default=s)
+    for f in fields(RunConfig):
+        kind = FIELD_TYPES[f.name]
+        if kind is bool:
+            kwargs = {"action": argparse.BooleanOptionalAction}
+        else:
+            kwargs = {
+                "type": kind if kind in (int, float) else None,
+                "choices": CHOICES.get(f.name),
+            }
+        parser.add_argument(
+            "--" + f.name.replace("_", "-"),
+            default=argparse.SUPPRESS,
+            help=f.metadata.get("help"),
+            **kwargs,
+        )
 
 
 def _effective_mapping(args: argparse.Namespace) -> dict:
     mapping: dict = {}
     if getattr(args, "config", None):
         mapping.update(parse_config_file(args.config))
-    skip = {"config", "command", "func", "schemes", "k_values"}
-    for key, value in vars(args).items():
-        if key not in skip:
-            mapping[key] = value
+    mapping.update((k, v) for k, v in vars(args).items() if k in FIELD_TYPES)
     return mapping
 
 
@@ -175,16 +147,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             variants.append((scheme, {"scheme": scheme}))
     if args.k_values:
         for text in args.k_values.split(","):
-            k = int(text)
+            try:
+                k = int(text)
+            except ValueError:
+                raise ConfigError(
+                    f"--k-values must be a comma list of integers, got {text!r}"
+                ) from None
             variants.append((f"uniform_k{k}", {"scheme": "uniform", "k": k}))
     if not variants:
         raise ConfigError("sweep needs at least one scheme or k value")
+    names = [name for name, _ in variants]
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        raise ConfigError(f"duplicate sweep variants: {', '.join(duplicates)}")
 
+    # Every variant is validated before the first one trains.
     out_root = Path(base.get("out", "sweep"))
+    configs = [
+        (name, config_from_mapping({**base, **overrides, "out": str(out_root / name)}))
+        for name, overrides in variants
+    ]
     out_root.mkdir(parents=True, exist_ok=True)
     lines = ["variant," + ",".join(METRICS_HEADER)]
-    for name, overrides in variants:
-        cfg = config_from_mapping({**base, **overrides, "out": str(out_root / name)})
+    for name, cfg in configs:
         Path(cfg.out).mkdir(parents=True, exist_ok=True)
         (Path(cfg.out) / "config.resolved").write_text(
             resolved_text(cfg), encoding="utf-8"
@@ -224,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", required=True, help="directory holding *.lawa files")
     p.add_argument("--k", type=int, required=True, help="number of newest checkpoints")
     p.add_argument("--scheme", choices=("uniform", "ema"), default="uniform")
-    p.add_argument("--alpha", type=float, default=0.9)
+    p.add_argument("--alpha", type=float, default=DEFAULT_EMA_ALPHA)
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.set_defaults(func=cmd_average)
 

@@ -7,7 +7,8 @@ to replay it exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
@@ -17,6 +18,18 @@ SCHEDULES = ("constant", "cosine", "poly_warmup")
 SCHEMES = ("none", "uniform", "ema", "polyak")
 BN_MODES = ("auto", "recompute", "copy", "off")
 DTYPES = ("f32", "f64")
+LOOKAHEAD_INNERS = ("sgd", "adam")
+
+# Allowed values of the string fields that take one of a fixed set.
+CHOICES = {
+    "dataset": DATASETS,
+    "optimizer": OPTIMIZERS,
+    "schedule": SCHEDULES,
+    "scheme": SCHEMES,
+    "bn_mode": BN_MODES,
+    "dtype": DTYPES,
+    "lookahead_inner": LOOKAHEAD_INNERS,
+}
 
 
 @dataclass
@@ -26,10 +39,12 @@ class RunConfig:
     n_per_class: int = 1000
     classes: int = 2
     noise: float = 0.2
-    csv: str = ""
+    csv: str = field(default="", metadata={"help": "CSV path for --dataset csv"})
     label_column: str = "label"
     # model
-    hidden: tuple[int, ...] = (64, 64)
+    hidden: tuple[int, ...] = field(
+        default=(64, 64), metadata={"help": "comma list of hidden widths"}
+    )
     use_bn: bool = False
     dtype: str = "f64"
     # optimizer
@@ -53,8 +68,8 @@ class RunConfig:
     seed: int = 0
     # averaging
     scheme: str = "uniform"
-    k: int = 6
-    alpha: float = 0.9
+    k: int = field(default=6, metadata={"help": "averaging window"})
+    alpha: float = field(default=0.9, metadata={"help": "ema coefficient"})
     # batch-norm statistics handling for the averaged model
     bn_mode: str = "auto"
     # checkpointing
@@ -64,17 +79,10 @@ class RunConfig:
     out: str = "run"
 
     def validate(self) -> None:
-        def choice(name, value, allowed):
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
             if value not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
-
-        choice("dataset", self.dataset, DATASETS)
-        choice("optimizer", self.optimizer, OPTIMIZERS)
-        choice("schedule", self.schedule, SCHEDULES)
-        choice("scheme", self.scheme, SCHEMES)
-        choice("bn_mode", self.bn_mode, BN_MODES)
-        choice("dtype", self.dtype, DTYPES)
-        choice("lookahead_inner", self.lookahead_inner, ("sgd", "adam"))
         if self.dataset == "csv" and not self.csv:
             raise ConfigError("dataset=csv requires a csv path")
         if not self.hidden or any(h < 1 for h in self.hidden):
@@ -101,37 +109,16 @@ class RunConfig:
             raise ConfigError("output directory must be set")
 
 
-_BOOL_KEYS = {"use_bn", "save_averaged"}
-_INT_KEYS = {
-    "n_per_class",
-    "classes",
-    "lookahead_k",
-    "warmup_steps",
-    "epochs",
-    "batch_size",
-    "seed",
-    "k",
-    "save_every_steps",
-}
-_FLOAT_KEYS = {
-    "noise",
-    "lr",
-    "momentum",
-    "beta1",
-    "beta2",
-    "adam_eps",
-    "lookahead_alpha",
-    "end_lr",
-    "power",
-    "alpha",
-}
+# Field name -> type; the one schema the config parser and the CLI flags follow.
+FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
 def _parse_value(key: str, text: str):
+    kind = FIELD_TYPES[key]
     try:
         if key == "hidden":
             return tuple(int(part) for part in str(text).split(","))
-        if key in _BOOL_KEYS:
+        if kind is bool:
             if isinstance(text, bool):
                 return text
             lowered = str(text).strip().lower()
@@ -140,19 +127,14 @@ def _parse_value(key: str, text: str):
             if lowered in ("false", "0", "no"):
                 return False
             raise ValueError(text)
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _FLOAT_KEYS:
-            return float(text)
-        return str(text)
+        return kind(text)
     except (TypeError, ValueError):
         raise ConfigError(f"cannot parse config value {key}={text!r}") from None
 
 
 def config_from_mapping(mapping: dict) -> RunConfig:
     """Build a validated RunConfig from string or typed values."""
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(mapping) - known
+    unknown = set(mapping) - FIELD_TYPES.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {}

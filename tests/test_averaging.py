@@ -268,6 +268,61 @@ class TestPolyak:
             np.testing.assert_allclose(arr, uniform[name], rtol=1e-10)
 
 
+def reference_fold(history, step):
+    """Per-element float64 recursion with a cast back to the input dtype.
+
+    ``step(acc, x, t)`` advances one element by the t-th checkpoint (t >= 2);
+    the first checkpoint starts the state. Plain Python floats are IEEE
+    doubles, so this matches a vectorized fold only if it applies the same
+    operations in the same order.
+    """
+    first = history[0]
+    out = {}
+    for name, arr in first.items():
+        values = []
+        for j in range(arr.size):
+            acc = float(arr.ravel()[j])
+            for t, p in enumerate(history[1:], start=2):
+                acc = step(acc, float(p[name].ravel()[j]), t)
+            values.append(acc)
+        out[name] = np.array(values, dtype=np.float64).reshape(arr.shape).astype(arr.dtype)
+    return out
+
+
+class TestRunningFoldBitwise:
+    """EMA and Polyak against their recursions, bit for bit: a reordered or
+    merged fold changes the last bits of every averaged checkpoint."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("alpha", [0.9, 0.37])
+    def test_ema(self, dtype, alpha):
+        rng = np.random.default_rng(31)
+        ema = EmaScheme(alpha=alpha)
+        history = []
+        for e in range(9):
+            history.append(random_pset(rng, dtype=dtype, scale=3.0))
+            out = ema.update(ckpt_of(history[-1], e))
+            want = reference_fold(history, lambda acc, x, t: alpha * x + (1.0 - alpha) * acc)
+            for name, arr in out.items():
+                assert arr.dtype == dtype
+                assert np.array_equal(arr, want[name])
+        assert ema.count == 9
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_polyak(self, dtype):
+        rng = np.random.default_rng(32)
+        poly = PolyakScheme()
+        history = []
+        for e in range(9):
+            history.append(random_pset(rng, dtype=dtype, scale=3.0))
+            out = poly.update(ckpt_of(history[-1], e))
+            want = reference_fold(history, lambda acc, x, t: acc + (x - acc) / t)
+            for name, arr in out.items():
+                assert arr.dtype == dtype
+                assert np.array_equal(arr, want[name])
+        assert poly.count == 9
+
+
 class TestSchemeFactory:
     def test_kinds(self):
         assert isinstance(make_scheme("none"), NoAveraging)

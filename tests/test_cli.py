@@ -1,15 +1,19 @@
+import argparse
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lawa
+from lawa.averaging import DEFAULT_EMA_ALPHA
 from lawa.checkpoint_io import read_checkpoint
-from lawa.cli import main
+from lawa.cli import _effective_mapping, build_parser, main
 from lawa.compare import compare_run
+from lawa.config import RunConfig, config_from_mapping, resolved_text
 from lawa.errors import SchemaError
 from lawa.metrics import read_metrics
 from testutil import max_abs_diff
@@ -378,6 +382,93 @@ class TestSweep:
             for line in (root / "sweep.csv").read_text().splitlines()[1:]
         }
         assert variants == {"uniform_k1", "uniform_k2"}
+
+    def test_non_integer_k_value_exits_2_naming_it(self, tmp_path, capsys):
+        root = tmp_path / "sweep"
+        code = run_cli(
+            ["sweep", *TINY, "--schemes", "", "--k-values", "2,x", "--out", str(root)]
+        )
+        assert code == 2
+        assert "'x'" in capsys.readouterr().err
+        assert not root.exists()
+
+    def test_invalid_variant_stops_before_any_training(self, tmp_path):
+        root = tmp_path / "sweep"
+        code = run_cli(
+            [
+                "sweep", *TINY, "--schemes", "uniform,ema", "--k-values", "0",
+                "--out", str(root),
+            ]
+        )
+        assert code == 2
+        assert not root.exists()
+
+    def test_duplicate_variant_exits_2(self, tmp_path, capsys):
+        root = tmp_path / "sweep"
+        code = run_cli(
+            ["sweep", *TINY, "--schemes", "uniform,uniform", "--out", str(root)]
+        )
+        assert code == 2
+        assert "duplicate sweep variants: uniform" in capsys.readouterr().err
+        assert not root.exists()
+
+
+def run_flags(parser_name):
+    """Primary option string of every RunConfig flag of a subcommand."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.option_strings[0] for a in sub.choices[parser_name]._actions}
+    return flags - {"-h", "--config", "--schemes", "--k-values"}
+
+
+# A value other than the default for every RunConfig field.
+NON_DEFAULT = dict(
+    dataset="csv", n_per_class=50, classes=3, noise=0.1, csv="data.csv",
+    label_column="y", hidden=(5, 3), use_bn=True, dtype="f32",
+    optimizer="lookahead", lr=0.05, momentum=0.5, beta1=0.8, beta2=0.99,
+    adam_eps=1e-7, lookahead_alpha=0.6, lookahead_k=3, lookahead_inner="adam",
+    schedule="poly_warmup", warmup_steps=10, end_lr=0.001, power=2.0,
+    epochs=7, batch_size=32, seed=3, scheme="ema", k=4, alpha=0.75,
+    bn_mode="copy", save_every_steps=5, save_averaged=True, out="elsewhere",
+)
+
+
+class TestSchema:
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_one_flag_per_config_field(self, command):
+        want = {"--" + f.name.replace("_", "-") for f in fields(RunConfig)}
+        assert run_flags(command) == want
+
+    def test_flags_resolved_and_config_round_trip(self, tmp_path):
+        default = RunConfig()
+        assert set(NON_DEFAULT) == {f.name for f in fields(RunConfig)}
+        for name, value in NON_DEFAULT.items():
+            assert value != getattr(default, name), name
+        want = RunConfig(**NON_DEFAULT)
+
+        argv = ["train"]
+        for name, value in NON_DEFAULT.items():
+            flag = "--" + name.replace("_", "-")
+            if isinstance(value, bool):
+                argv.append(flag)
+            elif isinstance(value, tuple):
+                argv += [flag, ",".join(str(v) for v in value)]
+            else:
+                argv += [flag, str(value)]
+        parser = build_parser()
+        from_flags = config_from_mapping(_effective_mapping(parser.parse_args(argv)))
+        assert from_flags == want
+
+        resolved = tmp_path / "config.resolved"
+        resolved.write_text(resolved_text(from_flags), encoding="utf-8")
+        args = parser.parse_args(["train", "--config", str(resolved)])
+        assert config_from_mapping(_effective_mapping(args)) == want
+
+    def test_average_alpha_default_is_the_ema_default(self):
+        args = build_parser().parse_args(
+            ["average", "--dir", "d", "--k", "2", "--out", "o"]
+        )
+        assert args.alpha == DEFAULT_EMA_ALPHA
 
 
 class TestUsage:
