@@ -82,16 +82,12 @@ def uniform_average(ckpts: Sequence[Checkpoint]) -> ParameterSet:
     if not ckpts:
         raise ConfigError("cannot average an empty checkpoint sequence")
     first = ckpts[0].params
-    acc = {name: np.zeros(arr.shape, dtype=np.float64) for name, arr in first.items()}
+    acc = np.zeros(first.flat.shape, dtype=np.float64)
     for c in ckpts:
         check_same_structure(first, c.params)
         check_finite(c.params, f"checkpoint at epoch {c.epoch}")
-        for name, arr in c.params.items():
-            acc[name] += arr
-    n = len(ckpts)
-    return ParameterSet(
-        (name, (total / n).astype(first.dtype)) for name, total in acc.items()
-    )
+        acc += c.params.flat
+    return first.with_flat(acc / len(ckpts))
 
 
 def lawa_step(ring: CheckpointRing, epoch: int, k: int) -> ParameterSet | None:
@@ -161,12 +157,14 @@ class _RunningScheme(AveragingScheme):
 
     The first checkpoint starts the state; each later one is folded in by
     the subclass's ``_fold(acc, x)``, with ``count`` already advanced.
+    ``_fold`` returns a new array: the state doubles as the read-only
+    buffer of the set returned for float64 checkpoints.
     Subclasses bind ``observe`` in their own namespace, so perfbench's
     tracer can rebind it per class.
     """
 
     def __init__(self):
-        self._state: dict[str, np.ndarray] | None = None
+        self._state: np.ndarray | None = None
         self._template: ParameterSet | None = None
         self.count = 0
 
@@ -175,19 +173,13 @@ class _RunningScheme(AveragingScheme):
         check_finite(ckpt.params, f"checkpoint at epoch {ckpt.epoch}")
         if self._state is None:
             self._template = ckpt.params
-            self._state = {
-                name: arr.astype(np.float64) for name, arr in ckpt.params.items()
-            }
+            self._state = ckpt.params.flat.astype(np.float64)
             self.count = 1
         else:
             check_same_structure(self._template, ckpt.params)
             self.count += 1
-            for name, arr in ckpt.params.items():
-                self._state[name] = self._fold(self._state[name], arr.astype(np.float64))
-        dtype = self._template.dtype
-        return ParameterSet(
-            (name, value.astype(dtype)) for name, value in self._state.items()
-        )
+            self._state = self._fold(self._state, ckpt.params.flat.astype(np.float64))
+        return self._template.with_flat(self._state)
 
 
 class EmaScheme(_RunningScheme):

@@ -20,7 +20,6 @@ from .config import (
     RunConfig,
     config_from_mapping,
     parse_config_file,
-    resolved_text,
 )
 from .engine import (
     build_dataset,
@@ -28,6 +27,7 @@ from .engine import (
     init_params,
     model_spec_for,
     recompute_bn_stats,
+    refuse_used_out_dir,
     train_run,
 )
 from .errors import ConfigError, InternalStateError, LawaError, NonFiniteError
@@ -66,13 +66,10 @@ def _effective_mapping(args: argparse.Namespace) -> dict:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = config_from_mapping(_effective_mapping(args))
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.resolved").write_text(resolved_text(cfg), encoding="utf-8")
     records = train_run(cfg)
     last = records[-1]
     print(
-        f"wrote {out_dir / 'metrics.csv'} ({len(records)} epochs, "
+        f"wrote {Path(cfg.out) / 'metrics.csv'} ({len(records)} epochs, "
         f"final val_loss={last.val_loss:.6g})"
     )
     return 0
@@ -161,19 +158,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if duplicates:
         raise ConfigError(f"duplicate sweep variants: {', '.join(duplicates)}")
 
-    # Every variant is validated before the first one trains.
+    # Every variant and its output directory are checked before any trains.
     out_root = Path(base.get("out", "sweep"))
     configs = [
         (name, config_from_mapping({**base, **overrides, "out": str(out_root / name)}))
         for name, overrides in variants
     ]
+    for _, cfg in configs:
+        refuse_used_out_dir(Path(cfg.out))
     out_root.mkdir(parents=True, exist_ok=True)
     lines = ["variant," + ",".join(METRICS_HEADER)]
     for name, cfg in configs:
-        Path(cfg.out).mkdir(parents=True, exist_ok=True)
-        (Path(cfg.out) / "config.resolved").write_text(
-            resolved_text(cfg), encoding="utf-8"
-        )
         records = train_run(cfg)
         lines.extend(f"{name},{record_to_line(r)}" for r in records)
         last = records[-1]

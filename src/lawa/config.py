@@ -10,6 +10,7 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass, field, fields
 
+from . import averaging, optim
 from .errors import ConfigError
 
 DATASETS = ("spirals", "csv")
@@ -50,12 +51,12 @@ class RunConfig:
     # optimizer
     optimizer: str = "sgd"
     lr: float = 0.1
-    momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    lookahead_alpha: float = 0.8
-    lookahead_k: int = 5
+    momentum: float = optim.DEFAULT_MOMENTUM
+    beta1: float = optim.DEFAULT_BETA1
+    beta2: float = optim.DEFAULT_BETA2
+    adam_eps: float = optim.DEFAULT_ADAM_EPS
+    lookahead_alpha: float = optim.DEFAULT_LOOKAHEAD_ALPHA
+    lookahead_k: int = optim.DEFAULT_LOOKAHEAD_K
     lookahead_inner: str = "sgd"
     # schedule
     schedule: str = "cosine"
@@ -68,8 +69,10 @@ class RunConfig:
     seed: int = 0
     # averaging
     scheme: str = "uniform"
-    k: int = field(default=6, metadata={"help": "averaging window"})
-    alpha: float = field(default=0.9, metadata={"help": "ema coefficient"})
+    k: int = field(default=averaging.DEFAULT_WINDOW, metadata={"help": "averaging window"})
+    alpha: float = field(
+        default=averaging.DEFAULT_EMA_ALPHA, metadata={"help": "ema coefficient"}
+    )
     # batch-norm statistics handling for the averaged model
     bn_mode: str = "auto"
     # checkpointing
@@ -172,6 +175,7 @@ def resolved_text(cfg: RunConfig) -> str:
 def parse_config_file(path) -> dict[str, str]:
     """Read a flat key=value file; blank lines and #-comments are skipped."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -183,7 +187,14 @@ def parse_config_file(path) -> dict[str, str]:
                         f"{path}:{line_no}: expected key=value, got {stripped!r}"
                     )
                 key, _, value = stripped.partition("=")
-                out[key.strip()] = value.strip()
+                key = key.strip()
+                if key in first_line:
+                    raise ConfigError(
+                        f"{path}: key {key!r} given twice, "
+                        f"on lines {first_line[key]} and {line_no}"
+                    )
+                first_line[key] = line_no
+                out[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return out

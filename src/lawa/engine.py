@@ -28,7 +28,7 @@ import numpy as np
 
 from .averaging import make_scheme
 from .checkpoint_io import write_checkpoint
-from .config import RunConfig
+from .config import RunConfig, resolved_text
 from .data import Dataset, load_csv, make_spirals
 from .errors import ConfigError, EmptyDataError, NonFiniteError, ShapeError
 from .metrics import MetricsRecord, MetricsWriter
@@ -394,6 +394,22 @@ def averaged_path(out_dir: Path, slot: int) -> Path:
     return out_dir / f"lawa_e{slot:05d}.lawa"
 
 
+def refuse_used_out_dir(out_dir: Path) -> None:
+    """Raise :class:`ConfigError` when ``out_dir`` holds a run's outputs.
+
+    A shorter run written over a longer one would leave the older run's
+    later checkpoints behind, where offline averaging would select them.
+    """
+    used = sorted(
+        p.name for p in out_dir.glob("*") if p.suffix == ".lawa" or p.name == "metrics.csv"
+    )
+    if used:
+        raise ConfigError(
+            f"output directory {out_dir} already holds {used[0]}; "
+            "remove it or choose another output directory"
+        )
+
+
 def train_run(cfg: RunConfig, dataset: Dataset | None = None) -> list[MetricsRecord]:
     """Train per the config, saving checkpoints and per-epoch metrics.
 
@@ -402,9 +418,12 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None) -> list[MetricsRec
     step-interval mode each save event takes the place of one epoch slot
     in the averaging window, and the epoch recorded in those checkpoint
     files counts save events. Any non-finite value aborts the run with
-    the failing epoch in the error message.
+    the failing epoch in the error message. An output directory that
+    already holds checkpoints or metrics is refused before any write.
     """
     cfg.validate()
+    out_dir = Path(cfg.out)
+    refuse_used_out_dir(out_dir)
     if dataset is None:
         dataset = build_dataset(cfg)
     spec = model_spec_for(cfg, dataset)
@@ -439,8 +458,8 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None) -> list[MetricsRec
     )
     scheme = make_scheme(cfg.scheme, cfg.k, cfg.alpha)
 
-    out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config.resolved").write_text(resolved_text(cfg), encoding="utf-8")
 
     started = time.perf_counter()
     records: list[MetricsRecord] = []

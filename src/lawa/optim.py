@@ -3,8 +3,8 @@
 SGD uses the heavy-ball convention (v = mu*v + g; theta -= lr*v), Adam is
 the bias-corrected variant with its usual constants, and Lookahead wraps
 either of them, pulling fast weights back onto the slow weights every
-``k`` inner steps. Optimizer state mutates in place across calls, but the
-parameter sets going in and out are immutable values.
+``k`` inner steps. Optimizer state is replaced at each call, never updated
+in place, and the parameter sets going in and out are immutable values.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ DEFAULT_LOOKAHEAD_K = 5
 
 def _check_grads(params: ParameterSet, grads: ParameterSet) -> None:
     check_same_structure(params, grads)
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradError(f"gradient entry {name!r} contains NaN or Inf")
+    if not np.all(np.isfinite(grads.flat)):
+        name = next(n for n, g in grads.items() if not np.all(np.isfinite(g)))
+        raise NonFiniteGradError(f"gradient entry {name!r} contains NaN or Inf")
 
 
 class Sgd:
@@ -40,21 +40,15 @@ class Sgd:
             raise ConfigError(f"momentum must be >= 0, got {momentum}")
         self.momentum = momentum
         self.step_count = 0
-        self._velocity: dict[str, np.ndarray] | None = None
+        self._velocity: np.ndarray | None = None
 
     def step(self, params: ParameterSet, grads: ParameterSet, lr: float) -> ParameterSet:
         _check_grads(params, grads)
         if self._velocity is None:
-            self._velocity = {
-                name: np.zeros_like(arr) for name, arr in params.items()
-            }
-        new = []
-        for name, theta in params.items():
-            v = self.momentum * self._velocity[name] + grads[name]
-            self._velocity[name] = v
-            new.append((name, theta - lr * v))
+            self._velocity = np.zeros_like(params.flat)
+        self._velocity = self.momentum * self._velocity + grads.flat
         self.step_count += 1
-        return ParameterSet(new)
+        return params.with_flat(params.flat - lr * self._velocity)
 
 
 class Adam:
@@ -72,29 +66,25 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._m: dict[str, np.ndarray] | None = None
-        self._v: dict[str, np.ndarray] | None = None
+        self._m: np.ndarray | None = None
+        self._v: np.ndarray | None = None
 
     def step(self, params: ParameterSet, grads: ParameterSet, lr: float) -> ParameterSet:
         _check_grads(params, grads)
         if self._m is None:
-            self._m = {name: np.zeros_like(arr) for name, arr in params.items()}
-            self._v = {name: np.zeros_like(arr) for name, arr in params.items()}
+            self._m = np.zeros_like(params.flat)
+            self._v = np.zeros_like(params.flat)
         t = self.step_count + 1
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
-        new = []
-        for name, theta in params.items():
-            g = grads[name]
-            m = self.beta1 * self._m[name] + (1.0 - self.beta1) * g
-            v = self.beta2 * self._v[name] + (1.0 - self.beta2) * g * g
-            self._m[name] = m
-            self._v[name] = v
-            m_hat = m / bc1
-            v_hat = v / bc2
-            new.append((name, theta - lr * m_hat / (np.sqrt(v_hat) + self.eps)))
+        g = grads.flat
+        self._m = self.beta1 * self._m + (1.0 - self.beta1) * g
+        self._v = self.beta2 * self._v + (1.0 - self.beta2) * g * g
+        # lr * m_hat / (sqrt(v_hat) + eps), evaluated in place in one buffer
+        # so that fewer full-length temporaries are live at once.
+        update = self._m / (1.0 - self.beta1**t)
+        update *= lr
+        update /= np.sqrt(self._v / (1.0 - self.beta2**t)) + self.eps
         self.step_count = t
-        return ParameterSet(new)
+        return params.with_flat(params.flat - update)
 
 
 class Lookahead:
@@ -121,22 +111,18 @@ class Lookahead:
         self.k = k
         self.step_count = 0
         self.inner_counter = 0
-        self._slow: dict[str, np.ndarray] | None = None
+        self._slow: np.ndarray | None = None
 
     def step(self, params: ParameterSet, grads: ParameterSet, lr: float) -> ParameterSet:
         if self._slow is None:
-            self._slow = {name: arr.copy() for name, arr in params.items()}
+            self._slow = params.flat
         fast = self.inner.step(params, grads, lr)
         self.inner_counter += 1
         self.step_count += 1
         if self.inner_counter == self.k:
             self.inner_counter = 0
-            synced = []
-            for name, theta in fast.items():
-                phi = self._slow[name] + self.alpha * (theta - self._slow[name])
-                self._slow[name] = phi
-                synced.append((name, phi))
-            return ParameterSet(synced)
+            self._slow = self._slow + self.alpha * (fast.flat - self._slow)
+            return fast.with_flat(self._slow)
         return fast
 
 

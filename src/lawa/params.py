@@ -23,11 +23,12 @@ class ParameterSet:
     """Ordered mapping of unique names to read-only numpy arrays.
 
     All entries share one element type; mixed-type sets are rejected at
-    construction. Arrays are copied in and marked non-writeable, so a set
-    can be shared freely once built.
+    construction. The values are copied into one contiguous, read-only
+    array, ``flat``, and each entry is a reshaped view of its slice, in
+    entry order, so a set can be shared freely once built.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_flat", "_entries")
 
     def __init__(self, entries: Mapping[str, np.ndarray] | Iterable[tuple[str, np.ndarray]]):
         items = list(entries.items()) if isinstance(entries, Mapping) else list(entries)
@@ -51,14 +52,36 @@ class ParameterSet:
                 raise ValueError(
                     f"entry {name!r}: mixed element types ({arr.dtype} vs {dtype})"
                 )
-            arr = np.array(arr, dtype=dtype, order="C", copy=True)
-            arr.flags.writeable = False
             store[name] = arr
-        self._entries = store
+        self._bind(store, np.concatenate([a.ravel() for a in store.values()]))
+
+    def _bind(self, like: Mapping[str, np.ndarray], flat: np.ndarray) -> None:
+        """Take ``flat`` read-only, viewed as entries shaped like ``like``'s."""
+        flat.flags.writeable = False
+        self._flat = flat
+        self._entries = {}
+        start = 0
+        for name, arr in like.items():
+            self._entries[name] = flat[start : start + arr.size].reshape(arr.shape)
+            start += arr.size
+
+    def with_flat(self, flat: np.ndarray) -> "ParameterSet":
+        """Set with these names and shapes over ``flat``, cast to this set's
+        element type. The array is taken over and made read-only."""
+        flat = np.ascontiguousarray(flat, dtype=self.dtype)
+        if flat.shape != self.flat.shape:
+            raise StructureMismatch(f"flat buffer shape {flat.shape} != {self.flat.shape}")
+        out = object.__new__(ParameterSet)
+        out._bind(self._entries, flat)
+        return out
+
+    @property
+    def flat(self) -> np.ndarray:
+        return self._flat
 
     @property
     def dtype(self) -> np.dtype:
-        return next(iter(self._entries.values())).dtype
+        return self.flat.dtype
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -77,7 +100,7 @@ class ParameterSet:
         return iter(self._entries.items())
 
     def total_size(self) -> int:
-        return sum(a.size for a in self._entries.values())
+        return self.flat.size
 
     def as_dict(self) -> dict[str, np.ndarray]:
         """Writable copies of all entries, preserving order."""
@@ -85,23 +108,18 @@ class ParameterSet:
 
     def with_updates(self, updates: Mapping[str, np.ndarray]) -> "ParameterSet":
         """New set with the given entries replaced; shapes/dtype must match."""
-        out = []
-        seen = set()
-        for name, arr in self._entries.items():
-            if name in updates:
-                new = np.asarray(updates[name], dtype=self.dtype)
-                if new.shape != arr.shape:
-                    raise StructureMismatch(
-                        f"entry {name!r}: replacement shape {new.shape} != {arr.shape}"
-                    )
-                out.append((name, new))
-                seen.add(name)
-            else:
-                out.append((name, arr))
-        unknown = set(updates) - seen
+        unknown = set(updates) - self._entries.keys()
         if unknown:
             raise StructureMismatch(f"unknown entries in update: {sorted(unknown)}")
-        return ParameterSet(out)
+        parts = []
+        for name, arr in self._entries.items():
+            new = np.asarray(updates.get(name, arr), dtype=self.dtype)
+            if new.shape != arr.shape:
+                raise StructureMismatch(
+                    f"entry {name!r}: replacement shape {new.shape} != {arr.shape}"
+                )
+            parts.append(new.ravel())
+        return self.with_flat(np.concatenate(parts))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ParameterSet):
@@ -109,9 +127,8 @@ class ParameterSet:
         if self.names != other.names or self.dtype != other.dtype:
             return False
         return all(
-            a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
-            for (_, a), (_, b) in zip(self.items(), other.items())
-        )
+            a.shape == b.shape for (_, a), (_, b) in zip(self.items(), other.items())
+        ) and np.array_equal(self.flat, other.flat, equal_nan=True)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}:{a.shape}" for n, a in self._entries.items())
@@ -152,29 +169,24 @@ def check_same_structure(a: ParameterSet, b: ParameterSet) -> None:
 
 def check_finite(p: ParameterSet, context: str = "parameter set") -> None:
     """Raise :class:`NonFiniteError` naming the first non-finite entry."""
-    for name, arr in p.items():
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError(f"{context}: entry {name!r} contains NaN or Inf")
+    if not np.all(np.isfinite(p.flat)):
+        name = next(n for n, arr in p.items() if not np.all(np.isfinite(arr)))
+        raise NonFiniteError(f"{context}: entry {name!r} contains NaN or Inf")
 
 
 def add_scaled(dst: ParameterSet, src: ParameterSet, c: float) -> ParameterSet:
     """Elementwise ``dst + c * src`` over structurally identical sets."""
     check_same_structure(dst, src)
-    return ParameterSet(
-        (name, arr + c * src[name]) for name, arr in dst.items()
-    )
+    return dst.with_flat(dst.flat + c * src.flat)
 
 
 def scale(p: ParameterSet, c: float) -> ParameterSet:
     """Every element multiplied by ``c``."""
-    return ParameterSet((name, arr * c) for name, arr in p.items())
+    return p.with_flat(p.flat * c)
 
 
 def l2_distance(p: ParameterSet, q: ParameterSet) -> float:
     """Euclidean norm of the concatenated elementwise difference."""
     check_same_structure(p, q)
-    total = 0.0
-    for name, arr in p.items():
-        diff = arr.astype(np.float64) - q[name].astype(np.float64)
-        total += float(np.dot(diff.ravel(), diff.ravel()))
-    return math.sqrt(total)
+    diff = p.flat.astype(np.float64) - q.flat.astype(np.float64)
+    return math.sqrt(float(np.dot(diff, diff)))

@@ -23,7 +23,15 @@ from lawa.errors import (
     StructureMismatch,
 )
 from lawa.params import Checkpoint
-from testutil import ckpt_of, fsum_mean, max_abs_diff, pset, random_pset, scalar_ckpt
+from testutil import (
+    ckpt_of,
+    fsum_mean,
+    max_abs_diff,
+    mixed_pset,
+    pset,
+    random_pset,
+    scalar_ckpt,
+)
 
 
 class TestRing:
@@ -126,6 +134,21 @@ class TestUniformAverage:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ConfigError):
             uniform_average([])
+
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_per_entry_reference(self, n, dtype):
+        # float64 sums in checkpoint order, then / n and the cast back
+        rng = np.random.default_rng(12)
+        ckpts = [ckpt_of(mixed_pset(rng, dtype), e) for e in range(n)]
+        out = uniform_average(ckpts)
+        for name, arr in out.items():
+            acc = np.zeros(arr.shape, dtype=np.float64)
+            for c in ckpts:
+                acc += c.params[name]
+            want = (acc / n).astype(dtype)
+            assert arr.dtype == dtype and arr.shape == want.shape
+            assert np.array_equal(arr, want), name
 
 
 class TestLawaStep:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import lawa
+from lawa import averaging, optim
 from lawa.averaging import DEFAULT_EMA_ALPHA
 from lawa.checkpoint_io import read_checkpoint
 from lawa.cli import _effective_mapping, build_parser, main
@@ -139,6 +140,32 @@ class TestTrain:
         bad = tmp_path / "bad.cfg"
         bad.write_text("epochs=2\nbogus=1\n")
         assert run_cli(["train", "--config", str(bad), "--out", str(tmp_path / "r")]) == 2
+
+    def test_duplicate_config_key_exits_2_naming_both_lines(self, tmp_path, capsys):
+        bad = tmp_path / "dup.cfg"
+        bad.write_text("epochs=2\n# comment\nseed=1\nepochs=3\n")
+        assert run_cli(["train", "--config", str(bad), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "'epochs'" in err and "lines 1 and 4" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_used_out_dir_exits_2_and_leaves_it_unchanged(self, tmp_path, capsys):
+        out = train_tiny(tmp_path / "run", ["--epochs", "4"])
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        code = run_cli(["train", *TINY, "--epochs", "2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and "ckpt_e00000.lawa" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_out_dir_with_only_other_files_is_used(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        train_tiny(out, ["--epochs", "2"])
+        assert (out / "notes.txt").read_text() == "kept"
+        assert len(read_metrics(out / "metrics.csv")) == 2
 
 
 class TestAverage:
@@ -403,6 +430,29 @@ class TestSweep:
         assert code == 2
         assert not root.exists()
 
+    def test_finished_sweep_root_exits_2_without_training(self, tmp_path, capsys):
+        root = tmp_path / "sweep"
+        argv = ["sweep", *TINY, "--epochs", "2", "--schemes", "uniform,ema", "--out", str(root)]
+        assert run_cli(argv) == 0
+        before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert "variant=" not in captured.out
+        assert str(root / "uniform") in captured.err
+        assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
+
+    def test_used_later_variant_dir_stops_before_the_first_trains(self, tmp_path):
+        root = tmp_path / "sweep"
+        (root / "ema").mkdir(parents=True)
+        (root / "ema" / "metrics.csv").write_text("old")
+        code = run_cli(
+            ["sweep", *TINY, "--epochs", "2", "--schemes", "uniform,ema", "--out", str(root)]
+        )
+        assert code == 2
+        assert not (root / "uniform").exists()
+        assert (root / "ema" / "metrics.csv").read_text() == "old"
+
     def test_duplicate_variant_exits_2(self, tmp_path, capsys):
         root = tmp_path / "sweep"
         code = run_cli(
@@ -463,6 +513,17 @@ class TestSchema:
         resolved.write_text(resolved_text(from_flags), encoding="utf-8")
         args = parser.parse_args(["train", "--config", str(resolved)])
         assert config_from_mapping(_effective_mapping(args)) == want
+
+    def test_run_config_defaults_are_the_module_constants(self):
+        cfg = RunConfig()
+        assert cfg.k == averaging.DEFAULT_WINDOW
+        assert cfg.alpha == averaging.DEFAULT_EMA_ALPHA
+        assert cfg.momentum == optim.DEFAULT_MOMENTUM
+        assert cfg.beta1 == optim.DEFAULT_BETA1
+        assert cfg.beta2 == optim.DEFAULT_BETA2
+        assert cfg.adam_eps == optim.DEFAULT_ADAM_EPS
+        assert cfg.lookahead_alpha == optim.DEFAULT_LOOKAHEAD_ALPHA
+        assert cfg.lookahead_k == optim.DEFAULT_LOOKAHEAD_K
 
     def test_average_alpha_default_is_the_ema_default(self):
         args = build_parser().parse_args(

@@ -14,7 +14,7 @@ from lawa.optim import (
     make_optimizer,
     make_schedule,
 )
-from testutil import pset
+from testutil import mixed_pset, pset
 
 
 def _scalar(value):
@@ -48,6 +48,12 @@ class TestSgd:
         opt = Sgd()
         with pytest.raises(NonFiniteGradError, match="'w'"):
             opt.step(_scalar(1.0), _scalar(float("nan")), lr=0.1)
+
+    def test_non_finite_grad_names_first_bad_entry(self):
+        params = pset({"a": [1.0], "b": [1.0], "c": [1.0]})
+        grads = pset({"a": [0.5], "b": [float("inf")], "c": [float("nan")]})
+        with pytest.raises(NonFiniteGradError, match="'b'"):
+            Sgd().step(params, grads, lr=0.1)
 
     def test_negative_momentum_rejected(self):
         with pytest.raises(ConfigError):
@@ -157,6 +163,76 @@ class TestLookahead:
             Lookahead(Sgd(), alpha=1.2)
         with pytest.raises(ConfigError):
             Lookahead(Sgd(), k=0)
+
+
+def reference_trajectory(kind, inner, start, grads, lrs, hp):
+    """Each step's parameters from per-entry loops of the update rules:
+    heavy-ball SGD, bias-corrected Adam, and the Lookahead pullback every
+    ``hp["k"]`` steps."""
+    theta = dict(start.items())
+    first = {name: np.zeros_like(a) for name, a in theta.items()}  # velocity or m
+    second = {name: np.zeros_like(a) for name, a in theta.items()}  # Adam's v
+    slow = {name: a.copy() for name, a in theta.items()}
+    out = []
+    for t, (g, lr) in enumerate(zip(grads, lrs), start=1):
+        bc1 = 1.0 - hp["beta1"] ** t
+        bc2 = 1.0 - hp["beta2"] ** t
+        for name in theta:
+            if inner == "sgd":
+                v = hp["momentum"] * first[name] + g[name]
+                first[name] = v
+                theta[name] = theta[name] - lr * v
+            else:
+                m = hp["beta1"] * first[name] + (1.0 - hp["beta1"]) * g[name]
+                v = hp["beta2"] * second[name] + (1.0 - hp["beta2"]) * g[name] * g[name]
+                first[name], second[name] = m, v
+                m_hat = m / bc1
+                v_hat = v / bc2
+                theta[name] = theta[name] - lr * m_hat / (np.sqrt(v_hat) + hp["eps"])
+        if kind == "lookahead" and t % hp["k"] == 0:
+            for name in theta:
+                phi = slow[name] + hp["alpha"] * (theta[name] - slow[name])
+                slow[name] = phi
+                theta[name] = phi
+        out.append(dict(theta))
+    return out
+
+
+class TestBitwiseReference:
+    """Every optimizer against per-entry loops of its update rule, bit for
+    bit, on sets holding a 0-d and an empty entry."""
+
+    HP = dict(momentum=0.7, beta1=0.85, beta2=0.99, eps=1e-7, alpha=0.6, k=3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "kind,inner",
+        [("sgd", "sgd"), ("adam", "adam"), ("lookahead", "sgd"), ("lookahead", "adam")],
+    )
+    def test_matches_per_entry_loops(self, kind, inner, dtype):
+        hp = self.HP
+        rng = np.random.default_rng(41)
+        start = mixed_pset(rng, dtype)
+        grads = [mixed_pset(rng, dtype) for _ in range(8)]
+        lrs = [0.05 * (1.0 + 0.1 * i) for i in range(8)]
+        opt = make_optimizer(
+            kind,
+            momentum=hp["momentum"],
+            beta1=hp["beta1"],
+            beta2=hp["beta2"],
+            adam_eps=hp["eps"],
+            lookahead_alpha=hp["alpha"],
+            lookahead_k=hp["k"],
+            lookahead_inner=inner,
+        )
+        want = reference_trajectory(kind, inner, start, grads, lrs, hp)
+        p = start
+        for g, lr, expected in zip(grads, lrs, want):
+            p = opt.step(p, g, lr)
+            assert p.dtype == dtype
+            for name, arr in p.items():
+                assert arr.shape == expected[name].shape
+                assert np.array_equal(arr, expected[name]), name
 
 
 class TestDescentSanity:

@@ -11,7 +11,7 @@ from lawa.params import (
     l2_distance,
     scale,
 )
-from testutil import pset, random_pset
+from testutil import mixed_pset, pset, random_pset
 
 
 class TestConstruction:
@@ -49,6 +49,84 @@ class TestConstruction:
     def test_checkpoint_rejects_negative_position(self):
         with pytest.raises(ValueError):
             Checkpoint(params=pset({"a": [1.0]}), epoch=-1, step=0)
+
+
+class TestFlatBuffer:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_entries_are_read_only_views_of_flat_in_order(self, dtype):
+        p = mixed_pset(np.random.default_rng(20), dtype)
+        assert p.flat.dtype == dtype and p.flat.ndim == 1
+        assert p.flat.flags.c_contiguous and not p.flat.flags.writeable
+        assert p.total_size() == p.flat.size == 12 + 1 + 0 + 5
+        start = 0
+        for _, arr in p.items():
+            assert not arr.flags.writeable
+            np.testing.assert_array_equal(arr.ravel(), p.flat[start : start + arr.size])
+            if arr.size:
+                assert np.shares_memory(arr, p.flat[start : start + arr.size])
+            start += arr.size
+        assert start == p.flat.size
+        assert p["s"].shape == () and p["empty"].shape == (0, 2)
+
+    def test_flat_is_read_only(self):
+        p = pset({"a": [1.0, 2.0]})
+        with pytest.raises(ValueError):
+            p.flat[0] = 5.0
+        with pytest.raises(AttributeError):
+            p.flat = np.zeros(2)
+
+    def test_mutating_an_input_leaves_the_set_unchanged(self):
+        a = np.array([1.0, 2.0])
+        b = np.array(3.0)
+        p = ParameterSet({"a": a, "b": b})
+        a[0] = 9.0
+        b[...] = 9.0
+        np.testing.assert_array_equal(p.flat, [1.0, 2.0, 3.0])
+
+    def test_with_flat_keeps_names_and_shapes(self):
+        p = mixed_pset(np.random.default_rng(21))
+        q = p.with_flat(np.arange(p.flat.size, dtype=np.float64))
+        assert q.names == p.names
+        assert [a.shape for _, a in q.items()] == [a.shape for _, a in p.items()]
+        np.testing.assert_array_equal(q["b"], np.arange(13, 18))
+
+    def test_with_flat_takes_the_array_read_only(self):
+        p = pset({"a": [1.0, 2.0]})
+        new = np.array([3.0, 4.0])
+        q = p.with_flat(new)
+        assert not new.flags.writeable
+        with pytest.raises(ValueError):
+            new[0] = 0.0
+        np.testing.assert_array_equal(q["a"], [3.0, 4.0])
+
+    def test_with_flat_casts_to_the_set_dtype(self):
+        p = pset({"a": [1.0, 2.0]}, dtype=np.float32)
+        q = p.with_flat(np.array([0.1, 0.2]))
+        assert q.dtype == np.float32
+        np.testing.assert_array_equal(q["a"], np.array([0.1, 0.2]).astype(np.float32))
+
+    @pytest.mark.parametrize("length", [0, 1, 3])
+    def test_with_flat_rejects_wrong_length(self, length):
+        p = pset({"a": [1.0, 2.0]})
+        with pytest.raises(StructureMismatch):
+            p.with_flat(np.zeros(length))
+
+    def test_with_updates_replaces_only_named_entries(self):
+        p = mixed_pset(np.random.default_rng(22))
+        q = p.with_updates({"s": np.array(7.0), "b": np.ones(5)})
+        assert q["s"] == 7.0
+        np.testing.assert_array_equal(q["b"], np.ones(5))
+        np.testing.assert_array_equal(q["w"], p["w"])
+        assert not q.flat.flags.writeable
+        assert not np.shares_memory(q.flat, p.flat)
+
+    def test_with_updates_rejects_unknown_name(self):
+        with pytest.raises(StructureMismatch, match="unknown"):
+            pset({"a": [1.0]}).with_updates({"z": np.zeros(1)})
+
+    def test_with_updates_rejects_wrong_shape(self):
+        with pytest.raises(StructureMismatch, match="'a'"):
+            pset({"a": [1.0, 2.0]}).with_updates({"a": np.zeros(3)})
 
 
 class TestArithmetic:
@@ -135,6 +213,11 @@ class TestCheckFinite:
     def test_rejects_nan_naming_entry(self):
         with pytest.raises(NonFiniteError, match="'bad'"):
             check_finite(pset({"ok": [1.0], "bad": [np.nan]}))
+
+    def test_names_the_first_bad_entry(self):
+        p = pset({"ok": [1.0], "first": [np.inf], "second": [np.nan]})
+        with pytest.raises(NonFiniteError, match="'first'"):
+            check_finite(p)
 
 
 class TestCheckpointFile:

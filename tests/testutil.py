@@ -30,6 +30,18 @@ def random_pset(rng: np.random.Generator, dtype=np.float64, scale=1.0) -> Parame
     )
 
 
+def mixed_pset(rng: np.random.Generator, dtype=np.float64) -> ParameterSet:
+    """Entries of every rank the code must handle: 2-d, 0-d, empty and 1-d."""
+    return ParameterSet(
+        [
+            ("w", (3.0 * rng.normal(size=(3, 4))).astype(dtype)),
+            ("s", np.asarray(3.0 * rng.normal(), dtype=dtype)),
+            ("empty", np.zeros((0, 2), dtype=dtype)),
+            ("b", (3.0 * rng.normal(size=5)).astype(dtype)),
+        ]
+    )
+
+
 def ckpt_of(params: ParameterSet, epoch: int) -> Checkpoint:
     return Checkpoint(params=params, epoch=epoch, step=epoch)
 
