@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .checkpoint_io import read_checkpoint
+from .checkpoint_io import read_checkpoint, read_checkpoint_header
 from .errors import (
     ConfigError,
     ConfigWarning,
@@ -231,8 +231,9 @@ def average_checkpoint_dir(
 ) -> Checkpoint:
     """Offline averaging over the k newest checkpoint files in a directory.
 
-    Files are selected and ordered by the epoch recorded in each file
-    header, never by filename. Averaged-model outputs (``lawa_*.lawa``)
+    Files are selected and ordered by the epoch and step recorded in each
+    file header, never by filename; only the selected files are read in
+    full. Averaged-model outputs (``lawa_*.lawa``)
     living in the same run directory are not candidates. The result
     carries the largest input epoch and the newest checkpoint's step.
     """
@@ -240,13 +241,13 @@ def average_checkpoint_dir(
         raise ConfigError(f"averaging window k must be >= 1, got {k}")
     directory = Path(directory)
     paths = sorted(p for p in directory.glob("*.lawa") if not p.name.startswith("lawa_"))
-    ckpts = [read_checkpoint(p) for p in paths]
-    if len(ckpts) < k:
+    if len(paths) < k:
         raise InsufficientCheckpoints(
-            f"{directory} holds {len(ckpts)} checkpoint files, need {k}"
+            f"{directory} holds {len(paths)} checkpoint files, need {k}"
         )
-    ckpts.sort(key=lambda c: (c.epoch, c.step))
-    window = ckpts[-k:]
+    # Only the headers of the files outside the window are read.
+    paths.sort(key=read_checkpoint_header)
+    window = [read_checkpoint(p) for p in paths[-k:]]
     if scheme == "uniform":
         averaged = uniform_average(window)
     elif scheme == "ema":

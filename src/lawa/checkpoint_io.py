@@ -83,20 +83,20 @@ class _Reader:
         return self.take(1, what)[0]
 
 
-def read_checkpoint(path) -> Checkpoint:
-    """Parse ``path`` back into a :class:`Checkpoint`.
+# magic, version, epoch and step
+_HEADER_SIZE = 4 + 4 + 8 + 8
 
-    Raises :class:`IoError` on OS-level failure and :class:`FormatError`
-    (with byte offset) on bad magic, bad version, truncation, invalid
-    tensor headers, or trailing bytes.
-    """
+
+def _read_bytes(path, size: int = -1) -> bytes:
     try:
         with open(path, "rb") as fh:
-            buf = fh.read()
+            return fh.read(size)
     except OSError as exc:
         raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
 
-    r = _Reader(buf)
+
+def _parse_header(r: _Reader) -> tuple[int, int]:
+    """Check magic and version; return (epoch, step)."""
     magic = r.take(4, "magic")
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", 0)
@@ -104,8 +104,29 @@ def read_checkpoint(path) -> Checkpoint:
     version = r.u32("version")
     if version != VERSION:
         raise FormatError(f"unsupported version {version}", version_at)
-    epoch = r.u64("epoch")
-    step = r.u64("step")
+    return r.u64("epoch"), r.u64("step")
+
+
+def read_checkpoint_header(path) -> tuple[int, int]:
+    """The (epoch, step) recorded in ``path``, reading only the file header.
+
+    Raises :class:`IoError` on OS-level failure and :class:`FormatError`
+    (with byte offset) on bad magic, bad version or a truncated header;
+    the tensors are not read, so damage there goes unnoticed.
+    """
+    return _parse_header(_Reader(_read_bytes(path, _HEADER_SIZE)))
+
+
+def read_checkpoint(path) -> Checkpoint:
+    """Parse ``path`` back into a :class:`Checkpoint`.
+
+    Raises :class:`IoError` on OS-level failure and :class:`FormatError`
+    (with byte offset) on bad magic, bad version, truncation, invalid
+    tensor headers, or trailing bytes.
+    """
+    buf = _read_bytes(path)
+    r = _Reader(buf)
+    epoch, step = _parse_header(r)
     count = r.u32("tensor count")
     if count == 0:
         raise FormatError("checkpoint holds no tensors", r.pos - 4)

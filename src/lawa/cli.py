@@ -7,6 +7,7 @@ failure inside a run.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -27,8 +28,8 @@ from .engine import (
     init_params,
     model_spec_for,
     recompute_bn_stats,
-    refuse_used_out_dir,
     train_run,
+    train_variants,
 )
 from .errors import ConfigError, InternalStateError, LawaError, NonFiniteError
 from .metrics import METRICS_HEADER, record_to_line
@@ -158,18 +159,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if duplicates:
         raise ConfigError(f"duplicate sweep variants: {', '.join(duplicates)}")
 
-    # Every variant and its output directory are checked before any trains.
+    # Every variant is validated before train_variants checks every output
+    # directory and trains their one shared trajectory.
     out_root = Path(base.get("out", "sweep"))
     configs = [
-        (name, config_from_mapping({**base, **overrides, "out": str(out_root / name)}))
+        config_from_mapping({**base, **overrides, "out": str(out_root / name)})
         for name, overrides in variants
     ]
-    for _, cfg in configs:
-        refuse_used_out_dir(Path(cfg.out))
-    out_root.mkdir(parents=True, exist_ok=True)
     lines = ["variant," + ",".join(METRICS_HEADER)]
-    for name, cfg in configs:
-        records = train_run(cfg)
+    for name, records in zip(names, train_variants(configs)):
         lines.extend(f"{name},{record_to_line(r)}" for r in records)
         last = records[-1]
         final_avg = "-" if last.avg_val_loss is None else f"{last.avg_val_loss:.6g}"
@@ -198,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run a training job with in-loop averaging")
     _add_run_options(p)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("average", help="average checkpoint files offline")
     p.add_argument("--dir", required=True, help="directory holding *.lawa files")
@@ -206,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=("uniform", "ema"), default="uniform")
     p.add_argument("--alpha", type=float, default=DEFAULT_EMA_ALPHA)
     p.add_argument("--out", required=True, help="output checkpoint path")
-    p.set_defaults(func=cmd_average)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     p.add_argument("--ckpt", required=True)
@@ -218,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="data for --bn-mode recompute: 'train' or 'val' split",
     )
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="epoch savings of averaged vs baseline curves")
     p.add_argument("metrics_csvs", nargs="+", help="metrics.csv files")
@@ -233,22 +228,28 @@ def build_parser() -> argparse.ArgumentParser:
     direction = p.add_mutually_exclusive_group()
     direction.add_argument("--higher-better", action="store_true")
     direction.add_argument("--lower-better", action="store_true")
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="run several schemes/windows on one task")
     _add_run_options(p)
     p.add_argument("--schemes", default="uniform,ema", help="comma list of schemes")
     p.add_argument("--k-values", default="", help="comma list of uniform windows")
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs milliseconds."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # The command is looked up at call time, so a cmd_* rebound on this
+    # module after the parser was built is the one that runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (NonFiniteError, InternalStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,12 +21,14 @@ e.g. changing the averaging scheme never perturbs the trajectory.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from contextlib import ExitStack
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .averaging import make_scheme
+from .averaging import AveragingScheme, make_scheme
 from .checkpoint_io import write_checkpoint
 from .config import RunConfig, resolved_text
 from .data import Dataset, load_csv, make_spirals
@@ -122,8 +124,9 @@ def forward(
 
     In training mode batch norm normalizes with batch statistics and the
     cache carries momentum-updated running statistics under
-    ``cache["bn_updates"]``; in inference mode the stored running
-    statistics are used.
+    ``cache["bn_updates"]``, plus the activations ``backward`` needs; in
+    inference mode the stored running statistics are used and no layer's
+    activations are kept.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != spec.widths[0]:
@@ -161,7 +164,8 @@ def forward(
         else:
             pre = z
         a = np.maximum(pre, 0.0)
-        layers.append({"input": h, "bn": bn_cache, "pre_relu": pre})
+        if training:
+            layers.append({"input": h, "bn": bn_cache, "pre_relu": pre})
         h = a
     w = params[f"layer{spec.n_hidden}.weight"]
     b = params[f"layer{spec.n_hidden}.bias"]
@@ -170,7 +174,7 @@ def forward(
         raise NonFiniteError("non-finite activations in forward pass")
     cache = {
         "layers": layers,
-        "last_input": h,
+        "last_input": h if training else None,
         "outputs": outputs,
         "bn_updates": bn_updates,
     }
@@ -249,7 +253,7 @@ def backward(
         grads[f"layer{i}.bias"] = d_z.sum(axis=0)
         d_h = d_z @ params[f"layer{i}.weight"].T
 
-    ordered = [(name, grads[name].astype(spec.np_dtype)) for name in params.names]
+    ordered = [(name, grads[name].astype(spec.np_dtype, copy=False)) for name in params.names]
     return loss, ParameterSet(ordered)
 
 
@@ -410,6 +414,12 @@ def refuse_used_out_dir(out_dir: Path) -> None:
         )
 
 
+# The fields that may differ between the configs of one shared trajectory:
+# they feed the averaging scheme or name the output directory, never the
+# weights.
+AVERAGING_FIELDS = ("scheme", "k", "alpha", "out")
+
+
 def train_run(cfg: RunConfig, dataset: Dataset | None = None) -> list[MetricsRecord]:
     """Train per the config, saving checkpoints and per-epoch metrics.
 
@@ -421,9 +431,59 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None) -> list[MetricsRec
     the failing epoch in the error message. An output directory that
     already holds checkpoints or metrics is refused before any write.
     """
-    cfg.validate()
-    out_dir = Path(cfg.out)
-    refuse_used_out_dir(out_dir)
+    return train_variants([cfg], dataset)[0]
+
+
+@dataclass
+class _Variant:
+    """One config's averaging state along the shared trajectory."""
+
+    cfg: RunConfig
+    out_dir: Path
+    scheme: AveragingScheme
+    writer: MetricsWriter | None = None
+    average: ParameterSet | None = None
+    records: list[MetricsRecord] = field(default_factory=list)
+
+
+def _check_one_trajectory(cfgs: Sequence[RunConfig]) -> None:
+    first = cfgs[0]
+    shared = [f.name for f in fields(RunConfig) if f.name not in AVERAGING_FIELDS]
+    for cfg in cfgs[1:]:
+        differing = [n for n in shared if getattr(cfg, n) != getattr(first, n)]
+        if differing:
+            raise ConfigError(
+                f"configs for {first.out} and {cfg.out} differ in {', '.join(differing)}; "
+                f"variants of one trajectory may differ only in {', '.join(AVERAGING_FIELDS)}"
+            )
+    outs = [Path(cfg.out) for cfg in cfgs]
+    if len(set(outs)) != len(outs):
+        raise ConfigError("two variants share one output directory")
+
+
+def train_variants(
+    cfgs: Sequence[RunConfig], dataset: Dataset | None = None
+) -> list[list[MetricsRecord]]:
+    """Train one trajectory and average it once per config, as ``train_run``
+    would for each config alone; returns each config's metrics records.
+
+    The configs may differ only in ``AVERAGING_FIELDS``. Forward,
+    backward, the optimizer step and the raw-model evaluations run once;
+    each save event writes the same checkpoint into every output
+    directory and feeds every config's averaging scheme. Each directory
+    ends up byte-identical to a ``train_run`` of its config, except for
+    ``wall_seconds``, which counts from the shared start. A non-finite
+    value aborts every variant at the same epoch. Every config is
+    validated and every output directory checked before any write.
+    """
+    if not cfgs:
+        raise ConfigError("train_variants needs at least one config")
+    for cfg in cfgs:
+        cfg.validate()
+    _check_one_trajectory(cfgs)
+    for cfg in cfgs:
+        refuse_used_out_dir(Path(cfg.out))
+    cfg = cfgs[0]
     if dataset is None:
         dataset = build_dataset(cfg)
     spec = model_spec_for(cfg, dataset)
@@ -456,33 +516,39 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None) -> list[MetricsRec
         end_lr=cfg.end_lr,
         power=cfg.power,
     )
-    scheme = make_scheme(cfg.scheme, cfg.k, cfg.alpha)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.resolved").write_text(resolved_text(cfg), encoding="utf-8")
+    variants = [
+        _Variant(c, Path(c.out), make_scheme(c.scheme, c.k, c.alpha)) for c in cfgs
+    ]
+    for v in variants:
+        v.out_dir.mkdir(parents=True, exist_ok=True)
+        (v.out_dir / "config.resolved").write_text(resolved_text(v.cfg), encoding="utf-8")
 
     started = time.perf_counter()
-    records: list[MetricsRecord] = []
     global_step = 0
     slot = 0
-    current_avg: ParameterSet | None = None
 
     def save_event(current: ParameterSet) -> None:
-        nonlocal slot, current_avg
+        nonlocal slot
         ckpt = Checkpoint(params=current, epoch=slot, step=global_step)
-        write_checkpoint(ckpt, checkpoint_path(out_dir, slot))
-        averaged = scheme.observe(ckpt)
-        if averaged is not None:
-            averaged = apply_bn_mode(averaged, spec, cfg.bn_mode, current, x_train)
-            if cfg.save_averaged:
+        # Every directory holds the checkpoint before any scheme can reject it.
+        for v in variants:
+            write_checkpoint(ckpt, checkpoint_path(v.out_dir, slot))
+        for v in variants:
+            averaged = v.scheme.observe(ckpt)
+            if averaged is None:
+                continue
+            averaged = apply_bn_mode(averaged, spec, v.cfg.bn_mode, current, x_train)
+            if v.cfg.save_averaged:
                 write_checkpoint(
                     Checkpoint(params=averaged, epoch=slot, step=global_step),
-                    averaged_path(out_dir, slot),
+                    averaged_path(v.out_dir, slot),
                 )
-            current_avg = averaged
+            v.average = averaged
         slot += 1
 
-    with MetricsWriter(out_dir / "metrics.csv") as writer:
+    with ExitStack() as stack:
+        for v in variants:
+            v.writer = stack.enter_context(MetricsWriter(v.out_dir / "metrics.csv"))
         for epoch in range(cfg.epochs):
             try:
                 order = rng_for(cfg.seed, f"shuffle:{epoch}").permutation(n_train)
@@ -504,25 +570,28 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None) -> list[MetricsRec
 
                 train_loss, train_acc = evaluate(params, spec, x_train, y_train)
                 val_loss, val_acc = evaluate(params, spec, x_val, y_val)
-                if current_avg is not None:
-                    avg_val_loss, avg_val_acc = evaluate(current_avg, spec, x_val, y_val)
-                else:
-                    avg_val_loss, avg_val_acc = None, None
+                averaged_metrics = [
+                    (None, None)
+                    if v.average is None
+                    else evaluate(v.average, spec, x_val, y_val)
+                    for v in variants
+                ]
             except NonFiniteError as exc:
                 raise type(exc)(f"run aborted at epoch {epoch}: {exc}") from exc
 
-            record = MetricsRecord(
-                epoch=epoch,
-                step=global_step,
-                lr=last_lr,
-                train_loss=train_loss,
-                train_acc=train_acc,
-                val_loss=val_loss,
-                val_acc=val_acc,
-                avg_val_loss=avg_val_loss,
-                avg_val_acc=avg_val_acc,
-                wall_seconds=time.perf_counter() - started,
-            )
-            records.append(record)
-            writer.append(record)
-    return records
+            for v, (avg_val_loss, avg_val_acc) in zip(variants, averaged_metrics):
+                record = MetricsRecord(
+                    epoch=epoch,
+                    step=global_step,
+                    lr=last_lr,
+                    train_loss=train_loss,
+                    train_acc=train_acc,
+                    val_loss=val_loss,
+                    val_acc=val_acc,
+                    avg_val_loss=avg_val_loss,
+                    avg_val_acc=avg_val_acc,
+                    wall_seconds=time.perf_counter() - started,
+                )
+                v.records.append(record)
+                v.writer.append(record)
+    return [v.records for v in variants]

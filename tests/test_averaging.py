@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lawa import averaging
 from lawa.averaging import (
     CheckpointRing,
     EmaScheme,
@@ -12,12 +13,13 @@ from lawa.averaging import (
     make_scheme,
     uniform_average,
 )
-from lawa.checkpoint_io import write_checkpoint
+from lawa.checkpoint_io import read_checkpoint, write_checkpoint
 from lawa.errors import (
     ConfigError,
     ConfigWarning,
     EpochOrderError,
     InsufficientCheckpoints,
+    FormatError,
     InternalStateError,
     NonFiniteError,
     StructureMismatch,
@@ -442,3 +444,56 @@ class TestOfflineAveraging:
         self._write_trajectory(tmp_path, range(3))
         with pytest.raises(ConfigError):
             average_checkpoint_dir(tmp_path, k=2, scheme="polyak")
+
+    @pytest.mark.parametrize("scheme", ["uniform", "ema"])
+    def test_result_is_bitwise_the_average_of_the_window(self, tmp_path, scheme):
+        ckpts = self._write_trajectory(tmp_path, range(10))
+        out = average_checkpoint_dir(tmp_path, k=4, scheme=scheme, alpha=0.3)
+        if scheme == "uniform":
+            expected = uniform_average(ckpts[-4:])
+        else:
+            ema = EmaScheme(0.3)
+            for c in ckpts[-4:]:
+                expected = ema.update(c)
+        assert out.params == expected
+        assert out.params.flat.tobytes() == expected.flat.tobytes()
+        assert (out.epoch, out.step) == (9, 90)
+
+    def test_reads_only_the_window_in_full(self, tmp_path, monkeypatch):
+        self._write_trajectory(tmp_path, range(10))
+        read = []
+
+        def counting(path):
+            read.append(path)
+            return read_checkpoint(path)
+
+        monkeypatch.setattr(averaging, "read_checkpoint", counting)
+        out = average_checkpoint_dir(tmp_path, k=3)
+        assert len(read) == 3
+        assert sorted(read_checkpoint(p).epoch for p in read) == [7, 8, 9]
+        assert out.epoch == 9
+
+    def test_equal_epochs_are_ordered_by_step(self, tmp_path):
+        rng = np.random.default_rng(21)
+        early = Checkpoint(params=random_pset(rng), epoch=4, step=40)
+        late = Checkpoint(params=random_pset(rng), epoch=4, step=41)
+        write_checkpoint(late, tmp_path / "a.lawa")
+        write_checkpoint(early, tmp_path / "b.lawa")
+        out = average_checkpoint_dir(tmp_path, k=1)
+        assert out.params == late.params and out.step == 41
+
+    def test_damaged_data_outside_the_window_is_not_read(self, tmp_path):
+        ckpts = self._write_trajectory(tmp_path, range(5))
+        oldest = tmp_path / "any_20_099.lawa"  # epoch 0
+        oldest.write_bytes(oldest.read_bytes()[:-8])
+        out = average_checkpoint_dir(tmp_path, k=3)
+        assert out.params == uniform_average(ckpts[-3:])
+        with pytest.raises(FormatError, match="truncated"):
+            average_checkpoint_dir(tmp_path, k=5)
+
+    def test_bad_header_outside_the_window_still_fails(self, tmp_path):
+        self._write_trajectory(tmp_path, range(5))
+        oldest = tmp_path / "any_20_099.lawa"  # epoch 0
+        oldest.write_bytes(b"XAWA" + oldest.read_bytes()[4:])
+        with pytest.raises(FormatError, match="magic"):
+            average_checkpoint_dir(tmp_path, k=2)

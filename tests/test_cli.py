@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lawa
-from lawa import averaging, optim
+from lawa import averaging, cli, engine, optim
 from lawa.averaging import DEFAULT_EMA_ALPHA
 from lawa.checkpoint_io import read_checkpoint
 from lawa.cli import _effective_mapping, build_parser, main
@@ -463,6 +463,104 @@ class TestSweep:
         assert not root.exists()
 
 
+def masked_files(directory):
+    """Every file of a run directory by name; metrics.csv without wall_seconds."""
+    files = {}
+    for path in sorted(directory.iterdir()):
+        if path.name == "metrics.csv":
+            files[path.name] = [
+                line.rsplit(",", 1)[0] for line in path.read_text().splitlines()
+            ]
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+# The variant directories of `--schemes uniform,ema,polyak --k-values 2,3`
+# and the `lawa train` flags of each.
+SWEEP_VARIANTS = {
+    "uniform": ["--scheme", "uniform"],
+    "ema": ["--scheme", "ema"],
+    "polyak": ["--scheme", "polyak"],
+    "uniform_k2": ["--scheme", "uniform", "--k", "2"],
+    "uniform_k3": ["--scheme", "uniform", "--k", "3"],
+}
+
+
+class TestSharedTrajectory:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--use-bn", "--save-averaged", "--optimizer", "lookahead"],
+            ["--save-every-steps", "3"],
+        ],
+        ids=["bn_lookahead_save_averaged", "save_every_steps"],
+    )
+    def test_each_variant_equals_a_separate_train(self, tmp_path, monkeypatch, extra):
+        base = [*TINY, "--k", "4", "--alpha", "0.7", *extra]
+        swept, trained = tmp_path / "swept", tmp_path / "trained"
+        swept.mkdir()
+        trained.mkdir()
+        # Relative output paths, so config.resolved names the same `out`.
+        monkeypatch.chdir(swept)
+        code = run_cli(
+            [
+                "sweep", *base, "--schemes", "uniform,ema,polyak", "--k-values", "2,3",
+                "--out", "sweep",
+            ]
+        )
+        assert code == 0
+        monkeypatch.chdir(trained)
+        for name, flags in SWEEP_VARIANTS.items():
+            assert run_cli(["train", *base, *flags, "--out", f"sweep/{name}"]) == 0
+
+        assert sorted(p.name for p in (swept / "sweep").iterdir()) == sorted(
+            [*SWEEP_VARIANTS, "sweep.csv"]
+        )
+        for name in SWEEP_VARIANTS:
+            got = masked_files(swept / "sweep" / name)
+            assert got == masked_files(trained / "sweep" / name), name
+            assert any(n.startswith("ckpt_") for n in got)
+            if "--save-averaged" in extra:
+                assert any(n.startswith("lawa_") for n in got)
+
+    def test_backward_runs_once_per_step_for_all_variants(self, tmp_path, monkeypatch):
+        calls = []
+        original = engine.backward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "backward", counting)
+        code = run_cli(
+            [
+                "sweep", *TINY, "--schemes", "uniform,ema,polyak", "--k-values", "2",
+                "--out", str(tmp_path / "sweep"),
+            ]
+        )
+        assert code == 0
+        # 6 epochs; 64 of the 80 samples train, in batches of 16: 4 steps each
+        assert len(calls) == 6 * 4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergent_sweep_exits_1_and_stops_every_variant(self, tmp_path, capsys):
+        root = tmp_path / "sweep"
+        code = run_cli(
+            [
+                "sweep", *TINY, "--lr", "1e120", "--schedule", "constant",
+                "--schemes", "uniform,ema", "--out", str(root),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "run aborted at epoch 0" in err
+        assert "non-finite" in err
+        for name in ("uniform", "ema"):
+            assert read_metrics(root / name / "metrics.csv") == []
+        assert not (root / "sweep.csv").exists()
+
+
 def run_flags(parser_name):
     """Primary option string of every RunConfig flag of a subcommand."""
     parser = build_parser()
@@ -533,6 +631,12 @@ class TestSchema:
 
 
 class TestUsage:
+    def test_each_call_runs_the_command_bound_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_train", lambda args: 11)
+        assert main(["train"]) == 11
+        monkeypatch.setattr(cli, "cmd_train", lambda args: 12)
+        assert main(["train"]) == 12
+
     def test_no_command_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main([])

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from lawa.engine import (
     is_running_stat,
     recompute_bn_stats,
     train_run,
+    train_variants,
 )
 from lawa.errors import (
     ConfigError,
@@ -347,6 +350,18 @@ class TestEvaluate:
         assert loss >= 0.0
 
 
+class TestInferenceForward:
+    @pytest.mark.parametrize("use_bn", [False, True])
+    def test_keeps_no_activations_for_backward(self, use_bn):
+        rng = np.random.default_rng(31)
+        spec = small_spec(use_bn=use_bn, widths=(2, 5, 4, 3))
+        x, _ = random_batch(rng, spec)
+        outputs, cache = forward(init_params(spec), spec, x, training=False)
+        assert cache["layers"] == []
+        assert cache["last_input"] is None
+        assert cache["outputs"] is outputs
+
+
 def tiny_cfg(tmp_path, **overrides) -> RunConfig:
     base = dict(
         dataset="spirals",
@@ -476,3 +491,44 @@ class TestTrainRun:
         cfg = tiny_cfg(tmp_path, dataset="csv", csv=str(csv_path))
         ds = build_dataset(cfg)
         assert ds.kind == "classification" and ds.n_features == 2
+
+
+class TestTrainVariants:
+    def test_records_equal_separate_train_runs_except_wall(self, tmp_path):
+        variants = [
+            tiny_cfg(tmp_path, scheme="uniform", k=2, out=str(tmp_path / "v" / "u2")),
+            tiny_cfg(tmp_path, scheme="ema", alpha=0.5, out=str(tmp_path / "v" / "ema")),
+            tiny_cfg(tmp_path, scheme="none", out=str(tmp_path / "v" / "none")),
+        ]
+        shared = train_variants(variants)
+        for cfg, records in zip(variants, shared):
+            alone = train_run(replace(cfg, out=str(tmp_path / "alone" / Path(cfg.out).name)))
+            assert [replace(r, wall_seconds=0.0) for r in records] == [
+                replace(r, wall_seconds=0.0) for r in alone
+            ]
+
+    def test_configs_differing_in_lr_are_refused_before_any_write(self, tmp_path):
+        a = tiny_cfg(tmp_path, out=str(tmp_path / "a"))
+        b = tiny_cfg(tmp_path, lr=0.05, out=str(tmp_path / "b"))
+        with pytest.raises(ConfigError, match="differ in lr"):
+            train_variants([a, b])
+        assert not (tmp_path / "a").exists()
+        assert not (tmp_path / "b").exists()
+
+    def test_shared_output_directory_is_refused(self, tmp_path):
+        a = tiny_cfg(tmp_path, scheme="uniform")
+        b = tiny_cfg(tmp_path, scheme="ema")
+        with pytest.raises(ConfigError, match="output directory"):
+            train_variants([a, b])
+        assert not (tmp_path / "run").exists()
+
+    def test_every_config_is_validated(self, tmp_path):
+        a = tiny_cfg(tmp_path, out=str(tmp_path / "a"))
+        b = tiny_cfg(tmp_path, k=0, out=str(tmp_path / "b"))
+        with pytest.raises(ConfigError, match="k must be >= 1"):
+            train_variants([a, b])
+        assert not (tmp_path / "a").exists()
+
+    def test_no_configs_is_refused(self):
+        with pytest.raises(ConfigError):
+            train_variants([])

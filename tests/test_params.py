@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lawa.checkpoint_io import read_checkpoint, write_checkpoint
+from lawa.checkpoint_io import read_checkpoint, read_checkpoint_header, write_checkpoint
 from lawa.errors import FormatError, IoError, NonFiniteError, StructureMismatch
 from lawa.params import (
     Checkpoint,
@@ -316,3 +316,54 @@ class TestCheckpointFile:
                 Checkpoint(params=pset({"a": [1.0]}), epoch=0, step=0),
                 tmp_path / "no" / "such" / "dir" / "c.lawa",
             )
+
+
+class TestCheckpointHeader:
+    def _write(self, path, epoch=7, step=123):
+        write_checkpoint(
+            Checkpoint(params=pset({"a": [1.0, 2.0]}), epoch=epoch, step=step), path
+        )
+        return path.read_bytes()
+
+    def test_returns_epoch_and_step(self, tmp_path):
+        path = tmp_path / "c.lawa"
+        self._write(path, epoch=7, step=123)
+        assert read_checkpoint_header(path) == (7, 123)
+
+    def test_damaged_tensor_data_is_not_read(self, tmp_path):
+        path = tmp_path / "c.lawa"
+        full = self._write(path)
+        path.write_bytes(full[:-4])
+        assert read_checkpoint_header(path) == (7, 123)
+        with pytest.raises(FormatError):
+            read_checkpoint(path)
+
+    def test_bad_magic_offset_zero(self, tmp_path):
+        path = tmp_path / "c.lawa"
+        full = self._write(path)
+        path.write_bytes(b"XAWA" + full[4:])
+        with pytest.raises(FormatError, match="magic") as err:
+            read_checkpoint_header(path)
+        assert err.value.offset == 0
+
+    def test_bad_version_offset_four(self, tmp_path):
+        path = tmp_path / "c.lawa"
+        full = bytearray(self._write(path))
+        full[4] = 99
+        path.write_bytes(bytes(full))
+        with pytest.raises(FormatError, match="version") as err:
+            read_checkpoint_header(path)
+        assert err.value.offset == 4
+
+    @pytest.mark.parametrize("size, offset", [(0, 0), (3, 0), (6, 4), (12, 8), (23, 16)])
+    def test_truncated_header_reports_offset(self, tmp_path, size, offset):
+        path = tmp_path / "c.lawa"
+        full = self._write(path)
+        path.write_bytes(full[:size])
+        with pytest.raises(FormatError, match="truncated") as err:
+            read_checkpoint_header(path)
+        assert err.value.offset == offset
+
+    def test_missing_file_is_io_error(self, tmp_path):
+        with pytest.raises(IoError):
+            read_checkpoint_header(tmp_path / "nope.lawa")
