@@ -91,24 +91,19 @@ def uniform_average(ckpts: Sequence[Checkpoint]) -> ParameterSet:
 
 
 def lawa_step(ring: CheckpointRing, epoch: int, k: int) -> ParameterSet | None:
-    """Averaged model at the end of ``epoch``, or None while epoch + 1 < k.
+    """Averaged model at the end of ``epoch``, or None until the ring holds k.
 
-    Assumes the ring was pushed once per epoch starting at 0, with the
-    checkpoint for ``epoch`` already appended (the average includes it).
+    ``ring`` holds the checkpoint for ``epoch`` as its newest (the average
+    includes it); the window may start at any epoch.
     """
-    if epoch + 1 < k:
-        return None
     if ring.capacity != k:
         raise InternalStateError(f"ring capacity {ring.capacity} does not match k={k}")
-    expected = min(epoch + 1, k)
-    if len(ring) != expected:
-        raise InternalStateError(
-            f"ring holds {len(ring)} checkpoints at epoch {epoch}, expected {expected}"
-        )
     if ring.newest.epoch != epoch:
         raise InternalStateError(
             f"newest ring epoch {ring.newest.epoch} does not match epoch {epoch}"
         )
+    if len(ring) < k:
+        return None
     return uniform_average(list(ring))
 
 
@@ -148,6 +143,9 @@ class UniformScheme(AveragingScheme):
         self.ring = CheckpointRing(k)
 
     def observe(self, ckpt: Checkpoint) -> ParameterSet | None:
+        # A foreign checkpoint is named by its entry, not by its epoch.
+        if len(self.ring):
+            check_same_structure(self.ring.newest.params, ckpt.params)
         self.ring.push(ckpt)
         return lawa_step(self.ring, ckpt.epoch, self.k)
 
@@ -233,12 +231,14 @@ def average_checkpoint_dir(
 
     Files are selected and ordered by the epoch and step recorded in each
     file header, never by filename; only the selected files are read in
-    full. Averaged-model outputs (``lawa_*.lawa``)
-    living in the same run directory are not candidates. The result
-    carries the largest input epoch and the newest checkpoint's step.
+    full. Averaged-model outputs (``lawa_*.lawa``) living in the same run
+    directory are not candidates. The result is what the in-loop scheme
+    (``make_scheme(scheme, k, alpha)``) holds after observing the selected
+    files, oldest first; it carries the newest checkpoint's epoch and step.
     """
     if k < 1:
         raise ConfigError(f"averaging window k must be >= 1, got {k}")
+    averager = make_scheme(scheme, k, alpha)
     directory = Path(directory)
     paths = sorted(p for p in directory.glob("*.lawa") if not p.name.startswith("lawa_"))
     if len(paths) < k:
@@ -247,14 +247,9 @@ def average_checkpoint_dir(
         )
     # Only the headers of the files outside the window are read.
     paths.sort(key=read_checkpoint_header)
-    window = [read_checkpoint(p) for p in paths[-k:]]
-    if scheme == "uniform":
-        averaged = uniform_average(window)
-    elif scheme == "ema":
-        ema = EmaScheme(alpha)
-        for c in window:
-            averaged = ema.update(c)
-    else:
-        raise ConfigError(f"offline averaging supports uniform or ema, got {scheme!r}")
-    newest = window[-1]
+    for path in paths[-k:]:
+        newest = read_checkpoint(path)
+        averaged = averager.observe(newest)
+    if averaged is None:
+        raise ConfigError(f"scheme {scheme!r} yields no average")
     return Checkpoint(params=averaged, epoch=newest.epoch, step=newest.step)

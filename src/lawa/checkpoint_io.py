@@ -22,7 +22,9 @@ byte offset of the problem.
 
 from __future__ import annotations
 
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +39,12 @@ _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Serialize ``ckpt`` to ``path``. I/O failures raise :class:`IoError`."""
+    """Serialize ``ckpt`` to ``path``. I/O failures raise :class:`IoError`.
+
+    The bytes go to a temporary name beside ``path`` that does not end in
+    ``.lawa`` and then replace ``path`` in one step, so a failed write
+    leaves no partial checkpoint behind and any older file intact.
+    """
     parts = [
         MAGIC,
         struct.pack("<I", VERSION),
@@ -52,10 +59,13 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
         parts.append(struct.pack("<BI", code, arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         parts.append(np.asarray(arr, dtype=_CODE_DTYPES[code]).tobytes(order="C"))
+    tmp = Path(f"{path}.tmp")
     try:
-        with open(path, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(b"".join(parts))
+        os.replace(tmp, path)
     except OSError as exc:
+        tmp.unlink(missing_ok=True)
         raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
@@ -135,6 +145,7 @@ def read_checkpoint(path) -> Checkpoint:
     seen: set[str] = set()
     first_code = None
     for _ in range(count):
+        entry_at = r.pos
         name_len = r.u32("name length")
         name_at = r.pos
         raw_name = r.take(name_len, "name")
@@ -162,7 +173,12 @@ def read_checkpoint(path) -> Checkpoint:
             n_elems *= d
         dtype = _CODE_DTYPES[code]
         raw = r.take(n_elems * dtype.itemsize, f"data of {name!r}")
-        arr = np.frombuffer(raw, dtype=dtype).reshape(dims)
+        try:
+            arr = np.frombuffer(raw, dtype=dtype).reshape(dims)
+        except ValueError as exc:  # numpy refuses the rank or the shape
+            raise FormatError(
+                f"tensor {name!r} has unsupported shape: {exc}", entry_at
+            ) from None
         entries.append((name, arr.astype(arr.dtype.newbyteorder("="), copy=False)))
 
     if r.pos != len(buf):

@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("average", help="average checkpoint files offline")
     p.add_argument("--dir", required=True, help="directory holding *.lawa files")
     p.add_argument("--k", type=int, required=True, help="number of newest checkpoints")
-    p.add_argument("--scheme", choices=("uniform", "ema"), default="uniform")
+    p.add_argument("--scheme", choices=CHOICES["scheme"], default="uniform")
     p.add_argument("--alpha", type=float, default=DEFAULT_EMA_ALPHA)
     p.add_argument("--out", required=True, help="output checkpoint path")
 

@@ -182,6 +182,12 @@ class TestLawaStep:
         with pytest.raises(InternalStateError):
             lawa_step(ring, 4, 3)
 
+    def test_window_may_start_at_any_epoch(self):
+        scheme = UniformScheme(3)
+        outs = [scheme.observe(scalar_ckpt(float(e), e)) for e in range(5, 9)]
+        assert outs[0] is None and outs[1] is None
+        assert outs[2]["w"][0] == 6.0 and outs[3]["w"][0] == 7.0
+
     def test_capacity_mismatch(self):
         ring = CheckpointRing(4)
         for e in range(4):
@@ -443,7 +449,30 @@ class TestOfflineAveraging:
     def test_unknown_scheme(self, tmp_path):
         self._write_trajectory(tmp_path, range(3))
         with pytest.raises(ConfigError):
-            average_checkpoint_dir(tmp_path, k=2, scheme="polyak")
+            average_checkpoint_dir(tmp_path, k=2, scheme="median")
+
+    def test_none_yields_no_average(self, tmp_path):
+        self._write_trajectory(tmp_path, range(3))
+        with pytest.raises(ConfigError, match="no average"):
+            average_checkpoint_dir(tmp_path, k=2, scheme="none")
+
+    def test_polyak_is_the_in_loop_fold_over_the_window(self, tmp_path):
+        ckpts = self._write_trajectory(tmp_path, range(10))
+        out = average_checkpoint_dir(tmp_path, k=4, scheme="polyak")
+        polyak = PolyakScheme()
+        for c in ckpts[-4:]:
+            expected = polyak.observe(c)
+        assert out.params.flat.tobytes() == expected.flat.tobytes()
+        assert (out.epoch, out.step) == (9, 90)
+
+    def test_foreign_file_at_a_repeated_epoch_is_named_by_entry(self, tmp_path):
+        self._write_trajectory(tmp_path, range(3))
+        write_checkpoint(
+            Checkpoint(params=pset({"other": [1.0]}), epoch=2, step=20),
+            tmp_path / "odd.lawa",
+        )
+        with pytest.raises(StructureMismatch, match="other"):
+            average_checkpoint_dir(tmp_path, k=3)
 
     @pytest.mark.parametrize("scheme", ["uniform", "ema"])
     def test_result_is_bitwise_the_average_of_the_window(self, tmp_path, scheme):

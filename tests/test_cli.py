@@ -14,7 +14,7 @@ from lawa.averaging import DEFAULT_EMA_ALPHA
 from lawa.checkpoint_io import read_checkpoint
 from lawa.cli import _effective_mapping, build_parser, main
 from lawa.compare import compare_run
-from lawa.config import RunConfig, config_from_mapping, resolved_text
+from lawa.config import SCHEMES, RunConfig, config_from_mapping, resolved_text
 from lawa.errors import SchemaError
 from lawa.metrics import read_metrics
 from testutil import max_abs_diff
@@ -213,6 +213,63 @@ class TestAverage:
         )
         assert code == 2
         assert "layer0" in capsys.readouterr().err
+
+    # (scheme, training flags, offline window): the offline result over the
+    # run's newest files equals the in-loop average saved at the last save.
+    @pytest.mark.parametrize(
+        "scheme, extra, k",
+        [
+            ("ema", ["--alpha", "0.7"], 6),
+            ("polyak", [], 6),
+            ("uniform", ["--k", "3"], 3),
+            ("ema", ["--alpha", "0.7", "--save-every-steps", "3"], 8),
+            ("uniform", ["--k", "4", "--save-every-steps", "3"], 4),
+        ],
+    )
+    def test_offline_equals_the_in_loop_average(self, tmp_path, scheme, extra, k):
+        out = train_tiny(
+            tmp_path / "run", ["--scheme", scheme, "--save-averaged", *extra]
+        )
+        alpha = extra[extra.index("--alpha") + 1] if "--alpha" in extra else "0.9"
+        avg = tmp_path / "avg.lawa"
+        code = run_cli(
+            ["average", "--dir", str(out), "--k", str(k), "--scheme", scheme,
+             "--alpha", alpha, "--out", str(avg)]
+        )
+        assert code == 0
+        in_loop = sorted(out.glob("lawa_*.lawa"))[-1]
+        assert len(list(out.glob("ckpt_*.lawa"))) >= k
+        assert avg.read_bytes() == in_loop.read_bytes()
+
+    def test_scheme_none_exits_2(self, tmp_path, capsys):
+        out = train_tiny(tmp_path / "run")
+        code = run_cli(
+            ["average", "--dir", str(out), "--k", "2", "--scheme", "none",
+             "--out", str(tmp_path / "a.lawa")]
+        )
+        assert code == 2
+        assert "no average" in capsys.readouterr().err
+        assert not (tmp_path / "a.lawa").exists()
+
+    def test_scheme_choices_are_the_config_schemes(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        scheme = next(
+            a for a in sub.choices["average"]._actions if "--scheme" in a.option_strings
+        )
+        assert tuple(scheme.choices) == SCHEMES
+
+    def test_average_written_into_the_run_dir_is_refused_later(self, tmp_path, capsys):
+        out = train_tiny(tmp_path / "run")
+        inside = out / "averaged.lawa"
+        assert run_cli(["average", "--dir", str(out), "--k", "6", "--out", str(inside)]) == 0
+        code = run_cli(
+            ["average", "--dir", str(out), "--k", "6", "--scheme", "uniform",
+             "--out", str(tmp_path / "again.lawa")]
+        )
+        assert code == 2
+        assert "not greater than newest stored epoch" in capsys.readouterr().err
+        assert not (tmp_path / "again.lawa").exists()
 
 
 class TestEval:

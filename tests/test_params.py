@@ -1,3 +1,6 @@
+import os
+import struct
+
 import numpy as np
 import pytest
 
@@ -316,6 +319,43 @@ class TestCheckpointFile:
                 Checkpoint(params=pset({"a": [1.0]}), epoch=0, step=0),
                 tmp_path / "no" / "such" / "dir" / "c.lawa",
             )
+
+    @pytest.mark.parametrize(
+        "dims",
+        [[1] * 65, [0, 2**62]],
+        ids=["rank_above_64", "dims_too_big"],
+    )
+    def test_shape_numpy_refuses_is_format_error(self, tmp_path, dims):
+        # One f64 tensor "a" holding a single element's bytes (none if empty).
+        data = b"" if 0 in dims else bytes(8)
+        tensor = struct.pack("<I", 1) + b"a" + struct.pack("<BI", 1, len(dims))
+        tensor += struct.pack(f"<{len(dims)}Q", *dims) + data
+        path = tmp_path / "c.lawa"
+        path.write_bytes(b"LAWA" + struct.pack("<IQQI", 1, 0, 0, 1) + tensor)
+        with pytest.raises(FormatError, match="shape") as err:
+            read_checkpoint(path)
+        assert err.value.offset == 28  # the tensor header, after the 28-byte file header
+
+    def test_write_leaves_only_the_target(self, tmp_path):
+        path = tmp_path / "c.lawa"
+        write_checkpoint(Checkpoint(params=pset({"a": [1.0]}), epoch=0, step=0), path)
+        write_checkpoint(Checkpoint(params=pset({"a": [2.0]}), epoch=1, step=1), path)
+        assert read_checkpoint(path).epoch == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["c.lawa"]
+
+    def test_failed_replace_keeps_the_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.lawa"
+        write_checkpoint(Checkpoint(params=pset({"a": [1.0]}), epoch=0, step=0), path)
+        before = path.read_bytes()
+
+        def failing(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing)
+        with pytest.raises(IoError, match="disk full"):
+            write_checkpoint(Checkpoint(params=pset({"a": [2.0]}), epoch=1, step=1), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.lawa"]
 
 
 class TestCheckpointHeader:
