@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .engine import (
     train_run,
     train_variants,
 )
-from .errors import ConfigError, InternalStateError, LawaError, NonFiniteError
+from .errors import ConfigError, ConfigWarning, InternalStateError, LawaError, NonFiniteError
 from .metrics import METRICS_HEADER, record_to_line
 from .params import check_same_structure
 
@@ -248,14 +249,25 @@ def main(argv: list[str] | None = None) -> int:
     # The command is looked up at call time, so a cmd_* rebound on this
     # module after the parser was built is the one that runs.
     command = globals()[f"cmd_{args.command}"]
-    try:
-        return command(args)
-    except (NonFiniteError, InternalStateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except LawaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        show_other = warnings.showwarning
+
+        def show(message, category, filename, lineno, file=None, line=None):
+            # A ConfigWarning is about the user's settings, not a source line.
+            if issubclass(category, ConfigWarning):
+                print(f"warning: {message}", file=sys.stderr)
+            else:
+                show_other(message, category, filename, lineno, file, line)
+
+        warnings.showwarning = show
+        try:
+            return command(args)
+        except (NonFiniteError, InternalStateError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except LawaError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ e.g. changing the averaging scheme never perturbs the trajectory.
 
 from __future__ import annotations
 
+import os
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
@@ -39,7 +40,8 @@ from .params import Checkpoint, ParameterSet
 from .rng import rng_for
 
 BN_EPS = 1e-5
-_RECOMPUTE_CHUNK = 256
+# Rows per block in which recompute_bn_stats makes a batch-norm layer's product.
+ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,11 @@ def forward(
     cache carries momentum-updated running statistics under
     ``cache["bn_updates"]``, plus the activations ``backward`` needs; in
     inference mode the stored running statistics are used and no layer's
-    activations are kept.
+    activations are kept. Inference adds the bias, normalizes and applies
+    ReLU in place inside the array each layer's product returns, so a
+    layer allocates one array and ``x`` is never written. The operations
+    and their order are those of ``gamma * ((h @ w + b - mean) * inv) +
+    beta``, so the result is bitwise that of the out-of-place expression.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != spec.widths[0]:
@@ -134,6 +140,9 @@ def forward(
             f"batch shape {x.shape} does not match input width {spec.widths[0]}"
         )
     h = x.astype(spec.np_dtype, copy=False)
+    if not training:
+        outputs = _inference_outputs(params, spec, h)
+        return outputs, {"layers": [], "last_input": None, "outputs": outputs, "bn_updates": {}}
     layers = []
     bn_updates: dict[str, np.ndarray] = {}
     for i in range(spec.n_hidden):
@@ -144,41 +153,62 @@ def forward(
         if spec.use_bn[i]:
             gamma = params[f"layer{i}.bn_gamma"]
             beta = params[f"layer{i}.bn_beta"]
-            if training:
-                mu = z.mean(axis=0)
-                var = z.var(axis=0)  # population variance
-                m = spec.bn_momentum
-                bn_updates[f"layer{i}.bn_running_mean"] = (
-                    (1.0 - m) * params[f"layer{i}.bn_running_mean"] + m * mu
-                ).astype(spec.np_dtype)
-                bn_updates[f"layer{i}.bn_running_var"] = (
-                    (1.0 - m) * params[f"layer{i}.bn_running_var"] + m * var
-                ).astype(spec.np_dtype)
-            else:
-                mu = params[f"layer{i}.bn_running_mean"]
-                var = params[f"layer{i}.bn_running_var"]
+            mu = z.mean(axis=0)
+            var = z.var(axis=0)  # population variance
+            m = spec.bn_momentum
+            bn_updates[f"layer{i}.bn_running_mean"] = (
+                (1.0 - m) * params[f"layer{i}.bn_running_mean"] + m * mu
+            ).astype(spec.np_dtype)
+            bn_updates[f"layer{i}.bn_running_var"] = (
+                (1.0 - m) * params[f"layer{i}.bn_running_var"] + m * var
+            ).astype(spec.np_dtype)
             inv = 1.0 / np.sqrt(var + BN_EPS)
             zhat = (z - mu) * inv
             pre = gamma * zhat + beta
             bn_cache = (zhat, inv)
         else:
             pre = z
-        a = np.maximum(pre, 0.0)
-        if training:
-            layers.append({"input": h, "bn": bn_cache, "pre_relu": pre})
-        h = a
+        layers.append({"input": h, "bn": bn_cache, "pre_relu": pre})
+        h = np.maximum(pre, 0.0)
     w = params[f"layer{spec.n_hidden}.weight"]
     b = params[f"layer{spec.n_hidden}.bias"]
     outputs = h @ w + b
+    _check_finite(outputs)
+    cache = {"layers": layers, "last_input": h, "outputs": outputs, "bn_updates": bn_updates}
+    return outputs, cache
+
+
+def _check_finite(outputs: np.ndarray) -> None:
     if not np.all(np.isfinite(outputs)):
         raise NonFiniteError("non-finite activations in forward pass")
-    cache = {
-        "layers": layers,
-        "last_input": h if training else None,
-        "outputs": outputs,
-        "bn_updates": bn_updates,
-    }
-    return outputs, cache
+
+
+def _batch_norm_in_place(
+    params: ParameterSet, i: int, z: np.ndarray, mean: np.ndarray, var: np.ndarray
+) -> None:
+    """Batch-norm layer ``i`` on ``z`` in place: ``gamma * ((z - mean) *
+    inv) + beta``, one operation at a time in that order."""
+    z -= mean
+    z *= 1.0 / np.sqrt(var + BN_EPS)
+    z *= params[f"layer{i}.bn_gamma"]
+    z += params[f"layer{i}.bn_beta"]
+
+
+def _inference_outputs(params: ParameterSet, spec: ModelSpec, h: np.ndarray) -> np.ndarray:
+    for i in range(spec.n_hidden):
+        z = h @ params[f"layer{i}.weight"]
+        z += params[f"layer{i}.bias"]
+        if spec.use_bn[i]:
+            _batch_norm_in_place(
+                params, i, z,
+                params[f"layer{i}.bn_running_mean"], params[f"layer{i}.bn_running_var"],
+            )
+        np.maximum(z, 0.0, out=z)
+        h = z
+    outputs = h @ params[f"layer{spec.n_hidden}.weight"]
+    outputs += params[f"layer{spec.n_hidden}.bias"]
+    _check_finite(outputs)
+    return outputs
 
 
 def _loss_and_doutputs(
@@ -280,8 +310,12 @@ def evaluate(
     """Dataset-mean loss and accuracy in inference mode.
 
     Accuracy is the argmax-correct fraction with ties resolved toward the
-    lowest class index; for regression it is NaN. The reduction runs in
-    fixed index order, so the result is batch-size invariant.
+    lowest class index; for regression it is NaN. Accuracy does not
+    depend on ``batch_size``; the loss sums per-batch float64 partial
+    sums, so another ``batch_size`` may change it by rounding only. Each
+    batch is one ``forward``: BLAS gives the rows of a narrow output
+    layer's product different bits at different row counts, so splitting
+    a batch further would change the loss.
     """
     n = len(x)
     if n == 0:
@@ -321,37 +355,52 @@ def recompute_bn_stats(
     population variance are accumulated over the whole dataset, stored,
     and then used when producing the activations feeding later layers.
     Non-normalization entries are returned untouched (bitwise).
+
+    A batch-norm layer's product is computed once, in blocks of
+    ``ROW_BLOCK`` rows into one array per layer; the float64 sums are
+    taken from each block as it is made, then the array is normalized
+    and rectified in place. Nothing after the last batch-norm layer is
+    computed. The result equals that of a second, whole product only
+    where BLAS gives a row of ``h @ w`` the same bits in a block as in
+    the whole product. With OpenBLAS on AVX-512 that failed for a last
+    block of one row (numpy sends a one-row product to gemv) and, at
+    width 512, of two or three rows; the statistics of later layers then
+    differ from the two-product result by rounding.
     """
     if len(x) == 0:
         raise EmptyDataError("cannot recompute normalization statistics without data")
     if not spec.has_bn:
         return params
-    x = np.asarray(x).astype(spec.np_dtype, copy=False)
+    dtype = spec.np_dtype
+    h = np.asarray(x).astype(dtype, copy=False)
+    n = len(h)
+    last_bn = max(i for i, on in enumerate(spec.use_bn) if on)
     updates: dict[str, np.ndarray] = {}
-    h = x
-    for i in range(spec.n_hidden):
+    for i in range(last_bn + 1):
         w = params[f"layer{i}.weight"]
         b = params[f"layer{i}.bias"]
         if spec.use_bn[i]:
             width = spec.widths[i + 1]
+            z = np.empty((n, width), dtype=dtype)
             total = np.zeros(width, dtype=np.float64)
             total_sq = np.zeros(width, dtype=np.float64)
-            count = 0
-            for start in range(0, len(h), _RECOMPUTE_CHUNK):
-                z = h[start : start + _RECOMPUTE_CHUNK] @ w + b
-                total += z.sum(axis=0, dtype=np.float64)
-                total_sq += (z * z).sum(axis=0, dtype=np.float64)
-                count += len(z)
-            mean = total / count
-            var = np.maximum(total_sq / count - mean * mean, 0.0)
-            updates[f"layer{i}.bn_running_mean"] = mean.astype(spec.np_dtype)
-            updates[f"layer{i}.bn_running_var"] = var.astype(spec.np_dtype)
-            inv = 1.0 / np.sqrt(var.astype(spec.np_dtype) + BN_EPS)
-            zhat = (h @ w + b - mean.astype(spec.np_dtype)) * inv
-            pre = params[f"layer{i}.bn_gamma"] * zhat + params[f"layer{i}.bn_beta"]
+            for start in range(0, n, ROW_BLOCK):
+                block = z[start : start + ROW_BLOCK]
+                np.matmul(h[start : start + ROW_BLOCK], w, out=block)
+                block += b
+                total += block.sum(axis=0, dtype=np.float64)
+                total_sq += (block * block).sum(axis=0, dtype=np.float64)
+            mean = total / n
+            var = np.maximum(total_sq / n - mean * mean, 0.0)
+            mean, var = mean.astype(dtype), var.astype(dtype)
+            updates[f"layer{i}.bn_running_mean"] = mean
+            updates[f"layer{i}.bn_running_var"] = var
+            _batch_norm_in_place(params, i, z, mean, var)
         else:
-            pre = h @ w + b
-        h = np.maximum(pre, 0.0)
+            z = h @ w
+            z += b
+        np.maximum(z, 0.0, out=z)
+        h = z
     return params.with_updates(updates)
 
 
@@ -469,9 +518,10 @@ def train_variants(
 
     The configs may differ only in ``AVERAGING_FIELDS``. Forward,
     backward, the optimizer step and the raw-model evaluations run once;
-    each save event writes the same checkpoint into every output
-    directory and feeds every config's averaging scheme. Each directory
-    ends up byte-identical to a ``train_run`` of its config, except for
+    each save event writes the checkpoint once, hard-links it into every
+    other output directory (writing it again where a link fails) and
+    feeds every config's averaging scheme. Each directory ends up
+    byte-identical to a ``train_run`` of its config, except for
     ``wall_seconds``, which counts from the shared start. A non-finite
     value aborts every variant at the same epoch. Every config is
     validated and every output directory checked before any write.
@@ -531,8 +581,16 @@ def train_variants(
         nonlocal slot
         ckpt = Checkpoint(params=current, epoch=slot, step=global_step)
         # Every directory holds the checkpoint before any scheme can reject it.
-        for v in variants:
-            write_checkpoint(ckpt, checkpoint_path(v.out_dir, slot))
+        # The file is written once and hard-linked into the other directories;
+        # no file is ever rewritten in place, so the links cannot diverge.
+        first = checkpoint_path(variants[0].out_dir, slot)
+        write_checkpoint(ckpt, first)
+        for v in variants[1:]:
+            path = checkpoint_path(v.out_dir, slot)
+            try:
+                os.link(first, path)
+            except OSError:
+                write_checkpoint(ckpt, path)
         for v in variants:
             averaged = v.scheme.observe(ckpt)
             if averaged is None:

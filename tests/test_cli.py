@@ -97,6 +97,20 @@ class TestTrain:
         assert "k>16" in result.stderr
         assert (tmp_path / "r" / "metrics.csv").exists()
 
+    def test_config_warning_is_one_line_without_a_source_path(self, tmp_path):
+        result = run_cli_subprocess(
+            [
+                "train", *TINY, "--epochs", "2", "--scheme", "uniform",
+                "--k", "20", "--out", str(tmp_path / "r"),
+            ],
+            cwd=tmp_path,
+        )
+        assert result.returncode == 0
+        assert result.stderr.splitlines() == [
+            "warning: averaging window k=20: k>16 tends to give worse results"
+        ]
+        assert "averaging.py" not in result.stderr
+
     def test_divergent_run_exits_1(self, tmp_path):
         result = run_cli_subprocess(
             [

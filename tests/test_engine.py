@@ -1,10 +1,12 @@
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lawa import engine
 from lawa.checkpoint_io import read_checkpoint
 from lawa.config import RunConfig
 from lawa.data import make_spirals
@@ -362,6 +364,112 @@ class TestInferenceForward:
         assert cache["outputs"] is outputs
 
 
+def two_pass_recompute(params, spec, x):
+    """``recompute_bn_stats`` as it was before the one-product version:
+    statistics from 256-row blocks, activations from a second, whole
+    product, and every hidden layer computed."""
+    x = np.asarray(x).astype(spec.np_dtype, copy=False)
+    updates = {}
+    h = x
+    for i in range(spec.n_hidden):
+        w = params[f"layer{i}.weight"]
+        b = params[f"layer{i}.bias"]
+        if spec.use_bn[i]:
+            width = spec.widths[i + 1]
+            total = np.zeros(width, dtype=np.float64)
+            total_sq = np.zeros(width, dtype=np.float64)
+            count = 0
+            for start in range(0, len(h), 256):
+                z = h[start : start + 256] @ w + b
+                total += z.sum(axis=0, dtype=np.float64)
+                total_sq += (z * z).sum(axis=0, dtype=np.float64)
+                count += len(z)
+            mean = total / count
+            var = np.maximum(total_sq / count - mean * mean, 0.0)
+            updates[f"layer{i}.bn_running_mean"] = mean.astype(spec.np_dtype)
+            updates[f"layer{i}.bn_running_var"] = var.astype(spec.np_dtype)
+            inv = 1.0 / np.sqrt(var.astype(spec.np_dtype) + BN_EPS)
+            zhat = (h @ w + b - mean.astype(spec.np_dtype)) * inv
+            pre = params[f"layer{i}.bn_gamma"] * zhat + params[f"layer{i}.bn_beta"]
+        else:
+            pre = h @ w + b
+        h = np.maximum(pre, 0.0)
+    return params.with_updates(updates)
+
+
+def out_of_place_evaluate(params, spec, x, labels):
+    """One inference forward over the whole batch, each step a fresh
+    array, then the cross-entropy reduction of ``evaluate``."""
+    h = x.astype(spec.np_dtype, copy=False)
+    for i in range(spec.n_hidden):
+        z = h @ params[f"layer{i}.weight"] + params[f"layer{i}.bias"]
+        if spec.use_bn[i]:
+            inv = 1.0 / np.sqrt(params[f"layer{i}.bn_running_var"] + BN_EPS)
+            zhat = (z - params[f"layer{i}.bn_running_mean"]) * inv
+            z = params[f"layer{i}.bn_gamma"] * zhat + params[f"layer{i}.bn_beta"]
+        h = np.maximum(z, 0.0)
+    outputs = h @ params[f"layer{spec.n_hidden}.weight"] + params[f"layer{spec.n_hidden}.bias"]
+    shifted = outputs - outputs.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    per_sample = log_z - shifted[np.arange(len(x)), labels]
+    loss = float(per_sample.sum(dtype=np.float64)) / len(x)
+    return loss, int((outputs.argmax(axis=1) == labels).sum()) / len(x)
+
+
+def perturbed_bn_params(spec, seed):
+    """Initial parameters with gamma and beta moved off 1 and 0, so that a
+    reordered normalization cannot hide behind an identity."""
+    rng = np.random.default_rng(seed)
+    params = init_params(spec)
+    return params.with_updates(
+        {
+            name: (arr + 0.3 * rng.normal(size=arr.shape)).astype(arr.dtype)
+            for name, arr in params.items()
+            if name.endswith(("bn_gamma", "bn_beta"))
+        }
+    )
+
+
+GUARD_SHAPES = [
+    pytest.param(dtype, hidden, use_bn, n, id=f"{dtype}-{hidden}-{''.join('TF'[not f] for f in use_bn)}-{n}")
+    for dtype in ("f32", "f64")
+    for hidden in (512, 64)
+    for use_bn in ((True, True), (True, False), (False, True))
+    for n in (1, 255, 1600, 1601)
+]
+
+
+class TestInferencePathIsBitwiseTheOutOfPlacePath:
+    @pytest.mark.parametrize("dtype,hidden,use_bn,n", GUARD_SHAPES)
+    def test_recompute_bn_stats(self, dtype, hidden, use_bn, n):
+        spec = ModelSpec(widths=(2, hidden, hidden, 2), use_bn=use_bn, init_seed=5, dtype=dtype)
+        params = perturbed_bn_params(spec, seed=n)
+        x = np.random.default_rng(n).normal(size=(n, 2))
+        got = recompute_bn_stats(params, spec, x)
+        want = two_pass_recompute(params, spec, x)
+        for name in params.names:
+            assert np.array_equal(got[name], want[name]), name
+
+    @pytest.mark.parametrize("dtype,hidden,use_bn,n", GUARD_SHAPES)
+    def test_evaluate(self, dtype, hidden, use_bn, n):
+        spec = ModelSpec(widths=(2, hidden, hidden, 2), use_bn=use_bn, init_seed=6, dtype=dtype)
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 2))
+        y = rng.integers(0, 2, size=n)
+        params = two_pass_recompute(perturbed_bn_params(spec, seed=n), spec, x)
+        assert evaluate(params, spec, x, y) == out_of_place_evaluate(params, spec, x, y)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("use_bn", [False, True])
+    def test_forward_leaves_its_input_unmodified(self, dtype, use_bn):
+        spec = small_spec(use_bn=use_bn, widths=(2, 6, 6, 3))
+        spec = replace(spec, dtype=dtype)
+        x = np.random.default_rng(35).normal(size=(40, 2)).astype(spec.np_dtype)
+        before = x.copy()
+        forward(perturbed_bn_params(spec, seed=35), spec, x, training=False)
+        assert np.array_equal(x, before)
+
+
 def tiny_cfg(tmp_path, **overrides) -> RunConfig:
     base = dict(
         dataset="spirals",
@@ -532,3 +640,31 @@ class TestTrainVariants:
     def test_no_configs_is_refused(self):
         with pytest.raises(ConfigError):
             train_variants([])
+
+    def sweep_pair(self, tmp_path):
+        return [
+            tiny_cfg(tmp_path, scheme="uniform", out=str(tmp_path / "u")),
+            tiny_cfg(tmp_path, scheme="ema", out=str(tmp_path / "e")),
+        ]
+
+    def test_variant_checkpoints_are_one_file_hard_linked(self, tmp_path):
+        train_variants(self.sweep_pair(tmp_path))
+        names = sorted(p.name for p in (tmp_path / "u").glob("ckpt_*.lawa"))
+        assert len(names) == 6
+        for name in names:
+            a, b = tmp_path / "u" / name, tmp_path / "e" / name
+            assert os.stat(a).st_ino == os.stat(b).st_ino
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_a_failed_link_falls_back_to_writing_the_same_bytes(self, tmp_path, monkeypatch):
+        train_variants(self.sweep_pair(tmp_path / "linked"))
+
+        def refuse(src, dst, *args, **kwargs):
+            raise OSError("links not supported")
+
+        monkeypatch.setattr(engine.os, "link", refuse)
+        train_variants(self.sweep_pair(tmp_path / "copied"))
+        for name in sorted(p.name for p in (tmp_path / "linked" / "u").glob("ckpt_*.lawa")):
+            a, b = tmp_path / "copied" / "u" / name, tmp_path / "copied" / "e" / name
+            assert os.stat(a).st_ino != os.stat(b).st_ino
+            assert b.read_bytes() == a.read_bytes() == (tmp_path / "linked" / "e" / name).read_bytes()
