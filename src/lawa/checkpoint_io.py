@@ -38,13 +38,25 @@ _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
-def write_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Serialize ``ckpt`` to ``path``. I/O failures raise :class:`IoError`.
+def write_atomically(path, data: bytes, what: str) -> None:
+    """Write ``data`` to ``path`` through ``<path>.tmp``, a name that does
+    not end in ``.lawa``, which then replaces ``path`` in one step, so a
+    failed write leaves no partial file behind and any older file intact.
+    I/O failures remove the temporary file and raise :class:`IoError`
+    naming ``what``."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise IoError(f"cannot write {what} {path}: {exc}") from exc
 
-    The bytes go to a temporary name beside ``path`` that does not end in
-    ``.lawa`` and then replace ``path`` in one step, so a failed write
-    leaves no partial checkpoint behind and any older file intact.
-    """
+
+def write_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Serialize ``ckpt`` to ``path`` with :func:`write_atomically`. I/O
+    failures raise :class:`IoError`."""
     parts = [
         MAGIC,
         struct.pack("<I", VERSION),
@@ -59,14 +71,7 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
         parts.append(struct.pack("<BI", code, arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         parts.append(np.asarray(arr, dtype=_CODE_DTYPES[code]).tobytes(order="C"))
-    tmp = Path(f"{path}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(b"".join(parts))
-        os.replace(tmp, path)
-    except OSError as exc:
-        tmp.unlink(missing_ok=True)
-        raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
+    write_atomically(path, b"".join(parts), "checkpoint")
 
 
 class _Reader:

@@ -24,6 +24,7 @@ from .config import (
     parse_config_file,
 )
 from .engine import (
+    InferenceBuffers,
     build_dataset,
     evaluate,
     init_params,
@@ -92,6 +93,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     check_same_structure(init_params(spec), ckpt.params)
 
     params = ckpt.params
+    buffers = InferenceBuffers()
     if args.bn_mode == "recompute" and spec.has_bn:
         if not args.train_data:
             raise ConfigError("--train-data is required with --bn-mode recompute")
@@ -103,11 +105,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"--train-data must be 'train' or 'val', got {args.train_data!r}"
             )
-        params = recompute_bn_stats(params, spec, stats_x)
+        params = recompute_bn_stats(params, spec, stats_x, buffers=buffers)
     # bn-mode copy would copy the checkpoint's own statistics: a no-op here.
 
     x, y = dataset.train() if args.split == "train" else dataset.val()
-    loss, acc = evaluate(params, spec, x, y)
+    loss, acc = evaluate(params, spec, x, y, buffers=buffers)
     print(f"loss={loss:.17g} accuracy={acc:.17g}")
     return 0
 

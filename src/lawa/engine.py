@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .averaging import AveragingScheme, make_scheme
-from .checkpoint_io import write_checkpoint
+from .checkpoint_io import write_atomically, write_checkpoint
 from .config import RunConfig, resolved_text
 from .data import Dataset, load_csv, make_spirals
 from .errors import ConfigError, EmptyDataError, NonFiniteError, ShapeError
@@ -119,8 +119,42 @@ def init_params(spec: ModelSpec) -> ParameterSet:
     return ParameterSet(entries)
 
 
+class InferenceBuffers:
+    """Two row buffers that inference passes write their hidden layers into.
+
+    Hidden layer ``i`` of a pass over ``n`` rows is a leading ``n``-row
+    view of buffer ``i % 2``, so each layer reads the buffer the layer
+    before it wrote. Both buffers grow on demand to the largest request,
+    rows times the widest hidden layer, and are reused by later passes;
+    they are freed with this object. A training loop holds one for all its
+    evaluations, so no pass allocates and faults in fresh layer arrays.
+    Nothing a pass returns is a view of these buffers.
+    """
+
+    __slots__ = ("_pair",)
+
+    def __init__(self):
+        self._pair = (np.empty(0), np.empty(0))
+
+    def hidden_rows(self, spec: ModelSpec, n: int) -> list[np.ndarray]:
+        """One ``(n, width)`` view per hidden layer of ``spec``, alternating
+        between the two buffers."""
+        size = n * max(spec.widths[1:-1])
+        if self._pair[0].size < size or self._pair[0].dtype != spec.np_dtype:
+            self._pair = (np.empty(size, spec.np_dtype), np.empty(size, spec.np_dtype))
+        return [
+            self._pair[i % 2][: n * width].reshape(n, width)
+            for i, width in enumerate(spec.widths[1:-1])
+        ]
+
+
 def forward(
-    params: ParameterSet, spec: ModelSpec, x: np.ndarray, training: bool
+    params: ParameterSet,
+    spec: ModelSpec,
+    x: np.ndarray,
+    training: bool,
+    *,
+    buffers: InferenceBuffers | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Run the network; returns (outputs, cache) without touching params.
 
@@ -128,10 +162,11 @@ def forward(
     cache carries momentum-updated running statistics under
     ``cache["bn_updates"]``, plus the activations ``backward`` needs; in
     inference mode the stored running statistics are used and no layer's
-    activations are kept. Inference adds the bias, normalizes and applies
-    ReLU in place inside the array each layer's product returns, so a
-    layer allocates one array and ``x`` is never written. The operations
-    and their order are those of ``gamma * ((h @ w + b - mean) * inv) +
+    activations are kept. Inference writes each hidden layer's product
+    into ``buffers`` (a fresh set when None; training ignores them), then
+    adds the bias, normalizes and applies ReLU there in place, so ``x`` is
+    never written and only the outputs are allocated. The operations and
+    their order are those of ``gamma * ((h @ w + b - mean) * inv) +
     beta``, so the result is bitwise that of the out-of-place expression.
     """
     x = np.asarray(x)
@@ -141,7 +176,7 @@ def forward(
         )
     h = x.astype(spec.np_dtype, copy=False)
     if not training:
-        outputs = _inference_outputs(params, spec, h)
+        outputs = _inference_outputs(params, spec, h, buffers or InferenceBuffers())
         return outputs, {"layers": [], "last_input": None, "outputs": outputs, "bn_updates": {}}
     layers = []
     bn_updates: dict[str, np.ndarray] = {}
@@ -194,9 +229,11 @@ def _batch_norm_in_place(
     z += params[f"layer{i}.bn_beta"]
 
 
-def _inference_outputs(params: ParameterSet, spec: ModelSpec, h: np.ndarray) -> np.ndarray:
-    for i in range(spec.n_hidden):
-        z = h @ params[f"layer{i}.weight"]
+def _inference_outputs(
+    params: ParameterSet, spec: ModelSpec, h: np.ndarray, buffers: InferenceBuffers
+) -> np.ndarray:
+    for i, z in enumerate(buffers.hidden_rows(spec, len(h))):
+        np.matmul(h, params[f"layer{i}.weight"], out=z)
         z += params[f"layer{i}.bias"]
         if spec.use_bn[i]:
             _batch_norm_in_place(
@@ -222,11 +259,11 @@ def _loss_and_doutputs(
         if y.min() < 0 or y.max() >= n_classes:
             raise ShapeError(f"class labels must lie in [0, {n_classes})")
         shifted = outputs - outputs.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1))
-        per_sample = log_z - shifted[np.arange(n), y]
-        loss = float(per_sample.mean())
         probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
+        row_sums = probs.sum(axis=1, keepdims=True)
+        per_sample = np.log(row_sums[:, 0]) - shifted[np.arange(n), y]
+        loss = float(per_sample.mean())
+        probs /= row_sums
         probs[np.arange(n), y] -= 1.0
         return loss, probs / n
     targets = np.asarray(labels, dtype=outputs.dtype)
@@ -250,15 +287,18 @@ def backward(
     """Batch-mean loss and exact gradients for every parameter entry.
 
     Running-statistics entries get zero gradients; they are not trained.
+    Each gradient is written straight into its slot of one flat array laid
+    out like ``params``, which the returned set then takes over.
     """
     _, labels = batch
     outputs = cache["outputs"]
     loss, d_out = _loss_and_doutputs(outputs, labels, spec.loss, spec.widths[-1])
 
-    grads: dict[str, np.ndarray] = {}
+    flat = np.empty(params.total_size(), dtype=spec.np_dtype)
+    grads = params.entry_views(flat)
     i_out = spec.n_hidden
-    grads[f"layer{i_out}.weight"] = cache["last_input"].T @ d_out
-    grads[f"layer{i_out}.bias"] = d_out.sum(axis=0)
+    np.matmul(cache["last_input"].T, d_out, out=grads[f"layer{i_out}.weight"])
+    d_out.sum(axis=0, out=grads[f"layer{i_out}.bias"])
     d_h = d_out @ params[f"layer{i_out}.weight"].T
 
     for i in range(spec.n_hidden - 1, -1, -1):
@@ -267,10 +307,10 @@ def backward(
         if spec.use_bn[i]:
             zhat, inv = layer["bn"]
             gamma = params[f"layer{i}.bn_gamma"]
-            grads[f"layer{i}.bn_gamma"] = (d_pre * zhat).sum(axis=0)
-            grads[f"layer{i}.bn_beta"] = d_pre.sum(axis=0)
-            grads[f"layer{i}.bn_running_mean"] = np.zeros_like(gamma)
-            grads[f"layer{i}.bn_running_var"] = np.zeros_like(gamma)
+            (d_pre * zhat).sum(axis=0, out=grads[f"layer{i}.bn_gamma"])
+            d_pre.sum(axis=0, out=grads[f"layer{i}.bn_beta"])
+            grads[f"layer{i}.bn_running_mean"].fill(0.0)
+            grads[f"layer{i}.bn_running_var"].fill(0.0)
             d_zhat = d_pre * gamma
             d_z = inv * (
                 d_zhat
@@ -279,12 +319,11 @@ def backward(
             )
         else:
             d_z = d_pre
-        grads[f"layer{i}.weight"] = layer["input"].T @ d_z
-        grads[f"layer{i}.bias"] = d_z.sum(axis=0)
-        d_h = d_z @ params[f"layer{i}.weight"].T
-
-    ordered = [(name, grads[name].astype(spec.np_dtype, copy=False)) for name in params.names]
-    return loss, ParameterSet(ordered)
+        np.matmul(layer["input"].T, d_z, out=grads[f"layer{i}.weight"])
+        d_z.sum(axis=0, out=grads[f"layer{i}.bias"])
+        if i > 0:  # nothing uses the gradient of the network's input
+            d_h = d_z @ params[f"layer{i}.weight"].T
+    return loss, params.with_flat(flat)
 
 
 def batch_loss(
@@ -306,6 +345,8 @@ def evaluate(
     x: np.ndarray,
     labels: np.ndarray,
     batch_size: int | None = None,
+    *,
+    buffers: InferenceBuffers | None = None,
 ) -> tuple[float, float]:
     """Dataset-mean loss and accuracy in inference mode.
 
@@ -315,19 +356,21 @@ def evaluate(
     sums, so another ``batch_size`` may change it by rounding only. Each
     batch is one ``forward``: BLAS gives the rows of a narrow output
     layer's product different bits at different row counts, so splitting
-    a batch further would change the loss.
+    a batch further would change the loss. The hidden layers go into
+    ``buffers``; None makes a fresh set for this call.
     """
     n = len(x)
     if n == 0:
         raise EmptyDataError("cannot evaluate on an empty dataset")
     if batch_size is None:
         batch_size = n
+    buffers = buffers or InferenceBuffers()
     loss_sum = 0.0
     correct = 0
     for start in range(0, n, batch_size):
         xb = x[start : start + batch_size]
         yb = labels[start : start + batch_size]
-        outputs, _ = forward(params, spec, xb, training=False)
+        outputs, _ = forward(params, spec, xb, training=False, buffers=buffers)
         if spec.loss == "cross_entropy":
             y = np.asarray(yb)
             shifted = outputs - outputs.max(axis=1, keepdims=True)
@@ -347,7 +390,11 @@ def evaluate(
 
 
 def recompute_bn_stats(
-    params: ParameterSet, spec: ModelSpec, x: np.ndarray
+    params: ParameterSet,
+    spec: ModelSpec,
+    x: np.ndarray,
+    *,
+    buffers: InferenceBuffers | None = None,
 ) -> ParameterSet:
     """Replace running statistics with exact full-dataset statistics.
 
@@ -357,15 +404,16 @@ def recompute_bn_stats(
     Non-normalization entries are returned untouched (bitwise).
 
     A batch-norm layer's product is computed once, in blocks of
-    ``ROW_BLOCK`` rows into one array per layer; the float64 sums are
-    taken from each block as it is made, then the array is normalized
-    and rectified in place. Nothing after the last batch-norm layer is
-    computed. The result equals that of a second, whole product only
-    where BLAS gives a row of ``h @ w`` the same bits in a block as in
-    the whole product. With OpenBLAS on AVX-512 that failed for a last
-    block of one row (numpy sends a one-row product to gemv) and, at
-    width 512, of two or three rows; the statistics of later layers then
-    differ from the two-product result by rounding.
+    ``ROW_BLOCK`` rows into the layer's view of ``buffers`` (a fresh set
+    when None); the float64 sums are taken from each block as it is made,
+    then the view is normalized and rectified in place. Nothing after the
+    last batch-norm layer is computed. The result equals that of a
+    second, whole product only where BLAS gives a row of ``h @ w`` the
+    same bits in a block as in the whole product. With OpenBLAS on
+    AVX-512 that failed for a last block of one row (numpy sends a
+    one-row product to gemv) and, at width 512, of two or three rows; the
+    statistics of later layers then differ from the two-product result by
+    rounding.
     """
     if len(x) == 0:
         raise EmptyDataError("cannot recompute normalization statistics without data")
@@ -375,13 +423,14 @@ def recompute_bn_stats(
     h = np.asarray(x).astype(dtype, copy=False)
     n = len(h)
     last_bn = max(i for i, on in enumerate(spec.use_bn) if on)
+    rows = (buffers or InferenceBuffers()).hidden_rows(spec, n)
     updates: dict[str, np.ndarray] = {}
     for i in range(last_bn + 1):
         w = params[f"layer{i}.weight"]
         b = params[f"layer{i}.bias"]
+        z = rows[i]
         if spec.use_bn[i]:
             width = spec.widths[i + 1]
-            z = np.empty((n, width), dtype=dtype)
             total = np.zeros(width, dtype=np.float64)
             total_sq = np.zeros(width, dtype=np.float64)
             for start in range(0, n, ROW_BLOCK):
@@ -397,7 +446,7 @@ def recompute_bn_stats(
             updates[f"layer{i}.bn_running_var"] = var
             _batch_norm_in_place(params, i, z, mean, var)
         else:
-            z = h @ w
+            np.matmul(h, w, out=z)
             z += b
         np.maximum(z, 0.0, out=z)
         h = z
@@ -418,16 +467,18 @@ def apply_bn_mode(
     mode: str,
     newest: ParameterSet,
     train_x: np.ndarray,
+    *,
+    buffers: InferenceBuffers | None = None,
 ) -> ParameterSet:
     """Fix up the averaged model's normalization statistics.
 
-    ``auto`` recomputes when the model has batch norm; every mode is a
-    no-op on norm-free models.
+    ``auto`` recomputes when the model has batch norm, through ``buffers``;
+    every mode is a no-op on norm-free models.
     """
     if not spec.has_bn or mode == "off":
         return avg
     if mode == "auto" or mode == "recompute":
-        return recompute_bn_stats(avg, spec, train_x)
+        return recompute_bn_stats(avg, spec, train_x, buffers=buffers)
     if mode == "copy":
         return copy_bn_stats(avg, newest)
     raise ConfigError(f"unknown bn mode {mode!r}")
@@ -571,8 +622,11 @@ def train_variants(
     ]
     for v in variants:
         v.out_dir.mkdir(parents=True, exist_ok=True)
-        (v.out_dir / "config.resolved").write_text(resolved_text(v.cfg), encoding="utf-8")
+        write_atomically(
+            v.out_dir / "config.resolved", resolved_text(v.cfg).encode("utf-8"), "config"
+        )
 
+    buffers = InferenceBuffers()  # every evaluation of this call shares them
     started = time.perf_counter()
     global_step = 0
     slot = 0
@@ -595,7 +649,9 @@ def train_variants(
             averaged = v.scheme.observe(ckpt)
             if averaged is None:
                 continue
-            averaged = apply_bn_mode(averaged, spec, v.cfg.bn_mode, current, x_train)
+            averaged = apply_bn_mode(
+                averaged, spec, v.cfg.bn_mode, current, x_train, buffers=buffers
+            )
             if v.cfg.save_averaged:
                 write_checkpoint(
                     Checkpoint(params=averaged, epoch=slot, step=global_step),
@@ -626,12 +682,12 @@ def train_variants(
                 if not cfg.save_every_steps:
                     save_event(params)
 
-                train_loss, train_acc = evaluate(params, spec, x_train, y_train)
-                val_loss, val_acc = evaluate(params, spec, x_val, y_val)
+                train_loss, train_acc = evaluate(params, spec, x_train, y_train, buffers=buffers)
+                val_loss, val_acc = evaluate(params, spec, x_val, y_val, buffers=buffers)
                 averaged_metrics = [
                     (None, None)
                     if v.average is None
-                    else evaluate(v.average, spec, x_val, y_val)
+                    else evaluate(v.average, spec, x_val, y_val, buffers=buffers)
                     for v in variants
                 ]
             except NonFiniteError as exc:

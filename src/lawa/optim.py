@@ -3,8 +3,14 @@
 SGD uses the heavy-ball convention (v = mu*v + g; theta -= lr*v), Adam is
 the bias-corrected variant with its usual constants, and Lookahead wraps
 either of them, pulling fast weights back onto the slow weights every
-``k`` inner steps. Optimizer state is replaced at each call, never updated
-in place, and the parameter sets going in and out are immutable values.
+``k`` inner steps. Optimizer state (SGD velocity, Adam's m and v) is
+updated in place: each step runs the update rule's per-element operations
+in their usual order through ``out=``, so the results are bitwise those of
+the out-of-place expressions, and allocates only the buffer of the
+parameter set it returns. Lookahead builds its pullback in that buffer
+and keeps it, read-only, as its slow weights. The parameter sets going in
+and out are still immutable values: no step writes memory that a set
+shares, and a step that raises leaves the state as it was.
 """
 
 from __future__ import annotations
@@ -46,9 +52,12 @@ class Sgd:
         _check_grads(params, grads)
         if self._velocity is None:
             self._velocity = np.zeros_like(params.flat)
-        self._velocity = self.momentum * self._velocity + grads.flat
+        v = self._velocity  # momentum * v + g
+        v *= self.momentum
+        v += grads.flat
         self.step_count += 1
-        return params.with_flat(params.flat - lr * self._velocity)
+        out = np.multiply(v, lr)
+        return params.with_flat(np.subtract(params.flat, out, out=out))
 
 
 class Adam:
@@ -68,23 +77,31 @@ class Adam:
         self.step_count = 0
         self._m: np.ndarray | None = None
         self._v: np.ndarray | None = None
+        self._scratch: np.ndarray | None = None
 
     def step(self, params: ParameterSet, grads: ParameterSet, lr: float) -> ParameterSet:
         _check_grads(params, grads)
         if self._m is None:
             self._m = np.zeros_like(params.flat)
             self._v = np.zeros_like(params.flat)
+            self._scratch = np.empty_like(params.flat)
         t = self.step_count + 1
-        g = grads.flat
-        self._m = self.beta1 * self._m + (1.0 - self.beta1) * g
-        self._v = self.beta2 * self._v + (1.0 - self.beta2) * g * g
-        # lr * m_hat / (sqrt(v_hat) + eps), evaluated in place in one buffer
-        # so that fewer full-length temporaries are live at once.
-        update = self._m / (1.0 - self.beta1**t)
-        update *= lr
-        update /= np.sqrt(self._v / (1.0 - self.beta2**t)) + self.eps
+        g, m, v, s = grads.flat, self._m, self._v, self._scratch
+        np.multiply(g, 1.0 - self.beta1, out=s)  # m = beta1 * m + (1 - beta1) * g
+        m *= self.beta1
+        m += s
+        np.multiply(g, 1.0 - self.beta2, out=s)  # v = beta2 * v + (1 - beta2) * g * g
+        s *= g
+        v *= self.beta2
+        v += s
+        out = np.divide(m, 1.0 - self.beta1**t)  # lr * m_hat / (sqrt(v_hat) + eps)
+        out *= lr
+        np.divide(v, 1.0 - self.beta2**t, out=s)
+        np.sqrt(s, out=s)
+        s += self.eps
+        out /= s
         self.step_count = t
-        return params.with_flat(params.flat - update)
+        return params.with_flat(np.subtract(params.flat, out, out=out))
 
 
 class Lookahead:
@@ -114,15 +131,19 @@ class Lookahead:
         self._slow: np.ndarray | None = None
 
     def step(self, params: ParameterSet, grads: ParameterSet, lr: float) -> ParameterSet:
+        fast = self.inner.step(params, grads, lr)
         if self._slow is None:
             self._slow = params.flat
-        fast = self.inner.step(params, grads, lr)
         self.inner_counter += 1
         self.step_count += 1
         if self.inner_counter == self.k:
             self.inner_counter = 0
-            self._slow = self._slow + self.alpha * (fast.flat - self._slow)
-            return fast.with_flat(self._slow)
+            out = np.subtract(fast.flat, self._slow)  # slow + alpha * (fast - slow)
+            out *= self.alpha
+            out += self._slow
+            pulled = fast.with_flat(out)
+            self._slow = pulled.flat
+            return pulled
         return fast
 
 

@@ -25,10 +25,12 @@ class ParameterSet:
     All entries share one element type; mixed-type sets are rejected at
     construction. The values are copied into one contiguous, read-only
     array, ``flat``, and each entry is a reshaped view of its slice, in
-    entry order, so a set can be shared freely once built.
+    entry order, so a set can be shared freely once built. The names,
+    shapes and slices form the set's layout, one object shared by every
+    set that ``with_flat`` derives from it.
     """
 
-    __slots__ = ("_flat", "_entries")
+    __slots__ = ("_flat", "_entries", "_layout")
 
     def __init__(self, entries: Mapping[str, np.ndarray] | Iterable[tuple[str, np.ndarray]]):
         items = list(entries.items()) if isinstance(entries, Mapping) else list(entries)
@@ -53,17 +55,24 @@ class ParameterSet:
                     f"entry {name!r}: mixed element types ({arr.dtype} vs {dtype})"
                 )
             store[name] = arr
-        self._bind(store, np.concatenate([a.ravel() for a in store.values()]))
+        layout = []
+        start = 0
+        for name, arr in store.items():
+            layout.append((name, arr.shape, start, start + arr.size))
+            start += arr.size
+        self._layout = tuple(layout)
+        self._bind(np.concatenate([a.ravel() for a in store.values()]))
 
-    def _bind(self, like: Mapping[str, np.ndarray], flat: np.ndarray) -> None:
-        """Take ``flat`` read-only, viewed as entries shaped like ``like``'s."""
+    def _bind(self, flat: np.ndarray) -> None:
+        """Take ``flat`` read-only, viewed as this set's entries."""
         flat.flags.writeable = False
         self._flat = flat
-        self._entries = {}
-        start = 0
-        for name, arr in like.items():
-            self._entries[name] = flat[start : start + arr.size].reshape(arr.shape)
-            start += arr.size
+        self._entries = self.entry_views(flat)
+
+    def entry_views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of ``flat`` named and shaped like this set's entries, in
+        order; writing a view writes ``flat``."""
+        return {name: flat[start:stop].reshape(shape) for name, shape, start, stop in self._layout}
 
     def with_flat(self, flat: np.ndarray) -> "ParameterSet":
         """Set with these names and shapes over ``flat``, cast to this set's
@@ -72,7 +81,8 @@ class ParameterSet:
         if flat.shape != self.flat.shape:
             raise StructureMismatch(f"flat buffer shape {flat.shape} != {self.flat.shape}")
         out = object.__new__(ParameterSet)
-        out._bind(self._entries, flat)
+        out._layout = self._layout
+        out._bind(flat)
         return out
 
     @property
@@ -150,6 +160,8 @@ class Checkpoint:
 
 def check_same_structure(a: ParameterSet, b: ParameterSet) -> None:
     """Raise :class:`StructureMismatch` naming the first entry that differs."""
+    if a._layout is b._layout:  # one derives from the other: same dtype too
+        return
     if a.dtype != b.dtype:
         raise StructureMismatch(f"element types differ: {a.dtype} vs {b.dtype}")
     a_names, b_names = a.names, b.names

@@ -1,5 +1,7 @@
+import gc
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,14 +10,16 @@ import pytest
 
 from lawa import engine
 from lawa.checkpoint_io import read_checkpoint
-from lawa.config import RunConfig
+from lawa.config import RunConfig, resolved_text
 from lawa.data import make_spirals
 from lawa.engine import (
     BN_EPS,
+    InferenceBuffers,
     ModelSpec,
     backward,
     batch_loss,
     build_dataset,
+    apply_bn_mode,
     copy_bn_stats,
     evaluate,
     forward,
@@ -28,9 +32,11 @@ from lawa.engine import (
 from lawa.errors import (
     ConfigError,
     EmptyDataError,
+    IoError,
     NonFiniteError,
     ShapeError,
 )
+from lawa.params import ParameterSet
 
 
 def small_spec(use_bn=False, loss="cross_entropy", seed=0, widths=(2, 5, 3)):
@@ -470,6 +476,136 @@ class TestInferencePathIsBitwiseTheOutOfPlacePath:
         assert np.array_equal(x, before)
 
 
+class TestInferenceBuffers:
+    SPEC = ModelSpec(widths=(2, 64, 48, 2), use_bn=(True, True), init_seed=7)
+
+    def data(self, n):
+        rng = np.random.default_rng(n)
+        return rng.normal(size=(n, 2)), rng.integers(0, 2, size=n)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("sizes", [(1600, 400, 255), (255, 400, 1600)])
+    def test_shared_buffers_give_the_fresh_buffer_results(self, dtype, sizes):
+        spec = replace(self.SPEC, dtype=dtype)
+        params = perturbed_bn_params(spec, seed=8)
+        buffers = InferenceBuffers()
+        for n in sizes:
+            x, y = self.data(n)
+            shared = recompute_bn_stats(params, spec, x, buffers=buffers)
+            assert shared == recompute_bn_stats(params, spec, x)
+            got = evaluate(shared, spec, x, y, buffers=buffers)
+            assert got == evaluate(shared, spec, x, y)
+            assert evaluate(shared, spec, x, y, batch_size=100, buffers=buffers) == evaluate(
+                shared, spec, x, y, batch_size=100
+            )
+
+    def test_one_object_serves_both_dtypes(self):
+        buffers = InferenceBuffers()
+        x, y = self.data(400)
+        for dtype in ("f64", "f32", "f64"):
+            spec = replace(self.SPEC, dtype=dtype)
+            params = recompute_bn_stats(perturbed_bn_params(spec, seed=10), spec, x)
+            assert evaluate(params, spec, x, y, buffers=buffers) == evaluate(params, spec, x, y)
+
+    def test_nothing_returned_shares_memory_with_the_buffers(self):
+        spec = self.SPEC
+        params = perturbed_bn_params(spec, seed=9)
+        x, _ = self.data(1600)
+        buffers = InferenceBuffers()
+        returned = [
+            recompute_bn_stats(params, spec, x, buffers=buffers).flat,
+            apply_bn_mode(params, spec, "recompute", params, x, buffers=buffers).flat,
+            forward(params, spec, x, training=False, buffers=buffers)[0],
+            forward(params, spec, x[:400], training=False, buffers=buffers)[0],
+        ]
+        views = buffers.hidden_rows(spec, 1600)
+        assert not np.shares_memory(views[0], views[1])
+        for arr in returned:
+            for view in views:
+                assert not np.shares_memory(arr, view)
+
+    def test_train_run_releases_its_buffers(self, tmp_path):
+        # 1600 training rows at width 64: the pair of buffers holds 1.6 MB.
+        cfg = tiny_cfg(tmp_path, n_per_class=1000, hidden=(64,), epochs=1, batch_size=400)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records = train_run(cfg)
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 1
+        assert after - before < 256 * 1024
+
+
+def per_entry_backward(params, spec, labels, cache):
+    """``backward`` as it was before gradients were built in one flat
+    buffer: cross-entropy with ``exp(shifted)`` taken twice, a per-entry
+    dict, the input gradient of layer 0, ``astype(copy=False)`` and then
+    ``ParameterSet(...)``."""
+    outputs = cache["outputs"]
+    n = outputs.shape[0]
+    shifted = outputs - outputs.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    per_sample = log_z - shifted[np.arange(n), labels]
+    loss = float(per_sample.mean())
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs[np.arange(n), labels] -= 1.0
+    d_out = probs / n
+
+    grads = {}
+    i_out = spec.n_hidden
+    grads[f"layer{i_out}.weight"] = cache["last_input"].T @ d_out
+    grads[f"layer{i_out}.bias"] = d_out.sum(axis=0)
+    d_h = d_out @ params[f"layer{i_out}.weight"].T
+    for i in range(spec.n_hidden - 1, -1, -1):
+        layer = cache["layers"][i]
+        d_pre = d_h * (layer["pre_relu"] > 0.0)
+        if spec.use_bn[i]:
+            zhat, inv = layer["bn"]
+            gamma = params[f"layer{i}.bn_gamma"]
+            grads[f"layer{i}.bn_gamma"] = (d_pre * zhat).sum(axis=0)
+            grads[f"layer{i}.bn_beta"] = d_pre.sum(axis=0)
+            grads[f"layer{i}.bn_running_mean"] = np.zeros_like(gamma)
+            grads[f"layer{i}.bn_running_var"] = np.zeros_like(gamma)
+            d_zhat = d_pre * gamma
+            d_z = inv * (
+                d_zhat - d_zhat.mean(axis=0) - zhat * (d_zhat * zhat).mean(axis=0)
+            )
+        else:
+            d_z = d_pre
+        grads[f"layer{i}.weight"] = layer["input"].T @ d_z
+        grads[f"layer{i}.bias"] = d_z.sum(axis=0)
+        d_h = d_z @ params[f"layer{i}.weight"].T
+    ordered = [(name, grads[name].astype(spec.np_dtype, copy=False)) for name in params.names]
+    return loss, ParameterSet(ordered)
+
+
+class TestBackwardIsBitwiseThePerEntryPath:
+    @pytest.mark.parametrize("batch", [1, 64])
+    @pytest.mark.parametrize("hidden", [64, 512])
+    @pytest.mark.parametrize("use_bn", [False, True])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_gradients(self, dtype, use_bn, hidden, batch):
+        spec = ModelSpec(
+            widths=(2, hidden, hidden, 2), use_bn=(use_bn, use_bn), init_seed=11, dtype=dtype
+        )
+        params = perturbed_bn_params(spec, seed=batch)
+        rng = np.random.default_rng(batch)
+        x = rng.normal(size=(batch, 2))
+        y = rng.integers(0, 2, size=batch)
+        _, cache = forward(params, spec, x, training=True)
+        loss, got = backward(params, spec, (x, y), cache)
+        want_loss, want = per_entry_backward(params, spec, y, cache)
+        assert loss == want_loss
+        assert got.names == want.names and got.dtype == want.dtype == spec.np_dtype
+        for name in want.names:
+            assert np.array_equal(got[name], want[name]), name
+
+
 def tiny_cfg(tmp_path, **overrides) -> RunConfig:
     base = dict(
         dataset="spirals",
@@ -592,6 +728,27 @@ class TestTrainRun:
         for name in newest.names:
             if is_running_stat(name):
                 np.testing.assert_array_equal(averaged[name], newest[name])
+
+    def test_failed_config_replace_keeps_the_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "config.resolved").write_text("old\n", encoding="utf-8")
+
+        def failing(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(engine.os, "replace", failing)
+        with pytest.raises(IoError, match="disk full"):
+            train_run(tiny_cfg(tmp_path))
+        assert (out / "config.resolved").read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in out.iterdir()] == ["config.resolved"]
+
+    def test_config_is_written_whole_and_no_temp_is_left(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, epochs=1)
+        train_run(cfg)
+        out = tmp_path / "run"
+        assert (out / "config.resolved").read_text(encoding="utf-8") == resolved_text(cfg)
+        assert not list(out.glob("*.tmp"))
 
     def test_build_dataset_dispatch(self, tmp_path):
         csv_path = tmp_path / "d.csv"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lawa.averaging import UniformScheme
 from lawa.errors import ConfigError, NonFiniteGradError
 from lawa.optim import (
     Adam,
@@ -14,6 +15,7 @@ from lawa.optim import (
     make_optimizer,
     make_schedule,
 )
+from lawa.params import Checkpoint
 from testutil import mixed_pset, pset
 
 
@@ -233,6 +235,69 @@ class TestBitwiseReference:
             for name, arr in p.items():
                 assert arr.shape == expected[name].shape
                 assert np.array_equal(arr, expected[name]), name
+
+
+KINDS = [("sgd", "sgd"), ("adam", "adam"), ("lookahead", "sgd"), ("lookahead", "adam")]
+
+
+def state_of(opt):
+    """Every attribute of ``opt`` and of its inner optimizer, arrays as bytes."""
+    state = {}
+    for name, value in vars(opt).items():
+        if isinstance(value, np.ndarray):
+            value = (value.dtype, value.tobytes())
+        elif isinstance(value, (Sgd, Adam)):
+            value = state_of(value)
+        state[name] = value
+    return state
+
+
+class TestInPlaceStateKeepsValueSemantics:
+    """State is updated in place; the sets going in and out must not be."""
+
+    def trajectory(self, kind, inner, dtype, n):
+        rng = np.random.default_rng(43)
+        opt = make_optimizer(kind, lookahead_k=3, lookahead_inner=inner)
+        return opt, mixed_pset(rng, dtype), [mixed_pset(rng, dtype) for _ in range(n)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind,inner", KINDS)
+    def test_sets_seen_earlier_stay_byte_unchanged(self, kind, inner, dtype):
+        opt, p, grads = self.trajectory(kind, inner, dtype, 12)
+        scheme = UniformScheme(k=12)
+        start = p
+        p = opt.step(p, grads[0], 0.05)
+        first = Checkpoint(params=p, epoch=0, step=1)
+        scheme.observe(first)
+        held = [(s, s.flat.tobytes()) for s in (start, grads[0], p)]
+        for t, g in enumerate(grads[1:11], start=1):
+            p = opt.step(p, g, 0.05)
+            scheme.observe(Checkpoint(params=p, epoch=t, step=t + 1))
+        assert list(scheme.ring)[0] is first
+        for s, before in held:
+            assert s.flat.tobytes() == before
+
+    @pytest.mark.parametrize("bad_at", [0, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind,inner", KINDS)
+    def test_a_non_finite_gradient_leaves_the_state_untouched(self, kind, inner, dtype, bad_at):
+        opt, p, grads = self.trajectory(kind, inner, dtype, bad_at + 1)
+        twin = make_optimizer(kind, lookahead_k=3, lookahead_inner=inner)
+        for g in grads[:bad_at]:
+            p_twin = twin.step(p, g, 0.05)
+            p = opt.step(p, g, 0.05)
+            assert p == p_twin
+        before = state_of(opt)
+        flat = grads[bad_at].flat.copy()
+        flat[3] = np.nan
+        with pytest.raises(NonFiniteGradError):
+            opt.step(p, grads[bad_at].with_flat(flat), 0.05)
+        assert state_of(opt) == before
+        assert opt.step_count == twin.step_count == bad_at
+        got = opt.step(p, grads[bad_at], 0.05)
+        want = twin.step(p, grads[bad_at], 0.05)
+        assert got.flat.tobytes() == want.flat.tobytes()
+        assert state_of(opt) == state_of(twin)
 
 
 class TestDescentSanity:
