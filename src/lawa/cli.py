@@ -14,7 +14,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .averaging import DEFAULT_EMA_ALPHA, average_checkpoint_dir
-from .checkpoint_io import read_checkpoint, write_checkpoint
+from .checkpoint_io import read_checkpoint, write_atomically, write_checkpoint
 from .compare import compare_runs, write_comparison_csv
 from .config import (
     CHOICES,
@@ -25,16 +25,16 @@ from .config import (
 )
 from .engine import (
     InferenceBuffers,
+    apply_bn_mode,
     build_dataset,
     evaluate,
     init_params,
     model_spec_for,
-    recompute_bn_stats,
     train_run,
     train_variants,
 )
 from .errors import ConfigError, ConfigWarning, InternalStateError, LawaError, NonFiniteError
-from .metrics import METRICS_HEADER, record_to_line
+from .metrics import METRICS_HEADER, csv_line
 from .params import check_same_structure
 
 
@@ -92,23 +92,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ckpt = read_checkpoint(args.ckpt)
     check_same_structure(init_params(spec), ckpt.params)
 
-    params = ckpt.params
+    if args.bn_mode == "recompute" and spec.has_bn and not args.train_data:
+        raise ConfigError("--train-data is required with --bn-mode recompute")
+    split = {"train": dataset.train, "val": dataset.val}
+    stats_x = split[args.train_data]()[0] if args.train_data else None
     buffers = InferenceBuffers()
-    if args.bn_mode == "recompute" and spec.has_bn:
-        if not args.train_data:
-            raise ConfigError("--train-data is required with --bn-mode recompute")
-        if args.train_data == "train":
-            stats_x = dataset.train()[0]
-        elif args.train_data == "val":
-            stats_x = dataset.val()[0]
-        else:
-            raise ConfigError(
-                f"--train-data must be 'train' or 'val', got {args.train_data!r}"
-            )
-        params = recompute_bn_stats(params, spec, stats_x, buffers=buffers)
-    # bn-mode copy would copy the checkpoint's own statistics: a no-op here.
-
-    x, y = dataset.train() if args.split == "train" else dataset.val()
+    params = apply_bn_mode(
+        ckpt.params, spec, args.bn_mode, ckpt.params, stats_x, buffers=buffers
+    )
+    x, y = split[args.split]()
     loss, acc = evaluate(params, spec, x, y, buffers=buffers)
     print(f"loss={loss:.17g} accuracy={acc:.17g}")
     return 0
@@ -171,7 +163,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ]
     lines = ["variant," + ",".join(METRICS_HEADER)]
     for name, records in zip(names, train_variants(configs)):
-        lines.extend(f"{name},{record_to_line(r)}" for r in records)
+        lines.extend(f"{name},{csv_line(r)}" for r in records)
         last = records[-1]
         final_avg = "-" if last.avg_val_loss is None else f"{last.avg_val_loss:.6g}"
         best_avg = min(
@@ -184,7 +176,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"best_avg_val_loss={'-' if best_avg is None else f'{best_avg:.6g}'}"
         )
     sweep_csv = out_root / "sweep.csv"
-    sweep_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomically(sweep_csv, ("\n".join(lines) + "\n").encode("utf-8"), "sweep CSV")
     print(f"wrote {sweep_csv}")
     return 0
 
@@ -214,6 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bn-mode", choices=("off", "recompute", "copy"), default="off")
     p.add_argument(
         "--train-data",
+        choices=("train", "val"),
         default="",
         help="data for --bn-mode recompute: 'train' or 'val' split",
     )

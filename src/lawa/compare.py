@@ -11,11 +11,12 @@ to comparing the baseline against itself, which yields zero savings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .checkpoint_io import write_atomically
 from .errors import SchemaError
-from .metrics import read_metrics
+from .metrics import csv_line, read_metrics
 
 
 @dataclass(frozen=True)
@@ -122,13 +123,7 @@ def compare_runs(
 
 
 def write_comparison_csv(comparisons: list[RunComparison], path) -> None:
-    lines = ["run,epoch,avg_value,baseline_value,match_epoch,savings"]
+    lines = [",".join(("run", *(f.name for f in fields(SavingsRow))))]
     for comp in comparisons:
-        for r in comp.rows:
-            match = "" if r.match_epoch is None else str(r.match_epoch)
-            lines.append(
-                f"{comp.name},{r.epoch},{r.avg_value:.9g},"
-                f"{r.baseline_value:.9g},{match},{r.savings}"
-            )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines.extend(f"{comp.name},{csv_line(r)}" for r in comp.rows)
+    write_atomically(path, ("\n".join(lines) + "\n").encode("utf-8"), "comparison CSV")

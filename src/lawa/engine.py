@@ -466,7 +466,7 @@ def apply_bn_mode(
     spec: ModelSpec,
     mode: str,
     newest: ParameterSet,
-    train_x: np.ndarray,
+    train_x: np.ndarray | None,
     *,
     buffers: InferenceBuffers | None = None,
 ) -> ParameterSet:
@@ -597,6 +597,8 @@ def train_variants(
             f"batch_size {cfg.batch_size} exceeds training split size {n_train}"
         )
     total_steps = cfg.epochs * steps_per_epoch
+    # Without save_every_steps, a save follows each epoch's last step.
+    save_every = cfg.save_every_steps or steps_per_epoch
 
     params = init_params(spec)
     optimizer = make_optimizer(
@@ -677,10 +679,8 @@ def train_variants(
                     if cache["bn_updates"]:
                         params = params.with_updates(cache["bn_updates"])
                     global_step += 1
-                    if cfg.save_every_steps and global_step % cfg.save_every_steps == 0:
+                    if global_step % save_every == 0:
                         save_event(params)
-                if not cfg.save_every_steps:
-                    save_event(params)
 
                 train_loss, train_acc = evaluate(params, spec, x_train, y_train, buffers=buffers)
                 val_loss, val_acc = evaluate(params, spec, x_val, y_val, buffers=buffers)

@@ -1,31 +1,18 @@
 """Per-epoch metrics records and their CSV serialization.
 
-The CSV layout is fixed so runs produce byte-stable golden files:
-floats are written with 9 significant digits, undefined averaged-model
-cells stay empty. The wall_seconds column is the one field that varies
+The CSV layout is fixed so runs produce byte-stable golden files: the
+columns are ``MetricsRecord``'s fields in order, floats are written with
+9 significant digits, undefined averaged-model cells stay empty. The wall_seconds column is the one field that varies
 between otherwise identical runs; determinism checks mask it.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from typing import IO
+from dataclasses import dataclass, fields
+from typing import IO, get_type_hints
 
 from .errors import SchemaError
-
-METRICS_HEADER = (
-    "epoch",
-    "step",
-    "lr",
-    "train_loss",
-    "train_acc",
-    "val_loss",
-    "val_acc",
-    "avg_val_loss",
-    "avg_val_acc",
-    "wall_seconds",
-)
 
 
 @dataclass(frozen=True)
@@ -42,6 +29,12 @@ class MetricsRecord:
     wall_seconds: float
 
 
+METRICS_HEADER = tuple(f.name for f in fields(MetricsRecord))
+_INT_COLUMNS = frozenset(
+    name for name, hint in get_type_hints(MetricsRecord).items() if hint is int
+)
+
+
 def _fmt(value: float | int | None) -> str:
     if value is None:
         return ""
@@ -50,21 +43,9 @@ def _fmt(value: float | int | None) -> str:
     return f"{value:.9g}"
 
 
-def record_to_line(rec: MetricsRecord) -> str:
-    return ",".join(
-        (
-            str(rec.epoch),
-            str(rec.step),
-            _fmt(rec.lr),
-            _fmt(rec.train_loss),
-            _fmt(rec.train_acc),
-            _fmt(rec.val_loss),
-            _fmt(rec.val_acc),
-            _fmt(rec.avg_val_loss),
-            _fmt(rec.avg_val_acc),
-            _fmt(rec.wall_seconds),
-        )
-    )
+def csv_line(row) -> str:
+    """A dataclass row's cells, in field order, as one CSV line."""
+    return ",".join(_fmt(getattr(row, f.name)) for f in fields(row))
 
 
 class MetricsWriter:
@@ -76,7 +57,7 @@ class MetricsWriter:
         self._fh.flush()
 
     def append(self, rec: MetricsRecord) -> None:
-        self._fh.write(record_to_line(rec) + "\n")
+        self._fh.write(csv_line(rec) + "\n")
         self._fh.flush()
 
     def close(self) -> None:
@@ -101,7 +82,7 @@ def read_metrics(path) -> list[dict]:
             for key, text in raw.items():
                 if text is None or text == "":
                     row[key] = None
-                elif key in ("epoch", "step"):
+                elif key in _INT_COLUMNS:
                     row[key] = int(text)
                 else:
                     row[key] = float(text)

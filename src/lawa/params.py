@@ -121,24 +121,25 @@ class ParameterSet:
         unknown = set(updates) - self._entries.keys()
         if unknown:
             raise StructureMismatch(f"unknown entries in update: {sorted(unknown)}")
-        parts = []
-        for name, arr in self._entries.items():
-            new = np.asarray(updates.get(name, arr), dtype=self.dtype)
-            if new.shape != arr.shape:
-                raise StructureMismatch(
-                    f"entry {name!r}: replacement shape {new.shape} != {arr.shape}"
-                )
-            parts.append(new.ravel())
-        return self.with_flat(np.concatenate(parts))
+        flat = self.flat.copy()
+        for name, view in self.entry_views(flat).items():
+            if name in updates:
+                new = np.asarray(updates[name], dtype=self.dtype)
+                if new.shape != view.shape:
+                    raise StructureMismatch(
+                        f"entry {name!r}: replacement shape {new.shape} != {view.shape}"
+                    )
+                view[...] = new
+        return self.with_flat(flat)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ParameterSet):
             return NotImplemented
-        if self.names != other.names or self.dtype != other.dtype:
-            return False
-        return all(
-            a.shape == b.shape for (_, a), (_, b) in zip(self.items(), other.items())
-        ) and np.array_equal(self.flat, other.flat, equal_nan=True)
+        return (
+            self._layout == other._layout
+            and self.dtype == other.dtype
+            and np.array_equal(self.flat, other.flat, equal_nan=True)
+        )
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}:{a.shape}" for n, a in self._entries.items())

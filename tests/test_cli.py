@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lawa
-from lawa import averaging, cli, engine, optim
+from lawa import averaging, checkpoint_io, cli, engine, optim
 from lawa.averaging import DEFAULT_EMA_ALPHA
 from lawa.checkpoint_io import read_checkpoint
 from lawa.cli import _effective_mapping, build_parser, main
@@ -355,6 +355,32 @@ class TestEval:
         )
         assert code == 2
 
+    def test_bn_copy_prints_what_off_prints(self, tmp_path, capsys):
+        out = train_tiny(tmp_path / "run", ["--use-bn"])
+        capsys.readouterr()
+        printed = []
+        for mode in ("off", "copy"):
+            code = run_cli(
+                [
+                    "eval", "--ckpt", str(out / "ckpt_e00005.lawa"),
+                    "--config", str(out / "config.resolved"), "--bn-mode", mode,
+                ]
+            )
+            assert code == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
+    def test_unknown_train_data_exits_2(self, tmp_path):
+        out = train_tiny(tmp_path / "run", ["--use-bn"])
+        with pytest.raises(SystemExit) as err:
+            run_cli(
+                [
+                    "eval", "--ckpt", str(out / "ckpt_e00005.lawa"),
+                    "--config", str(out / "config.resolved"), "--train-data", "bogus",
+                ]
+            )
+        assert err.value.code == 2
+
 
 def write_metrics_csv(path, rows):
     header = (
@@ -435,6 +461,37 @@ class TestCompare:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "run,epoch,avg_value,baseline_value,match_epoch,savings"
         assert len(lines) == 1 + 2 * 3
+
+    def test_comparison_csv_bytes(self, tmp_path):
+        path = tmp_path / "run" / "metrics.csv"
+        path.parent.mkdir()
+        write_metrics_csv(path, [(1.0, 0.5), (0.6, 0.4), (0.5, 0.3)])
+        out_csv = tmp_path / "cmp.csv"
+        assert run_cli(["compare", str(path), "--out", str(out_csv)]) == 0
+        assert out_csv.read_bytes() == (
+            b"run,epoch,avg_value,baseline_value,match_epoch,savings\n"
+            b"run,0,0.5,1,2,2\n"
+            b"run,1,0.4,0.6,,1\n"
+            b"run,2,0.3,0.5,,0\n"
+        )
+
+    def test_failed_comparison_replace_keeps_the_old_file_and_no_temp(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "run" / "metrics.csv"
+        path.parent.mkdir()
+        write_metrics_csv(path, [(1.0, 0.5), (0.6, 0.4)])
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "cmp.csv").write_text("old\n", encoding="utf-8")
+
+        def failing(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint_io.os, "replace", failing)
+        assert run_cli(["compare", str(path), "--out", str(out_dir / "cmp.csv")]) == 2
+        assert (out_dir / "cmp.csv").read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in out_dir.iterdir()] == ["cmp.csv"]
 
     def test_offline_online_agreement(self, tmp_path):
         out = train_tiny(

@@ -693,6 +693,28 @@ class TestTrainRun:
         assert records[0].avg_val_loss is None
         assert records[1].avg_val_loss is not None
 
+    def test_save_every_steps_per_epoch_equals_epoch_mode(self, tmp_path):
+        # 64 train samples / batch 16 = 4 steps per epoch
+        common = dict(use_bn=True, epochs=4, save_averaged=True)
+        train_run(tiny_cfg(tmp_path, out=str(tmp_path / "epochs"), **common))
+        train_run(
+            tiny_cfg(tmp_path, out=str(tmp_path / "steps"), save_every_steps=4, **common)
+        )
+
+        def strip_wall(path):
+            return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+        assert strip_wall(tmp_path / "epochs" / "metrics.csv") == strip_wall(
+            tmp_path / "steps" / "metrics.csv"
+        )
+        names = sorted(p.name for p in (tmp_path / "epochs").glob("*.lawa"))
+        assert names == sorted(p.name for p in (tmp_path / "steps").glob("*.lawa"))
+        assert len(names) == 4 + 2  # every epoch's checkpoint, averages from k=3 on
+        for name in names:
+            assert (tmp_path / "epochs" / name).read_bytes() == (
+                tmp_path / "steps" / name
+            ).read_bytes(), name
+
     def test_batch_size_larger_than_split_rejected(self, tmp_path):
         cfg = tiny_cfg(tmp_path, batch_size=512)
         with pytest.raises(ConfigError):
