@@ -38,16 +38,16 @@ _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
-def write_atomically(path, data: bytes, what: str) -> None:
-    """Write ``data`` to ``path`` through ``<path>.tmp``, a name that does
-    not end in ``.lawa``, which then replaces ``path`` in one step, so a
-    failed write leaves no partial file behind and any older file intact.
-    I/O failures remove the temporary file and raise :class:`IoError`
-    naming ``what``."""
+def write_atomically(path, data: bytes | list, what: str) -> None:
+    """Write ``data``, bytes or a list of bytes-like parts written in
+    order, to ``path`` through ``<path>.tmp``, a name that does not end in
+    ``.lawa``, which then replaces ``path`` in one step, so a failed write
+    leaves no partial file behind and any older file intact. I/O failures
+    remove the temporary file and raise :class:`IoError` naming ``what``."""
     tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            fh.writelines([data] if isinstance(data, bytes) else data)
         os.replace(tmp, path)
     except OSError as exc:
         tmp.unlink(missing_ok=True)
@@ -55,8 +55,9 @@ def write_atomically(path, data: bytes, what: str) -> None:
 
 
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Serialize ``ckpt`` to ``path`` with :func:`write_atomically`. I/O
-    failures raise :class:`IoError`."""
+    """Serialize ``ckpt`` to ``path`` with :func:`write_atomically`, each
+    tensor's bytes written straight from its array. I/O failures raise
+    :class:`IoError`."""
     parts = [
         MAGIC,
         struct.pack("<I", VERSION),
@@ -70,8 +71,8 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
         parts.append(raw_name)
         parts.append(struct.pack("<BI", code, arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        parts.append(np.asarray(arr, dtype=_CODE_DTYPES[code]).tobytes(order="C"))
-    write_atomically(path, b"".join(parts), "checkpoint")
+        parts.append(np.asarray(arr, dtype=_CODE_DTYPES[code]))
+    write_atomically(path, parts, "checkpoint")
 
 
 class _Reader:

@@ -28,14 +28,14 @@ from .engine import (
     apply_bn_mode,
     build_dataset,
     evaluate,
-    init_params,
     model_spec_for,
+    param_shapes,
     train_run,
     train_variants,
 )
 from .errors import ConfigError, ConfigWarning, InternalStateError, LawaError, NonFiniteError
 from .metrics import METRICS_HEADER, csv_line
-from .params import check_same_structure
+from .params import check_layout
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -90,7 +90,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dataset = build_dataset(cfg)
     spec = model_spec_for(cfg, dataset)
     ckpt = read_checkpoint(args.ckpt)
-    check_same_structure(init_params(spec), ckpt.params)
+    check_layout(ckpt.params, spec.np_dtype, param_shapes(spec))
 
     if args.bn_mode == "recompute" and spec.has_bn and not args.train_data:
         raise ConfigError("--train-data is required with --bn-mode recompute")

@@ -10,8 +10,9 @@ and ``layer{i}.bias``, plus ``layer{i}.bn_gamma``, ``layer{i}.bn_beta``,
 ``layer{i}.bn_running_mean`` and ``layer{i}.bn_running_var`` when batch
 norm is enabled. Entries whose name ends in ``bn_running_mean`` or
 ``bn_running_var`` are normalization statistics, not trained weights:
-backprop assigns them zero gradients and the training loop refreshes
-them from each forward pass.
+backprop assigns them zero gradients, and each training step's
+optimizer step writes the forward pass's running statistics into the set
+it returns.
 
 Everything is deterministic given the run seed: initialization, epoch
 shuffles, and dataset noise each draw from their own keyed stream, so
@@ -25,7 +26,7 @@ import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .params import Checkpoint, ParameterSet
 from .rng import rng_for
 
 BN_EPS = 1e-5
-# Rows per block in which recompute_bn_stats makes a batch-norm layer's product.
+# Rows per block over which recompute_bn_stats sums a batch-norm layer's product.
 ROW_BLOCK = 256
 
 
@@ -97,25 +98,40 @@ def is_running_stat(name: str) -> bool:
     return name.endswith("bn_running_mean") or name.endswith("bn_running_var")
 
 
+def param_shapes(spec: ModelSpec) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Each parameter entry's name and shape, in entry order."""
+    for i in range(len(spec.widths) - 1):
+        fan_in, fan_out = spec.widths[i], spec.widths[i + 1]
+        yield f"layer{i}.weight", (fan_in, fan_out)
+        yield f"layer{i}.bias", (fan_out,)
+        if i < spec.n_hidden and spec.use_bn[i]:
+            for kind in ("bn_gamma", "bn_beta", "bn_running_mean", "bn_running_var"):
+                yield f"layer{i}.{kind}", (fan_out,)
+
+
+# Initial value of every entry kind but the weights.
+_INIT_FILL = {
+    "bias": 0.0,
+    "bn_gamma": 1.0,
+    "bn_beta": 0.0,
+    "bn_running_mean": 0.0,
+    "bn_running_var": 1.0,
+}
+
+
 def init_params(spec: ModelSpec) -> ParameterSet:
     """Seeded initialization: uniform weights scaled by 1/sqrt(fan_in),
     zero biases, identity batch-norm (gamma 1, beta 0, mean 0, var 1)."""
     dtype = spec.np_dtype
     entries: list[tuple[str, np.ndarray]] = []
-    n_layers = len(spec.widths) - 1
-    for i in range(n_layers):
-        fan_in, fan_out = spec.widths[i], spec.widths[i + 1]
-        rng = rng_for(spec.init_seed, f"init:layer{i}")
-        bound = 1.0 / np.sqrt(fan_in)
-        entries.append(
-            (f"layer{i}.weight", rng.uniform(-bound, bound, (fan_in, fan_out)).astype(dtype))
-        )
-        entries.append((f"layer{i}.bias", np.zeros(fan_out, dtype=dtype)))
-        if i < spec.n_hidden and spec.use_bn[i]:
-            entries.append((f"layer{i}.bn_gamma", np.ones(fan_out, dtype=dtype)))
-            entries.append((f"layer{i}.bn_beta", np.zeros(fan_out, dtype=dtype)))
-            entries.append((f"layer{i}.bn_running_mean", np.zeros(fan_out, dtype=dtype)))
-            entries.append((f"layer{i}.bn_running_var", np.ones(fan_out, dtype=dtype)))
+    for name, shape in param_shapes(spec):
+        layer, kind = name.split(".")
+        if kind == "weight":
+            rng = rng_for(spec.init_seed, f"init:{layer}")
+            bound = 1.0 / np.sqrt(shape[0])
+            entries.append((name, rng.uniform(-bound, bound, shape).astype(dtype)))
+        else:
+            entries.append((name, np.full(shape, _INIT_FILL[kind], dtype=dtype)))
     return ParameterSet(entries)
 
 
@@ -162,7 +178,10 @@ def forward(
     cache carries momentum-updated running statistics under
     ``cache["bn_updates"]``, plus the activations ``backward`` needs; in
     inference mode the stored running statistics are used and no layer's
-    activations are kept. Inference writes each hidden layer's product
+    activations are kept. A training batch-norm layer computes ``z - mu``
+    once and reuses its buffer and that of its squares for ``zhat`` and
+    the layer's output, bitwise as ``z.var(axis=0)``, ``(z - mu) * inv``
+    and ``gamma * zhat + beta`` compute them. Inference writes each hidden layer's product
     into ``buffers`` (a fresh set when None; training ignores them), then
     adds the bias, normalizes and applies ReLU there in place, so ``x`` is
     never written and only the outputs are allocated. The operations and
@@ -181,15 +200,16 @@ def forward(
     layers = []
     bn_updates: dict[str, np.ndarray] = {}
     for i in range(spec.n_hidden):
-        w = params[f"layer{i}.weight"]
-        b = params[f"layer{i}.bias"]
-        z = h @ w + b
+        z = h @ params[f"layer{i}.weight"]
+        z += params[f"layer{i}.bias"]
         bn_cache = None
         if spec.use_bn[i]:
             gamma = params[f"layer{i}.bn_gamma"]
             beta = params[f"layer{i}.bn_beta"]
             mu = z.mean(axis=0)
-            var = z.var(axis=0)  # population variance
+            centered = np.subtract(z, mu, out=z)  # becomes zhat
+            pre = np.square(centered)  # then gamma * zhat + beta
+            var = pre.mean(axis=0)  # population variance, as z.var(axis=0)
             m = spec.bn_momentum
             bn_updates[f"layer{i}.bn_running_mean"] = (
                 (1.0 - m) * params[f"layer{i}.bn_running_mean"] + m * mu
@@ -198,8 +218,9 @@ def forward(
                 (1.0 - m) * params[f"layer{i}.bn_running_var"] + m * var
             ).astype(spec.np_dtype)
             inv = 1.0 / np.sqrt(var + BN_EPS)
-            zhat = (z - mu) * inv
-            pre = gamma * zhat + beta
+            zhat = np.multiply(centered, inv, out=centered)
+            np.multiply(gamma, zhat, out=pre)
+            pre += beta
             bn_cache = (zhat, inv)
         else:
             pre = z
@@ -288,7 +309,9 @@ def backward(
 
     Running-statistics entries get zero gradients; they are not trained.
     Each gradient is written straight into its slot of one flat array laid
-    out like ``params``, which the returned set then takes over.
+    out like ``params``, which the returned set then takes over. A
+    batch-norm layer's input gradient is built in place, one operation at
+    a time in the order of the out-of-place expression.
     """
     _, labels = batch
     outputs = cache["outputs"]
@@ -306,17 +329,20 @@ def backward(
         d_pre = d_h * (layer["pre_relu"] > 0.0)
         if spec.use_bn[i]:
             zhat, inv = layer["bn"]
-            gamma = params[f"layer{i}.bn_gamma"]
-            (d_pre * zhat).sum(axis=0, out=grads[f"layer{i}.bn_gamma"])
+            product = np.multiply(d_pre, zhat)
+            product.sum(axis=0, out=grads[f"layer{i}.bn_gamma"])
             d_pre.sum(axis=0, out=grads[f"layer{i}.bn_beta"])
             grads[f"layer{i}.bn_running_mean"].fill(0.0)
             grads[f"layer{i}.bn_running_var"].fill(0.0)
-            d_zhat = d_pre * gamma
-            d_z = inv * (
-                d_zhat
-                - d_zhat.mean(axis=0)
-                - zhat * (d_zhat * zhat).mean(axis=0)
-            )
+            # d_z = inv * (d_zhat - mean(d_zhat) - zhat * mean(d_zhat * zhat)),
+            # one operation at a time in that order, in d_pre's buffer.
+            d_zhat = np.multiply(d_pre, params[f"layer{i}.bn_gamma"], out=d_pre)
+            mean_d_zhat = d_zhat.mean(axis=0)
+            mean_product = np.multiply(d_zhat, zhat, out=product).mean(axis=0)
+            d_z = d_zhat
+            d_z -= mean_d_zhat
+            d_z -= np.multiply(zhat, mean_product, out=product)
+            d_z *= inv
         else:
             d_z = d_pre
         np.matmul(layer["input"].T, d_z, out=grads[f"layer{i}.weight"])
@@ -403,17 +429,12 @@ def recompute_bn_stats(
     and then used when producing the activations feeding later layers.
     Non-normalization entries are returned untouched (bitwise).
 
-    A batch-norm layer's product is computed once, in blocks of
-    ``ROW_BLOCK`` rows into the layer's view of ``buffers`` (a fresh set
-    when None); the float64 sums are taken from each block as it is made,
-    then the view is normalized and rectified in place. Nothing after the
-    last batch-norm layer is computed. The result equals that of a
-    second, whole product only where BLAS gives a row of ``h @ w`` the
-    same bits in a block as in the whole product. With OpenBLAS on
-    AVX-512 that failed for a last block of one row (numpy sends a
-    one-row product to gemv) and, at width 512, of two or three rows; the
-    statistics of later layers then differ from the two-product result by
-    rounding.
+    Each layer's product is one ``np.matmul`` into the layer's view of
+    ``buffers`` (a fresh set when None). A batch-norm layer's float64 sums
+    are taken over blocks of ``ROW_BLOCK`` rows of that product, in row
+    order; then the view is normalized and rectified in place. Nothing
+    after the last batch-norm layer is computed, and the last one is not
+    normalized, since no layer reads its output.
     """
     if len(x) == 0:
         raise EmptyDataError("cannot recompute normalization statistics without data")
@@ -426,17 +447,15 @@ def recompute_bn_stats(
     rows = (buffers or InferenceBuffers()).hidden_rows(spec, n)
     updates: dict[str, np.ndarray] = {}
     for i in range(last_bn + 1):
-        w = params[f"layer{i}.weight"]
-        b = params[f"layer{i}.bias"]
         z = rows[i]
+        np.matmul(h, params[f"layer{i}.weight"], out=z)
+        z += params[f"layer{i}.bias"]
         if spec.use_bn[i]:
             width = spec.widths[i + 1]
             total = np.zeros(width, dtype=np.float64)
             total_sq = np.zeros(width, dtype=np.float64)
             for start in range(0, n, ROW_BLOCK):
                 block = z[start : start + ROW_BLOCK]
-                np.matmul(h[start : start + ROW_BLOCK], w, out=block)
-                block += b
                 total += block.sum(axis=0, dtype=np.float64)
                 total_sq += (block * block).sum(axis=0, dtype=np.float64)
             mean = total / n
@@ -444,10 +463,9 @@ def recompute_bn_stats(
             mean, var = mean.astype(dtype), var.astype(dtype)
             updates[f"layer{i}.bn_running_mean"] = mean
             updates[f"layer{i}.bn_running_var"] = var
+            if i == last_bn:
+                break
             _batch_norm_in_place(params, i, z, mean, var)
-        else:
-            np.matmul(h, w, out=z)
-            z += b
         np.maximum(z, 0.0, out=z)
         h = z
     return params.with_updates(updates)
@@ -675,9 +693,7 @@ def train_variants(
                     last_lr = schedule.lr_at(global_step)
                     _, cache = forward(params, spec, xb, training=True)
                     _, grads = backward(params, spec, (xb, yb), cache)
-                    params = optimizer.step(params, grads, last_lr)
-                    if cache["bn_updates"]:
-                        params = params.with_updates(cache["bn_updates"])
+                    params = optimizer.step(params, grads, last_lr, cache["bn_updates"])
                     global_step += 1
                     if global_step % save_every == 0:
                         save_event(params)

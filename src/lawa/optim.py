@@ -3,20 +3,26 @@
 SGD uses the heavy-ball convention (v = mu*v + g; theta -= lr*v), Adam is
 the bias-corrected variant with its usual constants, and Lookahead wraps
 either of them, pulling fast weights back onto the slow weights every
-``k`` inner steps. Optimizer state (SGD velocity, Adam's m and v) is
-updated in place: each step runs the update rule's per-element operations
-in their usual order through ``out=``, so the results are bitwise those of
-the out-of-place expressions, and allocates only the buffer of the
-parameter set it returns. Lookahead builds its pullback in that buffer
-and keeps it, read-only, as its slow weights. The parameter sets going in
-and out are still immutable values: no step writes memory that a set
-shares, and a step that raises leaves the state as it was.
+``k`` inner steps. A step runs in blocks of ``BLOCK`` elements of the flat
+buffers: each block goes through every per-element operation of the
+update rule, in the rule's usual order through ``out=``, and, on a
+Lookahead sync step, through the pullback, while it is still in cache.
+So the results are bitwise those of the out-of-place expressions over
+whole buffers. Optimizer state (SGD velocity, Adam's m and v, Lookahead's
+slow weights) is updated in place; Adam's scratch is one block. A step
+allocates only the buffer of the parameter set it returns, and writes
+into it the entries it is given to replace, such as the batch-norm
+running statistics of the forward pass, before the set takes it over.
+The parameter sets going in and out are still immutable values: no step
+writes memory that a set shares, and a step that raises leaves the state
+as it was.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -30,15 +36,70 @@ DEFAULT_ADAM_EPS = 1e-8
 DEFAULT_LOOKAHEAD_ALPHA = 0.8
 DEFAULT_LOOKAHEAD_K = 5
 
+# Elements per block of a step. Adam with Lookahead reads and writes seven
+# buffers per block (parameters, gradients, m, v, scratch, output, slow
+# weights): 1.75 MiB of float64 at this size, within a 2 MiB L2 cache. On
+# a 269k-element Lookahead(Adam) step it was the fastest of 4096 to 65536
+# elements and whole buffers (2.76 ms against 2.88 to 3.41 ms; 2-core
+# x86_64 host, numpy 2.4, 1 BLAS thread).
+BLOCK = 32768
 
-def _check_grads(params: ParameterSet, grads: ParameterSet) -> None:
+# Writes the new parameters of one block: (block slice, parameters,
+# gradients, output), the last three already cut to the block.
+BlockRule = Callable[[slice, np.ndarray, np.ndarray, np.ndarray], None]
+Replacements = Mapping[str, np.ndarray]
+
+
+def _check_step(
+    params: ParameterSet, grads: ParameterSet, replace: Replacements | None
+) -> list[tuple[slice, np.ndarray]]:
+    """Check a step's inputs before any state changes; returns the slots
+    of ``replace`` in the flat buffer."""
     check_same_structure(params, grads)
     if not np.all(np.isfinite(grads.flat)):
         name = next(n for n, g in grads.items() if not np.all(np.isfinite(g)))
         raise NonFiniteGradError(f"gradient entry {name!r} contains NaN or Inf")
+    return params.update_slots(replace) if replace else []
 
 
-class Sgd:
+def _run_blocks(
+    params: ParameterSet,
+    grads: ParameterSet,
+    slots: list[tuple[slice, np.ndarray]],
+    rule: BlockRule,
+) -> ParameterSet:
+    """The set ``rule`` writes block by block, with ``slots`` written over it."""
+    theta, g = params.flat, grads.flat
+    out = np.empty_like(theta)
+    for start in range(0, theta.size, BLOCK):
+        block = slice(start, start + BLOCK)
+        rule(block, theta[block], g[block], out[block])
+    for block, value in slots:
+        out[block] = value
+    return params.with_flat(out)
+
+
+class _InnerOptimizer:
+    """An update rule that runs alone or inside :class:`Lookahead`.
+
+    Subclasses supply ``_block_rule`` and bind ``step`` in their own
+    namespace, so perfbench's tracer can rebind it per class.
+    """
+
+    def step(
+        self,
+        params: ParameterSet,
+        grads: ParameterSet,
+        lr: float,
+        replace: Replacements | None = None,
+    ) -> ParameterSet:
+        """The updated parameters, with the entries in ``replace`` set to
+        the given values."""
+        slots = _check_step(params, grads, replace)
+        return _run_blocks(params, grads, slots, self._block_rule(params, lr))
+
+
+class Sgd(_InnerOptimizer):
     """Stochastic gradient descent with heavy-ball momentum."""
 
     def __init__(self, momentum: float = DEFAULT_MOMENTUM):
@@ -48,19 +109,26 @@ class Sgd:
         self.step_count = 0
         self._velocity: np.ndarray | None = None
 
-    def step(self, params: ParameterSet, grads: ParameterSet, lr: float) -> ParameterSet:
-        _check_grads(params, grads)
+    def _block_rule(self, params: ParameterSet, lr: float) -> BlockRule:
+        """Count the step; return the rule that makes its blocks."""
         if self._velocity is None:
             self._velocity = np.zeros_like(params.flat)
-        v = self._velocity  # momentum * v + g
-        v *= self.momentum
-        v += grads.flat
         self.step_count += 1
-        out = np.multiply(v, lr)
-        return params.with_flat(np.subtract(params.flat, out, out=out))
+        velocity, momentum = self._velocity, self.momentum
+
+        def rule(block, theta, g, out):
+            v = velocity[block]  # momentum * v + g
+            v *= momentum
+            v += g
+            np.multiply(v, lr, out=out)
+            np.subtract(theta, out, out=out)
+
+        return rule
+
+    step = _InnerOptimizer.step
 
 
-class Adam:
+class Adam(_InnerOptimizer):
     """Adam with bias correction; no weight decay."""
 
     def __init__(
@@ -79,29 +147,38 @@ class Adam:
         self._v: np.ndarray | None = None
         self._scratch: np.ndarray | None = None
 
-    def step(self, params: ParameterSet, grads: ParameterSet, lr: float) -> ParameterSet:
-        _check_grads(params, grads)
+    def _block_rule(self, params: ParameterSet, lr: float) -> BlockRule:
+        """Count the step; return the rule that makes its blocks."""
         if self._m is None:
             self._m = np.zeros_like(params.flat)
             self._v = np.zeros_like(params.flat)
-            self._scratch = np.empty_like(params.flat)
+            self._scratch = np.empty_like(params.flat[:BLOCK])
         t = self.step_count + 1
-        g, m, v, s = grads.flat, self._m, self._v, self._scratch
-        np.multiply(g, 1.0 - self.beta1, out=s)  # m = beta1 * m + (1 - beta1) * g
-        m *= self.beta1
-        m += s
-        np.multiply(g, 1.0 - self.beta2, out=s)  # v = beta2 * v + (1 - beta2) * g * g
-        s *= g
-        v *= self.beta2
-        v += s
-        out = np.divide(m, 1.0 - self.beta1**t)  # lr * m_hat / (sqrt(v_hat) + eps)
-        out *= lr
-        np.divide(v, 1.0 - self.beta2**t, out=s)
-        np.sqrt(s, out=s)
-        s += self.eps
-        out /= s
         self.step_count = t
-        return params.with_flat(np.subtract(params.flat, out, out=out))
+        beta1, beta2, eps = self.beta1, self.beta2, self.eps
+        bias1, bias2 = 1.0 - beta1**t, 1.0 - beta2**t
+        m_all, v_all, scratch = self._m, self._v, self._scratch
+
+        def rule(block, theta, g, out):
+            m, v, s = m_all[block], v_all[block], scratch[: g.size]
+            np.multiply(g, 1.0 - beta1, out=s)  # m = beta1 * m + (1 - beta1) * g
+            m *= beta1
+            m += s
+            np.multiply(g, 1.0 - beta2, out=s)  # v = beta2 * v + (1 - beta2) * g * g
+            s *= g
+            v *= beta2
+            v += s
+            np.divide(m, bias1, out=out)  # lr * m_hat / (sqrt(v_hat) + eps)
+            out *= lr
+            np.divide(v, bias2, out=s)
+            np.sqrt(s, out=s)
+            s += eps
+            out /= s
+            np.subtract(theta, out, out=out)
+
+        return rule
+
+    step = _InnerOptimizer.step
 
 
 class Lookahead:
@@ -110,7 +187,8 @@ class Lookahead:
     Every ``k`` inner steps the slow weights move a fraction ``alpha``
     toward the fast weights and the fast weights are reset onto them
     (pullback). Slow weights initialize from the parameters seen at the
-    first step call.
+    first step call; the values a step is given for replaced entries
+    never reach them.
     """
 
     def __init__(
@@ -130,21 +208,35 @@ class Lookahead:
         self.inner_counter = 0
         self._slow: np.ndarray | None = None
 
-    def step(self, params: ParameterSet, grads: ParameterSet, lr: float) -> ParameterSet:
-        fast = self.inner.step(params, grads, lr)
+    def step(
+        self,
+        params: ParameterSet,
+        grads: ParameterSet,
+        lr: float,
+        replace: Replacements | None = None,
+    ) -> ParameterSet:
+        """The inner step's parameters, pulled back on every ``k``-th call,
+        with the entries in ``replace`` set to the given values."""
+        slots = _check_step(params, grads, replace)
+        inner_rule = self.inner._block_rule(params, lr)
         if self._slow is None:
-            self._slow = params.flat
+            self._slow = params.flat.copy()
         self.inner_counter += 1
         self.step_count += 1
-        if self.inner_counter == self.k:
-            self.inner_counter = 0
-            out = np.subtract(fast.flat, self._slow)  # slow + alpha * (fast - slow)
-            out *= self.alpha
-            out += self._slow
-            pulled = fast.with_flat(out)
-            self._slow = pulled.flat
-            return pulled
-        return fast
+        if self.inner_counter < self.k:
+            return _run_blocks(params, grads, slots, inner_rule)
+        self.inner_counter = 0
+        slow_all, alpha = self._slow, self.alpha
+
+        def rule(block, theta, g, out):
+            inner_rule(block, theta, g, out)
+            slow = slow_all[block]  # slow + alpha * (fast - slow)
+            out -= slow
+            out *= alpha
+            out += slow
+            slow[...] = out
+
+        return _run_blocks(params, grads, slots, rule)
 
 
 def make_optimizer(

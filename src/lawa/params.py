@@ -116,20 +116,33 @@ class ParameterSet:
         """Writable copies of all entries, preserving order."""
         return {name: arr.copy() for name, arr in self._entries.items()}
 
-    def with_updates(self, updates: Mapping[str, np.ndarray]) -> "ParameterSet":
-        """New set with the given entries replaced; shapes/dtype must match."""
+    def update_slots(
+        self, updates: Mapping[str, np.ndarray]
+    ) -> list[tuple[slice, np.ndarray]]:
+        """Each entry of ``updates`` as its slice of ``flat`` and its new
+        values, raveled and cast to this set's element type, in entry
+        order. Raises :class:`StructureMismatch` on an unknown name or a
+        shape that differs."""
         unknown = set(updates) - self._entries.keys()
         if unknown:
             raise StructureMismatch(f"unknown entries in update: {sorted(unknown)}")
-        flat = self.flat.copy()
-        for name, view in self.entry_views(flat).items():
+        slots = []
+        for name, shape, start, stop in self._layout:
             if name in updates:
                 new = np.asarray(updates[name], dtype=self.dtype)
-                if new.shape != view.shape:
+                if new.shape != shape:
                     raise StructureMismatch(
-                        f"entry {name!r}: replacement shape {new.shape} != {view.shape}"
+                        f"entry {name!r}: replacement shape {new.shape} != {shape}"
                     )
-                view[...] = new
+                slots.append((slice(start, stop), new.ravel()))
+        return slots
+
+    def with_updates(self, updates: Mapping[str, np.ndarray]) -> "ParameterSet":
+        """New set with the given entries replaced; shapes/dtype must match."""
+        slots = self.update_slots(updates)
+        flat = self.flat.copy()
+        for block, new in slots:
+            flat[block] = new
         return self.with_flat(flat)
 
     def __eq__(self, other: object) -> bool:
@@ -163,20 +176,26 @@ def check_same_structure(a: ParameterSet, b: ParameterSet) -> None:
     """Raise :class:`StructureMismatch` naming the first entry that differs."""
     if a._layout is b._layout:  # one derives from the other: same dtype too
         return
-    if a.dtype != b.dtype:
-        raise StructureMismatch(f"element types differ: {a.dtype} vs {b.dtype}")
-    a_names, b_names = a.names, b.names
-    for i in range(min(len(a_names), len(b_names))):
-        if a_names[i] != b_names[i]:
-            raise StructureMismatch(
-                f"entry {i}: name {a_names[i]!r} vs {b_names[i]!r}"
-            )
-        if a[a_names[i]].shape != b[b_names[i]].shape:
-            raise StructureMismatch(
-                f"entry {a_names[i]!r}: shape {a[a_names[i]].shape} vs {b[b_names[i]].shape}"
-            )
-    if len(a_names) != len(b_names):
-        extra = a_names[len(b_names):] if len(a_names) > len(b_names) else b_names[len(a_names):]
+    check_layout(b, a.dtype, [(name, shape) for name, shape, _, _ in a._layout])
+
+
+def check_layout(
+    p: ParameterSet, dtype: np.dtype, shapes: Iterable[tuple[str, tuple[int, ...]]]
+) -> None:
+    """Raise :class:`StructureMismatch` naming the first difference between
+    ``p`` and a set of element type ``dtype`` with the given (name, shape)
+    entries; messages give the expected side first."""
+    if dtype != p.dtype:
+        raise StructureMismatch(f"element types differ: {dtype} vs {p.dtype}")
+    want = list(shapes)
+    names = p.names
+    for i, (name, shape) in enumerate(want[: len(names)]):
+        if name != names[i]:
+            raise StructureMismatch(f"entry {i}: name {name!r} vs {names[i]!r}")
+        if shape != p[name].shape:
+            raise StructureMismatch(f"entry {name!r}: shape {shape} vs {p[name].shape}")
+    if len(want) != len(names):
+        extra = [n for n, _ in want[len(names):]] if len(want) > len(names) else names[len(want):]
         raise StructureMismatch(f"entry counts differ; first unmatched entry {extra[0]!r}")
 
 

@@ -355,6 +355,21 @@ class TestEval:
         )
         assert code == 2
 
+    def test_structure_check_draws_no_weights(self, tmp_path, monkeypatch, capsys):
+        out = train_tiny(tmp_path / "run", ["--use-bn"])
+        other = train_tiny(tmp_path / "other", ["--hidden", "4"])
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eval drew initial weights")
+
+        monkeypatch.setattr(engine, "init_params", refuse)
+        monkeypatch.setattr(engine, "rng_for", refuse)
+        config = ["--config", str(out / "config.resolved"), "--bn-mode", "off"]
+        assert run_cli(["eval", "--ckpt", str(out / "ckpt_e00005.lawa"), *config]) == 0
+        assert run_cli(["eval", "--ckpt", str(other / "ckpt_e00005.lawa"), *config]) == 2
+        assert "'layer0.weight': shape (2, 8) vs (2, 4)" in capsys.readouterr().err
+
     def test_bn_copy_prints_what_off_prints(self, tmp_path, capsys):
         out = train_tiny(tmp_path / "run", ["--use-bn"])
         capsys.readouterr()

@@ -25,6 +25,7 @@ from lawa.engine import (
     forward,
     init_params,
     is_running_stat,
+    param_shapes,
     recompute_bn_stats,
     train_run,
     train_variants,
@@ -118,6 +119,12 @@ class TestInit:
         assert is_running_stat("layer2.bn_running_var")
         assert not is_running_stat("layer0.bn_gamma")
         assert not is_running_stat("layer0.weight")
+
+    @pytest.mark.parametrize("use_bn", [(True,), (False, True), (True, False, True)])
+    def test_param_shapes_are_the_initial_entries(self, use_bn):
+        spec = ModelSpec(widths=(3, *range(5, 5 + len(use_bn)), 2), use_bn=use_bn)
+        params = init_params(spec)
+        assert list(param_shapes(spec)) == [(n, a.shape) for n, a in params.items()]
 
 
 class TestForwardBackward:
@@ -606,6 +613,67 @@ class TestBackwardIsBitwiseThePerEntryPath:
             assert np.array_equal(got[name], want[name]), name
 
 
+def out_of_place_training_forward(params, spec, x):
+    """Training-mode ``forward`` as out-of-place expressions: each batch-norm
+    layer takes ``z.var`` and ``(z - mu) * inv`` apart."""
+    h = x.astype(spec.np_dtype, copy=False)
+    layers, bn_updates = [], {}
+    for i in range(spec.n_hidden):
+        z = h @ params[f"layer{i}.weight"] + params[f"layer{i}.bias"]
+        bn = None
+        pre = z
+        if spec.use_bn[i]:
+            mu, var = z.mean(axis=0), z.var(axis=0)
+            m = spec.bn_momentum
+            for stat, value in (("mean", mu), ("var", var)):
+                name = f"layer{i}.bn_running_{stat}"
+                bn_updates[name] = ((1.0 - m) * params[name] + m * value).astype(spec.np_dtype)
+            inv = 1.0 / np.sqrt(var + BN_EPS)
+            zhat = (z - mu) * inv
+            pre = params[f"layer{i}.bn_gamma"] * zhat + params[f"layer{i}.bn_beta"]
+            bn = (zhat, inv)
+        layers.append({"input": h, "bn": bn, "pre_relu": pre})
+        h = np.maximum(pre, 0.0)
+    outputs = h @ params[f"layer{spec.n_hidden}.weight"] + params[f"layer{spec.n_hidden}.bias"]
+    return {"layers": layers, "last_input": h, "outputs": outputs, "bn_updates": bn_updates}
+
+
+class TestTrainingBatchNormIsBitwiseTheOutOfPlacePath:
+    @pytest.mark.parametrize("batch,width", [(1, 7), (5, 64), (64, 512), (33, 100)])
+    @pytest.mark.parametrize("use_bn", [(True, True), (True, False)])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_forward_cache_and_gradients(self, dtype, use_bn, batch, width):
+        spec = ModelSpec(widths=(3, width, width, 4), use_bn=use_bn, init_seed=5, dtype=dtype)
+        params = perturbed_bn_params(spec, seed=width)
+        params = params.with_updates(
+            {n: np.abs(a) + 0.5 for n, a in params.items() if n.endswith("bn_running_var")}
+        )
+        rng = np.random.default_rng(batch)
+        x = rng.normal(size=(batch, 3))
+        y = rng.integers(0, 4, size=batch)
+        _, cache = forward(params, spec, x, training=True)
+        want = out_of_place_training_forward(params, spec, x)
+        for got_layer, want_layer in zip(cache["layers"], want["layers"], strict=True):
+            assert np.array_equal(got_layer["input"], want_layer["input"])
+            assert np.array_equal(got_layer["pre_relu"], want_layer["pre_relu"])
+            if want_layer["bn"] is None:
+                assert got_layer["bn"] is None
+                continue
+            for got_arr, want_arr in zip(got_layer["bn"], want_layer["bn"], strict=True):
+                assert got_arr.dtype == want_arr.dtype == spec.np_dtype
+                assert np.array_equal(got_arr, want_arr)
+        for key in ("last_input", "outputs"):
+            assert np.array_equal(cache[key], want[key]), key
+        assert cache["bn_updates"].keys() == want["bn_updates"].keys()
+        for name, value in want["bn_updates"].items():
+            assert np.array_equal(cache["bn_updates"][name], value), name
+        loss, grads = backward(params, spec, (x, y), cache)
+        want_loss, want_grads = per_entry_backward(params, spec, y, want)
+        assert loss == want_loss
+        for name in want_grads.names:
+            assert np.array_equal(grads[name], want_grads[name]), name
+
+
 def tiny_cfg(tmp_path, **overrides) -> RunConfig:
     base = dict(
         dataset="spirals",
@@ -771,6 +839,24 @@ class TestTrainRun:
         out = tmp_path / "run"
         assert (out / "config.resolved").read_text(encoding="utf-8") == resolved_text(cfg)
         assert not list(out.glob("*.tmp"))
+
+    def test_bn_statistics_are_set_by_the_step_not_by_a_set_copy(self, tmp_path, monkeypatch):
+        calls = []
+        with_updates = ParameterSet.with_updates
+
+        def counted(self, updates):
+            calls.append(sorted(updates))
+            return with_updates(self, updates)
+
+        monkeypatch.setattr(ParameterSet, "with_updates", counted)
+        cfg = tiny_cfg(
+            tmp_path, use_bn=True, hidden=(8, 6), optimizer="lookahead",
+            lookahead_inner="adam", lr=0.01, save_averaged=True,
+        )
+        train_run(cfg)
+        saves = len(list((tmp_path / "run").glob("ckpt_*.lawa")))
+        assert saves == cfg.epochs
+        assert len(calls) <= saves
 
     def test_build_dataset_dispatch(self, tmp_path):
         csv_path = tmp_path / "d.csv"

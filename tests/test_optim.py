@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from lawa.averaging import UniformScheme
-from lawa.errors import ConfigError, NonFiniteGradError
+from lawa.errors import ConfigError, NonFiniteGradError, StructureMismatch
 from lawa.optim import (
+    BLOCK,
     Adam,
     ConstantSchedule,
     CosineSchedule,
@@ -15,7 +16,7 @@ from lawa.optim import (
     make_optimizer,
     make_schedule,
 )
-from lawa.params import Checkpoint
+from lawa.params import Checkpoint, ParameterSet
 from testutil import mixed_pset, pset
 
 
@@ -240,6 +241,49 @@ class TestBitwiseReference:
 KINDS = [("sgd", "sgd"), ("adam", "adam"), ("lookahead", "sgd"), ("lookahead", "adam")]
 
 
+def sized_pset(rng, dtype, size):
+    """A set of ``size`` elements: a 2-d entry, then a 1-d one holding the
+    rest, so entry and block boundaries fall at different places."""
+    rows = size // 3 // 7
+    entries = [("w", (3.0 * rng.normal(size=(rows, 7))).astype(dtype))] if rows else []
+    entries.append(("b", (3.0 * rng.normal(size=size - 7 * rows)).astype(dtype)))
+    return ParameterSet(entries)
+
+
+class TestBlockBoundaries:
+    """Every optimizer against the per-entry loops, bit for bit, on flat
+    buffers of one element, around one block and over several blocks."""
+
+    HP = TestBitwiseReference.HP
+
+    @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind,inner", KINDS)
+    def test_matches_per_entry_loops(self, kind, inner, dtype, size):
+        hp = self.HP
+        rng = np.random.default_rng(size)
+        start = sized_pset(rng, dtype, size)
+        grads = [sized_pset(rng, dtype, size) for _ in range(7)]
+        lrs = [0.05 * (1.0 + 0.1 * i) for i in range(7)]
+        opt = make_optimizer(
+            kind,
+            momentum=hp["momentum"],
+            beta1=hp["beta1"],
+            beta2=hp["beta2"],
+            adam_eps=hp["eps"],
+            lookahead_alpha=hp["alpha"],
+            lookahead_k=hp["k"],
+            lookahead_inner=inner,
+        )
+        want = reference_trajectory(kind, inner, start, grads, lrs, hp)
+        p = start
+        for g, lr, expected in zip(grads, lrs, want):
+            p = opt.step(p, g, lr)
+            assert p.dtype == dtype and p.total_size() == size
+            for name, arr in p.items():
+                assert np.array_equal(arr, expected[name]), name
+
+
 def state_of(opt):
     """Every attribute of ``opt`` and of its inner optimizer, arrays as bytes."""
     state = {}
@@ -298,6 +342,43 @@ class TestInPlaceStateKeepsValueSemantics:
         want = twin.step(p, grads[bad_at], 0.05)
         assert got.flat.tobytes() == want.flat.tobytes()
         assert state_of(opt) == state_of(twin)
+
+
+class TestReplacedEntries:
+    """A step given entries to replace equals the step followed by
+    ``with_updates``; the slow weights never hold the replaced values."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind,inner", KINDS)
+    def test_equals_step_then_with_updates(self, kind, inner, dtype):
+        rng = np.random.default_rng(47)
+        opt = make_optimizer(kind, lookahead_k=3, lookahead_inner=inner)
+        twin = make_optimizer(kind, lookahead_k=3, lookahead_inner=inner)
+        p = p_twin = mixed_pset(rng, dtype)
+        for t in range(7):  # Lookahead syncs after steps 3 and 6
+            g = mixed_pset(rng, dtype)
+            replace = {
+                "s": rng.normal(),
+                "empty": np.zeros((0, 2)),
+                "b": rng.normal(size=5).astype(dtype),
+            }
+            p = opt.step(p, g, 0.05, replace)
+            p_twin = twin.step(p_twin, g, 0.05).with_updates(replace)
+            assert p.flat.tobytes() == p_twin.flat.tobytes(), t
+            assert not p.flat.flags.writeable
+            assert state_of(opt) == state_of(twin), t
+
+    @pytest.mark.parametrize("kind,inner", KINDS)
+    def test_a_bad_replacement_leaves_the_state_untouched(self, kind, inner):
+        rng = np.random.default_rng(53)
+        opt = make_optimizer(kind, lookahead_k=3, lookahead_inner=inner)
+        p = opt.step(mixed_pset(rng, np.float64), mixed_pset(rng, np.float64), 0.05)
+        before = state_of(opt)
+        g = mixed_pset(rng, np.float64)
+        for bad in ({"nope": [1.0]}, {"b": np.zeros(4)}):
+            with pytest.raises(StructureMismatch):
+                opt.step(p, g, 0.05, bad)
+            assert state_of(opt) == before
 
 
 class TestDescentSanity:
