@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, IoError
+from .errors import FormatError, IoError, ParseError
 from .params import Checkpoint, ParameterSet
 
 MAGIC = b"LAWA"
@@ -52,6 +52,19 @@ def write_atomically(path, data: bytes | list, what: str) -> None:
     except OSError as exc:
         tmp.unlink(missing_ok=True)
         raise IoError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of ``path``, newlines untranslated as ``csv`` wants
+    them. Raises :class:`IoError` on OS-level failure and
+    :class:`ParseError` on bytes that are not UTF-8, each naming ``what``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} {path} is not UTF-8 text: {exc}") from exc
 
 
 def write_checkpoint(ckpt: Checkpoint, path) -> None:

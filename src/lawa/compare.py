@@ -74,6 +74,8 @@ def compare_run(path, metric: str, higher_better: bool | None = None) -> RunComp
     rows = read_metrics(path)
     if not rows:
         raise SchemaError(f"{path}: metrics file has no rows")
+    if "epoch" not in rows[0]:
+        raise SchemaError(f"{path}: no 'epoch' column")
     if metric not in rows[0]:
         raise SchemaError(f"{path}: no metric column {metric!r}")
     if higher_better is None:
@@ -85,6 +87,8 @@ def compare_run(path, metric: str, higher_better: bool | None = None) -> RunComp
     baseline: list[tuple[int, float]] = []
     averaged: list[tuple[int, float]] = []
     for r in rows:
+        if r["epoch"] is None:
+            raise SchemaError(f"{path}: empty 'epoch' cell")
         if r[metric] is None:
             raise SchemaError(f"{path}: empty {metric!r} cell at epoch {r['epoch']}")
         baseline.append((r["epoch"], r[metric]))

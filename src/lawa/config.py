@@ -195,6 +195,6 @@ def parse_config_file(path) -> dict[str, str]:
                     )
                 first_line[key] = line_no
                 out[key] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return out

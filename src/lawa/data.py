@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint_io import read_text
 from .errors import ConfigError, ParseError, SchemaError
 from .rng import rng_for
 
@@ -120,37 +123,41 @@ def load_csv(path, label_column: str) -> Dataset:
     Non-label columns become features in file order. Integer-valued
     labels make a classification problem (classes 0..max), anything else
     is regression. The 80/20 split hashes row indices, so it is stable
-    across runs without a seed.
+    across runs without a seed. An unreadable file raises
+    :class:`IoError`, and a file that is not UTF-8 or a cell that is not a
+    finite number raises :class:`ParseError`.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected a header row") from None
-        if label_column not in header:
-            raise SchemaError(f"{path}: no column named {label_column!r}")
-        label_pos = header.index(label_column)
-        feature_cols = [i for i in range(len(header)) if i != label_pos]
+    reader = csv.reader(io.StringIO(read_text(path, "dataset"), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file, expected a header row") from None
+    if label_column not in header:
+        raise SchemaError(f"{path}: no column named {label_column!r}")
+    label_pos = header.index(label_column)
+    feature_cols = [i for i in range(len(header)) if i != label_pos]
 
-        rows: list[list[float]] = []
-        raw_labels: list[float] = []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+    rows: list[list[float]] = []
+    raw_labels: list[float] = []
+    for row_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise SchemaError(
+                f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+            )
+        parsed = []
+        for col in range(len(header)):
+            try:
+                value = float(row[col])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"{path}: row {row_no}, column {header[col]!r}: "
+                    f"{row[col]!r} is not a finite number"
                 )
-            parsed = []
-            for col in range(len(header)):
-                try:
-                    parsed.append(float(row[col]))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {row_no}, column {header[col]!r}: "
-                        f"cannot parse {row[col]!r} as a number"
-                    ) from None
-            rows.append([parsed[i] for i in feature_cols])
-            raw_labels.append(parsed[label_pos])
+            parsed.append(value)
+        rows.append([parsed[i] for i in feature_cols])
+        raw_labels.append(parsed[label_pos])
 
     if not rows:
         raise SchemaError(f"{path}: no data rows")

@@ -181,12 +181,11 @@ def forward(
     activations are kept. A training batch-norm layer computes ``z - mu``
     once and reuses its buffer and that of its squares for ``zhat`` and
     the layer's output, bitwise as ``z.var(axis=0)``, ``(z - mu) * inv``
-    and ``gamma * zhat + beta`` compute them. Inference writes each hidden layer's product
-    into ``buffers`` (a fresh set when None; training ignores them), then
-    adds the bias, normalizes and applies ReLU there in place, so ``x`` is
-    never written and only the outputs are allocated. The operations and
-    their order are those of ``gamma * ((h @ w + b - mean) * inv) +
-    beta``, so the result is bitwise that of the out-of-place expression.
+    and ``gamma * zhat + beta`` compute them. Inference runs the hidden
+    layers in place in ``buffers`` (a fresh set when None; training
+    ignores them), bitwise as the out-of-place expression ``gamma * ((h @
+    w + b - mean) * inv) + beta``; ``x`` is never written and only the
+    outputs are allocated.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != spec.widths[0]:
@@ -195,7 +194,9 @@ def forward(
         )
     h = x.astype(spec.np_dtype, copy=False)
     if not training:
-        outputs = _inference_outputs(params, spec, h, buffers or InferenceBuffers())
+        for _, z in _inference_layers(params, spec, h, buffers or InferenceBuffers(), params):
+            pass  # each resumption normalizes and rectifies z in place
+        outputs = _output_layer(params, spec, z)
         return outputs, {"layers": [], "last_input": None, "outputs": outputs, "bn_updates": {}}
     layers = []
     bn_updates: dict[str, np.ndarray] = {}
@@ -226,67 +227,68 @@ def forward(
             pre = z
         layers.append({"input": h, "bn": bn_cache, "pre_relu": pre})
         h = np.maximum(pre, 0.0)
-    w = params[f"layer{spec.n_hidden}.weight"]
-    b = params[f"layer{spec.n_hidden}.bias"]
-    outputs = h @ w + b
-    _check_finite(outputs)
+    outputs = _output_layer(params, spec, h)
     cache = {"layers": layers, "last_input": h, "outputs": outputs, "bn_updates": bn_updates}
     return outputs, cache
 
 
-def _check_finite(outputs: np.ndarray) -> None:
-    if not np.all(np.isfinite(outputs)):
-        raise NonFiniteError("non-finite activations in forward pass")
-
-
-def _batch_norm_in_place(
-    params: ParameterSet, i: int, z: np.ndarray, mean: np.ndarray, var: np.ndarray
-) -> None:
-    """Batch-norm layer ``i`` on ``z`` in place: ``gamma * ((z - mean) *
-    inv) + beta``, one operation at a time in that order."""
-    z -= mean
-    z *= 1.0 / np.sqrt(var + BN_EPS)
-    z *= params[f"layer{i}.bn_gamma"]
-    z += params[f"layer{i}.bn_beta"]
-
-
-def _inference_outputs(
-    params: ParameterSet, spec: ModelSpec, h: np.ndarray, buffers: InferenceBuffers
-) -> np.ndarray:
-    for i, z in enumerate(buffers.hidden_rows(spec, len(h))):
-        np.matmul(h, params[f"layer{i}.weight"], out=z)
-        z += params[f"layer{i}.bias"]
-        if spec.use_bn[i]:
-            _batch_norm_in_place(
-                params, i, z,
-                params[f"layer{i}.bn_running_mean"], params[f"layer{i}.bn_running_var"],
-            )
-        np.maximum(z, 0.0, out=z)
-        h = z
+def _output_layer(params: ParameterSet, spec: ModelSpec, h: np.ndarray) -> np.ndarray:
     outputs = h @ params[f"layer{spec.n_hidden}.weight"]
     outputs += params[f"layer{spec.n_hidden}.bias"]
-    _check_finite(outputs)
+    if not np.all(np.isfinite(outputs)):
+        raise NonFiniteError("non-finite activations in forward pass")
     return outputs
 
 
-def _loss_and_doutputs(
-    outputs: np.ndarray, labels: np.ndarray, loss_kind: str, n_classes: int
-) -> tuple[float, np.ndarray]:
+def _inference_layers(
+    params: ParameterSet, spec: ModelSpec, h: np.ndarray, buffers: InferenceBuffers,
+    stats: ParameterSet | dict[str, np.ndarray],
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The hidden layers of an inference pass, each in its view of ``buffers``.
+
+    Yields ``(i, z)`` once ``z`` holds layer ``i``'s product plus bias.
+    When resumed, it normalizes ``z`` in place with the running statistics
+    ``stats`` holds for the layer by then, if it has batch norm, as
+    ``gamma * ((z - mean) * inv) + beta`` one operation at a time in that
+    order, then rectifies it; that ``z`` is the next layer's input, and
+    once the walk is exhausted the last ``z`` holds the network's last
+    hidden activations.
+    """
+    for i, z in enumerate(buffers.hidden_rows(spec, len(h))):
+        np.matmul(h, params[f"layer{i}.weight"], out=z)
+        z += params[f"layer{i}.bias"]
+        yield i, z
+        if spec.use_bn[i]:
+            z -= stats[f"layer{i}.bn_running_mean"]
+            z *= 1.0 / np.sqrt(stats[f"layer{i}.bn_running_var"] + BN_EPS)
+            z *= params[f"layer{i}.bn_gamma"]
+            z += params[f"layer{i}.bn_beta"]
+        np.maximum(z, 0.0, out=z)
+        h = z
+
+
+def _row_losses(
+    outputs: np.ndarray, labels: np.ndarray, spec: ModelSpec
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Each row's loss under ``spec.loss`` and the pieces its gradient is
+    built from; callers reduce the rows themselves.
+
+    Softmax cross-entropy rejects labels outside ``[0, n_classes)`` and
+    gives ``(probs, row_sums, y)``: the unnormalized ``exp(shifted)``, its
+    row sums and the labels. Squared error, each row's mean over its
+    outputs, gives ``(diff,)``.
+    """
     n = outputs.shape[0]
-    if loss_kind == "cross_entropy":
+    if spec.loss == "cross_entropy":
         y = np.asarray(labels)
         if y.shape != (n,):
             raise ShapeError(f"labels shape {y.shape} does not match batch size {n}")
-        if y.min() < 0 or y.max() >= n_classes:
-            raise ShapeError(f"class labels must lie in [0, {n_classes})")
+        if y.min() < 0 or y.max() >= spec.widths[-1]:
+            raise ShapeError(f"class labels must lie in [0, {spec.widths[-1]})")
         shifted = outputs - outputs.max(axis=1, keepdims=True)
         probs = np.exp(shifted)
         row_sums = probs.sum(axis=1, keepdims=True)
-        per_sample = np.log(row_sums[:, 0]) - shifted[np.arange(n), y]
-        loss = float(per_sample.mean())
-        probs /= row_sums
-        probs[np.arange(n), y] -= 1.0
-        return loss, probs / n
+        return np.log(row_sums[:, 0]) - shifted[np.arange(n), y], (probs, row_sums, y)
     targets = np.asarray(labels, dtype=outputs.dtype)
     if targets.ndim == 1:
         targets = targets[:, None]
@@ -295,8 +297,7 @@ def _loss_and_doutputs(
             f"targets shape {targets.shape} does not match outputs {outputs.shape}"
         )
     diff = outputs - targets
-    loss = float(np.mean(diff * diff))
-    return loss, 2.0 * diff / diff.size
+    return (diff * diff).mean(axis=1), (diff,)
 
 
 def backward(
@@ -315,7 +316,16 @@ def backward(
     """
     _, labels = batch
     outputs = cache["outputs"]
-    loss, d_out = _loss_and_doutputs(outputs, labels, spec.loss, spec.widths[-1])
+    rows, parts = _row_losses(outputs, labels, spec)
+    loss = float(rows.mean())
+    if spec.loss == "cross_entropy":
+        probs, row_sums, y = parts
+        probs /= row_sums
+        probs[np.arange(len(y)), y] -= 1.0
+        d_out = probs / len(y)
+    else:
+        (diff,) = parts
+        d_out = 2.0 * diff / diff.size
 
     flat = np.empty(params.total_size(), dtype=spec.np_dtype)
     grads = params.entry_views(flat)
@@ -361,8 +371,7 @@ def batch_loss(
 ) -> float:
     """Loss of one batch as a pure function of the parameters."""
     outputs, _ = forward(params, spec, x, training=training)
-    loss, _ = _loss_and_doutputs(outputs, labels, spec.loss, spec.widths[-1])
-    return loss
+    return float(_row_losses(outputs, labels, spec)[0].mean())
 
 
 def evaluate(
@@ -377,7 +386,8 @@ def evaluate(
     """Dataset-mean loss and accuracy in inference mode.
 
     Accuracy is the argmax-correct fraction with ties resolved toward the
-    lowest class index; for regression it is NaN. Accuracy does not
+    lowest class index; for regression it is NaN. A class label outside
+    ``[0, n_classes)`` raises :class:`ShapeError`. Accuracy does not
     depend on ``batch_size``; the loss sums per-batch float64 partial
     sums, so another ``batch_size`` may change it by rounding only. Each
     batch is one ``forward``: BLAS gives the rows of a narrow output
@@ -397,19 +407,10 @@ def evaluate(
         xb = x[start : start + batch_size]
         yb = labels[start : start + batch_size]
         outputs, _ = forward(params, spec, xb, training=False, buffers=buffers)
+        rows, parts = _row_losses(outputs, yb, spec)
+        loss_sum += float(rows.sum(dtype=np.float64))
         if spec.loss == "cross_entropy":
-            y = np.asarray(yb)
-            shifted = outputs - outputs.max(axis=1, keepdims=True)
-            log_z = np.log(np.exp(shifted).sum(axis=1))
-            per_sample = log_z - shifted[np.arange(len(xb)), y]
-            loss_sum += float(per_sample.sum(dtype=np.float64))
-            correct += int((outputs.argmax(axis=1) == y).sum())
-        else:
-            targets = np.asarray(yb, dtype=outputs.dtype)
-            if targets.ndim == 1:
-                targets = targets[:, None]
-            diff = outputs - targets
-            loss_sum += float((diff * diff).mean(axis=1).sum(dtype=np.float64))
+            correct += int((outputs.argmax(axis=1) == parts[-1]).sum())
     loss = loss_sum / n
     accuracy = correct / n if spec.loss == "cross_entropy" else float("nan")
     return loss, accuracy
@@ -444,30 +445,24 @@ def recompute_bn_stats(
     h = np.asarray(x).astype(dtype, copy=False)
     n = len(h)
     last_bn = max(i for i, on in enumerate(spec.use_bn) if on)
-    rows = (buffers or InferenceBuffers()).hidden_rows(spec, n)
     updates: dict[str, np.ndarray] = {}
-    for i in range(last_bn + 1):
-        z = rows[i]
-        np.matmul(h, params[f"layer{i}.weight"], out=z)
-        z += params[f"layer{i}.bias"]
-        if spec.use_bn[i]:
-            width = spec.widths[i + 1]
-            total = np.zeros(width, dtype=np.float64)
-            total_sq = np.zeros(width, dtype=np.float64)
-            for start in range(0, n, ROW_BLOCK):
-                block = z[start : start + ROW_BLOCK]
-                total += block.sum(axis=0, dtype=np.float64)
-                total_sq += (block * block).sum(axis=0, dtype=np.float64)
-            mean = total / n
-            var = np.maximum(total_sq / n - mean * mean, 0.0)
-            mean, var = mean.astype(dtype), var.astype(dtype)
-            updates[f"layer{i}.bn_running_mean"] = mean
-            updates[f"layer{i}.bn_running_var"] = var
-            if i == last_bn:
-                break
-            _batch_norm_in_place(params, i, z, mean, var)
-        np.maximum(z, 0.0, out=z)
-        h = z
+    # Resuming the walk normalizes layer i from ``updates``: store its statistics first.
+    for i, z in _inference_layers(params, spec, h, buffers or InferenceBuffers(), updates):
+        if not spec.use_bn[i]:
+            continue
+        width = spec.widths[i + 1]
+        total = np.zeros(width, dtype=np.float64)
+        total_sq = np.zeros(width, dtype=np.float64)
+        for start in range(0, n, ROW_BLOCK):
+            block = z[start : start + ROW_BLOCK]
+            total += block.sum(axis=0, dtype=np.float64)
+            total_sq += (block * block).sum(axis=0, dtype=np.float64)
+        mean = total / n
+        var = np.maximum(total_sq / n - mean * mean, 0.0)
+        updates[f"layer{i}.bn_running_mean"] = mean.astype(dtype)
+        updates[f"layer{i}.bn_running_var"] = var.astype(dtype)
+        if i == last_bn:
+            break
     return params.with_updates(updates)
 
 

@@ -23,7 +23,7 @@ class NonFiniteGradError(NonFiniteError):
 
 
 class IoError(LawaError):
-    """Reading or writing a checkpoint file failed at the OS level."""
+    """Reading or writing a file failed at the OS level."""
 
 
 class FormatError(LawaError):
@@ -59,7 +59,7 @@ class SchemaError(LawaError):
 
 
 class ParseError(LawaError):
-    """A CSV cell could not be parsed as a number."""
+    """A text file is not UTF-8, or a CSV cell is not a number it may hold."""
 
 
 class InsufficientCheckpoints(LawaError):

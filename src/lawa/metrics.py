@@ -9,10 +9,12 @@ between otherwise identical runs; determinism checks mask it.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, fields
 from typing import IO, get_type_hints
 
-from .errors import SchemaError
+from .checkpoint_io import read_text
+from .errors import ParseError, SchemaError
 
 
 @dataclass(frozen=True)
@@ -71,20 +73,29 @@ class MetricsWriter:
 
 
 def read_metrics(path) -> list[dict]:
-    """Parse a metrics CSV back into dicts; empty cells become None."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty metrics file")
-        rows = []
-        for raw in reader:
-            row: dict = {}
-            for key, text in raw.items():
-                if text is None or text == "":
-                    row[key] = None
-                elif key in _INT_COLUMNS:
-                    row[key] = int(text)
-                else:
-                    row[key] = float(text)
-            rows.append(row)
+    """Parse a metrics CSV back into dicts; empty cells become None.
+
+    An unreadable file raises :class:`IoError`, a row longer than the
+    header :class:`SchemaError`, and a file that is not UTF-8 or a cell
+    that does not parse :class:`ParseError`.
+    """
+    reader = csv.DictReader(io.StringIO(read_text(path, "metrics file"), newline=""))
+    if reader.fieldnames is None:
+        raise SchemaError(f"{path}: empty metrics file")
+    rows = []
+    for raw in reader:
+        if None in raw:  # DictReader's key for the cells past the header's
+            raise SchemaError(f"{path}: line {reader.line_num} has more cells than the header")
+        row: dict = {}
+        for key, text in raw.items():
+            if text is None or text == "":
+                row[key] = None
+                continue
+            try:
+                row[key] = int(text) if key in _INT_COLUMNS else float(text)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: line {reader.line_num}, column {key!r}: cannot parse {text!r}"
+                ) from None
+        rows.append(row)
     return rows

@@ -773,6 +773,67 @@ class TestSchema:
         assert args.alpha == DEFAULT_EMA_ALPHA
 
 
+class TestBadInputFiles:
+    """A dataset, config or metrics file that cannot be used exits 2,
+    names the file on stderr, and leaves nothing behind."""
+
+    def check_exit_2(self, capsys, args, named):
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err, err
+
+    @pytest.mark.parametrize(
+        "name,content",
+        [
+            ("nope.csv", None),
+            ("latin1.csv", b"x,y,label\n1,2,0\n\xe9,3,1\n"),
+            ("nan.csv", b"x,y,label\n1,2,0\nnan,3,1\n"),
+            ("inf.csv", b"x,y,label\n1,2,0\n1,inf,1\n"),
+        ],
+        ids=["missing", "latin1", "nan", "inf"],
+    )
+    def test_bad_dataset_file_writes_nothing(self, tmp_path, capsys, name, content):
+        data = tmp_path / name
+        if content is not None:
+            data.write_bytes(content)
+        out = tmp_path / "run"
+        args = ["train", "--dataset", "csv", "--csv", str(data), "--label-column", "label",
+                "--epochs", "1", "--batch-size", "1", "--out", str(out)]
+        self.check_exit_2(capsys, args, name)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "eval"])
+    def test_non_utf8_config_file(self, tmp_path, capsys, command):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"seed=1\nhidden=\xff\n")
+        args = [command, "--config", str(config)]
+        if command == "eval":
+            args += ["--ckpt", str(tmp_path / "x.lawa")]
+        else:
+            args += ["--out", str(tmp_path / "run")]
+        self.check_exit_2(capsys, args, "bad.cfg")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,
+            b"epoch,val_loss\n0,1.0\n1,abc\n",
+            b"epoch,val_loss\n0.5,1.0\n",
+            b"step,val_loss\n0,1.0\n1,0.5\n",
+            b"epoch,val_loss\n0,1.0\n,0.5\n",
+            b"epoch,val_loss\n0,1.0,7\n",
+            b"epoch,val_loss\n0,1.0\n1,\xff\n",
+        ],
+        ids=["missing", "bad-float", "bad-int", "no-epoch", "empty-epoch", "long-row", "latin1"],
+    )
+    def test_bad_metrics_file_in_compare(self, tmp_path, capsys, content):
+        path = tmp_path / "metrics.csv"
+        if content is not None:
+            path.write_bytes(content)
+        self.check_exit_2(capsys, ["compare", str(path)], str(path))
+
+
 class TestUsage:
     def test_each_call_runs_the_command_bound_at_call_time(self, monkeypatch):
         monkeypatch.setattr(cli, "cmd_train", lambda args: 11)

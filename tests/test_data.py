@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lawa.data import load_csv, make_spirals
-from lawa.errors import ConfigError, ParseError, SchemaError
+from lawa.errors import ConfigError, IoError, ParseError, SchemaError
 from lawa.rng import rng_for
 
 
@@ -125,4 +125,20 @@ class TestLoadCsv:
     def test_empty_file_rejected(self, tmp_path):
         path = self._write(tmp_path, "")
         with pytest.raises(SchemaError):
+            load_csv(path, "label")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_reports_row_and_column(self, tmp_path, cell):
+        path = self._write(tmp_path, f"x,label\n1,0\n{cell},1\n")
+        with pytest.raises(ParseError, match=r"row 3.*'x'.*finite"):
+            load_csv(path, "label")
+
+    def test_missing_file_names_the_path(self, tmp_path):
+        with pytest.raises(IoError, match="nope.csv"):
+            load_csv(tmp_path / "nope.csv", "label")
+
+    def test_non_utf8_file_names_the_path(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"x,label\n1,0\n\xff,1\n")
+        with pytest.raises(ParseError, match="data.csv.*UTF-8"):
             load_csv(path, "label")

@@ -357,6 +357,13 @@ class TestEvaluate:
         with pytest.raises(EmptyDataError):
             evaluate(init_params(spec), spec, np.zeros((0, 2)), np.zeros(0))
 
+    @pytest.mark.parametrize("labels", [[0, 1, 2, -1, -3], [0, 1, 2, 3, 0]])
+    def test_out_of_range_class_labels_rejected(self, labels):
+        spec = small_spec(widths=(2, 5, 3))
+        x = np.random.default_rng(36).normal(size=(5, 2))
+        with pytest.raises(ShapeError, match=r"\[0, 3\)"):
+            evaluate(init_params(spec), spec, x, np.array(labels))
+
     def test_regression_accuracy_is_nan(self):
         spec = small_spec(loss="mse", widths=(2, 3, 1))
         params = init_params(spec)
@@ -672,6 +679,44 @@ class TestTrainingBatchNormIsBitwiseTheOutOfPlacePath:
         assert loss == want_loss
         for name in want_grads.names:
             assert np.array_equal(grads[name], want_grads[name]), name
+
+
+class TestSquaredErrorIsBitwiseTheWholeBatchMean:
+    """A width-1 squared-error loss reduced per row first, as ``evaluate``,
+    ``backward`` and ``batch_loss`` share it, gives the bits of the mean
+    over the whole ``diff * diff`` array."""
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 333, 1600, 4097])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_evaluate_and_backward(self, dtype, n):
+        spec = ModelSpec(widths=(2, 16, 1), use_bn=(False,), loss="mse", init_seed=12, dtype=dtype)
+        params = init_params(spec)
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 2))
+        targets = rng.normal(size=n)
+        column = targets.astype(spec.np_dtype)[:, None]
+
+        outputs, _ = forward(params, spec, x, training=False)
+        diff = outputs - column
+        loss, _ = evaluate(params, spec, x, targets)
+        assert loss == float((diff * diff).mean(axis=1).sum(dtype=np.float64)) / n
+
+        _, cache = forward(params, spec, x, training=True)
+        diff = cache["outputs"] - column
+        d_out = 2 * diff / diff.size
+        d_z = (d_out @ params["layer1.weight"].T) * (cache["layers"][0]["pre_relu"] > 0.0)
+        want = {
+            "layer0.weight": cache["layers"][0]["input"].T @ d_z,
+            "layer0.bias": d_z.sum(axis=0),
+            "layer1.weight": cache["last_input"].T @ d_out,
+            "layer1.bias": d_out.sum(axis=0),
+        }
+        got_loss, grads = backward(params, spec, (x, targets), cache)
+        assert got_loss == float(np.mean(diff * diff))
+        assert batch_loss(params, spec, x, targets) == got_loss
+        assert list(want) == list(grads.names)
+        for name, value in want.items():
+            assert np.array_equal(grads[name], value), name
 
 
 def tiny_cfg(tmp_path, **overrides) -> RunConfig:
