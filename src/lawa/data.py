@@ -122,10 +122,12 @@ def load_csv(path, label_column: str) -> Dataset:
 
     Non-label columns become features in file order. Integer-valued
     labels make a classification problem (classes 0..max), anything else
-    is regression. The 80/20 split hashes row indices, so it is stable
-    across runs without a seed. An unreadable file raises
-    :class:`IoError`, and a file that is not UTF-8 or a cell that is not a
-    finite number raises :class:`ParseError`.
+    is regression. A class label must lie below the number of data rows,
+    so that one stray label cannot size the model's output layer. The
+    80/20 split hashes row indices, so it is stable across runs without a
+    seed. An unreadable file raises :class:`IoError`, and a file that is
+    not UTF-8 or a cell that is not a finite number raises
+    :class:`ParseError`.
     """
     reader = csv.reader(io.StringIO(read_text(path, "dataset"), newline=""))
     try:
@@ -167,6 +169,11 @@ def load_csv(path, label_column: str) -> Dataset:
     is_classification = bool(np.all(label_arr == np.floor(label_arr)))
     if is_classification and label_arr.min() < 0:
         raise SchemaError(f"{path}: negative class label {label_arr.min():g}")
+    if is_classification and label_arr.max() >= len(rows):
+        raise SchemaError(
+            f"{path}: class label {label_arr.max():.0f} is not below the "
+            f"{len(rows)} data rows"
+        )
 
     train_idx, val_idx = _hash_split(len(rows))
     if is_classification:

@@ -37,7 +37,7 @@ from .data import Dataset, load_csv, make_spirals
 from .errors import ConfigError, EmptyDataError, NonFiniteError, ShapeError
 from .metrics import MetricsRecord, MetricsWriter
 from .optim import make_optimizer, make_schedule
-from .params import Checkpoint, ParameterSet
+from .params import Checkpoint, ParameterSet, check_same_structure
 from .rng import rng_for
 
 BN_EPS = 1e-5
@@ -164,13 +164,108 @@ class InferenceBuffers:
         ]
 
 
+class TrainingBuffers:
+    """Everything a training step writes, owned by the loop that runs it.
+
+    It holds the gathered input batch, each hidden layer's batch rows, one
+    flat gradient buffer, and two parameter buffers that the optimizer
+    steps alternate between. A layer's rows are its product (``zhat``
+    after batch norm), its batch-norm output, its ReLU output and its
+    ReLU mask. ``backward`` reuses each row once the layer's last read of
+    it is done: the layer's ``d_h`` and batch-norm product go into its
+    ReLU output rows, and ``d_pre`` into its pre-activation rows. So a
+    ``backward`` through the buffers that its ``forward`` wrote consumes
+    the activations in the cache. Row buffers grow on demand to the
+    largest batch, and each pass writes leading views of them, cached for
+    the last batch size, as in :class:`InferenceBuffers`. The gradient and
+    parameter sets are built once, by :meth:`ParameterSet.over`, from the
+    first parameters they serve.
+
+    So every array and set it hands out is rewritten by a later step: the
+    activations a ``forward`` caches, the gradients ``backward`` returns
+    and the parameters a step writes into ``step_target``. Copy what must
+    outlive the next step. A loop holds one for the whole run; the memory
+    is freed with this object.
+    """
+
+    __slots__ = ("_store", "_views", "_grads", "_grad_views", "_params")
+
+    def __init__(self):
+        self._store: dict[str, np.ndarray] = {}
+        self._views: dict[str, tuple] = {}
+        self._grads: ParameterSet | None = None
+        self._grad_views: dict[str, np.ndarray] = {}
+        self._params: tuple[ParameterSet, ParameterSet] | None = None
+
+    def _rows(self, name: str, dtype: np.dtype, n: int, width: int) -> np.ndarray:
+        """An ``(n, width)`` leading view of the buffer ``name``, which grows
+        to the request."""
+        buf = self._store.get(name)
+        if buf is None or buf.size < n * width or buf.dtype != dtype:
+            buf = self._store[name] = np.empty(n * width, dtype)
+        return buf[: n * width].reshape(n, width)
+
+    def layer_rows(
+        self, spec: ModelSpec, n: int
+    ) -> list[tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]]:
+        """Per hidden layer of ``spec``, its (product, batch-norm output,
+        ReLU output, ReLU mask) rows over ``n`` rows; the batch-norm output
+        is None on a layer without batch norm."""
+        cached = self._views.get("layers")
+        if cached is not None and cached[0] is spec and cached[1] == n:
+            return cached[2]
+        dtype = spec.np_dtype
+        rows = [
+            (
+                self._rows(f"product{i}", dtype, n, width),
+                self._rows(f"bn_out{i}", dtype, n, width) if spec.use_bn[i] else None,
+                self._rows(f"relu{i}", dtype, n, width),
+                self._rows(f"mask{i}", np.dtype(bool), n, width),
+            )
+            for i, width in enumerate(spec.widths[1:-1])
+        ]
+        self._views["layers"] = (spec, n, rows)
+        return rows
+
+    def gather(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``x[rows]``, written into the input batch buffer."""
+        cached = self._views.get("input")
+        if cached is None or cached[0] != (len(rows), x.shape[1], x.dtype):
+            cached = self._views["input"] = (
+                (len(rows), x.shape[1], x.dtype),
+                self._rows("input", x.dtype, len(rows), x.shape[1]),
+            )
+        return x.take(rows, axis=0, out=cached[1])
+
+    def gradients(self, params: ParameterSet) -> tuple[dict[str, np.ndarray], ParameterSet]:
+        """Writeable views, one per entry, of the gradient buffer, and the
+        set over it; ``params`` must be laid out like the first parameters
+        this object served."""
+        if self._grads is None:
+            self._grads = params.over(np.empty(params.total_size(), params.dtype))
+            self._grad_views = params.entry_views(self._grads.buffer)
+        check_same_structure(params, self._grads)
+        return self._grad_views, self._grads
+
+    def step_target(self, params: ParameterSet) -> ParameterSet:
+        """The parameter set for a step from ``params`` to write into: the
+        one of the two that ``params`` is not."""
+        if self._params is None:
+            self._params = (
+                params.over(np.empty_like(params.flat)),
+                params.over(np.empty_like(params.flat)),
+            )
+        first, second = self._params
+        return second if params is first else first
+
+
 def forward(
     params: ParameterSet,
     spec: ModelSpec,
     x: np.ndarray,
     training: bool,
     *,
-    buffers: InferenceBuffers | None = None,
+    buffers: InferenceBuffers | TrainingBuffers | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Run the network; returns (outputs, cache) without touching params.
 
@@ -178,30 +273,38 @@ def forward(
     cache carries momentum-updated running statistics under
     ``cache["bn_updates"]``, plus the activations ``backward`` needs; in
     inference mode the stored running statistics are used and no layer's
-    activations are kept. A training batch-norm layer computes ``z - mu``
-    once and reuses its buffer and that of its squares for ``zhat`` and
-    the layer's output, bitwise as ``z.var(axis=0)``, ``(z - mu) * inv``
-    and ``gamma * zhat + beta`` compute them. Inference runs the hidden
-    layers in place in ``buffers`` (a fresh set when None; training
-    ignores them), bitwise as the out-of-place expression ``gamma * ((h @
-    w + b - mean) * inv) + beta``; ``x`` is never written and only the
-    outputs are allocated.
+    activations are kept. Each mode writes its hidden layers into its own
+    kind of ``buffers``, :class:`TrainingBuffers` or
+    :class:`InferenceBuffers`, a fresh set when None; of the batch-sized
+    arrays only the outputs, and a cast of ``x`` to the model's element
+    type, are allocated, and ``x`` is never written. A training batch-norm
+    layer computes ``z - mu`` once and reuses its rows and those of its
+    squares for ``zhat`` and the layer's output, bitwise as
+    ``z.var(axis=0)``, ``(z - mu) * inv`` and ``gamma * zhat + beta``
+    compute them. Inference runs the hidden layers in place, bitwise as
+    the out-of-place expression ``gamma * ((h @ w + b - mean) * inv) +
+    beta``.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != spec.widths[0]:
         raise ShapeError(
             f"batch shape {x.shape} does not match input width {spec.widths[0]}"
         )
+    kind = TrainingBuffers if training else InferenceBuffers
+    if buffers is None:
+        buffers = kind()
+    elif not isinstance(buffers, kind):
+        raise TypeError(f"this forward writes into {kind.__name__}, not {type(buffers).__name__}")
     h = x.astype(spec.np_dtype, copy=False)
     if not training:
-        for _, z in _inference_layers(params, spec, h, buffers or InferenceBuffers(), params):
+        for _, z in _inference_layers(params, spec, h, buffers, params):
             pass  # each resumption normalizes and rectifies z in place
         outputs = _output_layer(params, spec, z)
         return outputs, {"layers": [], "last_input": None, "outputs": outputs, "bn_updates": {}}
     layers = []
     bn_updates: dict[str, np.ndarray] = {}
-    for i in range(spec.n_hidden):
-        z = h @ params[f"layer{i}.weight"]
+    for i, (z, bn_out, relu, _) in enumerate(buffers.layer_rows(spec, len(h))):
+        np.matmul(h, params[f"layer{i}.weight"], out=z)
         z += params[f"layer{i}.bias"]
         bn_cache = None
         if spec.use_bn[i]:
@@ -209,7 +312,7 @@ def forward(
             beta = params[f"layer{i}.bn_beta"]
             mu = z.mean(axis=0)
             centered = np.subtract(z, mu, out=z)  # becomes zhat
-            pre = np.square(centered)  # then gamma * zhat + beta
+            pre = np.square(centered, out=bn_out)  # then gamma * zhat + beta
             var = pre.mean(axis=0)  # population variance, as z.var(axis=0)
             m = spec.bn_momentum
             bn_updates[f"layer{i}.bn_running_mean"] = (
@@ -226,7 +329,7 @@ def forward(
         else:
             pre = z
         layers.append({"input": h, "bn": bn_cache, "pre_relu": pre})
-        h = np.maximum(pre, 0.0)
+        h = np.maximum(pre, 0.0, out=relu)
     outputs = _output_layer(params, spec, h)
     cache = {"layers": layers, "last_input": h, "outputs": outputs, "bn_updates": bn_updates}
     return outputs, cache
@@ -235,7 +338,7 @@ def forward(
 def _output_layer(params: ParameterSet, spec: ModelSpec, h: np.ndarray) -> np.ndarray:
     outputs = h @ params[f"layer{spec.n_hidden}.weight"]
     outputs += params[f"layer{spec.n_hidden}.bias"]
-    if not np.all(np.isfinite(outputs)):
+    if not np.isfinite(outputs).all():
         raise NonFiniteError("non-finite activations in forward pass")
     return outputs
 
@@ -305,15 +408,23 @@ def backward(
     spec: ModelSpec,
     batch: tuple[np.ndarray, np.ndarray],
     cache: dict,
+    *,
+    buffers: TrainingBuffers | None = None,
 ) -> tuple[float, ParameterSet]:
     """Batch-mean loss and exact gradients for every parameter entry.
 
     Running-statistics entries get zero gradients; they are not trained.
-    Each gradient is written straight into its slot of one flat array laid
-    out like ``params``, which the returned set then takes over. A
-    batch-norm layer's input gradient is built in place, one operation at
-    a time in the order of the out-of-place expression.
+    Each gradient is written straight into its slot of the gradient
+    buffer of ``buffers`` (a fresh set when None), laid out like
+    ``params``, and the set over that buffer is returned. Each layer's
+    ``d_h``, ``d_pre`` and batch-norm product go into its rows of
+    ``buffers``, each after the last read of what the row held, so the
+    cache of a ``forward`` through the same buffers is consumed; a fresh
+    set leaves ``cache`` as it was. A batch-norm layer's input gradient
+    is built in place, one operation at a time in the order of the
+    out-of-place expression.
     """
+    buffers = buffers or TrainingBuffers()
     _, labels = batch
     outputs = cache["outputs"]
     rows, parts = _row_losses(outputs, labels, spec)
@@ -327,19 +438,27 @@ def backward(
         (diff,) = parts
         d_out = 2.0 * diff / diff.size
 
-    flat = np.empty(params.total_size(), dtype=spec.np_dtype)
-    grads = params.entry_views(flat)
+    grads, grad_set = buffers.gradients(params)
+    rows = buffers.layer_rows(spec, len(d_out))
     i_out = spec.n_hidden
     np.matmul(cache["last_input"].T, d_out, out=grads[f"layer{i_out}.weight"])
     d_out.sum(axis=0, out=grads[f"layer{i_out}.bias"])
-    d_h = d_out @ params[f"layer{i_out}.weight"].T
+    # Row reuse: d_h and the batch-norm product go into the layer's ReLU
+    # output rows, which its successor has read by then, and d_pre into its
+    # pre-activation rows once the mask is taken.
+    d_h = np.matmul(d_out, params[f"layer{i_out}.weight"].T, out=rows[i_out - 1][2])
 
     for i in range(spec.n_hidden - 1, -1, -1):
         layer = cache["layers"][i]
-        d_pre = d_h * (layer["pre_relu"] > 0.0)
+        z_rows, bn_rows, relu_rows, mask = rows[i]
+        d_pre = np.multiply(
+            d_h,
+            np.greater(layer["pre_relu"], 0.0, out=mask),
+            out=z_rows if bn_rows is None else bn_rows,
+        )
         if spec.use_bn[i]:
             zhat, inv = layer["bn"]
-            product = np.multiply(d_pre, zhat)
+            product = np.multiply(d_pre, zhat, out=relu_rows)
             product.sum(axis=0, out=grads[f"layer{i}.bn_gamma"])
             d_pre.sum(axis=0, out=grads[f"layer{i}.bn_beta"])
             grads[f"layer{i}.bn_running_mean"].fill(0.0)
@@ -358,8 +477,8 @@ def backward(
         np.matmul(layer["input"].T, d_z, out=grads[f"layer{i}.weight"])
         d_z.sum(axis=0, out=grads[f"layer{i}.bias"])
         if i > 0:  # nothing uses the gradient of the network's input
-            d_h = d_z @ params[f"layer{i}.weight"].T
-    return loss, params.with_flat(flat)
+            d_h = np.matmul(d_z, params[f"layer{i}.weight"].T, out=rows[i - 1][2])
+    return loss, grad_set
 
 
 def batch_loss(
@@ -589,6 +708,13 @@ def train_variants(
     ``wall_seconds``, which counts from the shared start. A non-finite
     value aborts every variant at the same epoch. Every config is
     validated and every output directory checked before any write.
+
+    The steps write into one :class:`TrainingBuffers`, so the parameters
+    between steps live in memory the next step rewrites. At each save
+    event and each epoch end the parameters are copied once into an
+    immutable set, which serves both when they fall on the same step;
+    the checkpoint files, the schemes, the evaluations and the averages
+    see only these copies.
     """
     if not cfgs:
         raise ConfigError("train_variants needs at least one config")
@@ -642,11 +768,13 @@ def train_variants(
         )
 
     buffers = InferenceBuffers()  # every evaluation of this call shares them
+    workspace = TrainingBuffers()  # and every step shares these
     started = time.perf_counter()
     global_step = 0
     slot = 0
 
     def save_event(current: ParameterSet) -> None:
+        """Write and average ``current``, an immutable copy of the params."""
         nonlocal slot
         ckpt = Checkpoint(params=current, epoch=slot, step=global_step)
         # Every directory holds the checkpoint before any scheme can reject it.
@@ -684,17 +812,24 @@ def train_variants(
                 last_lr = 0.0
                 for b in range(steps_per_epoch):
                     sel = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-                    xb, yb = x_train[sel], y_train[sel]
+                    xb, yb = workspace.gather(x_train, sel), y_train[sel]
                     last_lr = schedule.lr_at(global_step)
-                    _, cache = forward(params, spec, xb, training=True)
-                    _, grads = backward(params, spec, (xb, yb), cache)
-                    params = optimizer.step(params, grads, last_lr, cache["bn_updates"])
+                    _, cache = forward(params, spec, xb, training=True, buffers=workspace)
+                    _, grads = backward(params, spec, (xb, yb), cache, buffers=workspace)
+                    params = optimizer.step(
+                        params, grads, last_lr, cache["bn_updates"],
+                        out=workspace.step_target(params),
+                    )
                     global_step += 1
                     if global_step % save_every == 0:
-                        save_event(params)
+                        saved = params.with_flat(params.flat.copy())
+                        save_event(saved)
 
-                train_loss, train_acc = evaluate(params, spec, x_train, y_train, buffers=buffers)
-                val_loss, val_acc = evaluate(params, spec, x_val, y_val, buffers=buffers)
+                # Unless the epoch's last step saved a copy, make one to evaluate.
+                if global_step % save_every != 0:
+                    saved = params.with_flat(params.flat.copy())
+                train_loss, train_acc = evaluate(saved, spec, x_train, y_train, buffers=buffers)
+                val_loss, val_acc = evaluate(saved, spec, x_val, y_val, buffers=buffers)
                 averaged_metrics = [
                     (None, None)
                     if v.average is None

@@ -10,12 +10,14 @@ Lookahead sync step, through the pullback, while it is still in cache.
 So the results are bitwise those of the out-of-place expressions over
 whole buffers. Optimizer state (SGD velocity, Adam's m and v, Lookahead's
 slow weights) is updated in place; Adam's scratch is one block. A step
-allocates only the buffer of the parameter set it returns, and writes
-into it the entries it is given to replace, such as the batch-norm
-running statistics of the forward pass, before the set takes it over.
-The parameter sets going in and out are still immutable values: no step
-writes memory that a set shares, and a step that raises leaves the state
-as it was.
+writes the new parameters, and then the entries it is given to replace,
+such as the batch-norm running statistics of the forward pass, into the
+buffer of the set it returns: a fresh one, or the caller's when the
+caller passes ``out``, a set built by ``ParameterSet.over`` that shares
+no memory with the parameters or gradients. Without ``out`` the sets
+going in and out are immutable values; with it, the returned set is
+``out`` and stays unchanged only while its caller leaves that buffer
+alone. A step that raises leaves the state as it was.
 """
 
 from __future__ import annotations
@@ -51,12 +53,23 @@ Replacements = Mapping[str, np.ndarray]
 
 
 def _check_step(
-    params: ParameterSet, grads: ParameterSet, replace: Replacements | None
+    params: ParameterSet,
+    grads: ParameterSet,
+    replace: Replacements | None,
+    out: ParameterSet | None,
 ) -> list[tuple[slice, np.ndarray]]:
     """Check a step's inputs before any state changes; returns the slots
     of ``replace`` in the flat buffer."""
     check_same_structure(params, grads)
-    if not np.all(np.isfinite(grads.flat)):
+    if out is not None:
+        check_same_structure(params, out)
+        if out.buffer is None:
+            raise ValueError("out must be a set built by ParameterSet.over")
+        if np.may_share_memory(out.buffer, params.flat) or np.may_share_memory(
+            out.buffer, grads.flat
+        ):
+            raise ValueError("out shares memory with the parameters or the gradients")
+    if not np.isfinite(grads.flat).all():
         name = next(n for n, g in grads.items() if not np.all(np.isfinite(g)))
         raise NonFiniteGradError(f"gradient entry {name!r} contains NaN or Inf")
     return params.update_slots(replace) if replace else []
@@ -67,16 +80,18 @@ def _run_blocks(
     grads: ParameterSet,
     slots: list[tuple[slice, np.ndarray]],
     rule: BlockRule,
+    out: ParameterSet | None,
 ) -> ParameterSet:
-    """The set ``rule`` writes block by block, with ``slots`` written over it."""
+    """The set ``rule`` writes block by block, with ``slots`` written over
+    it: ``out``, or a fresh set when that is None."""
     theta, g = params.flat, grads.flat
-    out = np.empty_like(theta)
+    flat = np.empty_like(theta) if out is None else out.buffer
     for start in range(0, theta.size, BLOCK):
         block = slice(start, start + BLOCK)
-        rule(block, theta[block], g[block], out[block])
+        rule(block, theta[block], g[block], flat[block])
     for block, value in slots:
-        out[block] = value
-    return params.with_flat(out)
+        flat[block] = value
+    return params.with_flat(flat) if out is None else out
 
 
 class _InnerOptimizer:
@@ -92,11 +107,13 @@ class _InnerOptimizer:
         grads: ParameterSet,
         lr: float,
         replace: Replacements | None = None,
+        *,
+        out: ParameterSet | None = None,
     ) -> ParameterSet:
         """The updated parameters, with the entries in ``replace`` set to
-        the given values."""
-        slots = _check_step(params, grads, replace)
-        return _run_blocks(params, grads, slots, self._block_rule(params, lr))
+        the given values, written into ``out`` when given."""
+        slots = _check_step(params, grads, replace, out)
+        return _run_blocks(params, grads, slots, self._block_rule(params, lr), out)
 
 
 class Sgd(_InnerOptimizer):
@@ -214,17 +231,20 @@ class Lookahead:
         grads: ParameterSet,
         lr: float,
         replace: Replacements | None = None,
+        *,
+        out: ParameterSet | None = None,
     ) -> ParameterSet:
         """The inner step's parameters, pulled back on every ``k``-th call,
-        with the entries in ``replace`` set to the given values."""
-        slots = _check_step(params, grads, replace)
+        with the entries in ``replace`` set to the given values, written
+        into ``out`` when given."""
+        slots = _check_step(params, grads, replace, out)
         inner_rule = self.inner._block_rule(params, lr)
         if self._slow is None:
             self._slow = params.flat.copy()
         self.inner_counter += 1
         self.step_count += 1
         if self.inner_counter < self.k:
-            return _run_blocks(params, grads, slots, inner_rule)
+            return _run_blocks(params, grads, slots, inner_rule, out)
         self.inner_counter = 0
         slow_all, alpha = self._slow, self.alpha
 
@@ -236,7 +256,7 @@ class Lookahead:
             out += slow
             slow[...] = out
 
-        return _run_blocks(params, grads, slots, rule)
+        return _run_blocks(params, grads, slots, rule, out)
 
 
 def make_optimizer(

@@ -27,10 +27,12 @@ class ParameterSet:
     array, ``flat``, and each entry is a reshaped view of its slice, in
     entry order, so a set can be shared freely once built. The names,
     shapes and slices form the set's layout, one object shared by every
-    set that ``with_flat`` derives from it.
+    set that ``with_flat`` or ``over`` derives from it. A set built by
+    ``over`` is the one exception to immutability: it reads a buffer that
+    its owner keeps writing.
     """
 
-    __slots__ = ("_flat", "_entries", "_layout")
+    __slots__ = ("_flat", "_entries", "_layout", "_buffer")
 
     def __init__(self, entries: Mapping[str, np.ndarray] | Iterable[tuple[str, np.ndarray]]):
         items = list(entries.items()) if isinstance(entries, Mapping) else list(entries)
@@ -63,11 +65,13 @@ class ParameterSet:
         self._layout = tuple(layout)
         self._bind(np.concatenate([a.ravel() for a in store.values()]))
 
-    def _bind(self, flat: np.ndarray) -> None:
-        """Take ``flat`` read-only, viewed as this set's entries."""
+    def _bind(self, flat: np.ndarray, buffer: np.ndarray | None = None) -> None:
+        """Take ``flat`` read-only, viewed as this set's entries; ``buffer``
+        is the writeable array ``flat`` views, for a set built by ``over``."""
         flat.flags.writeable = False
         self._flat = flat
         self._entries = self.entry_views(flat)
+        self._buffer = buffer
 
     def entry_views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Views of ``flat`` named and shaped like this set's entries, in
@@ -85,9 +89,42 @@ class ParameterSet:
         out._bind(flat)
         return out
 
+    def over(self, buffer: np.ndarray) -> "ParameterSet":
+        """Set with these names and shapes that views ``buffer`` without
+        taking it over.
+
+        ``buffer`` must be a writeable, contiguous 1-d array of this set's
+        element type and size. It stays writeable for its owner, as
+        :attr:`buffer`; the set's ``flat`` and entries are read-only views
+        that show whatever the owner last wrote. So the set is unchanged
+        only while its owner leaves the buffer alone: a loop that rewrites
+        the buffer every step builds the set once and hands out copies,
+        ``with_flat(p.flat.copy())``, of what it must keep.
+        """
+        if (
+            buffer.dtype != self.dtype
+            or buffer.shape != self.flat.shape
+            or not buffer.flags.c_contiguous
+            or not buffer.flags.writeable
+        ):
+            raise StructureMismatch(
+                f"buffer {buffer.dtype}{buffer.shape} is not a writeable contiguous "
+                f"{self.dtype}{self.flat.shape} array"
+            )
+        out = object.__new__(ParameterSet)
+        out._layout = self._layout
+        out._bind(buffer[:], buffer)
+        return out
+
     @property
     def flat(self) -> np.ndarray:
         return self._flat
+
+    @property
+    def buffer(self) -> np.ndarray | None:
+        """The owner's writeable array under a set built by ``over``; None
+        for a set that holds its own read-only ``flat``."""
+        return self._buffer
 
     @property
     def dtype(self) -> np.dtype:

@@ -123,6 +123,18 @@ class TestTrain:
         assert "run aborted at epoch 0" in result.stderr
         assert "non-finite" in result.stderr
 
+    def test_huge_class_label_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "labels.csv"
+        data.write_text("x,label\n1,0\n2,1\n3,1000000000\n", encoding="utf-8")
+        out = tmp_path / "r"
+        code = run_cli(
+            ["train", "--dataset", "csv", "--csv", str(data), "--label-column", "label",
+             "--batch-size", "1", "--out", str(out)]
+        )
+        assert code == 2
+        assert "class label 1000000000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_resolved_replay_is_byte_identical(self, tmp_path):
         out1 = train_tiny(tmp_path / "one", ["--scheme", "uniform", "--k", "3"])
         code = run_cli(

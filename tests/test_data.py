@@ -117,6 +117,16 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="negative"):
             load_csv(path, "label")
 
+    def test_class_label_not_below_the_row_count_rejected(self, tmp_path):
+        # It would size a hidden-width x 1e9 output layer.
+        path = self._write(tmp_path, "x,label\n1,0\n2,1\n3,1000000000\n")
+        with pytest.raises(SchemaError, match=r"data\.csv.*label 1000000000.*3 data rows"):
+            load_csv(path, "label")
+
+    def test_largest_class_label_just_below_the_row_count_loads(self, tmp_path):
+        path = self._write(tmp_path, "x,label\n1,0\n2,2\n3,1\n")
+        assert load_csv(path, "label").n_classes == 3
+
     def test_ragged_row_rejected(self, tmp_path):
         path = self._write(tmp_path, "x,y,label\n1,2,0\n1,2\n")
         with pytest.raises(SchemaError, match="row 3"):

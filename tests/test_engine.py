@@ -16,6 +16,7 @@ from lawa.engine import (
     BN_EPS,
     InferenceBuffers,
     ModelSpec,
+    TrainingBuffers,
     backward,
     batch_loss,
     build_dataset,
@@ -30,13 +31,16 @@ from lawa.engine import (
     train_run,
     train_variants,
 )
+from lawa.checkpoint_io import read_checkpoint_header
 from lawa.errors import (
     ConfigError,
     EmptyDataError,
     IoError,
     NonFiniteError,
     ShapeError,
+    StructureMismatch,
 )
+from lawa.optim import Adam, Lookahead, Sgd, make_optimizer
 from lawa.params import ParameterSet
 
 
@@ -538,9 +542,20 @@ class TestInferenceBuffers:
             for view in views:
                 assert not np.shares_memory(arr, view)
 
-    def test_train_run_releases_its_buffers(self, tmp_path):
-        # 1600 training rows at width 64: the pair of buffers holds 1.6 MB.
-        cfg = tiny_cfg(tmp_path, n_per_class=1000, hidden=(64,), epochs=1, batch_size=400)
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {},
+            dict(use_bn=True, optimizer="lookahead", lookahead_inner="adam", lr=0.01),
+        ],
+        ids=["sgd", "bn-lookahead-adam"],
+    )
+    def test_train_run_releases_its_buffers(self, tmp_path, extra):
+        # 1600 training rows at width 64: the pair of buffers holds 1.6 MB,
+        # and the training rows of a 400-row batch 1.2 MB with batch norm.
+        cfg = tiny_cfg(
+            tmp_path, n_per_class=1000, hidden=(64,), epochs=1, batch_size=400, **extra
+        )
         gc.collect()
         tracemalloc.start()
         try:
@@ -978,3 +993,269 @@ class TestTrainVariants:
             a, b = tmp_path / "copied" / "u" / name, tmp_path / "copied" / "e" / name
             assert os.stat(a).st_ino != os.stat(b).st_ino
             assert b.read_bytes() == a.read_bytes() == (tmp_path / "linked" / "e" / name).read_bytes()
+
+
+def optimizer_state(opt):
+    """Every counter and state array of an optimizer, Lookahead's inner
+    one included; Adam's scratch holds no state between steps."""
+    state = {
+        name: value.copy() if isinstance(value, np.ndarray) else value
+        for name, value in vars(opt).items()
+        if name not in ("inner", "_scratch")
+    }
+    if isinstance(opt, Lookahead):
+        state["inner"] = optimizer_state(opt.inner)
+    return state
+
+
+def assert_states_equal(got, want):
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        if isinstance(value, dict):
+            assert_states_equal(got[name], value)
+        elif isinstance(value, np.ndarray):
+            assert np.array_equal(got[name], value), name
+        else:
+            assert got[name] == value, name
+
+
+OPTIMIZERS = {
+    "sgd": dict(kind="sgd"),
+    "adam": dict(kind="adam"),
+    "lookahead-sgd": dict(kind="lookahead", lookahead_inner="sgd", lookahead_k=2),
+    "lookahead-adam": dict(kind="lookahead", lookahead_inner="adam", lookahead_k=2),
+}
+
+
+class TestTrainingBuffersAreBitwiseTheFreshPath:
+    """Steps that write into one ``TrainingBuffers`` and alternate between
+    its parameter sets give, bit for bit, what fresh arrays give."""
+
+    @pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
+    @pytest.mark.parametrize("use_bn", [(True, True), (True, False), (False, False)])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_consecutive_steps(self, dtype, use_bn, optimizer):
+        spec = ModelSpec(widths=(3, 24, 16, 4), use_bn=use_bn, init_seed=13, dtype=dtype)
+        fresh = shared = perturbed_bn_params(spec, seed=13)
+        fresh_opt = make_optimizer(**OPTIMIZERS[optimizer])
+        shared_opt = make_optimizer(**OPTIMIZERS[optimizer])
+        buffers = TrainingBuffers()
+        rng = np.random.default_rng(14)
+        data = rng.normal(size=(100, 3))
+        # A batch larger than the last grows the rows; a smaller one reuses them.
+        for step, n in enumerate((7, 64, 7, 64, 7)):
+            sel = rng.permutation(100)[:n]
+            y = rng.integers(0, 4, size=n)
+            xb = buffers.gather(data, sel)
+            assert np.array_equal(xb, data[sel])
+
+            want_out, want_cache = forward(fresh, spec, data[sel], training=True)
+            got_out, got_cache = forward(shared, spec, xb, training=True, buffers=buffers)
+            assert np.array_equal(got_out, want_out)
+            for got_layer, want_layer in zip(got_cache["layers"], want_cache["layers"], strict=True):
+                assert np.array_equal(got_layer["input"], want_layer["input"])
+                assert np.array_equal(got_layer["pre_relu"], want_layer["pre_relu"])
+                for got_arr, want_arr in zip(got_layer["bn"] or (), want_layer["bn"] or (), strict=True):
+                    assert np.array_equal(got_arr, want_arr)
+            assert got_cache["bn_updates"].keys() == want_cache["bn_updates"].keys()
+            for name, value in want_cache["bn_updates"].items():
+                assert np.array_equal(got_cache["bn_updates"][name], value), name
+
+            want_loss, want_grads = backward(fresh, spec, (data[sel], y), want_cache)
+            got_loss, got_grads = backward(shared, spec, (xb, y), got_cache, buffers=buffers)
+            assert got_loss == want_loss
+            assert got_grads.names == want_grads.names
+            for name in want_grads.names:
+                assert np.array_equal(got_grads[name], want_grads[name]), name
+
+            lr = 0.05 * (step + 1)
+            fresh = fresh_opt.step(fresh, want_grads, lr, want_cache["bn_updates"])
+            target = buffers.step_target(shared)
+            shared = shared_opt.step(
+                shared, got_grads, lr, got_cache["bn_updates"], out=target
+            )
+            assert shared is target
+            assert shared.dtype == fresh.dtype == spec.np_dtype
+            assert np.array_equal(shared.flat, fresh.flat)
+            assert_states_equal(optimizer_state(shared_opt), optimizer_state(fresh_opt))
+        assert fresh_opt.step_count == 5
+
+    def test_steps_alternate_between_two_sets_that_share_nothing(self):
+        spec = ModelSpec(widths=(3, 8, 2), use_bn=(False,), init_seed=1)
+        params = init_params(spec)
+        buffers = TrainingBuffers()
+        first = buffers.step_target(params)
+        second = buffers.step_target(first)
+        assert second is not first and buffers.step_target(second) is first
+        assert not np.shares_memory(first.flat, second.flat)
+        assert not np.shares_memory(first.flat, params.flat)
+        x, y = np.ones((4, 3)), np.zeros(4, int)
+        _, cache = forward(params, spec, x, training=True, buffers=buffers)
+        _, grads = backward(params, spec, (x, y), cache, buffers=buffers)
+        for target in (first, second):
+            assert not np.shares_memory(grads.flat, target.flat)
+
+    def test_the_layout_is_checked_on_every_use(self):
+        small = init_params(ModelSpec(widths=(3, 8, 2), use_bn=(False,), init_seed=1))
+        other = init_params(ModelSpec(widths=(3, 9, 2), use_bn=(False,), init_seed=1))
+        buffers = TrainingBuffers()
+        buffers.gradients(small)
+        with pytest.raises(StructureMismatch):
+            buffers.gradients(other)
+        with pytest.raises(StructureMismatch):
+            Sgd().step(small, small, 0.1, out=buffers.step_target(other))
+
+    def test_out_must_be_a_separate_set_over_a_buffer(self):
+        spec = ModelSpec(widths=(3, 8, 2), use_bn=(False,), init_seed=1)
+        params = init_params(spec)
+        grads = params.with_flat(np.ones_like(params.flat))
+        target = TrainingBuffers().step_target(params)
+        for opt in (Sgd(), Adam(), Lookahead(Sgd())):
+            with pytest.raises(ValueError, match="ParameterSet.over"):
+                opt.step(params, grads, 0.1, out=params)
+            with pytest.raises(ValueError, match="shares memory"):
+                opt.step(target, grads, 0.1, out=target)
+            with pytest.raises(ValueError, match="shares memory"):
+                opt.step(params, target, 0.1, out=target)
+            assert opt.step_count == 0
+
+    def test_training_and_inference_refuse_each_others_buffers(self):
+        spec = ModelSpec(widths=(3, 8, 2), use_bn=(False,), init_seed=1)
+        params, x = init_params(spec), np.ones((4, 3))
+        with pytest.raises(TypeError, match="TrainingBuffers"):
+            forward(params, spec, x, training=True, buffers=InferenceBuffers())
+        with pytest.raises(TypeError, match="InferenceBuffers"):
+            forward(params, spec, x, training=False, buffers=TrainingBuffers())
+
+
+class TestTrainVariantsHandsOutCopies:
+    """The loop's parameters live in its ``TrainingBuffers``; only copies
+    made at save events and epoch ends leave it."""
+
+    def watch(self, monkeypatch):
+        """Record the loop's buffers and every set the loop hands out:
+        checkpoints written and observed, and evaluated parameters."""
+        seen = {"workspaces": [], "sets": [], "written": []}
+
+        class Recorded(TrainingBuffers):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__()
+                seen["workspaces"].append(self)
+
+        monkeypatch.setattr(engine, "TrainingBuffers", Recorded)
+        write = engine.write_checkpoint
+
+        def recorded_write(ckpt, path):
+            seen["sets"].append(ckpt.params)
+            seen["written"].append((ckpt.params, ckpt.params.flat.copy()))
+            return write(ckpt, path)
+
+        monkeypatch.setattr(engine, "write_checkpoint", recorded_write)
+        evaluate_ = engine.evaluate
+
+        def recorded_evaluate(params, *args, **kwargs):
+            seen["sets"].append(params)
+            return evaluate_(params, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "evaluate", recorded_evaluate)
+        make_scheme = engine.make_scheme
+
+        def recorded_scheme(*args):
+            scheme = make_scheme(*args)
+            observe = scheme.observe
+
+            def recorded_observe(ckpt):
+                seen["sets"].append(ckpt.params)
+                return observe(ckpt)
+
+            scheme.observe = recorded_observe
+            return scheme
+
+        monkeypatch.setattr(engine, "make_scheme", recorded_scheme)
+        return seen
+
+    @staticmethod
+    def buffer_arrays(workspace):
+        arrays = list(workspace._store.values()) + [workspace._grads.buffer]
+        return arrays + [p.buffer for p in workspace._params]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            dict(scheme="uniform", k=2, save_averaged=True),
+            dict(
+                scheme="ema", use_bn=True, hidden=(8, 6), optimizer="lookahead",
+                lookahead_inner="adam", lr=0.01, save_every_steps=3, save_averaged=True,
+            ),
+        ],
+        ids=["uniform", "bn-ema-steps"],
+    )
+    def test_every_set_that_leaves_the_loop_is_a_read_only_copy(
+        self, tmp_path, monkeypatch, extra
+    ):
+        seen = self.watch(monkeypatch)
+        train_variants([
+            tiny_cfg(tmp_path, out=str(tmp_path / "a"), **extra),
+            tiny_cfg(tmp_path, out=str(tmp_path / "b"), **{**extra, "scheme": "polyak"}),
+        ])
+        (workspace,) = seen["workspaces"]
+        arrays = self.buffer_arrays(workspace)
+        # Checkpoints, averages (each evaluated on val) and raw evaluations.
+        assert len(seen["sets"]) > 3 * 6
+        for pset in seen["sets"]:
+            assert pset.buffer is None
+            assert not pset.flat.flags.writeable
+            for arr in arrays:
+                assert not np.shares_memory(pset.flat, arr)
+
+    def test_a_checkpoint_is_unchanged_by_later_steps(self, tmp_path, monkeypatch):
+        seen = self.watch(monkeypatch)
+        train_run(tiny_cfg(tmp_path, save_every_steps=3))
+        assert len(seen["written"]) == 8
+        for params, at_write in seen["written"]:
+            assert np.array_equal(params.flat, at_write)
+        assert not np.array_equal(seen["written"][0][1], seen["written"][-1][1])
+
+    @pytest.mark.parametrize("save_every_steps", [0, 3])
+    def test_params_are_copied_per_save_event_and_epoch_not_per_step(
+        self, tmp_path, monkeypatch, save_every_steps
+    ):
+        calls = []
+        with_flat = ParameterSet.with_flat
+
+        def counted(self, flat):
+            calls.append(flat.size)
+            return with_flat(self, flat)
+
+        monkeypatch.setattr(ParameterSet, "with_flat", counted)
+        # 64 training rows in batches of 16: 4 steps per epoch, 24 in all;
+        # every 3 steps makes 8 save events, 2 of them at an epoch end.
+        cfg = tiny_cfg(tmp_path, scheme="none", save_every_steps=save_every_steps)
+        train_run(cfg)
+        saves = len(list((tmp_path / "run").glob("ckpt_*.lawa")))
+        assert saves == (8 if save_every_steps else cfg.epochs)
+        assert len(calls) <= saves + cfg.epochs + 2 < 24
+
+
+class TestDivergenceThroughTheBuffers:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("save_every_steps", [0, 1])
+    def test_aborts_naming_the_epoch_and_leaves_readable_checkpoints(
+        self, tmp_path, save_every_steps
+    ):
+        cfg = tiny_cfg(
+            tmp_path, lr=1e120, schedule="constant", save_every_steps=save_every_steps
+        )
+        with pytest.raises(NonFiniteError, match=r"run aborted at epoch \d"):
+            train_run(cfg)
+        out = tmp_path / "run"
+        written = sorted(out.glob("ckpt_*.lawa"))
+        if save_every_steps:
+            assert written  # the first steps are finite and saved before the abort
+        for path in written:
+            epoch, step = read_checkpoint_header(path)
+            assert epoch == int(path.stem[len("ckpt_e"):]) and step >= 1
+            assert read_checkpoint(path).epoch == epoch
+        assert not list(out.glob("*.tmp"))

@@ -114,6 +114,33 @@ class TestFlatBuffer:
         with pytest.raises(StructureMismatch):
             p.with_flat(np.zeros(length))
 
+    def test_over_views_a_buffer_its_owner_keeps_writing(self):
+        p = mixed_pset(np.random.default_rng(23))
+        buffer = np.zeros(p.flat.size)
+        q = p.over(buffer)
+        assert q.buffer is buffer and p.buffer is None
+        assert q.names == p.names and buffer.flags.writeable
+        assert not q.flat.flags.writeable and not q["w"].flags.writeable
+        buffer[:] = np.arange(buffer.size)
+        np.testing.assert_array_equal(q["b"], np.arange(13, 18))
+        copy = q.with_flat(q.flat.copy())
+        buffer[:] = -1.0
+        assert copy.buffer is None and copy["b"][0] == 13.0
+
+    @pytest.mark.parametrize(
+        "buffer",
+        [np.zeros(17), np.zeros(18, np.float32), np.zeros(36)[::2], np.zeros((2, 9))],
+        ids=["short", "f32", "strided", "2-d"],
+    )
+    def test_over_rejects_a_buffer_of_another_layout(self, buffer):
+        with pytest.raises(StructureMismatch, match="buffer"):
+            mixed_pset(np.random.default_rng(24)).over(buffer)
+
+    def test_over_rejects_a_read_only_buffer(self):
+        p = mixed_pset(np.random.default_rng(25))
+        with pytest.raises(StructureMismatch, match="writeable"):
+            p.over(p.flat)
+
     def test_with_updates_replaces_only_named_entries(self):
         p = mixed_pset(np.random.default_rng(22))
         q = p.with_updates({"s": np.array(7.0), "b": np.ones(5)})
