@@ -34,13 +34,15 @@ from .averaging import AveragingScheme, make_scheme
 from .checkpoint_io import write_atomically, write_checkpoint
 from .config import RunConfig, resolved_text
 from .data import Dataset, load_csv, make_spirals
-from .errors import ConfigError, EmptyDataError, NonFiniteError, ShapeError
+from .errors import ConfigError, EmptyDataError, IoError, NonFiniteError, ShapeError
 from .metrics import MetricsRecord, MetricsWriter
 from .optim import make_optimizer, make_schedule
 from .params import Checkpoint, ParameterSet, check_same_structure
 from .rng import rng_for
 
 BN_EPS = 1e-5
+# Weight of a training batch's statistics in the running batch-norm statistics.
+BN_MOMENTUM = 0.1
 # Rows per block over which recompute_bn_stats sums a batch-norm layer's product.
 ROW_BLOCK = 256
 
@@ -54,7 +56,6 @@ class ModelSpec:
     loss: str = "cross_entropy"  # or "mse"
     init_seed: int = 0
     dtype: str = "f64"
-    bn_momentum: float = 0.1
 
     def __post_init__(self):
         if len(self.widths) < 3:
@@ -165,98 +166,57 @@ class InferenceBuffers:
 
 
 class TrainingBuffers:
-    """Everything a training step writes, owned by the loop that runs it.
+    """Everything a training step writes, for one model and batch size.
 
-    It holds the gathered input batch, each hidden layer's batch rows, one
-    flat gradient buffer, and two parameter buffers that the optimizer
-    steps alternate between. A layer's rows are its product (``zhat``
-    after batch norm), its batch-norm output, its ReLU output and its
-    ReLU mask. ``backward`` reuses each row once the layer's last read of
-    it is done: the layer's ``d_h`` and batch-norm product go into its
-    ReLU output rows, and ``d_pre`` into its pre-activation rows. So a
+    Built once from the parameters, the model and the batch size, it
+    holds the input batch in the model's element type, each hidden
+    layer's batch rows and one gradient set, built by
+    :meth:`ParameterSet.over` and laid out like the parameters. A layer's
+    rows are its product (``zhat`` after batch norm), its batch-norm
+    output (None without batch norm), its ReLU output and its ReLU mask.
+    ``backward`` reuses each row once the layer's last read of it is
+    done: the layer's ``d_h`` and batch-norm product go into its ReLU
+    output rows, and ``d_pre`` into its pre-activation rows. So a
     ``backward`` through the buffers that its ``forward`` wrote consumes
-    the activations in the cache. Row buffers grow on demand to the
-    largest batch, and each pass writes leading views of them, cached for
-    the last batch size, as in :class:`InferenceBuffers`. The gradient and
-    parameter sets are built once, by :meth:`ParameterSet.over`, from the
-    first parameters they serve.
+    the activations in the cache. Both passes raise :class:`ShapeError`,
+    before they write anything, on buffers built for another model or
+    batch size.
 
-    So every array and set it hands out is rewritten by a later step: the
-    activations a ``forward`` caches, the gradients ``backward`` returns
-    and the parameters a step writes into ``step_target``. Copy what must
-    outlive the next step. A loop holds one for the whole run; the memory
-    is freed with this object.
+    Every array it hands out is rewritten by a later step: the
+    activations a ``forward`` caches and the gradients ``backward``
+    returns. Copy what must outlive the next step. A loop holds one for
+    the whole run; the memory is freed with this object.
     """
 
-    __slots__ = ("_store", "_views", "_grads", "_grad_views", "_params")
+    __slots__ = ("spec", "batch_size", "input", "layers", "grads", "grad_views")
 
-    def __init__(self):
-        self._store: dict[str, np.ndarray] = {}
-        self._views: dict[str, tuple] = {}
-        self._grads: ParameterSet | None = None
-        self._grad_views: dict[str, np.ndarray] = {}
-        self._params: tuple[ParameterSet, ParameterSet] | None = None
+    def __init__(self, params: ParameterSet, spec: ModelSpec, batch_size: int):
+        self.spec, self.batch_size = spec, batch_size
 
-    def _rows(self, name: str, dtype: np.dtype, n: int, width: int) -> np.ndarray:
-        """An ``(n, width)`` leading view of the buffer ``name``, which grows
-        to the request."""
-        buf = self._store.get(name)
-        if buf is None or buf.size < n * width or buf.dtype != dtype:
-            buf = self._store[name] = np.empty(n * width, dtype)
-        return buf[: n * width].reshape(n, width)
+        def rows(width: int, dtype: np.dtype = spec.np_dtype) -> np.ndarray:
+            return np.empty((batch_size, width), dtype)
 
-    def layer_rows(
-        self, spec: ModelSpec, n: int
-    ) -> list[tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]]:
-        """Per hidden layer of ``spec``, its (product, batch-norm output,
-        ReLU output, ReLU mask) rows over ``n`` rows; the batch-norm output
-        is None on a layer without batch norm."""
-        cached = self._views.get("layers")
-        if cached is not None and cached[0] is spec and cached[1] == n:
-            return cached[2]
-        dtype = spec.np_dtype
-        rows = [
-            (
-                self._rows(f"product{i}", dtype, n, width),
-                self._rows(f"bn_out{i}", dtype, n, width) if spec.use_bn[i] else None,
-                self._rows(f"relu{i}", dtype, n, width),
-                self._rows(f"mask{i}", np.dtype(bool), n, width),
-            )
-            for i, width in enumerate(spec.widths[1:-1])
+        self.input = rows(spec.widths[0])
+        self.layers = [
+            (rows(w), rows(w) if spec.use_bn[i] else None, rows(w), rows(w, np.dtype(bool)))
+            for i, w in enumerate(spec.widths[1:-1])
         ]
-        self._views["layers"] = (spec, n, rows)
-        return rows
+        self.grads = params.over(np.empty(params.total_size(), params.dtype))
+        self.grad_views = params.entry_views(self.grads.buffer)
+
+    def check(self, spec: ModelSpec, n: int) -> None:
+        """Raise :class:`ShapeError` unless these buffers serve ``n``-row
+        batches of ``spec``."""
+        if n != self.batch_size or spec != self.spec:
+            raise ShapeError(
+                f"a {n}-row batch of {spec.widths} does not fit training buffers "
+                f"for {self.batch_size}-row batches of {self.spec.widths}"
+            )
 
     def gather(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``x[rows]``, written into the input batch buffer."""
-        cached = self._views.get("input")
-        if cached is None or cached[0] != (len(rows), x.shape[1], x.dtype):
-            cached = self._views["input"] = (
-                (len(rows), x.shape[1], x.dtype),
-                self._rows("input", x.dtype, len(rows), x.shape[1]),
-            )
-        return x.take(rows, axis=0, out=cached[1])
-
-    def gradients(self, params: ParameterSet) -> tuple[dict[str, np.ndarray], ParameterSet]:
-        """Writeable views, one per entry, of the gradient buffer, and the
-        set over it; ``params`` must be laid out like the first parameters
-        this object served."""
-        if self._grads is None:
-            self._grads = params.over(np.empty(params.total_size(), params.dtype))
-            self._grad_views = params.entry_views(self._grads.buffer)
-        check_same_structure(params, self._grads)
-        return self._grad_views, self._grads
-
-    def step_target(self, params: ParameterSet) -> ParameterSet:
-        """The parameter set for a step from ``params`` to write into: the
-        one of the two that ``params`` is not."""
-        if self._params is None:
-            self._params = (
-                params.over(np.empty_like(params.flat)),
-                params.over(np.empty_like(params.flat)),
-            )
-        first, second = self._params
-        return second if params is first else first
+        """``x[rows]`` cast to the model's element type, written into the
+        input batch rows."""
+        return x.take(rows, axis=0, out=self.input)
 
 
 def forward(
@@ -275,15 +235,15 @@ def forward(
     inference mode the stored running statistics are used and no layer's
     activations are kept. Each mode writes its hidden layers into its own
     kind of ``buffers``, :class:`TrainingBuffers` or
-    :class:`InferenceBuffers`, a fresh set when None; of the batch-sized
-    arrays only the outputs, and a cast of ``x`` to the model's element
-    type, are allocated, and ``x`` is never written. A training batch-norm
-    layer computes ``z - mu`` once and reuses its rows and those of its
-    squares for ``zhat`` and the layer's output, bitwise as
-    ``z.var(axis=0)``, ``(z - mu) * inv`` and ``gamma * zhat + beta``
-    compute them. Inference runs the hidden layers in place, bitwise as
-    the out-of-place expression ``gamma * ((h @ w + b - mean) * inv) +
-    beta``.
+    :class:`InferenceBuffers`, a fresh set for this batch when None; of
+    the batch-sized arrays only the outputs, and a cast of ``x`` to the
+    model's element type, are allocated, and ``x`` is never written. A
+    training batch-norm layer computes ``z - mu`` once and reuses its
+    rows and those of its squares for ``zhat`` and the layer's output,
+    bitwise as ``z.var(axis=0)``, ``(z - mu) * inv`` and ``gamma * zhat +
+    beta`` compute them. Inference runs the hidden layers in place,
+    bitwise as the out-of-place expression ``gamma * ((h @ w + b - mean)
+    * inv) + beta``.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != spec.widths[0]:
@@ -292,7 +252,7 @@ def forward(
         )
     kind = TrainingBuffers if training else InferenceBuffers
     if buffers is None:
-        buffers = kind()
+        buffers = TrainingBuffers(params, spec, len(x)) if training else InferenceBuffers()
     elif not isinstance(buffers, kind):
         raise TypeError(f"this forward writes into {kind.__name__}, not {type(buffers).__name__}")
     h = x.astype(spec.np_dtype, copy=False)
@@ -301,9 +261,10 @@ def forward(
             pass  # each resumption normalizes and rectifies z in place
         outputs = _output_layer(params, spec, z)
         return outputs, {"layers": [], "last_input": None, "outputs": outputs, "bn_updates": {}}
+    buffers.check(spec, len(h))
     layers = []
     bn_updates: dict[str, np.ndarray] = {}
-    for i, (z, bn_out, relu, _) in enumerate(buffers.layer_rows(spec, len(h))):
+    for i, (z, bn_out, relu, _) in enumerate(buffers.layers):
         np.matmul(h, params[f"layer{i}.weight"], out=z)
         z += params[f"layer{i}.bias"]
         bn_cache = None
@@ -314,7 +275,7 @@ def forward(
             centered = np.subtract(z, mu, out=z)  # becomes zhat
             pre = np.square(centered, out=bn_out)  # then gamma * zhat + beta
             var = pre.mean(axis=0)  # population variance, as z.var(axis=0)
-            m = spec.bn_momentum
+            m = BN_MOMENTUM
             bn_updates[f"layer{i}.bn_running_mean"] = (
                 (1.0 - m) * params[f"layer{i}.bn_running_mean"] + m * mu
             ).astype(spec.np_dtype)
@@ -370,16 +331,14 @@ def _inference_layers(
         h = z
 
 
-def _row_losses(
+def _loss_pieces(
     outputs: np.ndarray, labels: np.ndarray, spec: ModelSpec
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Each row's loss under ``spec.loss`` and the pieces its gradient is
-    built from; callers reduce the rows themselves.
-
-    Softmax cross-entropy rejects labels outside ``[0, n_classes)`` and
-    gives ``(probs, row_sums, y)``: the unnormalized ``exp(shifted)``, its
-    row sums and the labels. Squared error, each row's mean over its
-    outputs, gives ``(diff,)``.
+) -> tuple[np.ndarray, ...]:
+    """The pieces that the loss under ``spec.loss`` and its gradient are
+    built from, once the labels are checked. Softmax cross-entropy rejects labels outside ``[0, n_classes)`` and
+    gives ``(y, shifted, probs, row_sums)``: the labels, the outputs less
+    each row's max, their unnormalized ``exp`` and its row sums. Squared
+    error gives ``(diff,)``.
     """
     n = outputs.shape[0]
     if spec.loss == "cross_entropy":
@@ -390,8 +349,7 @@ def _row_losses(
             raise ShapeError(f"class labels must lie in [0, {spec.widths[-1]})")
         shifted = outputs - outputs.max(axis=1, keepdims=True)
         probs = np.exp(shifted)
-        row_sums = probs.sum(axis=1, keepdims=True)
-        return np.log(row_sums[:, 0]) - shifted[np.arange(n), y], (probs, row_sums, y)
+        return y, shifted, probs, probs.sum(axis=1, keepdims=True)
     targets = np.asarray(labels, dtype=outputs.dtype)
     if targets.ndim == 1:
         targets = targets[:, None]
@@ -399,8 +357,20 @@ def _row_losses(
         raise ShapeError(
             f"targets shape {targets.shape} does not match outputs {outputs.shape}"
         )
-    diff = outputs - targets
-    return (diff * diff).mean(axis=1), (diff,)
+    return (outputs - targets,)
+
+
+def _row_losses(
+    outputs: np.ndarray, labels: np.ndarray, spec: ModelSpec
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Each row's loss under ``spec.loss`` (for squared error, the row's
+    mean) and its :func:`_loss_pieces`; callers reduce the rows."""
+    pieces = _loss_pieces(outputs, labels, spec)
+    if spec.loss == "cross_entropy":
+        y, shifted, _, row_sums = pieces
+        return np.log(row_sums[:, 0]) - shifted[np.arange(len(y)), y], pieces
+    (diff,) = pieces
+    return (diff * diff).mean(axis=1), pieces
 
 
 def backward(
@@ -410,12 +380,13 @@ def backward(
     cache: dict,
     *,
     buffers: TrainingBuffers | None = None,
-) -> tuple[float, ParameterSet]:
-    """Batch-mean loss and exact gradients for every parameter entry.
+) -> ParameterSet:
+    """Exact gradients of the batch-mean loss for every parameter entry.
 
     Running-statistics entries get zero gradients; they are not trained.
-    Each gradient is written straight into its slot of the gradient
-    buffer of ``buffers`` (a fresh set when None), laid out like
+    The loss itself is not computed; :func:`batch_loss` gives it. Each
+    gradient is written straight into its slot of the gradient buffer of
+    ``buffers`` (a fresh set for this batch when None), laid out like
     ``params``, and the set over that buffer is returned. Each layer's
     ``d_h``, ``d_pre`` and batch-norm product go into its rows of
     ``buffers``, each after the last read of what the row held, so the
@@ -424,22 +395,23 @@ def backward(
     is built in place, one operation at a time in the order of the
     out-of-place expression.
     """
-    buffers = buffers or TrainingBuffers()
     _, labels = batch
     outputs = cache["outputs"]
-    rows, parts = _row_losses(outputs, labels, spec)
-    loss = float(rows.mean())
+    if buffers is None:
+        buffers = TrainingBuffers(params, spec, len(outputs))
+    buffers.check(spec, len(outputs))
+    check_same_structure(params, buffers.grads)
+    pieces = _loss_pieces(outputs, labels, spec)
     if spec.loss == "cross_entropy":
-        probs, row_sums, y = parts
+        y, _, probs, row_sums = pieces
         probs /= row_sums
         probs[np.arange(len(y)), y] -= 1.0
         d_out = probs / len(y)
     else:
-        (diff,) = parts
+        (diff,) = pieces
         d_out = 2.0 * diff / diff.size
 
-    grads, grad_set = buffers.gradients(params)
-    rows = buffers.layer_rows(spec, len(d_out))
+    grads, rows = buffers.grad_views, buffers.layers
     i_out = spec.n_hidden
     np.matmul(cache["last_input"].T, d_out, out=grads[f"layer{i_out}.weight"])
     d_out.sum(axis=0, out=grads[f"layer{i_out}.bias"])
@@ -478,7 +450,7 @@ def backward(
         d_z.sum(axis=0, out=grads[f"layer{i}.bias"])
         if i > 0:  # nothing uses the gradient of the network's input
             d_h = np.matmul(d_z, params[f"layer{i}.weight"].T, out=rows[i - 1][2])
-    return loss, grad_set
+    return buffers.grads
 
 
 def batch_loss(
@@ -512,13 +484,16 @@ def evaluate(
     batch is one ``forward``: BLAS gives the rows of a narrow output
     layer's product different bits at different row counts, so splitting
     a batch further would change the loss. The hidden layers go into
-    ``buffers``; None makes a fresh set for this call.
+    ``buffers``; None makes a fresh set for this call. A ``batch_size``
+    below 1 raises :class:`ConfigError`.
     """
     n = len(x)
     if n == 0:
         raise EmptyDataError("cannot evaluate on an empty dataset")
     if batch_size is None:
         batch_size = n
+    elif batch_size < 1:
+        raise ConfigError(f"evaluation batch_size must be >= 1, got {batch_size}")
     buffers = buffers or InferenceBuffers()
     loss_sum = 0.0
     correct = 0
@@ -529,7 +504,7 @@ def evaluate(
         rows, parts = _row_losses(outputs, yb, spec)
         loss_sum += float(rows.sum(dtype=np.float64))
         if spec.loss == "cross_entropy":
-            correct += int((outputs.argmax(axis=1) == parts[-1]).sum())
+            correct += int((outputs.argmax(axis=1) == parts[0]).sum())
     loss = loss_sum / n
     accuracy = correct / n if spec.loss == "cross_entropy" else float("nan")
     return loss, accuracy
@@ -709,12 +684,14 @@ def train_variants(
     value aborts every variant at the same epoch. Every config is
     validated and every output directory checked before any write.
 
-    The steps write into one :class:`TrainingBuffers`, so the parameters
-    between steps live in memory the next step rewrites. At each save
-    event and each epoch end the parameters are copied once into an
-    immutable set, which serves both when they fall on the same step;
-    the checkpoint files, the schemes, the evaluations and the averages
-    see only these copies.
+    The loop holds one parameter buffer, which each optimizer step
+    updates in place, and one :class:`TrainingBuffers` for the
+    activations and gradients of every step. At each save event and each
+    epoch end the parameters are copied once into an immutable set,
+    which serves both when they fall on the same step; the checkpoint
+    files, the schemes, the evaluations and the averages see only these
+    copies. An output directory that cannot be created raises
+    :class:`IoError` before anything is written.
     """
     if not cfgs:
         raise ConfigError("train_variants needs at least one config")
@@ -740,6 +717,7 @@ def train_variants(
     save_every = cfg.save_every_steps or steps_per_epoch
 
     params = init_params(spec)
+    params = params.over(params.flat.copy())  # the loop's one parameter buffer
     optimizer = make_optimizer(
         cfg.optimizer,
         momentum=cfg.momentum,
@@ -762,13 +740,17 @@ def train_variants(
         _Variant(c, Path(c.out), make_scheme(c.scheme, c.k, c.alpha)) for c in cfgs
     ]
     for v in variants:
-        v.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            v.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoError(f"cannot create output directory {v.out_dir}: {exc}") from exc
+    for v in variants:
         write_atomically(
             v.out_dir / "config.resolved", resolved_text(v.cfg).encode("utf-8"), "config"
         )
 
     buffers = InferenceBuffers()  # every evaluation of this call shares them
-    workspace = TrainingBuffers()  # and every step shares these
+    workspace = TrainingBuffers(params, spec, cfg.batch_size)  # and every step these
     started = time.perf_counter()
     global_step = 0
     slot = 0
@@ -815,11 +797,8 @@ def train_variants(
                     xb, yb = workspace.gather(x_train, sel), y_train[sel]
                     last_lr = schedule.lr_at(global_step)
                     _, cache = forward(params, spec, xb, training=True, buffers=workspace)
-                    _, grads = backward(params, spec, (xb, yb), cache, buffers=workspace)
-                    params = optimizer.step(
-                        params, grads, last_lr, cache["bn_updates"],
-                        out=workspace.step_target(params),
-                    )
+                    grads = backward(params, spec, (xb, yb), cache, buffers=workspace)
+                    optimizer.step(params, grads, last_lr, cache["bn_updates"], out=params)
                     global_step += 1
                     if global_step % save_every == 0:
                         saved = params.with_flat(params.flat.copy())

@@ -2,8 +2,9 @@
 
 The CSV layout is fixed so runs produce byte-stable golden files: the
 columns are ``MetricsRecord``'s fields in order, floats are written with
-9 significant digits, undefined averaged-model cells stay empty. The wall_seconds column is the one field that varies
-between otherwise identical runs; determinism checks mask it.
+9 significant digits, undefined averaged-model cells stay empty. The
+wall_seconds column is the one field that varies between otherwise
+identical runs; determinism checks mask it.
 """
 
 from __future__ import annotations

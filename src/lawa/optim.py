@@ -9,15 +9,17 @@ update rule, in the rule's usual order through ``out=``, and, on a
 Lookahead sync step, through the pullback, while it is still in cache.
 So the results are bitwise those of the out-of-place expressions over
 whole buffers. Optimizer state (SGD velocity, Adam's m and v, Lookahead's
-slow weights) is updated in place; Adam's scratch is one block. A step
-writes the new parameters, and then the entries it is given to replace,
-such as the batch-norm running statistics of the forward pass, into the
-buffer of the set it returns: a fresh one, or the caller's when the
-caller passes ``out``, a set built by ``ParameterSet.over`` that shares
-no memory with the parameters or gradients. Without ``out`` the sets
-going in and out are immutable values; with it, the returned set is
-``out`` and stays unchanged only while its caller leaves that buffer
-alone. A step that raises leaves the state as it was.
+slow weights) is updated in place; a block's update is built in scratch
+blocks (one for SGD, two for Adam), then subtracted from the parameters.
+A step writes the new parameters, and then the entries it is given to
+replace, such as the batch-norm running statistics of the forward pass,
+into the buffer of the set it returns: a fresh one, or the caller's when
+the caller passes ``out``, a set built by ``ParameterSet.over``. ``out``
+may be the parameters, which the step then updates in place, but shares
+no other memory with them, the gradients or the replacements. Without
+``out`` the sets going in and out are immutable values; with it, the
+returned set is ``out`` and stays unchanged only while its caller leaves
+that buffer alone. A step that raises leaves the state as it was.
 """
 
 from __future__ import annotations
@@ -38,16 +40,17 @@ DEFAULT_ADAM_EPS = 1e-8
 DEFAULT_LOOKAHEAD_ALPHA = 0.8
 DEFAULT_LOOKAHEAD_K = 5
 
-# Elements per block of a step. Adam with Lookahead reads and writes seven
-# buffers per block (parameters, gradients, m, v, scratch, output, slow
-# weights): 1.75 MiB of float64 at this size, within a 2 MiB L2 cache. On
-# a 269k-element Lookahead(Adam) step it was the fastest of 4096 to 65536
-# elements and whole buffers (2.76 ms against 2.88 to 3.41 ms; 2-core
-# x86_64 host, numpy 2.4, 1 BLAS thread).
+# Elements per block of a step. Adam with Lookahead, in place, reads and
+# writes seven buffers per block (parameters, gradients, m, v, two scratch
+# blocks, slow weights): 1.75 MiB of float64 at this size, within a 2 MiB
+# L2 cache. On a 269k-element Lookahead(Adam) step it was the fastest of
+# 4096 to 65536 elements and whole buffers (2.76 ms against 2.88 to 3.41
+# ms; 2-core x86_64 host, numpy 2.4, 1 BLAS thread).
 BLOCK = 32768
 
 # Writes the new parameters of one block: (block slice, parameters,
-# gradients, output), the last three already cut to the block.
+# gradients, output), the last three already cut to the block. The output
+# may be the parameters: a rule reads them only in its last operation.
 BlockRule = Callable[[slice, np.ndarray, np.ndarray, np.ndarray], None]
 Replacements = Mapping[str, np.ndarray]
 
@@ -61,18 +64,19 @@ def _check_step(
     """Check a step's inputs before any state changes; returns the slots
     of ``replace`` in the flat buffer."""
     check_same_structure(params, grads)
+    slots = params.update_slots(replace) if replace else []
     if out is not None:
         check_same_structure(params, out)
         if out.buffer is None:
             raise ValueError("out must be a set built by ParameterSet.over")
-        if np.may_share_memory(out.buffer, params.flat) or np.may_share_memory(
-            out.buffer, grads.flat
-        ):
-            raise ValueError("out shares memory with the parameters or the gradients")
+        if out is not params and np.may_share_memory(out.buffer, params.flat):
+            raise ValueError("out shares memory with the parameters but is not them")
+        if any(np.may_share_memory(out.buffer, a) for a in (grads.flat, *(v for _, v in slots))):
+            raise ValueError("out shares memory with the gradients or a replacement")
     if not np.isfinite(grads.flat).all():
         name = next(n for n, g in grads.items() if not np.all(np.isfinite(g)))
         raise NonFiniteGradError(f"gradient entry {name!r} contains NaN or Inf")
-    return params.update_slots(replace) if replace else []
+    return slots
 
 
 def _run_blocks(
@@ -125,20 +129,22 @@ class Sgd(_InnerOptimizer):
         self.momentum = momentum
         self.step_count = 0
         self._velocity: np.ndarray | None = None
+        self._scratch: np.ndarray | None = None
 
     def _block_rule(self, params: ParameterSet, lr: float) -> BlockRule:
         """Count the step; return the rule that makes its blocks."""
         if self._velocity is None:
             self._velocity = np.zeros_like(params.flat)
+            self._scratch = np.empty_like(params.flat[:BLOCK])
         self.step_count += 1
-        velocity, momentum = self._velocity, self.momentum
+        velocity, momentum, scratch = self._velocity, self.momentum, self._scratch
 
         def rule(block, theta, g, out):
-            v = velocity[block]  # momentum * v + g
-            v *= momentum
+            v, update = velocity[block], scratch[: g.size]
+            v *= momentum  # momentum * v + g
             v += g
-            np.multiply(v, lr, out=out)
-            np.subtract(theta, out, out=out)
+            np.multiply(v, lr, out=update)
+            np.subtract(theta, update, out=out)
 
         return rule
 
@@ -169,7 +175,7 @@ class Adam(_InnerOptimizer):
         if self._m is None:
             self._m = np.zeros_like(params.flat)
             self._v = np.zeros_like(params.flat)
-            self._scratch = np.empty_like(params.flat[:BLOCK])
+            self._scratch = np.empty((2, min(BLOCK, params.flat.size)), params.dtype)
         t = self.step_count + 1
         self.step_count = t
         beta1, beta2, eps = self.beta1, self.beta2, self.eps
@@ -177,7 +183,8 @@ class Adam(_InnerOptimizer):
         m_all, v_all, scratch = self._m, self._v, self._scratch
 
         def rule(block, theta, g, out):
-            m, v, s = m_all[block], v_all[block], scratch[: g.size]
+            m, v = m_all[block], v_all[block]
+            s, update = scratch[0, : g.size], scratch[1, : g.size]
             np.multiply(g, 1.0 - beta1, out=s)  # m = beta1 * m + (1 - beta1) * g
             m *= beta1
             m += s
@@ -185,13 +192,13 @@ class Adam(_InnerOptimizer):
             s *= g
             v *= beta2
             v += s
-            np.divide(m, bias1, out=out)  # lr * m_hat / (sqrt(v_hat) + eps)
-            out *= lr
+            np.divide(m, bias1, out=update)  # lr * m_hat / (sqrt(v_hat) + eps)
+            update *= lr
             np.divide(v, bias2, out=s)
             np.sqrt(s, out=s)
             s += eps
-            out /= s
-            np.subtract(theta, out, out=out)
+            update /= s
+            np.subtract(theta, update, out=out)
 
         return rule
 

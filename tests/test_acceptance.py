@@ -240,7 +240,7 @@ def test_c06_gradient_correctness():
         else:
             y = rng.normal(size=(8, widths[-1]))
 
-        _, analytic = backward(params, spec, (x, y), cache)
+        analytic = backward(params, spec, (x, y), cache)
 
         from lawa.engine import batch_loss
 

@@ -786,8 +786,9 @@ class TestSchema:
 
 
 class TestBadInputFiles:
-    """A dataset, config or metrics file that cannot be used exits 2,
-    names the file on stderr, and leaves nothing behind."""
+    """A dataset, config or metrics file that cannot be used, or an output
+    directory that cannot be created, exits 2, names the file on stderr,
+    and leaves nothing behind."""
 
     def check_exit_2(self, capsys, args, named):
         assert run_cli(args) == 2
@@ -825,6 +826,16 @@ class TestBadInputFiles:
             args += ["--out", str(tmp_path / "run")]
         self.check_exit_2(capsys, args, "bad.cfg")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("below", ["", "x"], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_out_at_or_under_a_regular_file(self, tmp_path, capsys, command, below):
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"not a directory\n")
+        out = taken / below if below else taken
+        self.check_exit_2(capsys, [command, *TINY, "--epochs", "1", "--out", str(out)], str(out))
+        assert list(tmp_path.iterdir()) == [taken]
+        assert taken.read_bytes() == b"not a directory\n"
 
     @pytest.mark.parametrize(
         "content",

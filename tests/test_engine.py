@@ -14,6 +14,7 @@ from lawa.config import RunConfig, resolved_text
 from lawa.data import make_spirals
 from lawa.engine import (
     BN_EPS,
+    BN_MOMENTUM,
     InferenceBuffers,
     ModelSpec,
     TrainingBuffers,
@@ -82,7 +83,7 @@ def fd_gradients(params, spec, x, y, h=1e-5):
 
 def assert_grads_match(params, spec, x, y, rtol=1e-4):
     _, cache = forward(params, spec, x, training=True)
-    _, analytic = backward(params, spec, (x, y), cache)
+    analytic = backward(params, spec, (x, y), cache)
     numeric = fd_gradients(params, spec, x, y)
     for name, num in numeric.items():
         ana = analytic[name]
@@ -140,8 +141,7 @@ class TestForwardBackward:
         )
         x = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5], [-2.0, 1.0]])
         y = np.array([0, 1, 0, 1])
-        _, cache = forward(zeroed, spec, x, training=True)
-        loss, _ = backward(zeroed, spec, (x, y), cache)
+        loss = batch_loss(zeroed, spec, x, y, training=True)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_shape_error_on_bad_input_width(self):
@@ -186,10 +186,12 @@ class TestForwardBackward:
         params = init_params(spec)
         x, y = random_batch(rng, spec, n=6)
         _, cache = forward(params, spec, x, training=True)
-        loss1, grads1 = backward(params, spec, (x, y), cache)
+        loss1 = batch_loss(params, spec, x, y)
+        grads1 = backward(params, spec, (x, y), cache)
         x2, y2 = np.concatenate([x, x]), np.concatenate([y, y])
         _, cache2 = forward(params, spec, x2, training=True)
-        loss2, grads2 = backward(params, spec, (x2, y2), cache2)
+        loss2 = batch_loss(params, spec, x2, y2)
+        grads2 = backward(params, spec, (x2, y2), cache2)
         assert loss2 == pytest.approx(loss1, rel=1e-12)
         for name, g in grads1.items():
             np.testing.assert_allclose(grads2[name], g, rtol=1e-10, atol=1e-14)
@@ -200,7 +202,7 @@ class TestForwardBackward:
         params = init_params(spec)
         x, y = random_batch(rng, spec)
         _, cache = forward(params, spec, x, training=True)
-        _, grads = backward(params, spec, (x, y), cache)
+        grads = backward(params, spec, (x, y), cache)
         assert not grads["layer0.bn_running_mean"].any()
         assert not grads["layer0.bn_running_var"].any()
 
@@ -351,7 +353,7 @@ class TestEvaluate:
         x, y = ds.train()
         for _ in range(400):
             _, cache = forward(params, spec, x, training=True)
-            _, grads = backward(params, spec, (x, y), cache)
+            grads = backward(params, spec, (x, y), cache)
             params = opt.step(params, grads, 0.01)
         _, acc = evaluate(params, spec, x, y)
         assert acc == 1.0
@@ -360,6 +362,13 @@ class TestEvaluate:
         spec = small_spec()
         with pytest.raises(EmptyDataError):
             evaluate(init_params(spec), spec, np.zeros((0, 2)), np.zeros(0))
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        spec = small_spec()
+        x, y = np.zeros((4, 2)), np.zeros(4, int)
+        with pytest.raises(ConfigError, match="batch_size"):
+            evaluate(init_params(spec), spec, x, y, batch_size=batch_size)
 
     @pytest.mark.parametrize("labels", [[0, 1, 2, -1, -3], [0, 1, 2, 3, 0]])
     def test_out_of_range_class_labels_rejected(self, labels):
@@ -627,9 +636,9 @@ class TestBackwardIsBitwiseThePerEntryPath:
         x = rng.normal(size=(batch, 2))
         y = rng.integers(0, 2, size=batch)
         _, cache = forward(params, spec, x, training=True)
-        loss, got = backward(params, spec, (x, y), cache)
+        got = backward(params, spec, (x, y), cache)
         want_loss, want = per_entry_backward(params, spec, y, cache)
-        assert loss == want_loss
+        assert batch_loss(params, spec, x, y, training=True) == want_loss
         assert got.names == want.names and got.dtype == want.dtype == spec.np_dtype
         for name in want.names:
             assert np.array_equal(got[name], want[name]), name
@@ -646,7 +655,7 @@ def out_of_place_training_forward(params, spec, x):
         pre = z
         if spec.use_bn[i]:
             mu, var = z.mean(axis=0), z.var(axis=0)
-            m = spec.bn_momentum
+            m = BN_MOMENTUM
             for stat, value in (("mean", mu), ("var", var)):
                 name = f"layer{i}.bn_running_{stat}"
                 bn_updates[name] = ((1.0 - m) * params[name] + m * value).astype(spec.np_dtype)
@@ -689,9 +698,9 @@ class TestTrainingBatchNormIsBitwiseTheOutOfPlacePath:
         assert cache["bn_updates"].keys() == want["bn_updates"].keys()
         for name, value in want["bn_updates"].items():
             assert np.array_equal(cache["bn_updates"][name], value), name
-        loss, grads = backward(params, spec, (x, y), cache)
+        grads = backward(params, spec, (x, y), cache)
         want_loss, want_grads = per_entry_backward(params, spec, y, want)
-        assert loss == want_loss
+        assert batch_loss(params, spec, x, y, training=True) == want_loss
         for name in want_grads.names:
             assert np.array_equal(grads[name], want_grads[name]), name
 
@@ -726,9 +735,8 @@ class TestSquaredErrorIsBitwiseTheWholeBatchMean:
             "layer1.weight": cache["last_input"].T @ d_out,
             "layer1.bias": d_out.sum(axis=0),
         }
-        got_loss, grads = backward(params, spec, (x, targets), cache)
-        assert got_loss == float(np.mean(diff * diff))
-        assert batch_loss(params, spec, x, targets) == got_loss
+        grads = backward(params, spec, (x, targets), cache)
+        assert batch_loss(params, spec, x, targets, training=True) == float(np.mean(diff * diff))
         assert list(want) == list(grads.names)
         for name, value in want.items():
             assert np.array_equal(grads[name], value), name
@@ -1027,27 +1035,35 @@ OPTIMIZERS = {
 }
 
 
+def workspace_arrays(buffers):
+    """Every array a ``TrainingBuffers`` holds."""
+    rows = [arr for layer in buffers.layers for arr in layer if arr is not None]
+    return [buffers.input, buffers.grads.buffer, *rows]
+
+
 class TestTrainingBuffersAreBitwiseTheFreshPath:
-    """Steps that write into one ``TrainingBuffers`` and alternate between
-    its parameter sets give, bit for bit, what fresh arrays give."""
+    """Steps through one ``TrainingBuffers`` that update one parameter
+    buffer in place give, bit for bit, what fresh arrays give."""
 
     @pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
     @pytest.mark.parametrize("use_bn", [(True, True), (True, False), (False, False)])
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     def test_consecutive_steps(self, dtype, use_bn, optimizer):
         spec = ModelSpec(widths=(3, 24, 16, 4), use_bn=use_bn, init_seed=13, dtype=dtype)
-        fresh = shared = perturbed_bn_params(spec, seed=13)
+        fresh = perturbed_bn_params(spec, seed=13)
+        shared = fresh.over(fresh.flat.copy())
         fresh_opt = make_optimizer(**OPTIMIZERS[optimizer])
         shared_opt = make_optimizer(**OPTIMIZERS[optimizer])
-        buffers = TrainingBuffers()
+        n = 37
+        buffers = TrainingBuffers(shared, spec, n)
         rng = np.random.default_rng(14)
         data = rng.normal(size=(100, 3))
-        # A batch larger than the last grows the rows; a smaller one reuses them.
-        for step, n in enumerate((7, 64, 7, 64, 7)):
+        for step in range(5):
             sel = rng.permutation(100)[:n]
             y = rng.integers(0, 4, size=n)
             xb = buffers.gather(data, sel)
-            assert np.array_equal(xb, data[sel])
+            assert xb is buffers.input
+            assert np.array_equal(xb, data[sel].astype(spec.np_dtype))
 
             want_out, want_cache = forward(fresh, spec, data[sel], training=True)
             got_out, got_cache = forward(shared, spec, xb, training=True, buffers=buffers)
@@ -1061,63 +1077,87 @@ class TestTrainingBuffersAreBitwiseTheFreshPath:
             for name, value in want_cache["bn_updates"].items():
                 assert np.array_equal(got_cache["bn_updates"][name], value), name
 
-            want_loss, want_grads = backward(fresh, spec, (data[sel], y), want_cache)
-            got_loss, got_grads = backward(shared, spec, (xb, y), got_cache, buffers=buffers)
-            assert got_loss == want_loss
+            want_grads = backward(fresh, spec, (data[sel], y), want_cache)
+            got_grads = backward(shared, spec, (xb, y), got_cache, buffers=buffers)
+            assert got_grads is buffers.grads
             assert got_grads.names == want_grads.names
             for name in want_grads.names:
                 assert np.array_equal(got_grads[name], want_grads[name]), name
 
             lr = 0.05 * (step + 1)
             fresh = fresh_opt.step(fresh, want_grads, lr, want_cache["bn_updates"])
-            target = buffers.step_target(shared)
-            shared = shared_opt.step(
-                shared, got_grads, lr, got_cache["bn_updates"], out=target
+            stepped = shared_opt.step(
+                shared, got_grads, lr, got_cache["bn_updates"], out=shared
             )
-            assert shared is target
+            assert stepped is shared
             assert shared.dtype == fresh.dtype == spec.np_dtype
             assert np.array_equal(shared.flat, fresh.flat)
             assert_states_equal(optimizer_state(shared_opt), optimizer_state(fresh_opt))
         assert fresh_opt.step_count == 5
 
-    def test_steps_alternate_between_two_sets_that_share_nothing(self):
-        spec = ModelSpec(widths=(3, 8, 2), use_bn=(False,), init_seed=1)
+    def test_a_mismatched_batch_is_refused_before_any_write(self):
+        spec = ModelSpec(widths=(3, 8, 2), use_bn=(True,), init_seed=1)
         params = init_params(spec)
-        buffers = TrainingBuffers()
-        first = buffers.step_target(params)
-        second = buffers.step_target(first)
-        assert second is not first and buffers.step_target(second) is first
-        assert not np.shares_memory(first.flat, second.flat)
-        assert not np.shares_memory(first.flat, params.flat)
-        x, y = np.ones((4, 3)), np.zeros(4, int)
-        _, cache = forward(params, spec, x, training=True, buffers=buffers)
-        _, grads = backward(params, spec, (x, y), cache, buffers=buffers)
-        for target in (first, second):
-            assert not np.shares_memory(grads.flat, target.flat)
+        buffers = TrainingBuffers(params, spec, 4)
+        x, y = np.ones((5, 3)), np.zeros(5, int)
+        _, cache = forward(params, spec, x, training=True)
+        before = [arr.tobytes() for arr in workspace_arrays(buffers)]
+        with pytest.raises(ShapeError, match="5-row batch"):
+            forward(params, spec, x, training=True, buffers=buffers)
+        with pytest.raises(ShapeError, match="5-row batch"):
+            backward(params, spec, (x, y), cache, buffers=buffers)
+        other = ModelSpec(widths=(3, 8, 2), use_bn=(False,), init_seed=1)
+        with pytest.raises(ShapeError, match="4-row batch"):
+            forward(init_params(other), other, x[:4], training=True, buffers=buffers)
+        assert [arr.tobytes() for arr in workspace_arrays(buffers)] == before
 
     def test_the_layout_is_checked_on_every_use(self):
-        small = init_params(ModelSpec(widths=(3, 8, 2), use_bn=(False,), init_seed=1))
+        spec = ModelSpec(widths=(3, 8, 2), use_bn=(False,), init_seed=1)
+        small = init_params(spec)
         other = init_params(ModelSpec(widths=(3, 9, 2), use_bn=(False,), init_seed=1))
-        buffers = TrainingBuffers()
-        buffers.gradients(small)
+        buffers = TrainingBuffers(small, spec, 4)
+        x, y = np.ones((4, 3)), np.zeros(4, int)
+        _, cache = forward(small, spec, x, training=True, buffers=buffers)
         with pytest.raises(StructureMismatch):
-            buffers.gradients(other)
+            backward(other, spec, (x, y), cache, buffers=buffers)
         with pytest.raises(StructureMismatch):
-            Sgd().step(small, small, 0.1, out=buffers.step_target(other))
+            Sgd().step(small, small, 0.1, out=other.over(other.flat.copy()))
 
-    def test_out_must_be_a_separate_set_over_a_buffer(self):
+    @pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
+    def test_out_may_be_the_parameters(self, optimizer):
         spec = ModelSpec(widths=(3, 8, 2), use_bn=(False,), init_seed=1)
         params = init_params(spec)
-        grads = params.with_flat(np.ones_like(params.flat))
-        target = TrainingBuffers().step_target(params)
-        for opt in (Sgd(), Adam(), Lookahead(Sgd())):
-            with pytest.raises(ValueError, match="ParameterSet.over"):
-                opt.step(params, grads, 0.1, out=params)
-            with pytest.raises(ValueError, match="shares memory"):
-                opt.step(target, grads, 0.1, out=target)
-            with pytest.raises(ValueError, match="shares memory"):
-                opt.step(params, target, 0.1, out=target)
-            assert opt.step_count == 0
+        grads = params.with_flat(np.linspace(-1.0, 1.0, params.total_size()))
+        fresh_opt = make_optimizer(**OPTIMIZERS[optimizer])
+        shared_opt = make_optimizer(**OPTIMIZERS[optimizer])
+        shared = params.over(params.flat.copy())
+        for _ in range(3):
+            params = fresh_opt.step(params, grads, 0.1)
+            assert shared_opt.step(shared, grads, 0.1, out=shared) is shared
+            assert np.array_equal(shared.flat, params.flat)
+
+    @pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
+    def test_out_must_be_a_set_over_a_buffer_it_shares_with_nothing_else(self, optimizer):
+        spec = ModelSpec(widths=(3, 8, 2), use_bn=(False,), init_seed=1)
+        params = init_params(spec)
+        size = params.total_size()
+        grads = params.over(np.ones(size))
+        wide = np.zeros(size + 1)
+        wide[:size] = params.flat
+        shared, shifted = params.over(wide[:size]), params.over(wide[1:])
+        opt = make_optimizer(**OPTIMIZERS[optimizer])
+        with pytest.raises(ValueError, match="ParameterSet.over"):
+            opt.step(shared, grads, 0.1, out=params)
+        with pytest.raises(ValueError, match="shares memory"):
+            opt.step(shared, grads, 0.1, out=shifted)  # overlaps all but one element
+        with pytest.raises(ValueError, match="shares memory"):
+            opt.step(shared, grads, 0.1, out=grads)
+        with pytest.raises(ValueError, match="shares memory"):
+            opt.step(shared, shared, 0.1, out=shared)
+        with pytest.raises(ValueError, match="shares memory"):
+            opt.step(shared, grads, 0.1, {"layer0.bias": shared["layer0.bias"]}, out=shared)
+        assert opt.step_count == 0
+        assert np.array_equal(shared.flat, params.flat)
 
     def test_training_and_inference_refuse_each_others_buffers(self):
         spec = ModelSpec(widths=(3, 8, 2), use_bn=(False,), init_seed=1)
@@ -1125,12 +1165,12 @@ class TestTrainingBuffersAreBitwiseTheFreshPath:
         with pytest.raises(TypeError, match="TrainingBuffers"):
             forward(params, spec, x, training=True, buffers=InferenceBuffers())
         with pytest.raises(TypeError, match="InferenceBuffers"):
-            forward(params, spec, x, training=False, buffers=TrainingBuffers())
+            forward(params, spec, x, training=False, buffers=TrainingBuffers(params, spec, 4))
 
 
 class TestTrainVariantsHandsOutCopies:
-    """The loop's parameters live in its ``TrainingBuffers``; only copies
-    made at save events and epoch ends leave it."""
+    """The loop's parameters live in one buffer that every step updates;
+    only copies made at save events and epoch ends leave it."""
 
     def watch(self, monkeypatch):
         """Record the loop's buffers and every set the loop hands out:
@@ -1140,9 +1180,9 @@ class TestTrainVariantsHandsOutCopies:
         class Recorded(TrainingBuffers):
             __slots__ = ()
 
-            def __init__(self):
-                super().__init__()
-                seen["workspaces"].append(self)
+            def __init__(self, params, spec, batch_size):
+                super().__init__(params, spec, batch_size)
+                seen["workspaces"].append((self, params))
 
         monkeypatch.setattr(engine, "TrainingBuffers", Recorded)
         write = engine.write_checkpoint
@@ -1176,11 +1216,6 @@ class TestTrainVariantsHandsOutCopies:
         monkeypatch.setattr(engine, "make_scheme", recorded_scheme)
         return seen
 
-    @staticmethod
-    def buffer_arrays(workspace):
-        arrays = list(workspace._store.values()) + [workspace._grads.buffer]
-        return arrays + [p.buffer for p in workspace._params]
-
     @pytest.mark.parametrize(
         "extra",
         [
@@ -1200,8 +1235,8 @@ class TestTrainVariantsHandsOutCopies:
             tiny_cfg(tmp_path, out=str(tmp_path / "a"), **extra),
             tiny_cfg(tmp_path, out=str(tmp_path / "b"), **{**extra, "scheme": "polyak"}),
         ])
-        (workspace,) = seen["workspaces"]
-        arrays = self.buffer_arrays(workspace)
+        ((workspace, params),) = seen["workspaces"]
+        arrays = [params.buffer, *workspace_arrays(workspace)]
         # Checkpoints, averages (each evaluated on val) and raw evaluations.
         assert len(seen["sets"]) > 3 * 6
         for pset in seen["sets"]:
@@ -1209,6 +1244,24 @@ class TestTrainVariantsHandsOutCopies:
             assert not pset.flat.flags.writeable
             for arr in arrays:
                 assert not np.shares_memory(pset.flat, arr)
+
+    def test_the_loop_holds_one_parameter_buffer(self, tmp_path, monkeypatch):
+        seen = self.watch(monkeypatch)
+        built = []
+        over = ParameterSet.over
+
+        def counted(self, buffer):
+            built.append(buffer)
+            return over(self, buffer)
+
+        monkeypatch.setattr(ParameterSet, "over", counted)
+        train_run(tiny_cfg(
+            tmp_path, use_bn=True, optimizer="lookahead", lookahead_inner="adam", lr=0.01
+        ))
+        ((workspace, params),) = seen["workspaces"]
+        # The parameters, then the gradients: no other buffer backs a set.
+        assert len(built) == 2
+        assert built[0] is params.buffer and built[1] is workspace.grads.buffer
 
     def test_a_checkpoint_is_unchanged_by_later_steps(self, tmp_path, monkeypatch):
         seen = self.watch(monkeypatch)
