@@ -77,7 +77,8 @@ def uniform_average(ckpts: Sequence[Checkpoint]) -> ParameterSet:
     """Elementwise arithmetic mean of the checkpoints' parameters.
 
     All checkpoints must match structurally and contain only finite
-    values. Accumulates in float64, casts back to the input element type.
+    values. Accumulates in float64 and divides the sum in place, then
+    casts back to the input element type.
     """
     if not ckpts:
         raise ConfigError("cannot average an empty checkpoint sequence")
@@ -87,7 +88,8 @@ def uniform_average(ckpts: Sequence[Checkpoint]) -> ParameterSet:
         check_same_structure(first, c.params)
         check_finite(c.params, f"checkpoint at epoch {c.epoch}")
         acc += c.params.flat
-    return first.with_flat(acc / len(ckpts))
+    acc /= len(ckpts)
+    return first.with_flat(acc)
 
 
 def lawa_step(ring: CheckpointRing, epoch: int, k: int) -> ParameterSet | None:

@@ -165,6 +165,19 @@ class InferenceBuffers:
         ]
 
 
+def _layer_rows(spec: ModelSpec, n: int) -> list[tuple[np.ndarray, ...]]:
+    """Each hidden layer's ``n`` rows for a training pass: its product,
+    its batch-norm output (None without batch norm), its ReLU output and
+    its ReLU mask."""
+    def rows(width: int, dtype: np.dtype = spec.np_dtype) -> np.ndarray:
+        return np.empty((n, width), dtype)
+
+    return [
+        (rows(w), rows(w) if spec.use_bn[i] else None, rows(w), rows(w, np.dtype(bool)))
+        for i, w in enumerate(spec.widths[1:-1])
+    ]
+
+
 class TrainingBuffers:
     """Everything a training step writes, for one model and batch size.
 
@@ -184,23 +197,17 @@ class TrainingBuffers:
 
     Every array it hands out is rewritten by a later step: the
     activations a ``forward`` caches and the gradients ``backward``
-    returns. Copy what must outlive the next step. A loop holds one for
-    the whole run; the memory is freed with this object.
+    returns. Copy what must outlive the next step. The memory is freed
+    with this object and every view of it; ``train_variants`` builds one
+    per epoch and drops it after the epoch's last step.
     """
 
     __slots__ = ("spec", "batch_size", "input", "layers", "grads", "grad_views")
 
     def __init__(self, params: ParameterSet, spec: ModelSpec, batch_size: int):
         self.spec, self.batch_size = spec, batch_size
-
-        def rows(width: int, dtype: np.dtype = spec.np_dtype) -> np.ndarray:
-            return np.empty((batch_size, width), dtype)
-
-        self.input = rows(spec.widths[0])
-        self.layers = [
-            (rows(w), rows(w) if spec.use_bn[i] else None, rows(w), rows(w, np.dtype(bool)))
-            for i, w in enumerate(spec.widths[1:-1])
-        ]
+        self.input = np.empty((batch_size, spec.widths[0]), spec.np_dtype)
+        self.layers = _layer_rows(spec, batch_size)
         self.grads = params.over(np.empty(params.total_size(), params.dtype))
         self.grad_views = params.entry_views(self.grads.buffer)
 
@@ -235,8 +242,9 @@ def forward(
     inference mode the stored running statistics are used and no layer's
     activations are kept. Each mode writes its hidden layers into its own
     kind of ``buffers``, :class:`TrainingBuffers` or
-    :class:`InferenceBuffers`, a fresh set for this batch when None; of
-    the batch-sized arrays only the outputs, and a cast of ``x`` to the
+    :class:`InferenceBuffers`, or into fresh rows for this batch when
+    None (no gradient set: only ``backward`` writes one); of the
+    batch-sized arrays only the outputs, and a cast of ``x`` to the
     model's element type, are allocated, and ``x`` is never written. A
     training batch-norm layer computes ``z - mu`` once and reuses its
     rows and those of its squares for ``zhat`` and the layer's output,
@@ -251,20 +259,22 @@ def forward(
             f"batch shape {x.shape} does not match input width {spec.widths[0]}"
         )
     kind = TrainingBuffers if training else InferenceBuffers
-    if buffers is None:
-        buffers = TrainingBuffers(params, spec, len(x)) if training else InferenceBuffers()
-    elif not isinstance(buffers, kind):
+    if buffers is not None and not isinstance(buffers, kind):
         raise TypeError(f"this forward writes into {kind.__name__}, not {type(buffers).__name__}")
     h = x.astype(spec.np_dtype, copy=False)
     if not training:
-        for _, z in _inference_layers(params, spec, h, buffers, params):
+        for _, z in _inference_layers(params, spec, h, buffers or InferenceBuffers(), params):
             pass  # each resumption normalizes and rectifies z in place
         outputs = _output_layer(params, spec, z)
         return outputs, {"layers": [], "last_input": None, "outputs": outputs, "bn_updates": {}}
-    buffers.check(spec, len(h))
+    if buffers is None:
+        rows = _layer_rows(spec, len(h))
+    else:
+        buffers.check(spec, len(h))
+        rows = buffers.layers
     layers = []
     bn_updates: dict[str, np.ndarray] = {}
-    for i, (z, bn_out, relu, _) in enumerate(buffers.layers):
+    for i, (z, bn_out, relu, _) in enumerate(rows):
         np.matmul(h, params[f"layer{i}.weight"], out=z)
         z += params[f"layer{i}.bias"]
         bn_cache = None
@@ -649,7 +659,8 @@ class _Variant:
     out_dir: Path
     scheme: AveragingScheme
     writer: MetricsWriter | None = None
-    average: ParameterSet | None = None
+    average: ParameterSet | None = None  # the newest average, until an epoch end evaluates it
+    avg_metrics: tuple[float | None, float | None] = (None, None)  # its val loss and accuracy
     records: list[MetricsRecord] = field(default_factory=list)
 
 
@@ -685,13 +696,19 @@ def train_variants(
     validated and every output directory checked before any write.
 
     The loop holds one parameter buffer, which each optimizer step
-    updates in place, and one :class:`TrainingBuffers` for the
-    activations and gradients of every step. At each save event and each
-    epoch end the parameters are copied once into an immutable set,
-    which serves both when they fall on the same step; the checkpoint
-    files, the schemes, the evaluations and the averages see only these
-    copies. An output directory that cannot be created raises
-    :class:`IoError` before anything is written.
+    updates in place. Each epoch builds a :class:`TrainingBuffers` for the
+    activations and gradients of its steps and drops it after its last
+    step, before that step's save event and the epoch's evaluations. At
+    each save event and each epoch end the parameters are copied once
+    into an immutable set, which serves both when they fall on the same
+    step; the checkpoint files, the schemes, the evaluations and the
+    averages see only these copies. A variant holds at most one average:
+    the epoch end that evaluates it keeps only its validation loss and
+    accuracy, which an epoch with no save event reports again, and a
+    save event drops an average no epoch end evaluated. An empty training
+    or validation split raises :class:`EmptyDataError`, and an output
+    directory that cannot be created :class:`IoError`, before anything
+    is written.
     """
     if not cfgs:
         raise ConfigError("train_variants needs at least one config")
@@ -707,6 +724,9 @@ def train_variants(
     x_train, y_train = dataset.train()
     x_val, y_val = dataset.val()
     n_train = len(x_train)
+    for split, rows in (("training", n_train), ("validation", len(x_val))):
+        if rows == 0:
+            raise EmptyDataError(f"the {split} split of the dataset is empty")
     steps_per_epoch = n_train // cfg.batch_size
     if steps_per_epoch < 1:
         raise ConfigError(
@@ -750,14 +770,26 @@ def train_variants(
         )
 
     buffers = InferenceBuffers()  # every evaluation of this call shares them
-    workspace = TrainingBuffers(params, spec, cfg.batch_size)  # and every step these
     started = time.perf_counter()
     global_step = 0
     slot = 0
 
-    def save_event(current: ParameterSet) -> None:
-        """Write and average ``current``, an immutable copy of the params."""
+    def train_step(workspace: TrainingBuffers, sel: np.ndarray, lr: float) -> None:
+        """One optimizer step on the training rows ``sel``; the views of
+        ``workspace`` it takes end with the call."""
+        xb, yb = workspace.gather(x_train, sel), y_train[sel]
+        _, cache = forward(params, spec, xb, training=True, buffers=workspace)
+        grads = backward(params, spec, (xb, yb), cache, buffers=workspace)
+        optimizer.step(params, grads, lr, cache["bn_updates"], out=params)
+
+    def save_event() -> ParameterSet:
+        """Write and average an immutable copy of the params; return it."""
         nonlocal slot
+        # Every scheme that has yielded an average yields one at each later
+        # save event, so an average no epoch end has read can go first.
+        for v in variants:
+            v.average = None
+        current = params.with_flat(params.flat.copy())
         ckpt = Checkpoint(params=current, epoch=slot, step=global_step)
         # Every directory holds the checkpoint before any scheme can reject it.
         # The file is written once and hard-linked into the other directories;
@@ -784,6 +816,7 @@ def train_variants(
                 )
             v.average = averaged
         slot += 1
+        return current
 
     with ExitStack() as stack:
         for v in variants:
@@ -791,34 +824,31 @@ def train_variants(
         for epoch in range(cfg.epochs):
             try:
                 order = rng_for(cfg.seed, f"shuffle:{epoch}").permutation(n_train)
-                last_lr = 0.0
+                workspace = TrainingBuffers(params, spec, cfg.batch_size)
                 for b in range(steps_per_epoch):
                     sel = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-                    xb, yb = workspace.gather(x_train, sel), y_train[sel]
                     last_lr = schedule.lr_at(global_step)
-                    _, cache = forward(params, spec, xb, training=True, buffers=workspace)
-                    grads = backward(params, spec, (xb, yb), cache, buffers=workspace)
-                    optimizer.step(params, grads, last_lr, cache["bn_updates"], out=params)
+                    train_step(workspace, sel, last_lr)
                     global_step += 1
-                    if global_step % save_every == 0:
-                        saved = params.with_flat(params.flat.copy())
-                        save_event(saved)
+                    if b == steps_per_epoch - 1:
+                        workspace = None  # not held through the save event and evaluations
+                    saved = save_event() if global_step % save_every == 0 else None
 
                 # Unless the epoch's last step saved a copy, make one to evaluate.
-                if global_step % save_every != 0:
+                if saved is None:
                     saved = params.with_flat(params.flat.copy())
                 train_loss, train_acc = evaluate(saved, spec, x_train, y_train, buffers=buffers)
                 val_loss, val_acc = evaluate(saved, spec, x_val, y_val, buffers=buffers)
-                averaged_metrics = [
-                    (None, None)
-                    if v.average is None
-                    else evaluate(v.average, spec, x_val, y_val, buffers=buffers)
-                    for v in variants
-                ]
+                saved = None  # a window may keep it; this loop need not
+                for v in variants:
+                    if v.average is not None:
+                        v.avg_metrics = evaluate(v.average, spec, x_val, y_val, buffers=buffers)
+                        v.average = None
             except NonFiniteError as exc:
                 raise type(exc)(f"run aborted at epoch {epoch}: {exc}") from exc
 
-            for v, (avg_val_loss, avg_val_acc) in zip(variants, averaged_metrics):
+            for v in variants:
+                avg_val_loss, avg_val_acc = v.avg_metrics
                 record = MetricsRecord(
                     epoch=epoch,
                     step=global_step,

@@ -837,6 +837,21 @@ class TestBadInputFiles:
         assert list(tmp_path.iterdir()) == [taken]
         assert taken.read_bytes() == b"not a directory\n"
 
+    @pytest.mark.parametrize("dataset", ["spirals", "csv"])
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_empty_validation_split(self, tmp_path, capsys, command, dataset):
+        # Two rows per class, or two rows in all, leave 80/20 nothing to validate on.
+        if dataset == "csv":
+            data = tmp_path / "two.csv"
+            data.write_text("x,label\n1,0\n2,1\n", encoding="utf-8")
+            source = ["--dataset", "csv", "--csv", str(data), "--label-column", "label"]
+        else:
+            source = ["--dataset", "spirals", "--n-per-class", "2"]
+        out = tmp_path / "run"
+        args = [command, *source, "--batch-size", "1", "--epochs", "1", "--out", str(out)]
+        self.check_exit_2(capsys, args, "validation split")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "content",
         [

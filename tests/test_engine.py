@@ -1,14 +1,13 @@
-import gc
 import math
 import os
-import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lawa import engine
+from lawa import engine, optim
 from lawa.checkpoint_io import read_checkpoint
 from lawa.config import RunConfig, resolved_text
 from lawa.data import make_spirals
@@ -33,6 +32,7 @@ from lawa.engine import (
     train_variants,
 )
 from lawa.checkpoint_io import read_checkpoint_header
+from lawa.metrics import csv_line
 from lawa.errors import (
     ConfigError,
     EmptyDataError,
@@ -43,6 +43,7 @@ from lawa.errors import (
 )
 from lawa.optim import Adam, Lookahead, Sgd, make_optimizer
 from lawa.params import ParameterSet
+from testutil import traced
 
 
 def small_spec(use_bn=False, loss="cross_entropy", seed=0, widths=(2, 5, 3)):
@@ -565,17 +566,9 @@ class TestInferenceBuffers:
         cfg = tiny_cfg(
             tmp_path, n_per_class=1000, hidden=(64,), epochs=1, batch_size=400, **extra
         )
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            records = train_run(cfg)
-            gc.collect()
-            after = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        records, _, retained = traced(train_run, cfg)
         assert len(records) == 1
-        assert after - before < 256 * 1024
+        assert retained < 256 * 1024
 
 
 def per_entry_backward(params, spec, labels, cache):
@@ -1170,33 +1163,50 @@ class TestTrainingBuffersAreBitwiseTheFreshPath:
 
 class TestTrainVariantsHandsOutCopies:
     """The loop's parameters live in one buffer that every step updates;
-    only copies made at save events and epoch ends leave it."""
+    only copies made at save events and epoch ends leave it. Each epoch's
+    workspace is gone before the epoch's last save event."""
 
     def watch(self, monkeypatch):
-        """Record the loop's buffers and every set the loop hands out:
-        checkpoints written and observed, and evaluated parameters."""
-        seen = {"workspaces": [], "sets": [], "written": []}
+        """Record the loop's workspaces (weakly, so that they die when the
+        loop drops them) and the parameters each was built for, and every
+        set the loop hands out: checkpoints written and observed, and
+        evaluated parameters. Each hand-out records whether the set is a
+        read-only copy sharing no memory with the parameter buffer or a
+        workspace alive at that moment, and how many workspaces are alive."""
+        seen = {"workspaces": [], "handed_out": [], "written": []}
 
         class Recorded(TrainingBuffers):
-            __slots__ = ()
+            __slots__ = ("__weakref__",)
 
             def __init__(self, params, spec, batch_size):
                 super().__init__(params, spec, batch_size)
-                seen["workspaces"].append((self, params))
+                seen["workspaces"].append((weakref.ref(self), params))
+
+        def hand_out(pset):
+            live = [ref() for ref, _ in seen["workspaces"] if ref() is not None]
+            arrays = [params.buffer for _, params in seen["workspaces"][:1]]
+            arrays += [arr for workspace in live for arr in workspace_arrays(workspace)]
+            copy = (
+                pset.buffer is None
+                and not pset.flat.flags.writeable
+                and not any(np.shares_memory(pset.flat, arr) for arr in arrays)
+            )
+            seen["handed_out"].append(copy)
+            return len(live)
 
         monkeypatch.setattr(engine, "TrainingBuffers", Recorded)
         write = engine.write_checkpoint
 
         def recorded_write(ckpt, path):
-            seen["sets"].append(ckpt.params)
-            seen["written"].append((ckpt.params, ckpt.params.flat.copy()))
+            live = hand_out(ckpt.params)
+            seen["written"].append((ckpt, ckpt.params.flat.copy(), live))
             return write(ckpt, path)
 
         monkeypatch.setattr(engine, "write_checkpoint", recorded_write)
         evaluate_ = engine.evaluate
 
         def recorded_evaluate(params, *args, **kwargs):
-            seen["sets"].append(params)
+            assert hand_out(params) == 0  # evaluations run at epoch ends only
             return evaluate_(params, *args, **kwargs)
 
         monkeypatch.setattr(engine, "evaluate", recorded_evaluate)
@@ -1207,7 +1217,7 @@ class TestTrainVariantsHandsOutCopies:
             observe = scheme.observe
 
             def recorded_observe(ckpt):
-                seen["sets"].append(ckpt.params)
+                hand_out(ckpt.params)
                 return observe(ckpt)
 
             scheme.observe = recorded_observe
@@ -1235,15 +1245,26 @@ class TestTrainVariantsHandsOutCopies:
             tiny_cfg(tmp_path, out=str(tmp_path / "a"), **extra),
             tiny_cfg(tmp_path, out=str(tmp_path / "b"), **{**extra, "scheme": "polyak"}),
         ])
-        ((workspace, params),) = seen["workspaces"]
-        arrays = [params.buffer, *workspace_arrays(workspace)]
-        # Checkpoints, averages (each evaluated on val) and raw evaluations.
-        assert len(seen["sets"]) > 3 * 6
-        for pset in seen["sets"]:
-            assert pset.buffer is None
-            assert not pset.flat.flags.writeable
-            for arr in arrays:
-                assert not np.shares_memory(pset.flat, arr)
+        # One workspace per epoch; checkpoints, averages (each evaluated on
+        # val) and raw evaluations.
+        assert len(seen["workspaces"]) == 6
+        assert len(seen["handed_out"]) > 3 * 6
+        assert all(seen["handed_out"])
+
+    @pytest.mark.parametrize("save_every_steps", [0, 3])
+    def test_no_workspace_is_alive_at_an_epoch_end(
+        self, tmp_path, monkeypatch, save_every_steps
+    ):
+        seen = self.watch(monkeypatch)
+        train_run(tiny_cfg(tmp_path, use_bn=True, save_every_steps=save_every_steps))
+        steps_per_epoch = 64 // 16
+        saves = [(ckpt.step, live) for ckpt, _, live in seen["written"]]
+        assert len(saves) == (8 if save_every_steps else 6)
+        for step, live in saves:
+            # A save at an epoch's last step comes after its workspace is
+            # dropped; one inside an epoch sees that epoch's workspace.
+            assert live == (0 if step % steps_per_epoch == 0 else 1), step
+        assert all(ref() is None for ref, _ in seen["workspaces"])
 
     def test_the_loop_holds_one_parameter_buffer(self, tmp_path, monkeypatch):
         seen = self.watch(monkeypatch)
@@ -1255,20 +1276,23 @@ class TestTrainVariantsHandsOutCopies:
             return over(self, buffer)
 
         monkeypatch.setattr(ParameterSet, "over", counted)
-        train_run(tiny_cfg(
+        cfg = tiny_cfg(
             tmp_path, use_bn=True, optimizer="lookahead", lookahead_inner="adam", lr=0.01
-        ))
-        ((workspace, params),) = seen["workspaces"]
-        # The parameters, then the gradients: no other buffer backs a set.
-        assert len(built) == 2
-        assert built[0] is params.buffer and built[1] is workspace.grads.buffer
+        )
+        train_run(cfg)
+        params = seen["workspaces"][0][1]
+        assert all(p is params for _, p in seen["workspaces"])
+        # The parameters, then each epoch's gradients: no other buffer backs a set.
+        assert len(built) == 1 + cfg.epochs == 1 + len(seen["workspaces"])
+        assert built[0] is params.buffer
+        assert all(b is not params.buffer and b.shape == params.flat.shape for b in built[1:])
 
     def test_a_checkpoint_is_unchanged_by_later_steps(self, tmp_path, monkeypatch):
         seen = self.watch(monkeypatch)
         train_run(tiny_cfg(tmp_path, save_every_steps=3))
         assert len(seen["written"]) == 8
-        for params, at_write in seen["written"]:
-            assert np.array_equal(params.flat, at_write)
+        for ckpt, at_write, _ in seen["written"]:
+            assert np.array_equal(ckpt.params.flat, at_write)
         assert not np.array_equal(seen["written"][0][1], seen["written"][-1][1])
 
     @pytest.mark.parametrize("save_every_steps", [0, 3])
@@ -1290,6 +1314,88 @@ class TestTrainVariantsHandsOutCopies:
         saves = len(list((tmp_path / "run").glob("ckpt_*.lawa")))
         assert saves == (8 if save_every_steps else cfg.epochs)
         assert len(calls) <= saves + cfg.epochs + 2 < 24
+
+
+class TestPeakMemory:
+    """What a training run holds at its peak, traced by ``tracemalloc``."""
+
+    def test_a_fresh_training_forward_allocates_no_gradients(self):
+        spec = ModelSpec(widths=(2, 512, 512, 2), use_bn=(True, True), init_seed=4)
+        params = init_params(spec)
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=(8, 2)), rng.integers(0, 2, size=8)
+        want = batch_loss(params, spec, x, y)
+        loss, peak, _ = traced(batch_loss, params, spec, x, y)
+        assert loss == want
+        # The 8-row layer rows take 0.2 MB; a gradient set would add 2.1 MB.
+        assert params.total_size() * 8 > 2_000_000
+        assert peak < 512 * 1024
+
+    def test_a_run_holds_its_window_and_one_average(self, tmp_path):
+        k = 3
+        cfg = tiny_cfg(
+            tmp_path, n_per_class=200, hidden=(256, 256), use_bn=True, epochs=k + 2,
+            momentum=0.9, k=k,
+        )
+        dataset = build_dataset(cfg)
+        spec = engine.model_spec_for(cfg, dataset)
+        size = init_params(spec).total_size()
+        one_set = 8 * size
+        # SGD momentum: the velocity and one scratch block.
+        optimizer_state = one_set + 8 * min(optim.BLOCK, size)
+        # The widest pass: every training row through a 256-wide layer.
+        inference_pair = 2 * 8 * len(dataset.train()[0]) * 256
+        # The loop's parameter buffer, k + 1 checkpoints (the window and the
+        # save event's new copy) and one average. While batch norm is fixed
+        # up the raw average and its fix-up both live, with the window full.
+        bound = (1 + (k + 1) + 1) * one_set + optimizer_state + inference_pair + 512 * 1024
+        records, peak, _ = traced(train_run, cfg, dataset)
+        assert records[-1].avg_val_loss is not None
+        assert peak < bound, (peak, bound)
+
+
+class TestEachAverageIsEvaluatedOnce:
+    @pytest.mark.parametrize("save_every_steps", [0, 6])
+    def test_an_epoch_without_a_save_reuses_the_stored_metrics(
+        self, tmp_path, monkeypatch, save_every_steps
+    ):
+        # 4 steps per epoch; every 6 steps, saves fall at steps 6, 12, 18 and
+        # 24, so epochs 1 and 3 end without one.
+        evaluated = []
+        evaluate_ = engine.evaluate
+
+        def recorded_evaluate(params, *args, **kwargs):
+            evaluated.append(params)
+            return evaluate_(params, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "evaluate", recorded_evaluate)
+        extra = dict(use_bn=True, save_every_steps=save_every_steps, save_averaged=True)
+        cfgs = [
+            tiny_cfg(tmp_path, out=str(tmp_path / "uniform"), k=2, **extra),
+            tiny_cfg(tmp_path, out=str(tmp_path / "ema"), scheme="ema", **extra),
+        ]
+        runs = train_variants(cfgs)
+        for cfg, records in zip(cfgs, runs):
+            averages = sorted(Path(cfg.out).glob("lawa_*.lawa"))
+            assert len(averages) == (4 if save_every_steps else 6) - (cfg.scheme == "uniform")
+            written = [read_checkpoint(path) for path in averages]
+            # Each average is evaluated once, and its metrics stand until the
+            # next epoch end after a newer one.
+            calls = [p for p in evaluated if any(p == c.params for c in written)]
+            assert len(calls) == len(written)
+            # Every row reports the newest average saved by its epoch's end,
+            # as evaluating that average again would.
+            dataset = build_dataset(cfg)
+            spec = engine.model_spec_for(cfg, dataset)
+            want = []
+            for record in records:
+                newest = [c for c in written if c.step <= record.step]
+                loss, acc = evaluate_(newest[-1].params, spec, *dataset.val()) if newest else (None, None)
+                want.append(csv_line(replace(record, avg_val_loss=loss, avg_val_acc=acc)))
+            lines = (Path(cfg.out) / "metrics.csv").read_text().splitlines()[1:]
+            assert [line.rsplit(",", 1)[0] for line in lines] == [
+                line.rsplit(",", 1)[0] for line in want
+            ]
 
 
 class TestDivergenceThroughTheBuffers:

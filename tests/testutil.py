@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
+# lawa's seeded streams import it on first use; a traced call must not count that.
+import numpy.random  # noqa: F401
 
 from lawa.params import Checkpoint, ParameterSet
 
@@ -68,3 +73,21 @@ def fsum_mean(psets: list[ParameterSet]) -> ParameterSet:
             flat[j] = math.fsum(s[j] for s in stacks) / len(psets)
         out[name] = flat.reshape(arr.shape).astype(first.dtype)
     return ParameterSet(out)
+
+
+def traced(fn, *args, **kwargs):
+    """Call ``fn`` under ``tracemalloc``; returns ``(result, peak, retained)``:
+    the most bytes traced at once during the call, and the bytes still
+    traced after it, its result included, once garbage is collected.
+    Modules that ``fn`` imports on first use count as well."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, after - before
