@@ -25,11 +25,13 @@ import os
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import lanes
 from .averaging import AveragingScheme, make_scheme
 from .checkpoint_io import write_atomically, write_checkpoint
 from .config import RunConfig, resolved_text
@@ -45,6 +47,14 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 # Rows per block over which recompute_bn_stats sums a batch-norm layer's product.
 ROW_BLOCK = 256
+# Rows times weight elements from which backward runs a hidden layer's
+# two products in two lanes. In a training loop of 64-row batches through
+# a 2-w-w-2 batch-norm model, two lanes for the products changed the step
+# time by +10% at w=192 (2.4M), +6 to +8% at 256 (4.2M), +1 to +2% at 320
+# (6.6M), -0.5 to +1.5% at 362 (8.4M), -2% at 384 (9.4M) and -8% at 512
+# (16.8M) (medians of two runs of 80 alternating rounds of 10 steps;
+# 2-core x86_64 virtual machine, numpy 2.4, 1 BLAS thread).
+LANE_PRODUCT = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -183,17 +193,20 @@ class TrainingBuffers:
 
     Built once from the parameters, the model and the batch size, it
     holds the input batch in the model's element type, each hidden
-    layer's batch rows and one gradient set, built by
+    layer's batch rows, one spare set of rows as wide as the widest
+    hidden layer, and one gradient set, built by
     :meth:`ParameterSet.over` and laid out like the parameters. A layer's
     rows are its product (``zhat`` after batch norm), its batch-norm
     output (None without batch norm), its ReLU output and its ReLU mask.
-    ``backward`` reuses each row once the layer's last read of it is
-    done: the layer's ``d_h`` and batch-norm product go into its ReLU
-    output rows, and ``d_pre`` into its pre-activation rows. So a
-    ``backward`` through the buffers that its ``forward`` wrote consumes
-    the activations in the cache. Both passes raise :class:`ShapeError`,
-    before they write anything, on buffers built for another model or
-    batch size.
+    ``backward`` writes each layer's ``d_h`` into the spare rows: the
+    product that makes it may run beside the one that reads the layer's
+    ReLU output for the next weight gradient, so it cannot go there. It
+    reuses each layer row once the layer's last read of it is done: the
+    batch-norm product goes into its ReLU output rows, and ``d_pre`` into
+    its pre-activation rows. So a ``backward`` through the buffers that
+    its ``forward`` wrote consumes the activations in the cache. Both
+    passes raise :class:`ShapeError`, before they write anything, on
+    buffers built for another model or batch size.
 
     Every array it hands out is rewritten by a later step: the
     activations a ``forward`` caches and the gradients ``backward``
@@ -202,12 +215,15 @@ class TrainingBuffers:
     per epoch and drops it after the epoch's last step.
     """
 
-    __slots__ = ("spec", "batch_size", "input", "layers", "grads", "grad_views")
+    __slots__ = ("spec", "batch_size", "input", "layers", "spare", "d_h", "grads", "grad_views")
 
     def __init__(self, params: ParameterSet, spec: ModelSpec, batch_size: int):
         self.spec, self.batch_size = spec, batch_size
         self.input = np.empty((batch_size, spec.widths[0]), spec.np_dtype)
         self.layers = _layer_rows(spec, batch_size)
+        self.spare = np.empty(batch_size * max(spec.widths[1:-1]), spec.np_dtype)
+        # Hidden layer i's d_h: a leading view of the spare rows.
+        self.d_h = [self.spare[: batch_size * w].reshape(batch_size, w) for w in spec.widths[1:-1]]
         self.grads = params.over(np.empty(params.total_size(), params.dtype))
         self.grad_views = params.entry_views(self.grads.buffer)
 
@@ -398,12 +414,16 @@ def backward(
     gradient is written straight into its slot of the gradient buffer of
     ``buffers`` (a fresh set for this batch when None), laid out like
     ``params``, and the set over that buffer is returned. Each layer's
-    ``d_h``, ``d_pre`` and batch-norm product go into its rows of
-    ``buffers``, each after the last read of what the row held, so the
-    cache of a ``forward`` through the same buffers is consumed; a fresh
-    set leaves ``cache`` as it was. A batch-norm layer's input gradient
-    is built in place, one operation at a time in the order of the
-    out-of-place expression.
+    ``d_h`` goes into the spare rows of ``buffers``, and its ``d_pre``
+    and batch-norm product into its own rows, each after the last read of
+    what the row held, so the cache of a ``forward`` through the same
+    buffers is consumed; a fresh set leaves ``cache`` as it was. A
+    batch-norm layer's input gradient is built in place, one operation at
+    a time in the order of the out-of-place expression. A hidden layer
+    past the first whose rows times weight elements reach
+    ``LANE_PRODUCT`` shares its weight-gradient product and the product
+    that makes ``d_h`` out to two lanes through :func:`lanes.share`; the
+    bits are the same.
     """
     _, labels = batch
     outputs = cache["outputs"]
@@ -425,10 +445,10 @@ def backward(
     i_out = spec.n_hidden
     np.matmul(cache["last_input"].T, d_out, out=grads[f"layer{i_out}.weight"])
     d_out.sum(axis=0, out=grads[f"layer{i_out}.bias"])
-    # Row reuse: d_h and the batch-norm product go into the layer's ReLU
-    # output rows, which its successor has read by then, and d_pre into its
-    # pre-activation rows once the mask is taken.
-    d_h = np.matmul(d_out, params[f"layer{i_out}.weight"].T, out=rows[i_out - 1][2])
+    # Row reuse: d_h goes into the spare rows, the batch-norm product into
+    # the layer's ReLU output rows, which its successor has read by then,
+    # and d_pre into its pre-activation rows once the mask is taken.
+    d_h = np.matmul(d_out, params[f"layer{i_out}.weight"].T, out=buffers.d_h[i_out - 1])
 
     for i in range(spec.n_hidden - 1, -1, -1):
         layer = cache["layers"][i]
@@ -456,10 +476,24 @@ def backward(
             d_z *= inv
         else:
             d_z = d_pre
-        np.matmul(layer["input"].T, d_z, out=grads[f"layer{i}.weight"])
+        weight, weight_grad = params[f"layer{i}.weight"], grads[f"layer{i}.weight"]
+        if i > 0 and len(d_z) * weight.size >= LANE_PRODUCT:
+            # Both products read d_z and write apart (d_h into the spare
+            # rows, not the input rows the weight gradient reads), so they
+            # may run at once.
+            lanes.share(
+                (
+                    partial(np.matmul, layer["input"].T, d_z, out=weight_grad),
+                    partial(np.matmul, d_z, weight.T, out=buffers.d_h[i - 1]),
+                ),
+                lambda lane, product: product(),
+            )
+            d_h = buffers.d_h[i - 1]
+        else:
+            np.matmul(layer["input"].T, d_z, out=weight_grad)
+            if i > 0:  # nothing uses the gradient of the network's input
+                d_h = np.matmul(d_z, weight.T, out=buffers.d_h[i - 1])
         d_z.sum(axis=0, out=grads[f"layer{i}.bias"])
-        if i > 0:  # nothing uses the gradient of the network's input
-            d_h = np.matmul(d_z, params[f"layer{i}.weight"].T, out=rows[i - 1][2])
     return buffers.grads
 
 

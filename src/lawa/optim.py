@@ -11,15 +11,20 @@ So the results are bitwise those of the out-of-place expressions over
 whole buffers. Optimizer state (SGD velocity, Adam's m and v, Lookahead's
 slow weights) is updated in place; a block's update is built in scratch
 blocks (one for SGD, two for Adam), then subtracted from the parameters.
-A step writes the new parameters, and then the entries it is given to
-replace, such as the batch-norm running statistics of the forward pass,
-into the buffer of the set it returns: a fresh one, or the caller's when
-the caller passes ``out``, a set built by ``ParameterSet.over``. ``out``
-may be the parameters, which the step then updates in place, but shares
-no other memory with them, the gradients or the replacements. Without
-``out`` the sets going in and out are immutable values; with it, the
-returned set is ``out`` and stays unchanged only while its caller leaves
-that buffer alone. A step that raises leaves the state as it was.
+Blocks touch disjoint slices, so when the process may run on two CPUs,
+a step of ``LANE_BLOCKS`` blocks or more shares them out to two lanes,
+one of them on the worker thread of :mod:`lawa.lanes`, each lane taking
+the next block not yet taken into its own scratch blocks; the bits are
+those of one lane. A step writes the new parameters, and once every
+block is done the entries it is given to replace, such as the batch-norm
+running statistics of the forward pass, into the buffer of the set it
+returns: a fresh one, or the caller's when the caller passes ``out``, a
+set built by ``ParameterSet.over``. ``out`` may be the parameters, which
+the step then updates in place, but shares no other memory with them,
+the gradients or the replacements. Without ``out`` the sets going in and
+out are immutable values; with it, the returned set is ``out`` and stays
+unchanged only while its caller leaves that buffer alone. A step that
+raises leaves the state as it was.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from . import lanes
 from .errors import ConfigError, NonFiniteGradError
 from .params import ParameterSet, check_same_structure
 
@@ -43,15 +49,32 @@ DEFAULT_LOOKAHEAD_K = 5
 # Elements per block of a step. Adam with Lookahead, in place, reads and
 # writes seven buffers per block (parameters, gradients, m, v, two scratch
 # blocks, slow weights): 1.75 MiB of float64 at this size, within a 2 MiB
-# L2 cache. On a 269k-element Lookahead(Adam) step it was the fastest of
-# 4096 to 65536 elements and whole buffers (2.76 ms against 2.88 to 3.41
-# ms; 2-core x86_64 host, numpy 2.4, 1 BLAS thread).
+# L2 cache, and each of two lanes has its own core's L2. In one lane, on a
+# 269k-element Lookahead(Adam) step, it was the fastest of 4096 to 65536
+# elements and whole buffers (2.76 ms against 2.88 to 3.41 ms). Re-timed
+# in two lanes, as the Lookahead(Adam) step of a 2-512-512-2 batch-norm
+# model inside the training loop: 2.68 to 2.89 ms at 16384, 2.34 to 2.40 at 32768 and 2.19 to 2.28
+# at 65536 (medians of four runs of 600 steps). 65536 would save about 0.1
+# ms a step, under 1% of a training round, for 1 MiB more scratch, so the
+# size stays (2-core x86_64 host, numpy 2.4, 1 BLAS thread).
 BLOCK = 32768
 
-# Writes the new parameters of one block: (block slice, parameters,
+# Lanes a step's blocks are shared out to; each has its own scratch blocks.
+LANES = 2
+# Blocks from which a step shares them out to two lanes. In a training
+# loop of 64-row batches through a 2-w-w-2 batch-norm model, two lanes for
+# the Lookahead(Adam) step changed the step time by +11 to +18% at 2
+# blocks (w=192), +5 to +17% at 3 (256), -0.3 to +7% at 4 (320), -3% at 5
+# (362), -1 to -6% at 6 (400) and -7 to -10% at 9 (512) (medians of two
+# runs of 80 alternating rounds of 10 steps; 2-core x86_64 virtual
+# machine, numpy 2.4, 1 BLAS thread).
+LANE_BLOCKS = 5
+
+# Writes the new parameters of one block: (lane, block slice, parameters,
 # gradients, output), the last three already cut to the block. The output
-# may be the parameters: a rule reads them only in its last operation.
-BlockRule = Callable[[slice, np.ndarray, np.ndarray, np.ndarray], None]
+# may be the parameters: a rule reads them only in its last operation. It
+# writes the block's slice of the state and the lane's scratch, nothing else.
+BlockRule = Callable[[int, slice, np.ndarray, np.ndarray, np.ndarray], None]
 Replacements = Mapping[str, np.ndarray]
 
 
@@ -87,15 +110,33 @@ def _run_blocks(
     out: ParameterSet | None,
 ) -> ParameterSet:
     """The set ``rule`` writes block by block, with ``slots`` written over
-    it: ``out``, or a fresh set when that is None."""
+    it: ``out``, or a fresh set when that is None. From ``LANE_BLOCKS``
+    blocks on, they are shared out to two lanes by :func:`lanes.share`."""
     theta, g = params.flat, grads.flat
     flat = np.empty_like(theta) if out is None else out.buffer
-    for start in range(0, theta.size, BLOCK):
+
+    def run_block(lane: int, start: int) -> None:
         block = slice(start, start + BLOCK)
-        rule(block, theta[block], g[block], flat[block])
+        rule(lane, block, theta[block], g[block], flat[block])
+
+    starts = range(0, theta.size, BLOCK)
+    if len(starts) >= LANE_BLOCKS:
+        lanes.share(starts, run_block)
+    else:
+        for start in starts:
+            run_block(0, start)
     for block, value in slots:
         flat[block] = value
     return params.with_flat(flat) if out is None else out
+
+
+def _lane_scratch(params: ParameterSet, blocks: int) -> np.ndarray:
+    """``blocks`` scratch blocks per lane, zeroed, so a lane that never
+    runs leaves its pages untouched. Twin optimizers given the same steps
+    hold the same scratch bytes only while no step is shared out: which
+    block a lane's scratch last held depends on which lane took it. No
+    step reads scratch it has not written."""
+    return np.zeros((LANES, blocks, min(BLOCK, params.flat.size)), params.dtype)
 
 
 class _InnerOptimizer:
@@ -135,12 +176,12 @@ class Sgd(_InnerOptimizer):
         """Count the step; return the rule that makes its blocks."""
         if self._velocity is None:
             self._velocity = np.zeros_like(params.flat)
-            self._scratch = np.empty_like(params.flat[:BLOCK])
+            self._scratch = _lane_scratch(params, 1)
         self.step_count += 1
         velocity, momentum, scratch = self._velocity, self.momentum, self._scratch
 
-        def rule(block, theta, g, out):
-            v, update = velocity[block], scratch[: g.size]
+        def rule(lane, block, theta, g, out):
+            v, update = velocity[block], scratch[lane, 0, : g.size]
             v *= momentum  # momentum * v + g
             v += g
             np.multiply(v, lr, out=update)
@@ -175,16 +216,16 @@ class Adam(_InnerOptimizer):
         if self._m is None:
             self._m = np.zeros_like(params.flat)
             self._v = np.zeros_like(params.flat)
-            self._scratch = np.empty((2, min(BLOCK, params.flat.size)), params.dtype)
+            self._scratch = _lane_scratch(params, 2)
         t = self.step_count + 1
         self.step_count = t
         beta1, beta2, eps = self.beta1, self.beta2, self.eps
         bias1, bias2 = 1.0 - beta1**t, 1.0 - beta2**t
         m_all, v_all, scratch = self._m, self._v, self._scratch
 
-        def rule(block, theta, g, out):
+        def rule(lane, block, theta, g, out):
             m, v = m_all[block], v_all[block]
-            s, update = scratch[0, : g.size], scratch[1, : g.size]
+            s, update = scratch[lane, 0, : g.size], scratch[lane, 1, : g.size]
             np.multiply(g, 1.0 - beta1, out=s)  # m = beta1 * m + (1 - beta1) * g
             m *= beta1
             m += s
@@ -255,8 +296,8 @@ class Lookahead:
         self.inner_counter = 0
         slow_all, alpha = self._slow, self.alpha
 
-        def rule(block, theta, g, out):
-            inner_rule(block, theta, g, out)
+        def rule(lane, block, theta, g, out):
+            inner_rule(lane, block, theta, g, out)
             slow = slow_all[block]  # slow + alpha * (fast - slow)
             out -= slow
             out *= alpha

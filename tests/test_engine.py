@@ -1031,7 +1031,7 @@ OPTIMIZERS = {
 def workspace_arrays(buffers):
     """Every array a ``TrainingBuffers`` holds."""
     rows = [arr for layer in buffers.layers for arr in layer if arr is not None]
-    return [buffers.input, buffers.grads.buffer, *rows]
+    return [buffers.input, buffers.grads.buffer, buffers.spare, *rows]
 
 
 class TestTrainingBuffersAreBitwiseTheFreshPath:
