@@ -5,7 +5,14 @@ Four schemes are supported:
 * ``uniform`` — mean of the k most recently saved checkpoints, recomputed
   at every save once k checkpoints exist. The window is held in a
   fixed-capacity ring; the default window is 6 and a warning is emitted
-  for windows above 16, which tend to hurt rather than help.
+  for windows above 16, which tend to hurt rather than help. A checkpoint
+  observed together with its file, whose parameters take at least
+  ``FILE_SLOT_BYTES``, stays in the ring only as a reference to that
+  file once it has been averaged; each later average reads it back
+  block by block. So a large model's window costs no memory between
+  save events, and at a save event only the newest checkpoint, the
+  float64 sum and one read block; a small model's window stays in
+  memory, where an add costs less than a read.
 * ``ema`` — exponential recursion ``avg_0 = c_0`` then
   ``avg_t = alpha * c_t + (1 - alpha) * avg_{t-1}`` (newest checkpoint
   gets weight alpha). The recursion is unbounded; no window applies.
@@ -13,7 +20,9 @@ Four schemes are supported:
 * ``none`` — no averaging; ``observe`` never yields a model.
 
 All accumulation happens in float64 regardless of the checkpoint element
-type, with a final cast back, so long windows do not drift.
+type, with a final cast back, so long windows do not drift. A window's
+sum is the same, bit for bit, whether its checkpoints are in memory or in
+their files.
 """
 
 from __future__ import annotations
@@ -25,33 +34,57 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .checkpoint_io import read_checkpoint, read_checkpoint_header
+from .checkpoint_io import (
+    CheckpointFile,
+    checkpoint_file,
+    read_checkpoint,
+    read_checkpoint_header,
+)
 from .errors import (
     ConfigError,
     ConfigWarning,
     EpochOrderError,
     InsufficientCheckpoints,
     InternalStateError,
+    NonFiniteError,
 )
-from .params import Checkpoint, ParameterSet, check_finite, check_same_structure
+from .params import (
+    Checkpoint,
+    ParameterSet,
+    check_finite,
+    check_layout,
+    check_same_structure,
+)
 
 DEFAULT_WINDOW = 6
 DEFAULT_EMA_ALPHA = 0.9
 WINDOW_WARN_THRESHOLD = 16
+# Bytes of a parameter set from which a uniform window, once it has
+# averaged a checkpoint that came with its file, keeps only a reference to
+# that file and reads the values back at each later average. Below it the
+# checkpoint stays in memory: the few kilobytes saved are not worth a read,
+# which costs several times the in-memory add (CHANGES.md has the times).
+FILE_SLOT_BYTES = 1 << 18
+# Elements per read of a checkpoint held as a file reference.
+READ_BLOCK = 1 << 15
+
+# A window slot: a checkpoint in memory, or a reference to its file.
+Slot = Checkpoint | CheckpointFile
 
 
 class CheckpointRing:
     """FIFO of the ``capacity`` most recently pushed checkpoints.
 
     Pushes must come in strictly increasing epoch order; once full, each
-    push evicts exactly the oldest slot.
+    push evicts exactly the oldest slot. A slot holds its checkpoint in
+    memory until :meth:`spill_newest` replaces it by its file.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ConfigError(f"ring capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._slots: deque[Checkpoint] = deque(maxlen=capacity)
+        self._slots: deque[Slot] = deque(maxlen=capacity)
 
     def push(self, ckpt: Checkpoint) -> None:
         if self._slots and ckpt.epoch <= self._slots[-1].epoch:
@@ -64,32 +97,80 @@ class CheckpointRing:
     def __len__(self) -> int:
         return len(self._slots)
 
-    def __iter__(self) -> Iterator[Checkpoint]:
+    def __iter__(self) -> Iterator[Slot]:
         """Oldest first."""
         return iter(self._slots)
 
     @property
-    def newest(self) -> Checkpoint:
+    def newest(self) -> Slot:
         return self._slots[-1]
 
+    def spill_newest(self, ref: CheckpointFile) -> None:
+        """Hold the newest checkpoint as ``ref``, a reference to the file
+        that holds it, which must stay unchanged while it is in the window."""
+        newest = self.newest
+        if (ref.epoch, ref.step) != (newest.epoch, newest.step):
+            raise InternalStateError(
+                f"file {ref.path} holds epoch {ref.epoch}, step {ref.step}, "
+                f"not the newest slot's epoch {newest.epoch}, step {newest.step}"
+            )
+        self._slots[-1] = ref
 
-def uniform_average(ckpts: Sequence[Checkpoint]) -> ParameterSet:
+
+def _check_fits(slot: Slot, params: ParameterSet) -> None:
+    """Raise :class:`StructureMismatch` naming the first entry in which
+    ``params`` differ from the slot's checkpoint."""
+    if isinstance(slot, CheckpointFile):
+        check_layout(params, slot.dtype, slot.entries)
+    else:
+        check_same_structure(slot.params, params)
+
+
+def _runs(
+    slot: Slot, template: ParameterSet, buffer: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The slot's values, checked to fit ``template`` and to be finite, as
+    ``(start, values)`` runs in flat order: a checkpoint in memory is one
+    run, a file is read in runs into ``buffer``."""
+    _check_fits(slot, template)
+    context = f"checkpoint at epoch {slot.epoch}"
+    if isinstance(slot, Checkpoint):
+        check_finite(slot.params, context)
+        yield 0, slot.params.flat
+        return
+    for name, start, values in slot.runs(buffer):
+        if not np.isfinite(values).all():
+            raise NonFiniteError(f"{context}: entry {name!r} contains NaN or Inf")
+        yield start, values
+
+
+def uniform_average(ckpts: Sequence[Slot]) -> ParameterSet:
     """Elementwise arithmetic mean of the checkpoints' parameters.
 
     All checkpoints must match structurally and contain only finite
-    values. Accumulates in float64 and divides the sum in place, then
-    casts back to the input element type.
+    values. Accumulates in float64, oldest first, and divides the sum in
+    place, then casts back to the input element type. A window slot that
+    is a :class:`CheckpointFile` is read back ``READ_BLOCK`` elements at a
+    time into one buffer, each run checked and added as it is read, so
+    each element gets the same adds in the same order as from memory. At
+    least one checkpoint must be in memory: the average takes its layout.
+    The result is built by :meth:`ParameterSet.over` on a fresh buffer
+    that nothing else holds, so its owner may write it in place.
     """
     if not ckpts:
         raise ConfigError("cannot average an empty checkpoint sequence")
-    first = ckpts[0].params
-    acc = np.zeros(first.flat.shape, dtype=np.float64)
+    template = next((c.params for c in ckpts if isinstance(c, Checkpoint)), None)
+    if template is None:
+        raise InternalStateError("a uniform average needs one checkpoint in memory")
+    acc = np.zeros(template.flat.shape, dtype=np.float64)
+    files = any(isinstance(c, CheckpointFile) for c in ckpts)
+    buffer = np.empty(max(1, min(READ_BLOCK, acc.size)) if files else 0, template.dtype)
     for c in ckpts:
-        check_same_structure(first, c.params)
-        check_finite(c.params, f"checkpoint at epoch {c.epoch}")
-        acc += c.params.flat
+        for start, values in _runs(c, template, buffer):
+            run = acc[start : start + values.size]
+            run += values
     acc /= len(ckpts)
-    return first.with_flat(acc)
+    return template.over(acc if acc.dtype == template.dtype else acc.astype(template.dtype))
 
 
 def lawa_step(ring: CheckpointRing, epoch: int, k: int) -> ParameterSet | None:
@@ -114,20 +195,30 @@ class AveragingScheme:
 
     kind: str
 
-    def observe(self, ckpt: Checkpoint) -> ParameterSet | None:
-        """Absorb one checkpoint; return the scheme's current average, if any."""
+    def observe(self, ckpt: Checkpoint, path=None) -> ParameterSet | None:
+        """Absorb one checkpoint; return the scheme's current average, if any.
+
+        ``path``, when given, names a file that :func:`write_checkpoint`
+        wrote from ``ckpt``; a scheme may read it back later instead of
+        holding ``ckpt``, so it must stay unchanged while the scheme lives.
+        """
         raise NotImplementedError
 
 
 class NoAveraging(AveragingScheme):
     kind = "none"
 
-    def observe(self, ckpt: Checkpoint) -> None:
+    def observe(self, ckpt: Checkpoint, path=None) -> None:
         return None
 
 
 class UniformScheme(AveragingScheme):
-    """k-latest uniform averaging driven by a checkpoint ring."""
+    """k-latest uniform averaging driven by a checkpoint ring.
+
+    A checkpoint observed with its file, of at least ``FILE_SLOT_BYTES``,
+    stays in the ring as a reference to that file once it has been
+    averaged, so the ring holds no parameter set between save events.
+    """
 
     kind = "uniform"
 
@@ -144,12 +235,15 @@ class UniformScheme(AveragingScheme):
         self.k = k
         self.ring = CheckpointRing(k)
 
-    def observe(self, ckpt: Checkpoint) -> ParameterSet | None:
+    def observe(self, ckpt: Checkpoint, path=None) -> ParameterSet | None:
         # A foreign checkpoint is named by its entry, not by its epoch.
         if len(self.ring):
-            check_same_structure(self.ring.newest.params, ckpt.params)
+            _check_fits(self.ring.newest, ckpt.params)
         self.ring.push(ckpt)
-        return lawa_step(self.ring, ckpt.epoch, self.k)
+        average = lawa_step(self.ring, ckpt.epoch, self.k)
+        if path is not None and ckpt.params.flat.nbytes >= FILE_SLOT_BYTES:
+            self.ring.spill_newest(checkpoint_file(ckpt, path))
+        return average
 
 
 class _RunningScheme(AveragingScheme):
@@ -168,8 +262,9 @@ class _RunningScheme(AveragingScheme):
         self._template: ParameterSet | None = None
         self.count = 0
 
-    def observe(self, ckpt: Checkpoint) -> ParameterSet:
-        """Advance the fold by one checkpoint and return its value."""
+    def observe(self, ckpt: Checkpoint, path=None) -> ParameterSet:
+        """Advance the fold by one checkpoint and return its value; the
+        fold holds its own state, so ``path`` goes unused."""
         check_finite(ckpt.params, f"checkpoint at epoch {ckpt.epoch}")
         if self._state is None:
             self._template = ckpt.params
@@ -251,7 +346,9 @@ def average_checkpoint_dir(
     paths.sort(key=read_checkpoint_header)
     for path in paths[-k:]:
         newest = read_checkpoint(path)
-        averaged = averager.observe(newest)
+        averaged = averager.observe(newest, path)
+        epoch, step = newest.epoch, newest.step
+        del newest  # parse the next file with no other one alive
     if averaged is None:
         raise ConfigError(f"scheme {scheme!r} yields no average")
-    return Checkpoint(params=averaged, epoch=newest.epoch, step=newest.step)
+    return Checkpoint(params=averaged, epoch=epoch, step=step)

@@ -17,14 +17,19 @@ Layout (all integers little-endian, no padding, no trailing bytes):
 
 Reading back a written checkpoint reproduces it bit for bit, including
 NaN payloads. Malformed input raises :class:`FormatError` carrying the
-byte offset of the problem.
+byte offset of the problem. A :class:`CheckpointFile` refers to a file
+this module wrote, to read its values back in runs later; a file that no
+longer has the size and headers that were written is rejected.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -67,25 +72,114 @@ def read_text(path, what: str) -> str:
         raise ParseError(f"{what} {path} is not UTF-8 text: {exc}") from exc
 
 
+def _preamble(epoch: int, step: int, count: int) -> bytes:
+    """The bytes before the first tensor: magic, version, epoch, step and
+    tensor count."""
+    return MAGIC + struct.pack("<IQQI", VERSION, epoch, step, count)
+
+
+def _tensor_header(name: str, shape: tuple[int, ...], code: int) -> bytes:
+    """The bytes before a tensor's data: its name, dtype code and dims."""
+    raw_name = name.encode("utf-8")
+    return (
+        struct.pack("<I", len(raw_name))
+        + raw_name
+        + struct.pack(f"<BI{len(shape)}Q", code, len(shape), *shape)
+    )
+
+
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
     """Serialize ``ckpt`` to ``path`` with :func:`write_atomically`, each
     tensor's bytes written straight from its array. I/O failures raise
     :class:`IoError`."""
-    parts = [
-        MAGIC,
-        struct.pack("<I", VERSION),
-        struct.pack("<QQ", ckpt.epoch, ckpt.step),
-        struct.pack("<I", len(ckpt.params)),
-    ]
+    parts = [_preamble(ckpt.epoch, ckpt.step, len(ckpt.params))]
     for name, arr in ckpt.params.items():
-        raw_name = name.encode("utf-8")
         code = _DTYPE_CODES[arr.dtype]
-        parts.append(struct.pack("<I", len(raw_name)))
-        parts.append(raw_name)
-        parts.append(struct.pack("<BI", code, arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+        parts.append(_tensor_header(name, arr.shape, code))
         parts.append(np.asarray(arr, dtype=_CODE_DTYPES[code]))
     write_atomically(path, parts, "checkpoint")
+
+
+@dataclass(frozen=True)
+class CheckpointFile:
+    """A checkpoint file as :func:`write_checkpoint` wrote it, held without
+    its values: its path, epoch and step, element type, each entry's name
+    and shape, and its size in bytes. :meth:`runs` reads the values back.
+    Built by :func:`checkpoint_file`."""
+
+    path: Path
+    epoch: int
+    step: int
+    dtype: np.dtype
+    entries: tuple[tuple[str, tuple[int, ...]], ...]
+    size: int
+
+    def runs(self, buffer: np.ndarray) -> Iterator[tuple[str, int, np.ndarray]]:
+        """The file's values in entry order, read in runs of at most
+        ``buffer.size`` elements into ``buffer``, an array of this file's
+        element type. Each run is yielded as its entry's name, its start in
+        the entries' flat order, and a leading view of ``buffer`` that the
+        next run overwrites.
+
+        Raises :class:`FormatError` naming the path when the file's size,
+        its header or a tensor header is not what was written, or when the
+        file ends early, and :class:`IoError` on OS-level failure.
+        """
+        code = _DTYPE_CODES[self.dtype]
+        raw = buffer.view(_CODE_DTYPES[code])
+        try:
+            with open(self.path, "rb", buffering=0) as fh:
+                size = os.fstat(fh.fileno()).st_size
+                if size != self.size:
+                    raise FormatError(
+                        f"checkpoint {self.path} changed since it was written: "
+                        f"it holds {size} bytes, not {self.size}",
+                        0,
+                    )
+                self._expect(fh, _preamble(self.epoch, self.step, len(self.entries)), "header")
+                start = 0
+                for name, shape in self.entries:
+                    self._expect(fh, _tensor_header(name, shape, code), f"header of {name!r}")
+                    n = math.prod(shape)
+                    for lo in range(0, n, raw.size):
+                        run = raw[: min(raw.size, n - lo)]
+                        self._fill(fh, memoryview(run).cast("B"), name)
+                        yield name, start + lo, run
+                    start += n
+        except OSError as exc:
+            raise IoError(f"cannot read checkpoint {self.path}: {exc}") from exc
+
+    def _expect(self, fh, want: bytes, what: str) -> None:
+        """Read ``want`` next from ``fh``, or raise :class:`FormatError`."""
+        got = fh.read(len(want))
+        if got != want:
+            raise FormatError(
+                f"checkpoint {self.path} is not the file written for epoch "
+                f"{self.epoch}, step {self.step}: its {what} differs",
+                fh.tell() - len(got),
+            )
+
+    def _fill(self, fh, view: memoryview, name: str) -> None:
+        """Read ``fh`` into all of ``view``, or raise :class:`FormatError`."""
+        got = 0
+        while got < len(view):
+            n = fh.readinto(view[got:])
+            if not n:
+                raise FormatError(
+                    f"checkpoint {self.path} ends inside the data of {name!r}", fh.tell()
+                )
+            got += n
+
+
+def checkpoint_file(ckpt: Checkpoint, path) -> CheckpointFile:
+    """The :class:`CheckpointFile` for ``path``, a file that
+    :func:`write_checkpoint` wrote from ``ckpt``."""
+    params = ckpt.params
+    code = _DTYPE_CODES[params.dtype]
+    entries = tuple((name, arr.shape) for name, arr in params.items())
+    size = len(_preamble(ckpt.epoch, ckpt.step, len(entries))) + params.flat.nbytes
+    size += sum(len(_tensor_header(name, shape, code)) for name, shape in entries)
+    return CheckpointFile(Path(path), ckpt.epoch, ckpt.step, params.dtype, entries, size)
 
 
 class _Reader:

@@ -48,12 +48,8 @@ BN_MOMENTUM = 0.1
 # Rows per block over which recompute_bn_stats sums a batch-norm layer's product.
 ROW_BLOCK = 256
 # Rows times weight elements from which backward runs a hidden layer's
-# two products in two lanes. In a training loop of 64-row batches through
-# a 2-w-w-2 batch-norm model, two lanes for the products changed the step
-# time by +10% at w=192 (2.4M), +6 to +8% at 256 (4.2M), +1 to +2% at 320
-# (6.6M), -0.5 to +1.5% at 362 (8.4M), -2% at 384 (9.4M) and -8% at 512
-# (16.8M) (medians of two runs of 80 alternating rounds of 10 steps;
-# 2-core x86_64 virtual machine, numpy 2.4, 1 BLAS thread).
+# two products in two lanes: about the least at which two lanes made the
+# step of a training loop faster than one; CHANGES.md has the times.
 LANE_PRODUCT = 1 << 23
 
 
@@ -574,6 +570,11 @@ def recompute_bn_stats(
     order; then the view is normalized and rectified in place. Nothing
     after the last batch-norm layer is computed, and the last one is not
     normalized, since no layer reads its output.
+
+    A set built by :meth:`ParameterSet.over` gets the statistics written
+    into its buffer, and is returned; pass one only when no one else reads
+    that buffer, such as the fresh set :func:`uniform_average` returns.
+    Any other set is left as it is, and a new set is returned.
     """
     if len(x) == 0:
         raise EmptyDataError("cannot recompute normalization statistics without data")
@@ -601,7 +602,11 @@ def recompute_bn_stats(
         updates[f"layer{i}.bn_running_var"] = var.astype(dtype)
         if i == last_bn:
             break
-    return params.with_updates(updates)
+    if params.buffer is None:
+        return params.with_updates(updates)
+    for block, value in params.update_slots(updates):
+        params.buffer[block] = value
+    return params
 
 
 def copy_bn_stats(avg: ParameterSet, source: ParameterSet) -> ParameterSet:
@@ -723,7 +728,9 @@ def train_variants(
     backward, the optimizer step and the raw-model evaluations run once;
     each save event writes the checkpoint once, hard-links it into every
     other output directory (writing it again where a link fails) and
-    feeds every config's averaging scheme. Each directory ends up
+    feeds every config's averaging scheme the checkpoint and the first
+    directory's file, which a uniform window of a large model reads back
+    at later save events. Each directory ends up
     byte-identical to a ``train_run`` of its config, except for
     ``wall_seconds``, which counts from the shared start. A non-finite
     value aborts every variant at the same epoch. Every config is
@@ -837,7 +844,8 @@ def train_variants(
             except OSError:
                 write_checkpoint(ckpt, path)
         for v in variants:
-            averaged = v.scheme.observe(ckpt)
+            # The other directories' files are links to this one, or copies.
+            averaged = v.scheme.observe(ckpt, first)
             if averaged is None:
                 continue
             averaged = apply_bn_mode(

@@ -49,25 +49,15 @@ DEFAULT_LOOKAHEAD_K = 5
 # Elements per block of a step. Adam with Lookahead, in place, reads and
 # writes seven buffers per block (parameters, gradients, m, v, two scratch
 # blocks, slow weights): 1.75 MiB of float64 at this size, within a 2 MiB
-# L2 cache, and each of two lanes has its own core's L2. In one lane, on a
-# 269k-element Lookahead(Adam) step, it was the fastest of 4096 to 65536
-# elements and whole buffers (2.76 ms against 2.88 to 3.41 ms). Re-timed
-# in two lanes, as the Lookahead(Adam) step of a 2-512-512-2 batch-norm
-# model inside the training loop: 2.68 to 2.89 ms at 16384, 2.34 to 2.40 at 32768 and 2.19 to 2.28
-# at 65536 (medians of four runs of 600 steps). 65536 would save about 0.1
-# ms a step, under 1% of a training round, for 1 MiB more scratch, so the
-# size stays (2-core x86_64 host, numpy 2.4, 1 BLAS thread).
+# L2 cache, and each of two lanes has its own core's L2. The size was timed
+# against 4096 to 65536 elements and whole buffers; CHANGES.md has the times.
 BLOCK = 32768
 
 # Lanes a step's blocks are shared out to; each has its own scratch blocks.
 LANES = 2
-# Blocks from which a step shares them out to two lanes. In a training
-# loop of 64-row batches through a 2-w-w-2 batch-norm model, two lanes for
-# the Lookahead(Adam) step changed the step time by +11 to +18% at 2
-# blocks (w=192), +5 to +17% at 3 (256), -0.3 to +7% at 4 (320), -3% at 5
-# (362), -1 to -6% at 6 (400) and -7 to -10% at 9 (512) (medians of two
-# runs of 80 alternating rounds of 10 steps; 2-core x86_64 virtual
-# machine, numpy 2.4, 1 BLAS thread).
+# Blocks from which a step shares them out to two lanes: the fewest at
+# which two lanes made the Lookahead(Adam) step of a training loop faster
+# than one; CHANGES.md has the times.
 LANE_BLOCKS = 5
 
 # Writes the new parameters of one block: (lane, block slice, parameters,

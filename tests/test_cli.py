@@ -17,7 +17,7 @@ from lawa.compare import compare_run
 from lawa.config import SCHEMES, RunConfig, config_from_mapping, resolved_text
 from lawa.errors import SchemaError
 from lawa.metrics import read_metrics
-from testutil import max_abs_diff
+from testutil import masked_files, max_abs_diff
 
 
 def run_cli(args):
@@ -616,19 +616,6 @@ class TestSweep:
         assert code == 2
         assert "duplicate sweep variants: uniform" in capsys.readouterr().err
         assert not root.exists()
-
-
-def masked_files(directory):
-    """Every file of a run directory by name; metrics.csv without wall_seconds."""
-    files = {}
-    for path in sorted(directory.iterdir()):
-        if path.name == "metrics.csv":
-            files[path.name] = [
-                line.rsplit(",", 1)[0] for line in path.read_text().splitlines()
-            ]
-        else:
-            files[path.name] = path.read_bytes()
-    return files
 
 
 # The variant directories of `--schemes uniform,ema,polyak --k-values 2,3`

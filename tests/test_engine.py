@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lawa import engine, optim
+from lawa import averaging, engine, optim
 from lawa.checkpoint_io import read_checkpoint
 from lawa.config import RunConfig, resolved_text
 from lawa.data import make_spirals
@@ -42,7 +42,7 @@ from lawa.errors import (
     StructureMismatch,
 )
 from lawa.optim import Adam, Lookahead, Sgd, make_optimizer
-from lawa.params import ParameterSet
+from lawa.params import Checkpoint, ParameterSet
 from testutil import traced
 
 
@@ -462,6 +462,44 @@ def perturbed_bn_params(spec, seed):
             if name.endswith(("bn_gamma", "bn_beta"))
         }
     )
+
+
+class TestBnFixUpOfAnAverage:
+    """The fix-up writes a fresh uniform average in place and leaves every
+    other set, such as a running fold's state, as it was."""
+
+    SPEC = ModelSpec(widths=(2, 16, 12, 2), use_bn=(True, True), init_seed=5)
+
+    def trajectory(self, dtype, n=4):
+        spec = replace(self.SPEC, dtype=dtype)
+        return spec, [
+            Checkpoint(perturbed_bn_params(spec, seed=20 + e), e, e) for e in range(n)
+        ]
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_a_uniform_average_is_fixed_up_in_place_with_the_same_bits(self, dtype):
+        spec, ckpts = self.trajectory(dtype)
+        x = np.random.default_rng(21).normal(size=(300, 2))
+        average = averaging.uniform_average(ckpts)
+        want = recompute_bn_stats(average.with_flat(average.flat.copy()), spec, x)
+        buffer = average.buffer
+        fixed = apply_bn_mode(average, spec, "auto", ckpts[-1].params, x)
+        assert fixed is average and fixed.buffer is buffer
+        assert fixed.flat.tobytes() == want.flat.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("kind", ["ema", "polyak"])
+    def test_a_running_fold_state_is_unchanged(self, dtype, kind):
+        spec, ckpts = self.trajectory(dtype)
+        x = np.random.default_rng(22).normal(size=(300, 2))
+        scheme = averaging.make_scheme(kind, alpha=0.6)
+        for ckpt in ckpts:
+            average = scheme.observe(ckpt)
+        state, held = scheme._state.tobytes(), average.flat.tobytes()
+        fixed = apply_bn_mode(average, spec, "auto", ckpts[-1].params, x)
+        assert fixed is not average
+        assert scheme._state.tobytes() == state and average.flat.tobytes() == held
+        assert fixed != average
 
 
 GUARD_SHAPES = [
@@ -1172,8 +1210,10 @@ class TestTrainVariantsHandsOutCopies:
         set the loop hands out: checkpoints written and observed, and
         evaluated parameters. Each hand-out records whether the set is a
         read-only copy sharing no memory with the parameter buffer or a
-        workspace alive at that moment, and how many workspaces are alive."""
-        seen = {"workspaces": [], "handed_out": [], "written": []}
+        workspace alive at that moment, and how many workspaces are alive.
+        Only an average a scheme returned may keep a writeable buffer: the
+        fresh one that the batch-norm fix-up writes in place."""
+        seen = {"workspaces": [], "handed_out": [], "written": [], "averages": []}
 
         class Recorded(TrainingBuffers):
             __slots__ = ("__weakref__",)
@@ -1187,7 +1227,7 @@ class TestTrainVariantsHandsOutCopies:
             arrays = [params.buffer for _, params in seen["workspaces"][:1]]
             arrays += [arr for workspace in live for arr in workspace_arrays(workspace)]
             copy = (
-                pset.buffer is None
+                (pset.buffer is None or any(pset.buffer is a for a in seen["averages"]))
                 and not pset.flat.flags.writeable
                 and not any(np.shares_memory(pset.flat, arr) for arr in arrays)
             )
@@ -1216,9 +1256,12 @@ class TestTrainVariantsHandsOutCopies:
             scheme = make_scheme(*args)
             observe = scheme.observe
 
-            def recorded_observe(ckpt):
+            def recorded_observe(ckpt, path=None):
                 hand_out(ckpt.params)
-                return observe(ckpt)
+                average = observe(ckpt, path)
+                if average is not None and average.buffer is not None:
+                    seen["averages"].append(average.buffer)
+                return average
 
             scheme.observe = recorded_observe
             return scheme
@@ -1282,8 +1325,12 @@ class TestTrainVariantsHandsOutCopies:
         train_run(cfg)
         params = seen["workspaces"][0][1]
         assert all(p is params for _, p in seen["workspaces"])
-        # The parameters, then each epoch's gradients: no other buffer backs a set.
-        assert len(built) == 1 + cfg.epochs == 1 + len(seen["workspaces"])
+        # The parameters, then each epoch's gradients and each uniform
+        # average's fresh buffer: no other buffer backs a set.
+        averages = cfg.epochs - cfg.k + 1
+        assert len(built) == 1 + cfg.epochs + averages
+        assert cfg.epochs == len(seen["workspaces"])
+        assert len(seen["averages"]) == averages
         assert built[0] is params.buffer
         assert all(b is not params.buffer and b.shape == params.flat.shape for b in built[1:])
 
@@ -1345,9 +1392,13 @@ class TestPeakMemory:
         optimizer_state = one_set + 8 * min(optim.BLOCK, size)
         # The widest pass: every training row through a 256-wide layer.
         inference_pair = 2 * 8 * len(dataset.train()[0]) * 256
-        # The loop's parameter buffer, k + 1 checkpoints (the window and the
-        # save event's new copy) and one average. While batch norm is fixed
-        # up the raw average and its fix-up both live, with the window full.
+        # The set is above FILE_SLOT_BYTES, so the window's older
+        # checkpoints are read back from their files at each save event. At
+        # the peak, in the batch-norm fix-up, the run holds the loop's
+        # parameter buffer, the save event's new copy, one average, which
+        # the fix-up writes in place, and the fix-up's row block. The bound
+        # still allows the k + 1 checkpoints of a window held in memory.
+        assert one_set >= averaging.FILE_SLOT_BYTES
         bound = (1 + (k + 1) + 1) * one_set + optimizer_state + inference_pair + 512 * 1024
         records, peak, _ = traced(train_run, cfg, dataset)
         assert records[-1].avg_val_loss is not None

@@ -1,0 +1,323 @@
+"""A uniform window that holds its older checkpoints as references to their
+files gives, bit for bit, what a window held in memory gives, holds no more
+than one of them at a time, and rejects a file that changed under it."""
+
+import os
+import shutil
+
+import numpy as np
+import pytest
+
+from lawa import averaging, engine
+from lawa.averaging import (
+    FILE_SLOT_BYTES,
+    CheckpointRing,
+    UniformScheme,
+    uniform_average,
+)
+from lawa.checkpoint_io import CheckpointFile, checkpoint_file, read_checkpoint, write_checkpoint
+from lawa.cli import main
+from lawa.config import RunConfig
+from lawa.engine import ModelSpec, build_dataset, init_params, model_spec_for, train_run
+from lawa.errors import (
+    FormatError,
+    InternalStateError,
+    IoError,
+    NonFiniteError,
+    StructureMismatch,
+)
+from lawa.params import Checkpoint, ParameterSet
+from testutil import masked_files, mixed_pset, pset, random_pset, traced
+
+TINY = [
+    "--dataset", "spirals", "--n-per-class", "40", "--noise", "0.15",
+    "--hidden", "8", "--epochs", "6", "--batch-size", "16", "--lr", "0.1",
+    "--momentum", "0.9", "--schedule", "cosine", "--seed", "1", "--k", "3",
+]
+
+# FILE_SLOT_BYTES for a window held in memory, and for one held in files.
+MODES = {"memory": 1 << 62, "files": 0}
+
+
+def cli_ok(args):
+    assert main(args) == 0
+
+
+def spied_spills(monkeypatch):
+    """Record each file reference a window builds."""
+    spills = []
+    build = averaging.checkpoint_file
+
+    def recorded(ckpt, path):
+        spills.append(path)
+        return build(ckpt, path)
+
+    monkeypatch.setattr(averaging, "checkpoint_file", recorded)
+    return spills
+
+
+def in_both_modes(tmp_path, monkeypatch, run):
+    """Call ``run()`` in a fresh working directory once per window mode;
+    returns each mode's directory and how many slots it held in files."""
+    spills = spied_spills(monkeypatch)
+    out = {}
+    for mode, limit in MODES.items():
+        monkeypatch.setattr(averaging, "FILE_SLOT_BYTES", limit)
+        work = tmp_path / mode
+        work.mkdir()
+        # Relative output paths, so config.resolved names the same `out`.
+        monkeypatch.chdir(work)
+        before = len(spills)
+        run()
+        out[mode] = (work, len(spills) - before)
+    assert out["memory"][1] == 0 and out["files"][1] > 0
+    return out["memory"][0], out["files"][0]
+
+
+class TestRunsAreBitwiseTheInMemoryWindow:
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("use_bn", ["--use-bn", "--no-use-bn"])
+    @pytest.mark.parametrize("save_every_steps", ["0", "3"])  # 4 steps per epoch
+    def test_train(self, tmp_path, monkeypatch, dtype, use_bn, save_every_steps):
+        args = [
+            "train", *TINY, "--dtype", dtype, use_bn, "--save-every-steps", save_every_steps,
+            "--save-averaged", "--out", "run",
+        ]
+        memory, files = in_both_modes(tmp_path, monkeypatch, lambda: cli_ok(args))
+        got = masked_files(files / "run")
+        assert got == masked_files(memory / "run")
+        assert sum(name.startswith("lawa_") for name in got) >= 4
+
+    @pytest.mark.parametrize("links", ["linked", "copied"])
+    def test_sweep(self, tmp_path, monkeypatch, links):
+        if links == "copied":
+            def no_link(src, dst):
+                raise OSError("links refused")
+
+            monkeypatch.setattr(os, "link", no_link)
+        args = [
+            "sweep", *TINY, "--use-bn", "--save-averaged", "--schemes", "uniform,ema,polyak",
+            "--k-values", "2,3", "--out", "sweep",
+        ]
+        memory, files = in_both_modes(tmp_path, monkeypatch, lambda: cli_ok(args))
+        variants = sorted(p.name for p in (files / "sweep").iterdir() if p.is_dir())
+        assert variants == ["ema", "polyak", "uniform", "uniform_k2", "uniform_k3"]
+        for name in variants:
+            assert masked_files(files / "sweep" / name) == masked_files(memory / "sweep" / name)
+        links_made = (files / "sweep" / "uniform_k2" / "ckpt_e00003.lawa").stat().st_nlink
+        assert links_made == (1 if links == "copied" else 5)
+
+    @pytest.mark.parametrize("scheme", ["uniform", "ema", "polyak"])
+    def test_lawa_average(self, tmp_path, monkeypatch, scheme):
+        run = tmp_path / "run"
+        assert main(["train", *TINY, "--use-bn", "--out", str(run)]) == 0
+        spills = spied_spills(monkeypatch)
+        written = {}
+        for mode, limit in MODES.items():
+            monkeypatch.setattr(averaging, "FILE_SLOT_BYTES", limit)
+            out = tmp_path / f"{mode}.lawa"
+            args = ["average", "--dir", str(run), "--k", "4", "--scheme", scheme, "--out", str(out)]
+            assert main(args) == 0
+            written[mode] = out.read_bytes()
+        assert written["files"] == written["memory"]
+        # Only uniform keeps a window; the running folds keep their own state.
+        assert len(spills) == (4 if scheme == "uniform" else 0)
+
+
+class TestTheSizeRule:
+    """A slot is held in its file from FILE_SLOT_BYTES of parameters on."""
+
+    @pytest.mark.parametrize("elements, in_file", [
+        (FILE_SLOT_BYTES // 8 - 1, False),
+        (FILE_SLOT_BYTES // 8, True),
+    ], ids=["below", "at"])
+    def test_each_side_of_the_constant(self, tmp_path, elements, in_file):
+        rng = np.random.default_rng(40)
+        scheme = UniformScheme(k=3)
+        ckpts = []
+        for e in range(4):
+            ckpts.append(Checkpoint(pset({"w": rng.normal(size=elements)}), e, 10 * e))
+            path = tmp_path / f"c{e}.lawa"
+            write_checkpoint(ckpts[-1], path)
+            average = scheme.observe(ckpts[-1], path)
+        assert all(isinstance(s, CheckpointFile) == in_file for s in scheme.ring)
+        want = uniform_average(ckpts[1:])
+        assert average.flat.tobytes() == want.flat.tobytes()
+
+    def test_the_benchmark_models_fall_on_either_side(self):
+        def set_bytes(hidden, use_bn):
+            spec = ModelSpec(widths=(2, *hidden, 2), use_bn=(use_bn,) * len(hidden))
+            return init_params(spec).flat.nbytes
+
+        assert set_bytes((64, 64), False) < FILE_SLOT_BYTES <= set_bytes((512, 512), True)
+
+    def test_without_a_path_the_window_stays_in_memory(self):
+        scheme = UniformScheme(k=2)
+        for e in range(3):
+            scheme.observe(Checkpoint(pset({"w": np.ones(FILE_SLOT_BYTES)}), e, e))
+        assert all(isinstance(s, Checkpoint) for s in scheme.ring)
+
+
+def written(tmp_path, params, epoch, name=None):
+    """``params`` at ``epoch`` written to a file, and its reference."""
+    ckpt = Checkpoint(params, epoch, 7 * epoch)
+    path = tmp_path / (name or f"c{epoch}.lawa")
+    write_checkpoint(ckpt, path)
+    return ckpt, checkpoint_file(ckpt, path)
+
+
+class TestCheckpointFile:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("run", [1, 3, 7, 1 << 15])
+    def test_runs_read_back_every_value(self, tmp_path, dtype, run):
+        params = mixed_pset(np.random.default_rng(41), dtype)
+        _, ref = written(tmp_path, params, 2)
+        assert ref.size == ref.path.stat().st_size
+        got = np.full(params.flat.size, np.nan, dtype)
+        names = []
+        for name, start, values in ref.runs(np.empty(run, dtype)):
+            assert values.size <= run
+            got[start : start + values.size] = values
+            names.append(name)
+        assert got.tobytes() == params.flat.tobytes()
+        assert sorted(set(names)) == sorted(n for n, a in params.items() if a.size)
+
+    def test_a_truncated_file_is_named(self, tmp_path):
+        _, ref = written(tmp_path, random_pset(np.random.default_rng(42)), 1)
+        ref.path.write_bytes(ref.path.read_bytes()[:-8])
+        with pytest.raises(FormatError, match=f"{ref.path}.*changed since it was written"):
+            list(ref.runs(np.empty(4)))
+
+    def test_a_file_of_another_epoch_is_named(self, tmp_path):
+        rng = np.random.default_rng(43)
+        _, ref = written(tmp_path, random_pset(rng), 1)
+        written(tmp_path, random_pset(rng), 2, name=ref.path.name)
+        with pytest.raises(FormatError, match=f"{ref.path}.*epoch 1, step 7: its header"):
+            list(ref.runs(np.empty(4)))
+
+    def test_a_renamed_entry_is_named(self, tmp_path):
+        rng = np.random.default_rng(44)
+        _, ref = written(tmp_path, pset({"a": [1.0, 2.0], "b": [3.0]}), 1)
+        written(tmp_path, pset({"a": [1.0, 2.0], "c": [3.0]}), 1, name=ref.path.name)
+        with pytest.raises(FormatError, match="header of 'b' differs"):
+            list(ref.runs(np.empty(4)))
+
+    def test_a_missing_file_is_an_io_error(self, tmp_path):
+        _, ref = written(tmp_path, random_pset(np.random.default_rng(45)), 1)
+        ref.path.unlink()
+        with pytest.raises(IoError, match=str(ref.path)):
+            list(ref.runs(np.empty(4)))
+
+
+class TestUniformAverageOverFiles:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_any_mix_of_slots_is_bitwise_the_in_memory_average(self, tmp_path, monkeypatch, dtype):
+        monkeypatch.setattr(averaging, "READ_BLOCK", 5)
+        rng = np.random.default_rng(46)
+        pairs = [written(tmp_path, mixed_pset(rng, dtype), e) for e in range(5)]
+        want = uniform_average([ckpt for ckpt, _ in pairs])
+        for mask in (0b00001, 0b10110, 0b01111, 0b11110):
+            slots = [ref if mask >> i & 1 else ckpt for i, (ckpt, ref) in enumerate(pairs)]
+            got = uniform_average(slots)
+            assert got.dtype == dtype
+            assert got.flat.tobytes() == want.flat.tobytes(), bin(mask)
+
+    def test_a_non_finite_file_value_is_named_by_epoch_and_entry(self, tmp_path):
+        rng = np.random.default_rng(47)
+        bad = mixed_pset(rng).as_dict()
+        bad["b"][3] = np.nan
+        _, ref = written(tmp_path, ParameterSet(bad), 1)
+        newest, _ = written(tmp_path, mixed_pset(rng), 2)
+        with pytest.raises(NonFiniteError, match="checkpoint at epoch 1: entry 'b'"):
+            uniform_average([ref, newest])
+
+    def test_a_file_of_another_structure_is_named_by_entry(self, tmp_path):
+        _, ref = written(tmp_path, pset({"a": [1.0], "other": [2.0]}), 1)
+        newest, _ = written(tmp_path, pset({"a": [1.0], "b": [2.0]}), 2)
+        with pytest.raises(StructureMismatch, match="other"):
+            uniform_average([ref, newest])
+        scheme = UniformScheme(k=2)
+        scheme.ring.push(Checkpoint(pset({"a": [1.0], "other": [2.0]}), 1, 7))
+        scheme.ring.spill_newest(ref)
+        with pytest.raises(StructureMismatch, match="other"):
+            scheme.observe(newest)
+
+    def test_a_window_of_files_alone_has_no_layout_to_take(self, tmp_path):
+        _, ref = written(tmp_path, pset({"a": [1.0]}), 1)
+        with pytest.raises(InternalStateError, match="in memory"):
+            uniform_average([ref])
+
+    def test_a_slot_is_spilled_only_to_its_own_file(self, tmp_path):
+        ring = CheckpointRing(2)
+        ckpt, _ = written(tmp_path, pset({"a": [1.0]}), 1)
+        _, other = written(tmp_path, pset({"a": [1.0]}), 2)
+        ring.push(ckpt)
+        with pytest.raises(InternalStateError, match="epoch 2"):
+            ring.spill_newest(other)
+
+
+def wide_cfg(tmp_path, name, **overrides) -> RunConfig:
+    """A 2-256-256-2 batch-norm model, above FILE_SLOT_BYTES: 10 steps an epoch."""
+    base = dict(
+        dataset="spirals", n_per_class=100, classes=2, hidden=(256, 256), use_bn=True,
+        batch_size=16, lr=0.05, momentum=0.9, seed=5, out=str(tmp_path / name),
+    )
+    return RunConfig(**{**base, **overrides})
+
+
+class TestWindowMemory:
+    def test_a_wider_window_holds_no_more_sets(self, tmp_path):
+        peaks = {}
+        for k in (2, 8):
+            cfg = wide_cfg(tmp_path, f"k{k}", k=k, epochs=9, save_averaged=True)
+            dataset = build_dataset(cfg)
+            one_set = init_params(model_spec_for(cfg, dataset)).flat.nbytes
+            assert one_set >= FILE_SLOT_BYTES
+            records, peaks[k], _ = traced(train_run, cfg, dataset)
+            assert records[-1].avg_val_loss is not None
+        # A window held in memory would add six sets.
+        assert peaks[8] - peaks[2] < one_set, (peaks, one_set)
+
+    def test_lawa_average_of_16_holds_a_few_sets(self, tmp_path):
+        run = tmp_path / "run"
+        cfg = wide_cfg(tmp_path, "run", epochs=2, save_every_steps=1, k=2)
+        train_run(cfg)
+        one_set = init_params(model_spec_for(cfg, build_dataset(cfg))).flat.nbytes
+        assert len(list(run.glob("ckpt_*.lawa"))) == 20
+        args = ["average", "--dir", str(run), "--k", "16", "--out", str(tmp_path / "avg.lawa")]
+        code, peak, _ = traced(main, args)
+        assert code == 0
+        # Parsing a file holds its bytes and the set built from them; the
+        # average holds the newest file's set, the float64 sum (the average
+        # itself) and its read buffer. A window in memory would hold 16 sets.
+        assert peak < 4 * one_set, (peak, one_set)
+        want = uniform_average([read_checkpoint(p) for p in sorted(run.glob("ckpt_*"))[-16:]])
+        assert read_checkpoint(tmp_path / "avg.lawa").params.flat.tobytes() == want.flat.tobytes()
+
+
+class TestAWindowFileThatChanges:
+    """A window file changed between save events stops the run with
+    :class:`FormatError` naming the file; the CLI exits 2."""
+
+    @pytest.mark.parametrize("fault", ["truncate", "replace"])
+    def test_run_stops_naming_the_file(self, tmp_path, monkeypatch, capsys, fault):
+        monkeypatch.setattr(averaging, "FILE_SLOT_BYTES", 0)
+        run = tmp_path / "run"
+        victim = run / "ckpt_e00001.lawa"
+        write = engine.write_checkpoint
+
+        def tampering(ckpt, path):
+            if ckpt.epoch == 3 and path.name.startswith("ckpt_"):
+                if fault == "truncate":
+                    victim.write_bytes(victim.read_bytes()[:-1])
+                else:
+                    shutil.copyfile(run / "ckpt_e00000.lawa", victim)
+            return write(ckpt, path)
+
+        monkeypatch.setattr(engine, "write_checkpoint", tampering)
+        assert main(["train", *TINY, "--out", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {victim} " in err
+        expected = "changed since it was written" if fault == "truncate" else "its header differs"
+        assert expected in err
+        assert not (run / "ckpt_e00004.lawa").exists()

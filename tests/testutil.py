@@ -75,6 +75,19 @@ def fsum_mean(psets: list[ParameterSet]) -> ParameterSet:
     return ParameterSet(out)
 
 
+def masked_files(directory):
+    """Every file of a run directory by name; metrics.csv without wall_seconds."""
+    files = {}
+    for path in sorted(directory.iterdir()):
+        if path.name == "metrics.csv":
+            files[path.name] = [
+                line.rsplit(",", 1)[0] for line in path.read_text().splitlines()
+            ]
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
 def traced(fn, *args, **kwargs):
     """Call ``fn`` under ``tracemalloc``; returns ``(result, peak, retained)``:
     the most bytes traced at once during the call, and the bytes still
