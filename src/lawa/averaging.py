@@ -249,32 +249,31 @@ class UniformScheme(AveragingScheme):
 class _RunningScheme(AveragingScheme):
     """A float64 fold over every checkpoint since the start of the run.
 
-    The first checkpoint starts the state; each later one is folded in by
-    the subclass's ``_fold(acc, x)``, with ``count`` already advanced.
-    ``_fold`` returns a new array: the state doubles as the read-only
-    buffer of the set returned for float64 checkpoints.
-    Subclasses bind ``observe`` in their own namespace, so perfbench's
-    tracer can rebind it per class.
+    The first checkpoint starts the state; each later one, checked against
+    the last average, is folded in by the subclass's ``_fold(acc, x)``, with
+    ``count`` already advanced. ``_fold`` returns a new array: the state
+    doubles as the read-only buffer of the set returned for float64
+    checkpoints. No checkpoint is kept. Subclasses bind ``observe`` in
+    their own namespace, so perfbench's tracer can rebind it per class.
     """
 
     def __init__(self):
         self._state: np.ndarray | None = None
-        self._template: ParameterSet | None = None
+        self._average: ParameterSet | None = None
         self.count = 0
 
     def observe(self, ckpt: Checkpoint, path=None) -> ParameterSet:
         """Advance the fold by one checkpoint and return its value; the
         fold holds its own state, so ``path`` goes unused."""
         check_finite(ckpt.params, f"checkpoint at epoch {ckpt.epoch}")
-        if self._state is None:
-            self._template = ckpt.params
-            self._state = ckpt.params.flat.astype(np.float64)
-            self.count = 1
+        if self._average is None:
+            self._state, self.count = ckpt.params.flat.astype(np.float64), 1
         else:
-            check_same_structure(self._template, ckpt.params)
+            check_same_structure(self._average, ckpt.params)
             self.count += 1
             self._state = self._fold(self._state, ckpt.params.flat.astype(np.float64))
-        return self._template.with_flat(self._state)
+        self._average = ckpt.params.with_flat(self._state)
+        return self._average
 
 
 class EmaScheme(_RunningScheme):
@@ -291,7 +290,7 @@ class EmaScheme(_RunningScheme):
     def _fold(self, acc, x):
         return self.alpha * x + (1.0 - self.alpha) * acc
 
-    observe = update = _RunningScheme.observe
+    observe = _RunningScheme.observe
 
 
 class PolyakScheme(_RunningScheme):
@@ -302,7 +301,7 @@ class PolyakScheme(_RunningScheme):
     def _fold(self, acc, x):
         return acc + (x - acc) / self.count
 
-    observe = update = _RunningScheme.observe
+    observe = _RunningScheme.observe
 
 
 def make_scheme(

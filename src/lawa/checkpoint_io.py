@@ -16,9 +16,10 @@ Layout (all integers little-endian, no padding, no trailing bytes):
         data     row-major raw element bytes
 
 Reading back a written checkpoint reproduces it bit for bit, including
-NaN payloads. Malformed input raises :class:`FormatError` carrying the
-byte offset of the problem. A :class:`CheckpointFile` refers to a file
-this module wrote, to read its values back in runs later; a file that no
+NaN payloads. Every reader walks the headers with :func:`_walk`, so
+malformed input raises the same :class:`FormatError`, carrying the byte
+offset of the problem. A :class:`CheckpointFile` refers to a file this
+module wrote, to read its values back in runs later; a file that no
 longer has the size and headers that were written is rejected.
 """
 
@@ -27,9 +28,10 @@ from __future__ import annotations
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -39,8 +41,8 @@ from .params import Checkpoint, ParameterSet
 MAGIC = b"LAWA"
 VERSION = 1
 
-_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))  # indexed by dtype code
+_DTYPE_CODES = {dtype: code for code, dtype in enumerate(_DTYPES)}
 
 
 def write_atomically(path, data: bytes | list, what: str) -> None:
@@ -81,11 +83,8 @@ def _preamble(epoch: int, step: int, count: int) -> bytes:
 def _tensor_header(name: str, shape: tuple[int, ...], code: int) -> bytes:
     """The bytes before a tensor's data: its name, dtype code and dims."""
     raw_name = name.encode("utf-8")
-    return (
-        struct.pack("<I", len(raw_name))
-        + raw_name
-        + struct.pack(f"<BI{len(shape)}Q", code, len(shape), *shape)
-    )
+    dims = struct.pack(f"<BI{len(shape)}Q", code, len(shape), *shape)
+    return struct.pack("<I", len(raw_name)) + raw_name + dims
 
 
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -94,10 +93,101 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
     :class:`IoError`."""
     parts = [_preamble(ckpt.epoch, ckpt.step, len(ckpt.params))]
     for name, arr in ckpt.params.items():
-        code = _DTYPE_CODES[arr.dtype]
-        parts.append(_tensor_header(name, arr.shape, code))
-        parts.append(np.asarray(arr, dtype=_CODE_DTYPES[code]))
+        parts.append(_tensor_header(name, arr.shape, _DTYPE_CODES[arr.dtype]))
+        parts.append(arr.astype(arr.dtype.newbyteorder("<"), copy=False))
     write_atomically(path, parts, "checkpoint")
+
+
+@contextmanager
+def _opened(path) -> Iterator[BinaryIO]:
+    """``path`` open for reading; any OS-level failure raises :class:`IoError`."""
+    try:
+        with open(path, "rb") as fh:
+            yield fh
+    except OSError as exc:
+        raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
+
+
+def _truncated(n: int, what: str, at: int) -> FormatError:
+    return FormatError(f"truncated file: expected {n} bytes for {what}", at)
+
+
+def _walk(fh: BinaryIO) -> Iterator[tuple]:
+    """The one parser of the layout, over ``fh`` open at the file's start.
+
+    The first step checks magic and version and yields ``(epoch, step)``.
+    Each later step parses a tensor header, checks that the file holds the
+    data before anything is allocated or read, and yields ``(at, name,
+    dtype, shape)``: the header's offset, and the data that :func:`_fill`
+    reads next; the step ends with ``fh`` past the data. Trailing bytes are
+    rejected. Failures raise :class:`FormatError` at their field.
+    """
+    size, pos = os.fstat(fh.fileno()).st_size, 0
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        got = fh.read(n) if n <= size - pos else b""
+        if len(got) < n:
+            raise _truncated(n, what, pos)
+        pos += n
+        return got
+
+    def number(n: int, what: str) -> int:
+        return int.from_bytes(take(n, what), "little")
+
+    magic = take(4, "magic")
+    if magic != MAGIC:
+        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", 0)
+    version = number(4, "version")
+    if version != VERSION:
+        raise FormatError(f"unsupported version {version}", 4)
+    yield number(8, "epoch"), number(8, "step")
+
+    count = number(4, "tensor count")
+    if count == 0:
+        raise FormatError("checkpoint holds no tensors", pos - 4)
+    seen, dtype = set(), None
+    for _ in range(count):
+        at = pos
+        try:
+            name = take(number(4, "name length"), "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("tensor name is not valid UTF-8", at + 4) from None
+        if not name:
+            raise FormatError("empty tensor name", at + 4)
+        if name in seen:
+            raise FormatError(f"duplicate tensor name {name!r}", at + 4)
+        seen.add(name)
+        code = number(1, "dtype code")
+        if code >= len(_DTYPES):
+            raise FormatError(f"unknown dtype code {code}", pos - 1)
+        if dtype is not None and _DTYPES[code] != dtype:
+            raise FormatError("mixed element types within one checkpoint", pos - 1)
+        dtype = _DTYPES[code]
+        shape = tuple(number(8, f"dim {i}") for i in range(number(4, "rank")))
+        nbytes = math.prod(shape) * dtype.itemsize
+        if nbytes > size - pos:
+            raise _truncated(nbytes, f"data of {name!r}", pos)
+        try:  # numpy's own shape checks, on a zero-stride view of 8 bytes
+            np.ndarray(shape, dtype, bytes(8), strides=(0,) * len(shape))
+        except ValueError as exc:
+            raise FormatError(f"tensor {name!r} has unsupported shape: {exc}", at) from None
+        yield at, name, dtype, shape
+        pos += nbytes
+        fh.seek(pos)
+
+    if pos != size:
+        raise FormatError(f"{size - pos} trailing bytes after last tensor", pos)
+
+
+def _fill(fh: BinaryIO, out: np.ndarray, what: str) -> None:
+    """Read the next ``out.nbytes`` bytes of ``fh``, little-endian values,
+    into the contiguous array ``out``; :class:`FormatError` if they end."""
+    got = fh.readinto(out)
+    if got != out.nbytes:
+        raise _truncated(out.nbytes, what, fh.tell() - got)
+    if not np.little_endian:
+        out.byteswap(inplace=True)
 
 
 @dataclass(frozen=True)
@@ -121,54 +211,51 @@ class CheckpointFile:
         the entries' flat order, and a leading view of ``buffer`` that the
         next run overwrites.
 
-        Raises :class:`FormatError` naming the path when the file's size,
+        Raises :class:`FormatError`, naming the path, when the file's size,
         its header or a tensor header is not what was written, or when the
         file ends early, and :class:`IoError` on OS-level failure.
         """
-        code = _DTYPE_CODES[self.dtype]
-        raw = buffer.view(_CODE_DTYPES[code])
-        try:
-            with open(self.path, "rb", buffering=0) as fh:
-                size = os.fstat(fh.fileno()).st_size
-                if size != self.size:
-                    raise FormatError(
-                        f"checkpoint {self.path} changed since it was written: "
-                        f"it holds {size} bytes, not {self.size}",
-                        0,
-                    )
-                self._expect(fh, _preamble(self.epoch, self.step, len(self.entries)), "header")
-                start = 0
-                for name, shape in self.entries:
-                    self._expect(fh, _tensor_header(name, shape, code), f"header of {name!r}")
-                    n = math.prod(shape)
-                    for lo in range(0, n, raw.size):
-                        run = raw[: min(raw.size, n - lo)]
-                        self._fill(fh, memoryview(run).cast("B"), name)
-                        yield name, start + lo, run
-                    start += n
-        except OSError as exc:
-            raise IoError(f"cannot read checkpoint {self.path}: {exc}") from exc
-
-    def _expect(self, fh, want: bytes, what: str) -> None:
-        """Read ``want`` next from ``fh``, or raise :class:`FormatError`."""
-        got = fh.read(len(want))
-        if got != want:
-            raise FormatError(
-                f"checkpoint {self.path} is not the file written for epoch "
-                f"{self.epoch}, step {self.step}: its {what} differs",
-                fh.tell() - len(got),
-            )
-
-    def _fill(self, fh, view: memoryview, name: str) -> None:
-        """Read ``fh`` into all of ``view``, or raise :class:`FormatError`."""
-        got = 0
-        while got < len(view):
-            n = fh.readinto(view[got:])
-            if not n:
+        with _opened(self.path) as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != self.size:
                 raise FormatError(
-                    f"checkpoint {self.path} ends inside the data of {name!r}", fh.tell()
+                    f"checkpoint {self.path} changed since it was written: "
+                    f"it holds {size} bytes, not {self.size}",
+                    0,
                 )
-            got += n
+            start = 0
+            for name, shape in self._entries_in(fh):
+                n = math.prod(shape)
+                for lo in range(0, n, buffer.size):
+                    run = buffer[: min(buffer.size, n - lo)]
+                    _fill(fh, run, f"data of {name!r}")
+                    yield name, start + lo, run
+                start += n
+
+    def _entries_in(self, fh: BinaryIO) -> Iterator[tuple[str, tuple[int, ...]]]:
+        """Each entry's name and shape, as ``fh`` reaches its data; raises
+        :class:`FormatError` once the walk parses what was not written."""
+        walk = _walk(fh)
+        what, at = "header", 0
+        try:
+            if next(walk) == (self.epoch, self.step):
+                for name, shape in self.entries:
+                    what = f"header of {name!r}"
+                    at, *header = next(walk, (at,))
+                    if header != [name, self.dtype, shape]:
+                        break
+                    yield name, shape
+                else:  # the walk ends here unless its tensor count was changed
+                    what = "header"
+                    next(walk, None)
+                    return
+        except FormatError as exc:
+            at = exc.offset
+        raise FormatError(
+            f"checkpoint {self.path} is not the file written for epoch "
+            f"{self.epoch}, step {self.step}: its {what} differs",
+            at,
+        )
 
 
 def checkpoint_file(ckpt: Checkpoint, path) -> CheckpointFile:
@@ -182,54 +269,6 @@ def checkpoint_file(ckpt: Checkpoint, path) -> CheckpointFile:
     return CheckpointFile(Path(path), ckpt.epoch, ckpt.step, params.dtype, entries, size)
 
 
-class _Reader:
-    """Cursor over a byte buffer that reports truncation offsets."""
-
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise FormatError(f"truncated file: expected {n} bytes for {what}", self.pos)
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what: str) -> int:
-        return struct.unpack("<Q", self.take(8, what))[0]
-
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
-
-
-# magic, version, epoch and step
-_HEADER_SIZE = 4 + 4 + 8 + 8
-
-
-def _read_bytes(path, size: int = -1) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read(size)
-    except OSError as exc:
-        raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
-
-
-def _parse_header(r: _Reader) -> tuple[int, int]:
-    """Check magic and version; return (epoch, step)."""
-    magic = r.take(4, "magic")
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", 0)
-    version_at = r.pos
-    version = r.u32("version")
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}", version_at)
-    return r.u64("epoch"), r.u64("step")
-
-
 def read_checkpoint_header(path) -> tuple[int, int]:
     """The (epoch, step) recorded in ``path``, reading only the file header.
 
@@ -237,64 +276,24 @@ def read_checkpoint_header(path) -> tuple[int, int]:
     (with byte offset) on bad magic, bad version or a truncated header;
     the tensors are not read, so damage there goes unnoticed.
     """
-    return _parse_header(_Reader(_read_bytes(path, _HEADER_SIZE)))
+    with _opened(path) as fh:
+        return next(_walk(fh))
 
 
 def read_checkpoint(path) -> Checkpoint:
-    """Parse ``path`` back into a :class:`Checkpoint`.
+    """Parse ``path`` back into a :class:`Checkpoint`; each tensor is read
+    into its own array, which the set copies.
 
     Raises :class:`IoError` on OS-level failure and :class:`FormatError`
     (with byte offset) on bad magic, bad version, truncation, invalid
     tensor headers, or trailing bytes.
     """
-    buf = _read_bytes(path)
-    r = _Reader(buf)
-    epoch, step = _parse_header(r)
-    count = r.u32("tensor count")
-    if count == 0:
-        raise FormatError("checkpoint holds no tensors", r.pos - 4)
-
-    entries: list[tuple[str, np.ndarray]] = []
-    seen: set[str] = set()
-    first_code = None
-    for _ in range(count):
-        entry_at = r.pos
-        name_len = r.u32("name length")
-        name_at = r.pos
-        raw_name = r.take(name_len, "name")
-        try:
-            name = raw_name.decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError("tensor name is not valid UTF-8", name_at) from None
-        if not name:
-            raise FormatError("empty tensor name", name_at)
-        if name in seen:
-            raise FormatError(f"duplicate tensor name {name!r}", name_at)
-        seen.add(name)
-        code_at = r.pos
-        code = r.u8("dtype code")
-        if code not in _CODE_DTYPES:
-            raise FormatError(f"unknown dtype code {code}", code_at)
-        if first_code is None:
-            first_code = code
-        elif code != first_code:
-            raise FormatError("mixed element types within one checkpoint", code_at)
-        rank = r.u32("rank")
-        dims = [r.u64(f"dim {i}") for i in range(rank)]
-        n_elems = 1
-        for d in dims:
-            n_elems *= d
-        dtype = _CODE_DTYPES[code]
-        raw = r.take(n_elems * dtype.itemsize, f"data of {name!r}")
-        try:
-            arr = np.frombuffer(raw, dtype=dtype).reshape(dims)
-        except ValueError as exc:  # numpy refuses the rank or the shape
-            raise FormatError(
-                f"tensor {name!r} has unsupported shape: {exc}", entry_at
-            ) from None
-        entries.append((name, arr.astype(arr.dtype.newbyteorder("="), copy=False)))
-
-    if r.pos != len(buf):
-        raise FormatError(f"{len(buf) - r.pos} trailing bytes after last tensor", r.pos)
-
+    with _opened(path) as fh:
+        walk = _walk(fh)
+        epoch, step = next(walk)
+        entries = []
+        for _, name, dtype, shape in walk:
+            arr = np.empty(shape, dtype)
+            _fill(fh, arr, f"data of {name!r}")
+            entries.append((name, arr))
     return Checkpoint(params=ParameterSet(entries), epoch=epoch, step=step)

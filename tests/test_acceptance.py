@@ -123,17 +123,17 @@ def test_c03_scheme_degeneracies():
 
     ema_latest = EmaScheme(alpha=1.0)
     for ck in trajectory:
-        out = ema_latest.update(ck)
+        out = ema_latest.observe(ck)
     assert out == trajectory[-1].params
 
     ema_first = EmaScheme(alpha=0.0)
     for ck in trajectory:
-        out = ema_first.update(ck)
+        out = ema_first.observe(ck)
     assert out == trajectory[0].params
 
     poly = PolyakScheme()
     for ck in trajectory:
-        poly_out = poly.update(ck)
+        poly_out = poly.observe(ck)
     uniform_all = uniform_average(trajectory)
     for name, arr in poly_out.items():
         np.testing.assert_allclose(arr, uniform_all[name], rtol=1e-10)
@@ -158,11 +158,11 @@ def test_c04_ema_recursion():
     values = [2.0, -1.5, 0.25, 4.0, -3.0, 1.0, 0.5, -0.75, 2.5, -2.0]
     ema = EmaScheme(alpha=alpha)
     expected = values[0]
-    out = ema.update(scalar_ckpt(values[0], 0))
+    out = ema.observe(scalar_ckpt(values[0], 0))
     assert abs(out["w"][0] - expected) <= 1e-12
     for e, v in enumerate(values[1:], start=1):
         expected = alpha * v + (1.0 - alpha) * expected
-        out = ema.update(scalar_ckpt(v, e))
+        out = ema.observe(scalar_ckpt(v, e))
         assert abs(out["w"][0] - expected) <= 1e-12
     report("4 ema recursion", "10-step scalar trajectory, alpha=0.9, 1e-12")
 

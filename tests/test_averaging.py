@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -215,14 +218,14 @@ class TestLawaStep:
 class TestEma:
     def test_hand_recursion_step(self):
         ema = EmaScheme(alpha=0.9)
-        ema.update(scalar_ckpt(0.0, 0))
-        out = ema.update(scalar_ckpt(10.0, 1))
+        ema.observe(scalar_ckpt(0.0, 0))
+        out = ema.observe(scalar_ckpt(10.0, 1))
         assert out["w"][0] == pytest.approx(9.0, abs=1e-15)
 
     def test_first_call_returns_first_checkpoint(self):
         ema = EmaScheme(alpha=0.3)
         p = random_pset(np.random.default_rng(14))
-        out = ema.update(ckpt_of(p, 0))
+        out = ema.observe(ckpt_of(p, 0))
         assert out == p
 
     def test_alpha_one_tracks_latest(self):
@@ -230,16 +233,16 @@ class TestEma:
         rng = np.random.default_rng(15)
         for e in range(5):
             p = random_pset(rng)
-            out = ema.update(ckpt_of(p, e))
+            out = ema.observe(ckpt_of(p, e))
         assert out == p
 
     def test_alpha_zero_freezes_first(self):
         ema = EmaScheme(alpha=0.0)
         rng = np.random.default_rng(16)
         first = random_pset(rng)
-        out = ema.update(ckpt_of(first, 0))
+        out = ema.observe(ckpt_of(first, 0))
         for e in range(1, 5):
-            out = ema.update(ckpt_of(random_pset(rng), e))
+            out = ema.observe(ckpt_of(random_pset(rng), e))
         assert out == first
 
     def test_alpha_out_of_range(self):
@@ -253,11 +256,11 @@ class TestEma:
         values = [3.0, -1.0, 4.0, 1.0, -5.0, 9.0, 2.0, 6.0, -3.0, 5.0]
         ema = EmaScheme(alpha=alpha)
         expected = values[0]
-        out = ema.update(scalar_ckpt(values[0], 0))
+        out = ema.observe(scalar_ckpt(values[0], 0))
         assert out["w"][0] == expected
         for e, v in enumerate(values[1:], start=1):
             expected = alpha * v + (1.0 - alpha) * expected
-            out = ema.update(scalar_ckpt(v, e))
+            out = ema.observe(scalar_ckpt(v, e))
             assert out["w"][0] == pytest.approx(expected, abs=1e-12)
 
 
@@ -265,13 +268,13 @@ class TestPolyak:
     def test_first_push_returns_checkpoint(self):
         poly = PolyakScheme()
         p = random_pset(np.random.default_rng(17))
-        assert poly.update(ckpt_of(p, 0)) == p
+        assert poly.observe(ckpt_of(p, 0)) == p
         assert poly.count == 1
 
     def test_two_scalars(self):
         poly = PolyakScheme()
-        poly.update(scalar_ckpt(1.0, 0))
-        out = poly.update(scalar_ckpt(3.0, 1))
+        poly.observe(scalar_ckpt(1.0, 0))
+        out = poly.observe(scalar_ckpt(3.0, 1))
         assert out["w"][0] == 2.0
 
     def test_matches_naive_full_mean(self):
@@ -281,7 +284,7 @@ class TestPolyak:
         for e in range(10):
             p = random_pset(rng)
             history.append(p)
-            out = poly.update(ckpt_of(p, e))
+            out = poly.observe(ckpt_of(p, e))
         oracle = fsum_mean(history)
         for name, arr in out.items():
             np.testing.assert_allclose(arr, oracle[name], rtol=1e-12, atol=0)
@@ -293,7 +296,7 @@ class TestPolyak:
         for e in range(8):
             ck = ckpt_of(random_pset(rng), e)
             ckpts.append(ck)
-            out = poly.update(ck)
+            out = poly.observe(ck)
         uniform = uniform_average(ckpts)
         for name, arr in out.items():
             np.testing.assert_allclose(arr, uniform[name], rtol=1e-10)
@@ -332,7 +335,7 @@ class TestRunningFoldBitwise:
         history = []
         for e in range(9):
             history.append(random_pset(rng, dtype=dtype, scale=3.0))
-            out = ema.update(ckpt_of(history[-1], e))
+            out = ema.observe(ckpt_of(history[-1], e))
             want = reference_fold(history, lambda acc, x, t: alpha * x + (1.0 - alpha) * acc)
             for name, arr in out.items():
                 assert arr.dtype == dtype
@@ -346,12 +349,27 @@ class TestRunningFoldBitwise:
         history = []
         for e in range(9):
             history.append(random_pset(rng, dtype=dtype, scale=3.0))
-            out = poly.update(ckpt_of(history[-1], e))
+            out = poly.observe(ckpt_of(history[-1], e))
             want = reference_fold(history, lambda acc, x, t: acc + (x - acc) / t)
             for name, arr in out.items():
                 assert arr.dtype == dtype
                 assert np.array_equal(arr, want[name])
         assert poly.count == 9
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["ema", "polyak"])
+    def test_the_first_checkpoint_is_not_kept(self, kind, dtype):
+        rng = np.random.default_rng(33)
+        scheme = make_scheme(kind)
+        first = ckpt_of(random_pset(rng, dtype=dtype), 0)
+        values = weakref.ref(first.params.flat)
+        scheme.observe(first)
+        del first
+        for e in range(1, 4):
+            out = scheme.observe(ckpt_of(random_pset(rng, dtype=dtype), e))
+        gc.collect()
+        assert values() is None
+        assert out.dtype == dtype and scheme.count == 4
 
 
 class TestSchemeFactory:
@@ -483,7 +501,7 @@ class TestOfflineAveraging:
         else:
             ema = EmaScheme(0.3)
             for c in ckpts[-4:]:
-                expected = ema.update(c)
+                expected = ema.observe(c)
         assert out.params == expected
         assert out.params.flat.tobytes() == expected.flat.tobytes()
         assert (out.epoch, out.step) == (9, 90)

@@ -14,7 +14,7 @@ from lawa.params import (
     l2_distance,
     scale,
 )
-from testutil import mixed_pset, pset, random_pset
+from testutil import mixed_pset, pset, random_pset, traced
 
 
 class TestConstruction:
@@ -362,6 +362,33 @@ class TestCheckpointFile:
         with pytest.raises(FormatError, match="shape") as err:
             read_checkpoint(path)
         assert err.value.offset == 28  # the tensor header, after the 28-byte file header
+
+    def test_read_holds_at_most_two_sets(self, tmp_path):
+        rng = np.random.default_rng(8)
+        p = ParameterSet({"w": rng.normal(size=(256, 256)), "s": np.float64(2.0), "b": np.ones(256)})
+        path = tmp_path / "c.lawa"
+        write_checkpoint(Checkpoint(params=p, epoch=1, step=2), path)
+        assert path.stat().st_size >= 1 << 19
+        back, peak, _ = traced(read_checkpoint, path)
+        # Each tensor is read into its own array, and the set copies them.
+        assert peak < 2.2 * p.flat.nbytes, peak / p.flat.nbytes
+        assert back.params == p
+
+    def test_a_tensor_the_file_cannot_hold_is_not_allocated(self, tmp_path):
+        # One f64 tensor of 2**40 elements, in a 100-byte file.
+        tensor = struct.pack("<I", 1) + b"a" + struct.pack("<BIQ", 1, 1, 2**40)
+        head = b"LAWA" + struct.pack("<IQQI", 1, 0, 0, 1) + tensor
+        path = tmp_path / "c.lawa"
+        path.write_bytes(head + bytes(100 - len(head)))
+
+        def read():
+            with pytest.raises(FormatError, match="truncated") as err:
+                read_checkpoint(path)
+            return err.value
+
+        err, peak, _ = traced(read)
+        assert err.offset == len(head)
+        assert peak < 1 << 20, peak
 
     def test_write_leaves_only_the_target(self, tmp_path):
         path = tmp_path / "c.lawa"

@@ -202,6 +202,12 @@ class TestCheckpointFile:
         with pytest.raises(FormatError, match="header of 'b' differs"):
             list(ref.runs(np.empty(4)))
 
+    def test_a_reshaped_entry_is_named(self, tmp_path):
+        _, ref = written(tmp_path, pset({"a": np.zeros((2, 3)), "b": [3.0]}), 1)
+        written(tmp_path, pset({"a": np.zeros((3, 2)), "b": [3.0]}), 1, name=ref.path.name)
+        with pytest.raises(FormatError, match="header of 'a' differs"):
+            list(ref.runs(np.empty(4)))
+
     def test_a_missing_file_is_an_io_error(self, tmp_path):
         _, ref = written(tmp_path, random_pset(np.random.default_rng(45)), 1)
         ref.path.unlink()
@@ -287,7 +293,7 @@ class TestWindowMemory:
         args = ["average", "--dir", str(run), "--k", "16", "--out", str(tmp_path / "avg.lawa")]
         code, peak, _ = traced(main, args)
         assert code == 0
-        # Parsing a file holds its bytes and the set built from them; the
+        # Parsing a file holds its tensors and the set built from them; the
         # average holds the newest file's set, the float64 sum (the average
         # itself) and its read buffer. A window in memory would hold 16 sets.
         assert peak < 4 * one_set, (peak, one_set)
