@@ -251,10 +251,11 @@ class _RunningScheme(AveragingScheme):
 
     The first checkpoint starts the state; each later one, checked against
     the last average, is folded in by the subclass's ``_fold(acc, x)``, with
-    ``count`` already advanced. ``_fold`` returns a new array: the state
-    doubles as the read-only buffer of the set returned for float64
-    checkpoints. No checkpoint is kept. Subclasses bind ``observe`` in
-    their own namespace, so perfbench's tracer can rebind it per class.
+    ``count`` already advanced. ``_fold`` writes into ``x``, a fresh float64
+    copy of the checkpoint, and returns it: ``acc`` doubles as the
+    read-only buffer of the set last returned for float64 checkpoints. No
+    checkpoint is kept. Subclasses bind ``observe`` in their own
+    namespace, so perfbench's tracer can rebind it per class.
     """
 
     def __init__(self):
@@ -288,7 +289,9 @@ class EmaScheme(_RunningScheme):
         self.alpha = alpha
 
     def _fold(self, acc, x):
-        return self.alpha * x + (1.0 - self.alpha) * acc
+        x *= self.alpha  # alpha * x + (1 - alpha) * acc
+        x += (1.0 - self.alpha) * acc
+        return x
 
     observe = _RunningScheme.observe
 
@@ -299,7 +302,10 @@ class PolyakScheme(_RunningScheme):
     kind = "polyak"
 
     def _fold(self, acc, x):
-        return acc + (x - acc) / self.count
+        x -= acc  # acc + (x - acc) / count
+        x /= self.count
+        x += acc
+        return x
 
     observe = _RunningScheme.observe
 
@@ -335,6 +341,8 @@ def average_checkpoint_dir(
     if k < 1:
         raise ConfigError(f"averaging window k must be >= 1, got {k}")
     averager = make_scheme(scheme, k, alpha)
+    if isinstance(averager, NoAveraging):
+        raise ConfigError(f"scheme {scheme!r} yields no average")
     directory = Path(directory)
     paths = sorted(p for p in directory.glob("*.lawa") if not p.name.startswith("lawa_"))
     if len(paths) < k:
@@ -348,6 +356,4 @@ def average_checkpoint_dir(
         averaged = averager.observe(newest, path)
         epoch, step = newest.epoch, newest.step
         del newest  # parse the next file with no other one alive
-    if averaged is None:
-        raise ConfigError(f"scheme {scheme!r} yields no average")
     return Checkpoint(params=averaged, epoch=epoch, step=step)

@@ -10,9 +10,9 @@ and ``layer{i}.bias``, plus ``layer{i}.bn_gamma``, ``layer{i}.bn_beta``,
 ``layer{i}.bn_running_mean`` and ``layer{i}.bn_running_var`` when batch
 norm is enabled. Entries whose name ends in ``bn_running_mean`` or
 ``bn_running_var`` are normalization statistics, not trained weights:
-backprop assigns them zero gradients, and each training step's
-optimizer step writes the forward pass's running statistics into the set
-it returns.
+backprop assigns them zero gradients, and each training step writes the
+forward pass's running statistics into the loop's parameter buffer right
+after the optimizer step, through :func:`set_running_stats`.
 
 Everything is deterministic given the run seed: initialization, epoch
 shuffles, and dataset noise each draw from their own keyed stream, so
@@ -27,7 +27,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -550,6 +550,22 @@ def evaluate(
     return loss, accuracy
 
 
+def set_running_stats(params: ParameterSet, updates: Mapping[str, np.ndarray]) -> ParameterSet:
+    """``params`` with the named entries set to ``updates``: written into
+    the buffer of a set built by :meth:`ParameterSet.over`, which is
+    returned, or else into a new set. Pass an ``over`` set only when no one
+    else reads its buffer, such as the training loop's parameters or the
+    fresh set :func:`uniform_average` returns. A bad name or shape raises
+    :class:`StructureMismatch` before any write."""
+    if not updates:
+        return params
+    if params.buffer is None:
+        return params.with_updates(updates)
+    for block, value in params.update_slots(updates):
+        params.buffer[block] = value
+    return params
+
+
 def recompute_bn_stats(
     params: ParameterSet,
     spec: ModelSpec,
@@ -569,12 +585,9 @@ def recompute_bn_stats(
     are taken over blocks of ``ROW_BLOCK`` rows of that product, in row
     order; then the view is normalized and rectified in place. Nothing
     after the last batch-norm layer is computed, and the last one is not
-    normalized, since no layer reads its output.
-
-    A set built by :meth:`ParameterSet.over` gets the statistics written
-    into its buffer, and is returned; pass one only when no one else reads
-    that buffer, such as the fresh set :func:`uniform_average` returns.
-    Any other set is left as it is, and a new set is returned.
+    normalized, since no layer reads its output. The statistics are
+    written by :func:`set_running_stats`, in place into a set built by
+    :meth:`ParameterSet.over`.
     """
     if len(x) == 0:
         raise EmptyDataError("cannot recompute normalization statistics without data")
@@ -602,19 +615,16 @@ def recompute_bn_stats(
         updates[f"layer{i}.bn_running_var"] = var.astype(dtype)
         if i == last_bn:
             break
-    if params.buffer is None:
-        return params.with_updates(updates)
-    for block, value in params.update_slots(updates):
-        params.buffer[block] = value
-    return params
+    return set_running_stats(params, updates)
 
 
 def copy_bn_stats(avg: ParameterSet, source: ParameterSet) -> ParameterSet:
-    """Overwrite running statistics in ``avg`` with those from ``source``."""
-    updates = {
-        name: arr for name, arr in source.items() if is_running_stat(name)
-    }
-    return avg.with_updates(updates) if updates else avg
+    """``avg`` with the running statistics of ``source``, written by
+    :func:`set_running_stats`, in place into a set built by
+    :meth:`ParameterSet.over`."""
+    return set_running_stats(
+        avg, {name: arr for name, arr in source.items() if is_running_stat(name)}
+    )
 
 
 def apply_bn_mode(
@@ -821,7 +831,8 @@ def train_variants(
         xb, yb = workspace.gather(x_train, sel), y_train[sel]
         _, cache = forward(params, spec, xb, training=True, buffers=workspace)
         grads = backward(params, spec, (xb, yb), cache, buffers=workspace)
-        optimizer.step(params, grads, lr, cache["bn_updates"], out=params)
+        optimizer.step(params, grads, lr, out=params)
+        set_running_stats(params, cache["bn_updates"])
 
     def save_event() -> ParameterSet:
         """Write and average an immutable copy of the params; return it."""

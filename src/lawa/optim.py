@@ -15,13 +15,11 @@ Blocks touch disjoint slices, so when the process may run on two CPUs,
 a step of ``LANE_BLOCKS`` blocks or more shares them out to two lanes,
 one of them on the worker thread of :mod:`lawa.lanes`, each lane taking
 the next block not yet taken into its own scratch blocks; the bits are
-those of one lane. A step writes the new parameters, and once every
-block is done the entries it is given to replace, such as the batch-norm
-running statistics of the forward pass, into the buffer of the set it
-returns: a fresh one, or the caller's when the caller passes ``out``, a
-set built by ``ParameterSet.over``. ``out`` may be the parameters, which
-the step then updates in place, but shares no other memory with them,
-the gradients or the replacements. Without ``out`` the sets going in and
+those of one lane. A step writes the new parameters into the buffer of
+the set it returns: a fresh one, or the caller's when the caller passes
+``out``, a set built by ``ParameterSet.over``. ``out`` may be the
+parameters, which the step then updates in place, but shares no other
+memory with them or the gradients. Without ``out`` the sets going in and
 out are immutable values; with it, the returned set is ``out`` and stays
 unchanged only while its caller leaves that buffer alone. A step that
 raises leaves the state as it was.
@@ -31,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -65,43 +63,30 @@ LANE_BLOCKS = 5
 # may be the parameters: a rule reads them only in its last operation. It
 # writes the block's slice of the state and the lane's scratch, nothing else.
 BlockRule = Callable[[int, slice, np.ndarray, np.ndarray, np.ndarray], None]
-Replacements = Mapping[str, np.ndarray]
 
 
-def _check_step(
-    params: ParameterSet,
-    grads: ParameterSet,
-    replace: Replacements | None,
-    out: ParameterSet | None,
-) -> list[tuple[slice, np.ndarray]]:
-    """Check a step's inputs before any state changes; returns the slots
-    of ``replace`` in the flat buffer."""
+def _check_step(params: ParameterSet, grads: ParameterSet, out: ParameterSet | None) -> None:
+    """Check a step's inputs before any state changes."""
     check_same_structure(params, grads)
-    slots = params.update_slots(replace) if replace else []
     if out is not None:
         check_same_structure(params, out)
         if out.buffer is None:
             raise ValueError("out must be a set built by ParameterSet.over")
         if out is not params and np.may_share_memory(out.buffer, params.flat):
             raise ValueError("out shares memory with the parameters but is not them")
-        if any(np.may_share_memory(out.buffer, a) for a in (grads.flat, *(v for _, v in slots))):
-            raise ValueError("out shares memory with the gradients or a replacement")
+        if np.may_share_memory(out.buffer, grads.flat):
+            raise ValueError("out shares memory with the gradients")
     if not np.isfinite(grads.flat).all():
         name = next(n for n, g in grads.items() if not np.all(np.isfinite(g)))
         raise NonFiniteGradError(f"gradient entry {name!r} contains NaN or Inf")
-    return slots
 
 
 def _run_blocks(
-    params: ParameterSet,
-    grads: ParameterSet,
-    slots: list[tuple[slice, np.ndarray]],
-    rule: BlockRule,
-    out: ParameterSet | None,
+    params: ParameterSet, grads: ParameterSet, rule: BlockRule, out: ParameterSet | None
 ) -> ParameterSet:
-    """The set ``rule`` writes block by block, with ``slots`` written over
-    it: ``out``, or a fresh set when that is None. From ``LANE_BLOCKS``
-    blocks on, they are shared out to two lanes by :func:`lanes.share`."""
+    """The set ``rule`` writes block by block: ``out``, or a fresh set when
+    that is None. From ``LANE_BLOCKS`` blocks on, they are shared out to
+    two lanes by :func:`lanes.share`."""
     theta, g = params.flat, grads.flat
     flat = np.empty_like(theta) if out is None else out.buffer
 
@@ -115,8 +100,6 @@ def _run_blocks(
     else:
         for start in starts:
             run_block(0, start)
-    for block, value in slots:
-        flat[block] = value
     return params.with_flat(flat) if out is None else out
 
 
@@ -141,14 +124,12 @@ class _InnerOptimizer:
         params: ParameterSet,
         grads: ParameterSet,
         lr: float,
-        replace: Replacements | None = None,
         *,
         out: ParameterSet | None = None,
     ) -> ParameterSet:
-        """The updated parameters, with the entries in ``replace`` set to
-        the given values, written into ``out`` when given."""
-        slots = _check_step(params, grads, replace, out)
-        return _run_blocks(params, grads, slots, self._block_rule(params, lr), out)
+        """The updated parameters, written into ``out`` when given."""
+        _check_step(params, grads, out)
+        return _run_blocks(params, grads, self._block_rule(params, lr), out)
 
 
 class Sgd(_InnerOptimizer):
@@ -242,8 +223,7 @@ class Lookahead:
     Every ``k`` inner steps the slow weights move a fraction ``alpha``
     toward the fast weights and the fast weights are reset onto them
     (pullback). Slow weights initialize from the parameters seen at the
-    first step call; the values a step is given for replaced entries
-    never reach them.
+    first step call.
     """
 
     def __init__(
@@ -268,21 +248,19 @@ class Lookahead:
         params: ParameterSet,
         grads: ParameterSet,
         lr: float,
-        replace: Replacements | None = None,
         *,
         out: ParameterSet | None = None,
     ) -> ParameterSet:
         """The inner step's parameters, pulled back on every ``k``-th call,
-        with the entries in ``replace`` set to the given values, written
-        into ``out`` when given."""
-        slots = _check_step(params, grads, replace, out)
+        written into ``out`` when given."""
+        _check_step(params, grads, out)
         inner_rule = self.inner._block_rule(params, lr)
         if self._slow is None:
             self._slow = params.flat.copy()
         self.inner_counter += 1
         self.step_count += 1
         if self.inner_counter < self.k:
-            return _run_blocks(params, grads, slots, inner_rule, out)
+            return _run_blocks(params, grads, inner_rule, out)
         self.inner_counter = 0
         slow_all, alpha = self._slow, self.alpha
 
@@ -294,7 +272,7 @@ class Lookahead:
             out += slow
             slow[...] = out
 
-        return _run_blocks(params, grads, slots, rule, out)
+        return _run_blocks(params, grads, rule, out)
 
 
 def make_optimizer(
@@ -312,12 +290,9 @@ def make_optimizer(
     if kind == "adam":
         return Adam(beta1=beta1, beta2=beta2, eps=adam_eps)
     if kind == "lookahead":
-        if lookahead_inner == "sgd":
-            inner: Sgd | Adam = Sgd(momentum=momentum)
-        elif lookahead_inner == "adam":
-            inner = Adam(beta1=beta1, beta2=beta2, eps=adam_eps)
-        else:
+        if lookahead_inner not in ("sgd", "adam"):
             raise ConfigError(f"unknown lookahead inner optimizer {lookahead_inner!r}")
+        inner = make_optimizer(lookahead_inner, momentum, beta1, beta2, adam_eps)
         return Lookahead(inner, alpha=lookahead_alpha, k=lookahead_k)
     raise ConfigError(f"unknown optimizer {kind!r}")
 

@@ -474,6 +474,18 @@ class TestOfflineAveraging:
         with pytest.raises(ConfigError, match="no average"):
             average_checkpoint_dir(tmp_path, k=2, scheme="none")
 
+    def test_none_says_so_before_it_reads_or_counts_a_file(self, tmp_path, monkeypatch):
+        self._write_trajectory(tmp_path, range(3))
+
+        def unread(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(averaging, "read_checkpoint", unread)
+        monkeypatch.setattr(averaging, "read_checkpoint_header", unread)
+        for k in (2, 5):  # k=5 asks for more files than there are
+            with pytest.raises(ConfigError, match="no average"):
+                average_checkpoint_dir(tmp_path, k=k, scheme="none")
+
     def test_polyak_is_the_in_loop_fold_over_the_window(self, tmp_path):
         ckpts = self._write_trajectory(tmp_path, range(10))
         out = average_checkpoint_dir(tmp_path, k=4, scheme="polyak")

@@ -28,6 +28,7 @@ from lawa.engine import (
     is_running_stat,
     param_shapes,
     recompute_bn_stats,
+    set_running_stats,
     train_run,
     train_variants,
 )
@@ -465,38 +466,51 @@ def perturbed_bn_params(spec, seed):
 
 
 class TestBnFixUpOfAnAverage:
-    """The fix-up writes a fresh uniform average in place and leaves every
-    other set, such as a running fold's state, as it was."""
+    """Recompute and copy write a fresh uniform average in place and leave
+    every other set, such as a running fold's state, as it was."""
 
     SPEC = ModelSpec(widths=(2, 16, 12, 2), use_bn=(True, True), init_seed=5)
 
     def trajectory(self, dtype, n=4):
+        """Checkpoints whose running statistics differ from each other too,
+        so that a copy of the newest ones changes an average."""
         spec = replace(self.SPEC, dtype=dtype)
-        return spec, [
-            Checkpoint(perturbed_bn_params(spec, seed=20 + e), e, e) for e in range(n)
-        ]
+        rng = np.random.default_rng(19)
+        ckpts = []
+        for e in range(n):
+            params = perturbed_bn_params(spec, seed=20 + e)
+            stats = {
+                name: (arr + rng.uniform(0.1, 0.5, size=arr.shape)).astype(arr.dtype)
+                for name, arr in params.items()
+                if is_running_stat(name)
+            }
+            ckpts.append(Checkpoint(params.with_updates(stats), e, e))
+        return spec, ckpts
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
-    def test_a_uniform_average_is_fixed_up_in_place_with_the_same_bits(self, dtype):
+    @pytest.mark.parametrize("mode", ["auto", "copy"])
+    def test_a_uniform_average_is_fixed_up_in_place_with_the_same_bits(self, mode, dtype):
         spec, ckpts = self.trajectory(dtype)
+        newest = ckpts[-1].params
         x = np.random.default_rng(21).normal(size=(300, 2))
         average = averaging.uniform_average(ckpts)
-        want = recompute_bn_stats(average.with_flat(average.flat.copy()), spec, x)
+        want = apply_bn_mode(average.with_flat(average.flat.copy()), spec, mode, newest, x)
         buffer = average.buffer
-        fixed = apply_bn_mode(average, spec, "auto", ckpts[-1].params, x)
+        fixed = apply_bn_mode(average, spec, mode, newest, x)
         assert fixed is average and fixed.buffer is buffer
         assert fixed.flat.tobytes() == want.flat.tobytes()
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     @pytest.mark.parametrize("kind", ["ema", "polyak"])
-    def test_a_running_fold_state_is_unchanged(self, dtype, kind):
+    @pytest.mark.parametrize("mode", ["auto", "copy"])
+    def test_a_running_fold_state_is_unchanged(self, mode, kind, dtype):
         spec, ckpts = self.trajectory(dtype)
         x = np.random.default_rng(22).normal(size=(300, 2))
         scheme = averaging.make_scheme(kind, alpha=0.6)
         for ckpt in ckpts:
             average = scheme.observe(ckpt)
         state, held = scheme._state.tobytes(), average.flat.tobytes()
-        fixed = apply_bn_mode(average, spec, "auto", ckpts[-1].params, x)
+        fixed = apply_bn_mode(average, spec, mode, ckpts[-1].params, x)
         assert fixed is not average
         assert scheme._state.tobytes() == state and average.flat.tobytes() == held
         assert fixed != average
@@ -793,6 +807,31 @@ def tiny_cfg(tmp_path, **overrides) -> RunConfig:
 
 
 class TestTrainRun:
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_each_step_writes_the_forward_pass_running_statistics(self, tmp_path, dtype):
+        cfg = tiny_cfg(
+            tmp_path, hidden=(8, 6), use_bn=True, dtype=dtype, epochs=2, scheme="none",
+            optimizer="lookahead", lookahead_inner="adam", lookahead_k=3, lr=0.01,
+        )
+        train_run(cfg)
+        dataset = build_dataset(cfg)
+        spec = engine.model_spec_for(cfg, dataset)
+        x, y = dataset.train()
+        steps = len(x) // cfg.batch_size
+        opt = make_optimizer("lookahead", lookahead_inner="adam", lookahead_k=3)
+        schedule = optim.make_schedule(cfg.schedule, cfg.lr, cfg.epochs * steps)
+        params, t = init_params(spec), 0
+        for epoch in range(cfg.epochs):
+            order = engine.rng_for(cfg.seed, f"shuffle:{epoch}").permutation(len(x))
+            for b in range(steps):
+                sel = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+                _, cache = forward(params, spec, x[sel], training=True)
+                grads = backward(params, spec, (x[sel], y[sel]), cache)
+                params = opt.step(params, grads, schedule.lr_at(t)).with_updates(cache["bn_updates"])
+                t += 1
+            saved = read_checkpoint(engine.checkpoint_path(Path(cfg.out), epoch)).params
+            assert saved.flat.tobytes() == params.flat.tobytes(), epoch
+
     def test_scheme_none_leaves_avg_columns_empty(self, tmp_path):
         cfg = tiny_cfg(tmp_path, scheme="none")
         records = train_run(cfg)
@@ -1116,11 +1155,9 @@ class TestTrainingBuffersAreBitwiseTheFreshPath:
                 assert np.array_equal(got_grads[name], want_grads[name]), name
 
             lr = 0.05 * (step + 1)
-            fresh = fresh_opt.step(fresh, want_grads, lr, want_cache["bn_updates"])
-            stepped = shared_opt.step(
-                shared, got_grads, lr, got_cache["bn_updates"], out=shared
-            )
-            assert stepped is shared
+            fresh = fresh_opt.step(fresh, want_grads, lr).with_updates(want_cache["bn_updates"])
+            assert shared_opt.step(shared, got_grads, lr, out=shared) is shared
+            assert set_running_stats(shared, got_cache["bn_updates"]) is shared
             assert shared.dtype == fresh.dtype == spec.np_dtype
             assert np.array_equal(shared.flat, fresh.flat)
             assert_states_equal(optimizer_state(shared_opt), optimizer_state(fresh_opt))
@@ -1185,8 +1222,6 @@ class TestTrainingBuffersAreBitwiseTheFreshPath:
             opt.step(shared, grads, 0.1, out=grads)
         with pytest.raises(ValueError, match="shares memory"):
             opt.step(shared, shared, 0.1, out=shared)
-        with pytest.raises(ValueError, match="shares memory"):
-            opt.step(shared, grads, 0.1, {"layer0.bias": shared["layer0.bias"]}, out=shared)
         assert opt.step_count == 0
         assert np.array_equal(shared.flat, params.flat)
 

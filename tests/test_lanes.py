@@ -22,7 +22,15 @@ import pytest
 
 from lawa import engine, lanes, optim
 from lawa.config import RunConfig
-from lawa.engine import LANE_PRODUCT, ModelSpec, TrainingBuffers, backward, forward, init_params
+from lawa.engine import (
+    LANE_PRODUCT,
+    ModelSpec,
+    TrainingBuffers,
+    backward,
+    forward,
+    init_params,
+    set_running_stats,
+)
 from lawa.optim import BLOCK, LANE_BLOCKS, Lookahead, make_optimizer
 from lawa.params import ParameterSet
 
@@ -53,7 +61,7 @@ def no_worker(monkeypatch):
 
 def split_pset(rng, dtype, size):
     """``size`` elements: a 3-element entry standing in for batch-norm
-    statistics between two 1-d entries, so a replaced slot falls inside a
+    statistics between two 1-d entries, so a written slot falls inside a
     block."""
     head = size // 2 - 1
     return ParameterSet(
@@ -83,23 +91,26 @@ def state_bytes(opt):
 
 def trajectory(kind, inner, dtype, size, mode):
     """The parameters and the optimizer after ``STEPS`` steps, with
-    ``out`` None (``fresh``), the parameters (``in_place``) or the
-    parameters and a replaced entry (``replace``)."""
+    ``out`` None (``fresh``) or the parameters (``in_place``), or with
+    ``out`` the parameters and, after each step, new statistics written
+    into them by ``set_running_stats`` (``write``), as the training loop
+    does."""
     rng = np.random.default_rng(size)
     start = split_pset(rng, dtype, size)
     opt = make_optimizer(kind, lookahead_inner=inner, lookahead_k=2)
     p = start if mode == "fresh" else start.over(start.flat.copy())
     for t in range(STEPS):
         g = split_pset(rng, dtype, size)
-        replace = {"stat": rng.normal(size=3).astype(dtype)} if mode == "replace" else None
-        p = opt.step(p, g, 0.01 * (t + 1), replace, out=None if mode == "fresh" else p)
+        p = opt.step(p, g, 0.01 * (t + 1), out=None if mode == "fresh" else p)
+        if mode == "write":
+            set_running_stats(p, {"stat": rng.normal(size=3).astype(dtype)})
     return p, opt
 
 
 class TestOptimizerLanes:
     # Every step of two blocks or more is shared out here, so that the
     # two-lane path also meets steps shorter than LANE_BLOCKS.
-    @pytest.mark.parametrize("mode", ["fresh", "in_place", "replace"])
+    @pytest.mark.parametrize("mode", ["fresh", "in_place", "write"])
     @pytest.mark.parametrize(
         "size",
         [BLOCK, BLOCK + 5, 2 * BLOCK, 2 * BLOCK + 5, 9 * BLOCK],

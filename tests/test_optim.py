@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lawa.averaging import UniformScheme
+from lawa.engine import set_running_stats
 from lawa.errors import ConfigError, NonFiniteGradError, StructureMismatch
 from lawa.optim import (
     BLOCK,
@@ -344,41 +345,51 @@ class TestInPlaceStateKeepsValueSemantics:
         assert state_of(opt) == state_of(twin)
 
 
-class TestReplacedEntries:
-    """A step given entries to replace equals the step followed by
-    ``with_updates``; the slow weights never hold the replaced values."""
+class TestStepThenWrite:
+    """A step followed by ``set_running_stats``, as the training loop runs
+    them, equals the step followed by ``with_updates``, whether the step
+    writes a fresh set or the parameters in place; the slow weights never
+    hold the written values."""
 
+    @pytest.mark.parametrize("in_place", [False, True], ids=["fresh", "in_place"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind,inner", KINDS)
-    def test_equals_step_then_with_updates(self, kind, inner, dtype):
+    def test_equals_step_then_with_updates(self, kind, inner, dtype, in_place):
         rng = np.random.default_rng(47)
         opt = make_optimizer(kind, lookahead_k=3, lookahead_inner=inner)
         twin = make_optimizer(kind, lookahead_k=3, lookahead_inner=inner)
         p = p_twin = mixed_pset(rng, dtype)
+        if in_place:
+            p = p.over(p.flat.copy())
         for t in range(7):  # Lookahead syncs after steps 3 and 6
             g = mixed_pset(rng, dtype)
-            replace = {
+            updates = {
                 "s": rng.normal(),
                 "empty": np.zeros((0, 2)),
                 "b": rng.normal(size=5).astype(dtype),
             }
-            p = opt.step(p, g, 0.05, replace)
-            p_twin = twin.step(p_twin, g, 0.05).with_updates(replace)
+            stepped = opt.step(p, g, 0.05, out=p if in_place else None)
+            written = set_running_stats(stepped, updates)
+            assert (written is p) == in_place
+            p = written
+            p_twin = twin.step(p_twin, g, 0.05).with_updates(updates)
             assert p.flat.tobytes() == p_twin.flat.tobytes(), t
             assert not p.flat.flags.writeable
             assert state_of(opt) == state_of(twin), t
 
     @pytest.mark.parametrize("kind,inner", KINDS)
-    def test_a_bad_replacement_leaves_the_state_untouched(self, kind, inner):
+    def test_a_bad_entry_leaves_the_buffer_and_the_state_untouched(self, kind, inner):
         rng = np.random.default_rng(53)
         opt = make_optimizer(kind, lookahead_k=3, lookahead_inner=inner)
-        p = opt.step(mixed_pset(rng, np.float64), mixed_pset(rng, np.float64), 0.05)
-        before = state_of(opt)
-        g = mixed_pset(rng, np.float64)
-        for bad in ({"nope": [1.0]}, {"b": np.zeros(4)}):
+        start = mixed_pset(rng, np.float64)
+        p = start.over(start.flat.copy())
+        opt.step(p, mixed_pset(rng, np.float64), 0.05, out=p)
+        before, state = p.flat.tobytes(), state_of(opt)
+        for bad in ({"nope": [1.0]}, {"b": np.zeros(4)}, {"s": 7.0, "b": np.zeros(4)}):
             with pytest.raises(StructureMismatch):
-                opt.step(p, g, 0.05, bad)
-            assert state_of(opt) == before
+                set_running_stats(p, bad)
+            assert p.flat.tobytes() == before
+            assert state_of(opt) == state
 
 
 class TestDescentSanity:
@@ -414,6 +425,19 @@ class TestFactory:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             make_optimizer("lbfgs")
+
+    def test_lookahead_inner_gets_the_inner_settings(self):
+        look = make_optimizer(
+            "lookahead", momentum=0.7, beta1=0.8, beta2=0.95, adam_eps=1e-6, lookahead_inner="adam"
+        )
+        assert (look.inner.beta1, look.inner.beta2, look.inner.eps) == (0.8, 0.95, 1e-6)
+        look = make_optimizer("lookahead", momentum=0.7, lookahead_inner="sgd")
+        assert look.inner.momentum == 0.7
+
+    @pytest.mark.parametrize("inner", ["lookahead", "lbfgs"])
+    def test_unknown_lookahead_inner(self, inner):
+        with pytest.raises(ConfigError, match=f"unknown lookahead inner optimizer '{inner}'"):
+            make_optimizer("lookahead", lookahead_inner=inner)
 
 
 class TestSchedules:

@@ -1,0 +1,38 @@
+"""README's "Library use" snippet runs as written, given the two names it
+leaves to the reader: ``trajectory`` and ``step_of``."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from lawa import uniform_average
+from testutil import pset
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def library_use_snippet() -> str:
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def run_snippet(epochs: int) -> dict:
+    trajectory = [pset({"w": [float(e), 0.5 * e * e], "b": [1.0 - e]}) for e in range(epochs)]
+    names = {"trajectory": trajectory, "step_of": lambda epoch: 10 * (epoch + 1)}
+    exec(compile(library_use_snippet(), str(README), "exec"), names)
+    return names
+
+
+@pytest.mark.parametrize("epochs", [6, 9])
+def test_the_snippet_averages_the_six_latest_checkpoints(epochs):
+    names = run_snippet(epochs)
+    window = list(names["ring"])
+    assert [c.epoch for c in window] == list(range(epochs - 6, epochs))
+    assert [c.step for c in window] == [10 * (e + 1) for e in range(epochs - 6, epochs)]
+    assert names["averaged"] == uniform_average(window)
+    assert names["averaged"]["w"][0] == sum(range(epochs - 6, epochs)) / 6
+
+
+def test_the_snippet_has_no_average_until_the_window_fills():
+    assert run_snippet(5)["averaged"] is None

@@ -300,6 +300,25 @@ class TestWindowMemory:
         want = uniform_average([read_checkpoint(p) for p in sorted(run.glob("ckpt_*"))[-16:]])
         assert read_checkpoint(tmp_path / "avg.lawa").params.flat.tobytes() == want.flat.tobytes()
 
+    def test_a_running_fold_of_16_holds_three_sets_and_an_ema_term(self, tmp_path):
+        run = tmp_path / "run"
+        cfg = wide_cfg(tmp_path, "run", epochs=2, save_every_steps=1, k=2)
+        train_run(cfg)
+        one_set = init_params(model_spec_for(cfg, build_dataset(cfg))).flat.nbytes
+        window = [read_checkpoint(p) for p in sorted(run.glob("ckpt_*"))[-16:]]
+        # A fold holds the state, the newest checkpoint and the float64 copy
+        # of it that the fold writes into; EMA also builds (1 - alpha) * acc.
+        for scheme, bound in (("polyak", 3.5), ("ema", 4.5)):
+            out = tmp_path / f"{scheme}.lawa"
+            args = ["average", "--dir", str(run), "--k", "16", "--scheme", scheme, "--out", str(out)]
+            code, peak, _ = traced(main, args)
+            assert code == 0
+            assert peak < bound * one_set, (scheme, peak, one_set)
+            folding = averaging.make_scheme(scheme)
+            for ckpt in window:
+                want = folding.observe(ckpt)
+            assert read_checkpoint(out).params.flat.tobytes() == want.flat.tobytes()
+
 
 class TestAWindowFileThatChanges:
     """A window file changed between save events stops the run with
