@@ -65,11 +65,18 @@ WINDOW_WARN_THRESHOLD = 16
 # checkpoint stays in memory: the few kilobytes saved are not worth a read,
 # which costs several times the in-memory add (CHANGES.md has the times).
 FILE_SLOT_BYTES = 1 << 18
-# Elements per read of a checkpoint held as a file reference.
+# Elements per read of a checkpoint held as a file reference, or per EMA fold block.
 READ_BLOCK = 1 << 15
 
 # A window slot: a checkpoint in memory, or a reference to its file.
 Slot = Checkpoint | CheckpointFile
+
+
+def _check_follows(epoch: int, newest: int) -> None:
+    """Every scheme's rule: each checkpoint's epoch is greater than the last."""
+    if epoch <= newest:
+        message = f"checkpoint epoch {epoch} is not greater than newest stored epoch {newest}"
+        raise EpochOrderError(message)
 
 
 class CheckpointRing:
@@ -87,11 +94,7 @@ class CheckpointRing:
         self._slots: deque[Slot] = deque(maxlen=capacity)
 
     def push(self, ckpt: Checkpoint) -> None:
-        if self._slots and ckpt.epoch <= self._slots[-1].epoch:
-            raise EpochOrderError(
-                f"checkpoint epoch {ckpt.epoch} is not greater than "
-                f"newest stored epoch {self._slots[-1].epoch}"
-            )
+        _check_follows(ckpt.epoch, self._slots[-1].epoch if self._slots else -1)
         self._slots.append(ckpt)
 
     def __len__(self) -> int:
@@ -250,17 +253,18 @@ class _RunningScheme(AveragingScheme):
     """A float64 fold over every checkpoint since the start of the run.
 
     The first checkpoint starts the state; each later one, checked against
-    the last average, is folded in by the subclass's ``_fold(acc, x)``, with
-    ``count`` already advanced. ``_fold`` writes into ``x``, a fresh float64
-    copy of the checkpoint, and returns it: ``acc`` doubles as the
-    read-only buffer of the set last returned for float64 checkpoints. No
-    checkpoint is kept. Subclasses bind ``observe`` in their own
-    namespace, so perfbench's tracer can rebind it per class.
+    the last average and its epoch, is folded in by the subclass's
+    ``_fold(acc, x)``, with ``count`` already advanced. ``_fold`` writes
+    into ``x``, a fresh float64 copy of the checkpoint, and returns it:
+    ``acc`` doubles as the read-only buffer of the set last returned for
+    float64 checkpoints. No checkpoint is kept. Subclasses bind ``observe``
+    in their own namespace, so perfbench's tracer can rebind it per class.
     """
 
     def __init__(self):
         self._state: np.ndarray | None = None
         self._average: ParameterSet | None = None
+        self._epoch = 0  # of the newest checkpoint folded in
         self.count = 0
 
     def observe(self, ckpt: Checkpoint, path=None) -> ParameterSet:
@@ -271,9 +275,10 @@ class _RunningScheme(AveragingScheme):
             self._state, self.count = ckpt.params.flat.astype(np.float64), 1
         else:
             check_same_structure(self._average, ckpt.params)
+            _check_follows(ckpt.epoch, self._epoch)
             self.count += 1
             self._state = self._fold(self._state, ckpt.params.flat.astype(np.float64))
-        self._average = ckpt.params.with_flat(self._state)
+        self._average, self._epoch = ckpt.params.with_flat(self._state), ckpt.epoch
         return self._average
 
 
@@ -289,8 +294,9 @@ class EmaScheme(_RunningScheme):
         self.alpha = alpha
 
     def _fold(self, acc, x):
-        x *= self.alpha  # alpha * x + (1 - alpha) * acc
-        x += (1.0 - self.alpha) * acc
+        x *= self.alpha  # alpha * x + (1 - alpha) * acc, the term a block at a time
+        for block in (slice(s, s + READ_BLOCK) for s in range(0, x.size, READ_BLOCK)):
+            x[block] += (1.0 - self.alpha) * acc[block]
         return x
 
     observe = _RunningScheme.observe
@@ -337,6 +343,7 @@ def average_checkpoint_dir(
     directory are not candidates. The result is what the in-loop scheme
     (``make_scheme(scheme, k, alpha)``) holds after observing the selected
     files, oldest first; it carries the newest checkpoint's epoch and step.
+    A repeated epoch raises :class:`EpochOrderError` naming both files.
     """
     if k < 1:
         raise ConfigError(f"averaging window k must be >= 1, got {k}")
@@ -351,9 +358,12 @@ def average_checkpoint_dir(
         )
     # Only the headers of the files outside the window are read.
     paths.sort(key=read_checkpoint_header)
-    for path in paths[-k:]:
+    for previous, path in zip([None, *paths[-k:]], paths[-k:]):
         newest = read_checkpoint(path)
-        averaged = averager.observe(newest, path)
+        try:
+            averaged = averager.observe(newest, path)
+        except EpochOrderError as exc:
+            raise EpochOrderError(f"{path} does not follow {previous}: {exc}") from exc
         epoch, step = newest.epoch, newest.step
         del newest  # parse the next file with no other one alive
     return Checkpoint(params=averaged, epoch=epoch, step=step)

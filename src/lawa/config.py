@@ -109,7 +109,7 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if not self.out:
-            raise ConfigError("output directory must be set")
+            raise ConfigError("out must name an output directory")
 
 
 # Field name -> type; the one schema the config parser and the CLI flags follow.

@@ -25,7 +25,6 @@ import os
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
-from functools import partial
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -233,8 +232,8 @@ class TrainingBuffers:
             )
 
     def gather(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``x[rows]`` cast to the model's element type, written into the
-        input batch rows."""
+        """``x[rows]`` written into the input batch rows; an ``x`` not in the
+        model's element type makes ``take`` read and cast them too."""
         return x.take(rows, axis=0, out=self.input)
 
 
@@ -395,6 +394,11 @@ def _row_losses(
     return (diff * diff).mean(axis=1), pieces
 
 
+def _product(lane: int, operands: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+    """Write ``a @ b`` into ``out``, for ``operands`` ``(a, b, out)``."""
+    np.matmul(operands[0], operands[1], out=operands[2])
+
+
 def backward(
     params: ParameterSet,
     spec: ModelSpec,
@@ -415,11 +419,11 @@ def backward(
     what the row held, so the cache of a ``forward`` through the same
     buffers is consumed; a fresh set leaves ``cache`` as it was. A
     batch-norm layer's input gradient is built in place, one operation at
-    a time in the order of the out-of-place expression. A hidden layer
-    past the first whose rows times weight elements reach
-    ``LANE_PRODUCT`` shares its weight-gradient product and the product
-    that makes ``d_h`` out to two lanes through :func:`lanes.share`; the
-    bits are the same.
+    a time in the order of the out-of-place expression. Each hidden layer
+    hands its weight-gradient product, and past the first layer the
+    product that makes ``d_h``, to :func:`lanes.share`, wide when its rows
+    times weight elements reach ``LANE_PRODUCT``; two lanes give the bits
+    of one.
     """
     _, labels = batch
     outputs = cache["outputs"]
@@ -472,23 +476,14 @@ def backward(
             d_z *= inv
         else:
             d_z = d_pre
-        weight, weight_grad = params[f"layer{i}.weight"], grads[f"layer{i}.weight"]
-        if i > 0 and len(d_z) * weight.size >= LANE_PRODUCT:
-            # Both products read d_z and write apart (d_h into the spare
-            # rows, not the input rows the weight gradient reads), so they
-            # may run at once.
-            lanes.share(
-                (
-                    partial(np.matmul, layer["input"].T, d_z, out=weight_grad),
-                    partial(np.matmul, d_z, weight.T, out=buffers.d_h[i - 1]),
-                ),
-                lambda lane, product: product(),
-            )
+        weight = params[f"layer{i}.weight"]
+        # The weight gradient, then d_h past the first layer. Both read d_z
+        # and write apart (d_h into the spare rows), so they may run at once.
+        products = [(layer["input"].T, d_z, grads[f"layer{i}.weight"])]
+        if i > 0:
             d_h = buffers.d_h[i - 1]
-        else:
-            np.matmul(layer["input"].T, d_z, out=weight_grad)
-            if i > 0:  # nothing uses the gradient of the network's input
-                d_h = np.matmul(d_z, weight.T, out=buffers.d_h[i - 1])
+            products.append((d_z, weight.T, d_h))
+        lanes.share(products, _product, len(d_z) * weight.size >= LANE_PRODUCT)
         d_z.sum(axis=0, out=grads[f"layer{i}.bias"])
     return buffers.grads
 
@@ -774,6 +769,8 @@ def train_variants(
     spec = model_spec_for(cfg, dataset)
     x_train, y_train = dataset.train()
     x_val, y_val = dataset.val()
+    # Cast once, so that no step's gather or evaluation casts a batch.
+    x_train, x_val = (x.astype(spec.np_dtype, copy=False) for x in (x_train, x_val))
     n_train = len(x_train)
     for split, rows in (("training", n_train), ("validation", len(x_val))):
         if rows == 0:

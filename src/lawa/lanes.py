@@ -6,8 +6,8 @@ Each piece is a run of numpy and BLAS calls that release the GIL, so on
 a host with a second CPU two can run at once. Each piece writes only its
 own arrays, so the results are bitwise those of running them one after
 the other. Handing a piece to the worker costs a wake-up and GIL
-hand-offs, so the callers share only pieces large enough to pay for
-that (``optim.LANE_BLOCKS``, ``engine.LANE_PRODUCT``).
+hand-offs, so each caller tells :func:`share` whether its pieces pay
+for that (``optim.LANE_BLOCKS``, ``engine.LANE_PRODUCT``).
 
 The worker does not always wake at once: on a 2-CPU virtual machine
 whose second CPU had gone idle, a wake-up took 0.05 to 0.17 ms in the
@@ -99,17 +99,17 @@ def fork_join(on_worker: Callable[[], object], here: Callable[[], object]) -> No
             raise error
 
 
-def share(items: Sequence[T], work: Callable[[int, T], object]) -> None:
+def share(items: Sequence[T], work: Callable[[int, T], object], wide: bool) -> None:
     """Call ``work(lane, item)`` once for every item.
 
-    With a second CPU and two items or more, the items go to two lanes
-    that each take the next item neither has taken: lane 0 on this thread
-    and lane 1 through :func:`fork_join`. Returns, or raises, as that
-    does; a lane that raises takes no more items. Otherwise lane 0 takes
-    them all, in order. ``work`` must give the same result whichever lane
-    runs it.
+    Items ``wide`` enough to pay for a second lane, two or more, go on a
+    second CPU to two lanes that each take the next item neither has
+    taken: lane 0 on this thread and lane 1 through :func:`fork_join`.
+    Returns, or raises, as that does; a lane that raises takes no more
+    items. Otherwise lane 0 takes them all, in order; narrow items count
+    no CPUs. ``work`` must give the same result whichever lane runs it.
     """
-    if len(items) < 2 or _cpu_count() < 2:
+    if not wide or len(items) < 2 or _cpu_count() < 2:
         for item in items:
             work(0, item)
         return

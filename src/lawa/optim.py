@@ -1,20 +1,22 @@
 """Optimizers and learning-rate schedules for the training engine.
 
-SGD uses the heavy-ball convention (v = mu*v + g; theta -= lr*v), Adam is
-the bias-corrected variant with its usual constants, and Lookahead wraps
-either of them, pulling fast weights back onto the slow weights every
-``k`` inner steps. A step runs in blocks of ``BLOCK`` elements of the flat
-buffers: each block goes through every per-element operation of the
-update rule, in the rule's usual order through ``out=``, and, on a
-Lookahead sync step, through the pullback, while it is still in cache.
-So the results are bitwise those of the out-of-place expressions over
-whole buffers. Optimizer state (SGD velocity, Adam's m and v, Lookahead's
-slow weights) is updated in place; a block's update is built in scratch
-blocks (one for SGD, two for Adam), then subtracted from the parameters.
-Blocks touch disjoint slices, so when the process may run on two CPUs,
-a step of ``LANE_BLOCKS`` blocks or more shares them out to two lanes,
-one of them on the worker thread of :mod:`lawa.lanes`, each lane taking
-the next block not yet taken into its own scratch blocks; the bits are
+SGD uses the heavy-ball convention (v = mu*v + g; theta -= lr*v), Adam
+is the bias-corrected variant with its usual constants, and Lookahead
+wraps either of them, pulling fast weights back onto the slow weights
+every ``k`` inner steps. Each optimizer makes a block rule per step, and
+one ``step`` runs it for all three: the rule writes a block of ``BLOCK``
+elements of the flat buffers through every per-element operation of the
+update, in the update's usual order through ``out=``, and Lookahead's
+rule, on a sync step, runs the inner rule and then the pullback on the
+block while it is still in cache. So the results are bitwise those of
+the out-of-place expressions over whole buffers. Optimizer state (SGD
+velocity, Adam's m and v, Lookahead's slow weights) is updated in place;
+a block's update is built in scratch blocks (one for SGD, two for Adam),
+then subtracted from the parameters. Blocks touch disjoint slices, so a
+step hands them to :func:`lanes.share`, wide when it has ``LANE_BLOCKS``
+blocks or more: then, when the process may run on two CPUs, two lanes,
+one of them on the worker thread of :mod:`lawa.lanes`, each take the
+next block not yet taken into their own scratch blocks; the bits are
 those of one lane. A step writes the new parameters into the buffer of
 the set it returns: a fresh one, or the caller's when the caller passes
 ``out``, a set built by ``ParameterSet.over``. ``out`` may be the
@@ -85,8 +87,8 @@ def _run_blocks(
     params: ParameterSet, grads: ParameterSet, rule: BlockRule, out: ParameterSet | None
 ) -> ParameterSet:
     """The set ``rule`` writes block by block: ``out``, or a fresh set when
-    that is None. From ``LANE_BLOCKS`` blocks on, they are shared out to
-    two lanes by :func:`lanes.share`."""
+    that is None. :func:`lanes.share` runs the blocks, in two lanes from
+    ``LANE_BLOCKS`` blocks on."""
     theta, g = params.flat, grads.flat
     flat = np.empty_like(theta) if out is None else out.buffer
 
@@ -95,11 +97,7 @@ def _run_blocks(
         rule(lane, block, theta[block], g[block], flat[block])
 
     starts = range(0, theta.size, BLOCK)
-    if len(starts) >= LANE_BLOCKS:
-        lanes.share(starts, run_block)
-    else:
-        for start in starts:
-            run_block(0, start)
+    lanes.share(starts, run_block, len(starts) >= LANE_BLOCKS)
     return params.with_flat(flat) if out is None else out
 
 
@@ -112,11 +110,11 @@ def _lane_scratch(params: ParameterSet, blocks: int) -> np.ndarray:
     return np.zeros((LANES, blocks, min(BLOCK, params.flat.size)), params.dtype)
 
 
-class _InnerOptimizer:
-    """An update rule that runs alone or inside :class:`Lookahead`.
+class _BlockOptimizer:
+    """An optimizer whose ``step`` runs the block rule it makes per step.
 
-    Subclasses supply ``_block_rule`` and bind ``step`` in their own
-    namespace, so perfbench's tracer can rebind it per class.
+    Subclasses supply ``_block_rule(params, lr)`` and bind ``step`` in their
+    own namespace, so perfbench's tracer can rebind it per class.
     """
 
     def step(
@@ -132,7 +130,7 @@ class _InnerOptimizer:
         return _run_blocks(params, grads, self._block_rule(params, lr), out)
 
 
-class Sgd(_InnerOptimizer):
+class Sgd(_BlockOptimizer):
     """Stochastic gradient descent with heavy-ball momentum."""
 
     def __init__(self, momentum: float = DEFAULT_MOMENTUM):
@@ -160,10 +158,10 @@ class Sgd(_InnerOptimizer):
 
         return rule
 
-    step = _InnerOptimizer.step
+    step = _BlockOptimizer.step
 
 
-class Adam(_InnerOptimizer):
+class Adam(_BlockOptimizer):
     """Adam with bias correction; no weight decay."""
 
     def __init__(
@@ -214,16 +212,16 @@ class Adam(_InnerOptimizer):
 
         return rule
 
-    step = _InnerOptimizer.step
+    step = _BlockOptimizer.step
 
 
-class Lookahead:
+class Lookahead(_BlockOptimizer):
     """Wrapper keeping slow weights that the fast weights sync back to.
 
-    Every ``k`` inner steps the slow weights move a fraction ``alpha``
-    toward the fast weights and the fast weights are reset onto them
-    (pullback). Slow weights initialize from the parameters seen at the
-    first step call.
+    Its block rule is the inner optimizer's, followed every ``k`` steps by
+    the pullback: the slow weights move a fraction ``alpha`` toward the
+    fast weights, which are reset onto them. Slow weights initialize from
+    the parameters of the first step; the inner ``step`` is never called.
     """
 
     def __init__(
@@ -243,24 +241,16 @@ class Lookahead:
         self.inner_counter = 0
         self._slow: np.ndarray | None = None
 
-    def step(
-        self,
-        params: ParameterSet,
-        grads: ParameterSet,
-        lr: float,
-        *,
-        out: ParameterSet | None = None,
-    ) -> ParameterSet:
-        """The inner step's parameters, pulled back on every ``k``-th call,
-        written into ``out`` when given."""
-        _check_step(params, grads, out)
+    def _block_rule(self, params: ParameterSet, lr: float) -> BlockRule:
+        """Count the step; return the inner rule, followed on every
+        ``k``-th step by the pullback."""
         inner_rule = self.inner._block_rule(params, lr)
         if self._slow is None:
             self._slow = params.flat.copy()
         self.inner_counter += 1
         self.step_count += 1
         if self.inner_counter < self.k:
-            return _run_blocks(params, grads, inner_rule, out)
+            return inner_rule
         self.inner_counter = 0
         slow_all, alpha = self._slow, self.alpha
 
@@ -272,7 +262,9 @@ class Lookahead:
             out += slow
             slow[...] = out
 
-        return _run_blocks(params, grads, rule, out)
+        return rule
+
+    step = _BlockOptimizer.step
 
 
 def make_optimizer(

@@ -372,6 +372,31 @@ class TestRunningFoldBitwise:
         assert out.dtype == dtype and scheme.count == 4
 
 
+class TestRunningFoldOrder:
+    """A fold, like the ring, takes each checkpoint after the last epoch."""
+
+    @pytest.mark.parametrize("repeat", [2, 1], ids=["repeated", "decreasing"])
+    @pytest.mark.parametrize("kind", ["ema", "polyak"])
+    def test_an_epoch_that_does_not_increase_is_rejected(self, kind, repeat):
+        scheme, twin = make_scheme(kind), make_scheme(kind)
+        for e in range(3):
+            scheme.observe(scalar_ckpt(float(e), e))
+            twin.observe(scalar_ckpt(float(e), e))
+        message = f"epoch {repeat} is not greater than newest stored epoch 2"
+        with pytest.raises(EpochOrderError, match=message):
+            scheme.observe(scalar_ckpt(7.0, repeat))
+        # The rejected checkpoint left the fold as it was.
+        assert scheme.count == 3
+        assert scheme.observe(scalar_ckpt(3.0, 3)) == twin.observe(scalar_ckpt(3.0, 3))
+
+    @pytest.mark.parametrize("kind", ["ema", "polyak"])
+    def test_a_foreign_structure_is_named_before_the_epoch(self, kind):
+        scheme = make_scheme(kind)
+        scheme.observe(scalar_ckpt(1.0, 1))
+        with pytest.raises(StructureMismatch):
+            scheme.observe(ckpt_of(pset({"other": [1.0]}), 1))
+
+
 class TestSchemeFactory:
     def test_kinds(self):
         assert isinstance(make_scheme("none"), NoAveraging)
@@ -485,6 +510,17 @@ class TestOfflineAveraging:
         for k in (2, 5):  # k=5 asks for more files than there are
             with pytest.raises(ConfigError, match="no average"):
                 average_checkpoint_dir(tmp_path, k=k, scheme="none")
+
+    def test_k_zero_is_refused_before_any_file_is_read(self, tmp_path, monkeypatch):
+        self._write_trajectory(tmp_path, range(3))
+
+        def unread(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(averaging, "read_checkpoint", unread)
+        monkeypatch.setattr(averaging, "read_checkpoint_header", unread)
+        with pytest.raises(ConfigError, match="k must be >= 1, got 0"):
+            average_checkpoint_dir(tmp_path, 0, scheme="ema")
 
     def test_polyak_is_the_in_loop_fold_over_the_window(self, tmp_path):
         ckpts = self._write_trajectory(tmp_path, range(10))

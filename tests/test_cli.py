@@ -14,8 +14,8 @@ from lawa.averaging import DEFAULT_EMA_ALPHA
 from lawa.checkpoint_io import read_checkpoint
 from lawa.cli import _effective_mapping, build_parser, main
 from lawa.compare import compare_run
-from lawa.config import SCHEMES, RunConfig, config_from_mapping, resolved_text
-from lawa.errors import SchemaError
+from lawa.config import CHOICES, SCHEMES, RunConfig, config_from_mapping, resolved_text
+from lawa.errors import ConfigError, SchemaError
 from lawa.metrics import read_metrics
 from testutil import masked_files, max_abs_diff
 
@@ -285,16 +285,19 @@ class TestAverage:
         )
         assert tuple(scheme.choices) == SCHEMES
 
-    def test_average_written_into_the_run_dir_is_refused_later(self, tmp_path, capsys):
+    @pytest.mark.parametrize("scheme", ["uniform", "ema", "polyak"])
+    def test_average_written_into_the_run_dir_is_refused_later(self, tmp_path, capsys, scheme):
         out = train_tiny(tmp_path / "run")
         inside = out / "averaged.lawa"
         assert run_cli(["average", "--dir", str(out), "--k", "6", "--out", str(inside)]) == 0
         code = run_cli(
-            ["average", "--dir", str(out), "--k", "6", "--scheme", "uniform",
+            ["average", "--dir", str(out), "--k", "6", "--scheme", scheme,
              "--out", str(tmp_path / "again.lawa")]
         )
         assert code == 2
-        assert "not greater than newest stored epoch" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "checkpoint epoch 5 is not greater than newest stored epoch 5" in err
+        assert "ckpt_e00005.lawa" in err and "averaged.lawa" in err
         assert not (tmp_path / "again.lawa").exists()
 
 
@@ -764,6 +767,30 @@ class TestSchema:
         assert cfg.adam_eps == optim.DEFAULT_ADAM_EPS
         assert cfg.lookahead_alpha == optim.DEFAULT_LOOKAHEAD_ALPHA
         assert cfg.lookahead_k == optim.DEFAULT_LOOKAHEAD_K
+
+    # One bad value per rule of RunConfig.validate, as a config file gives it.
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            *((name, "bogus") for name in CHOICES),
+            ("csv", ""),  # with dataset=csv
+            ("hidden", "8,0"),
+            ("epochs", "0"),
+            ("batch_size", "0"),
+            ("k", "0"),
+            ("alpha", "1.5"),
+            ("lr", "-0.1"),
+            ("momentum", "-0.5"),
+            ("save_every_steps", "-1"),
+            ("warmup_steps", "-1"),
+            ("seed", "-1"),
+            ("out", ""),
+        ],
+    )
+    def test_each_rule_names_its_field(self, field, value):
+        mapping = {field: value, **({"dataset": "csv"} if field == "csv" else {})}
+        with pytest.raises(ConfigError, match=rf"\b{field}\b"):
+            config_from_mapping(mapping)
 
     def test_average_alpha_default_is_the_ema_default(self):
         args = build_parser().parse_args(

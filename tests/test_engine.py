@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -831,6 +832,28 @@ class TestTrainRun:
                 t += 1
             saved = read_checkpoint(engine.checkpoint_path(Path(cfg.out), epoch)).params
             assert saved.flat.tobytes() == params.flat.tobytes(), epoch
+
+    def test_an_f32_step_reads_no_old_input_rows(self, tmp_path, monkeypatch):
+        """Input batch rows that start as a signalling NaN change no bit of
+        an f32 run and raise no cast warning: a step writes them without
+        reading them."""
+        build = TrainingBuffers.__init__
+
+        def poisoned(self, *args):
+            build(self, *args)
+            self.input.view(np.uint32)[...] = 0x7FA00000
+
+        runs = {}
+        for name in ("clean", "poisoned"):
+            if name == "poisoned":
+                monkeypatch.setattr(TrainingBuffers, "__init__", poisoned)
+            cfg = tiny_cfg(tmp_path / name, dtype="f32", epochs=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                train_run(cfg)
+            files = sorted(Path(cfg.out).glob("*.lawa"))
+            runs[name] = {p.name: p.read_bytes() for p in files}
+        assert len(runs["clean"]) == 2 and runs["poisoned"] == runs["clean"]
 
     def test_scheme_none_leaves_avg_columns_empty(self, tmp_path):
         cfg = tiny_cfg(tmp_path, scheme="none")

@@ -219,7 +219,7 @@ class TestShare:
         cpus(2)
         taken = []
         work = lambda lane, item: taken.append((lane, item)) or time.sleep(1e-4)  # noqa: E731
-        lanes.share(range(200), work)
+        lanes.share(range(200), work, True)
         assert sorted(item for _, item in taken) == list(range(200))
         assert {lane for lane, _ in taken} <= {0, 1}
 
@@ -227,7 +227,7 @@ class TestShare:
         cpus(2)
         monkeypatch.setattr(lanes, "fork_join", lambda on_worker, here: (here(), on_worker()))
         taken = []
-        lanes.share(range(5), lambda lane, item: taken.append((lane, item)))
+        lanes.share(range(5), lambda lane, item: taken.append((lane, item)), True)
         assert taken == [(0, item) for item in range(5)]
 
     @pytest.mark.parametrize("bad_lane", [0, 1])
@@ -246,7 +246,7 @@ class TestShare:
             taken.append(item)
 
         with pytest.raises(Boom):
-            lanes.share(range(20), work)
+            lanes.share(range(20), work, True)
         assert len(taken) == 19
 
     def test_callers_on_many_threads_each_get_every_item_once(self, cpus):
@@ -259,7 +259,7 @@ class TestShare:
             try:
                 for call in range(20):
                     taken = []
-                    lanes.share(range(50), lambda lane, item: taken.append(item))
+                    lanes.share(range(50), lambda lane, item: taken.append(item), True)
                     results[k, call] = sorted(taken)
             except BaseException as exc:
                 errors.append(exc)
@@ -282,7 +282,19 @@ class TestShare:
     def test_one_cpu_takes_every_item_in_order_on_this_thread(self, cpus, no_worker):
         cpus(1)
         taken = []
-        lanes.share(range(5), lambda lane, item: taken.append((lane, item)))
+        lanes.share(range(5), lambda lane, item: taken.append((lane, item)), True)
+        assert taken == [(0, item) for item in range(5)]
+        assert lanes._pool is None
+
+    def test_narrow_work_takes_every_item_in_order_without_counting_cpus(
+        self, monkeypatch, no_worker
+    ):
+        def uncounted():
+            raise AssertionError("narrow work counted the CPUs")
+
+        monkeypatch.setattr(lanes, "_cpu_count", uncounted)
+        taken = []
+        lanes.share(range(5), lambda lane, item: taken.append((lane, item)), False)
         assert taken == [(0, item) for item in range(5)]
         assert lanes._pool is None
 

@@ -307,8 +307,9 @@ class TestWindowMemory:
         one_set = init_params(model_spec_for(cfg, build_dataset(cfg))).flat.nbytes
         window = [read_checkpoint(p) for p in sorted(run.glob("ckpt_*"))[-16:]]
         # A fold holds the state, the newest checkpoint and the float64 copy
-        # of it that the fold writes into; EMA also builds (1 - alpha) * acc.
-        for scheme, bound in (("polyak", 3.5), ("ema", 4.5)):
+        # of it that the fold writes into; EMA also builds (1 - alpha) * acc
+        # one read block at a time.
+        for scheme, bound in (("polyak", 3.5), ("ema", 3.75)):
             out = tmp_path / f"{scheme}.lawa"
             args = ["average", "--dir", str(run), "--k", "16", "--scheme", scheme, "--out", str(out)]
             code, peak, _ = traced(main, args)
