@@ -343,7 +343,9 @@ def average_checkpoint_dir(
     directory are not candidates. The result is what the in-loop scheme
     (``make_scheme(scheme, k, alpha)``) holds after observing the selected
     files, oldest first; it carries the newest checkpoint's epoch and step.
-    A repeated epoch raises :class:`EpochOrderError` naming both files.
+    A repeated epoch in the window, or an (epoch, step) that the k-th
+    newest file shares with the one before it, raises
+    :class:`EpochOrderError` naming both files.
     """
     if k < 1:
         raise ConfigError(f"averaging window k must be >= 1, got {k}")
@@ -357,7 +359,14 @@ def average_checkpoint_dir(
             f"{directory} holds {len(paths)} checkpoint files, need {k}"
         )
     # Only the headers of the files outside the window are read.
-    paths.sort(key=read_checkpoint_header)
+    headers = {path: read_checkpoint_header(path) for path in paths}
+    paths.sort(key=headers.__getitem__)
+    if len(paths) > k and headers[paths[-k - 1]] == headers[paths[-k]]:
+        epoch, step = headers[paths[-k]]
+        raise EpochOrderError(
+            f"{paths[-k - 1]} and {paths[-k]} both hold epoch {epoch}, step {step}, "
+            f"so the {k} newest checkpoints are ambiguous"
+        )
     for previous, path in zip([None, *paths[-k:]], paths[-k:]):
         newest = read_checkpoint(path)
         try:

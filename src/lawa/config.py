@@ -120,11 +120,9 @@ def _parse_value(key: str, text: str):
     kind = FIELD_TYPES[key]
     try:
         if key == "hidden":
-            return tuple(int(part) for part in str(text).split(","))
+            return tuple(int(part) for part in text.split(","))
         if kind is bool:
-            if isinstance(text, bool):
-                return text
-            lowered = str(text).strip().lower()
+            lowered = text.strip().lower()
             if lowered in ("true", "1", "yes"):
                 return True
             if lowered in ("false", "0", "no"):

@@ -1,4 +1,4 @@
-"""Two lanes of work: one on a worker thread, one on the calling thread.
+"""Two lanes of work: lane 0 on the calling thread, lane 1 on a worker.
 
 The wide pieces of a training step are independent: the optimizer's
 blocks, and ``backward``'s weight-gradient and input-gradient products.
@@ -9,16 +9,17 @@ the other. Handing a piece to the worker costs a wake-up and GIL
 hand-offs, so each caller tells :func:`share` whether its pieces pay
 for that (``optim.LANE_BLOCKS``, ``engine.LANE_PRODUCT``).
 
-The worker does not always wake at once: on a 2-CPU virtual machine
-whose second CPU had gone idle, a wake-up took 0.05 to 0.17 ms in the
-median and over 1 ms in one call of ten. So :func:`share` hands the
-pieces out one at a time to whichever lane is free, rather than dealing
-them out in advance, and :func:`fork_join` runs the worker's half on the
-calling thread when the worker has not begun it by the time the
-caller's half is done.
+:func:`share` submits lane 1 to the worker and runs lane 0 itself, and
+each lane takes the next piece neither has taken. Lane 0 returns once
+every piece is taken; lane 1 is then cancelled if the worker has not
+begun it, or else waited for, and the caller's error is raised first,
+or else the worker's. Pieces are not dealt out in advance because the
+worker does not always wake at once: on a 2-CPU virtual machine whose
+second CPU had gone idle, a wake-up took 0.05 to 0.17 ms in the median
+and over 1 ms in one call of ten.
 
 The worker is the one thread of a ``ThreadPoolExecutor``, made by the
-first :func:`fork_join` and kept for the life of the process;
+first shared call and kept for the life of the process;
 ``concurrent.futures`` is imported then, not before. A process forked
 after that makes its own, as the parent's thread does not exist in the
 child.
@@ -28,10 +29,12 @@ from __future__ import annotations
 
 import os
 import threading
-from functools import partial
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
+
+# The lanes of a shared call: 0 on the calling thread, 1 on the worker.
+LANES = 2
 
 
 def _cpu_count() -> int:
@@ -73,41 +76,18 @@ def _wait(future) -> BaseException | None:
         return error
 
 
-def fork_join(on_worker: Callable[[], object], here: Callable[[], object]) -> None:
-    """Run ``on_worker`` on the worker thread and ``here`` on the calling
-    thread; return once both are done.
-
-    ``on_worker`` runs on the calling thread instead, after ``here``, if
-    the worker has not begun it by then, and not at all if ``here``
-    raised first. If either half raised, that exception is raised
-    (``here``'s when both did) once neither half is running, so no write
-    of either half follows the return or the raise. The halves must not
-    write what the other reads or writes.
-    """
-    future = _worker().submit(on_worker)
-    try:
-        here()
-    except BaseException:
-        if not future.cancel():
-            _wait(future)
-        raise
-    if future.cancel():
-        on_worker()
-    else:
-        error = _wait(future)
-        if error is not None:
-            raise error
-
-
 def share(items: Sequence[T], work: Callable[[int, T], object], wide: bool) -> None:
     """Call ``work(lane, item)`` once for every item.
 
     Items ``wide`` enough to pay for a second lane, two or more, go on a
     second CPU to two lanes that each take the next item neither has
-    taken: lane 0 on this thread and lane 1 through :func:`fork_join`.
-    Returns, or raises, as that does; a lane that raises takes no more
-    items. Otherwise lane 0 takes them all, in order; narrow items count
-    no CPUs. ``work`` must give the same result whichever lane runs it.
+    taken: lane 0 on this thread, lane 1 on the worker. A lane that
+    raises takes no more items. The call returns, or raises (lane 0's
+    error when both lanes raised), once neither lane is running, so no
+    write of either follows it. Otherwise lane 0 takes them all, in
+    order; narrow items count no CPUs. ``work`` must give the same
+    result whichever lane runs it, and two items must not write what the
+    other reads or writes.
     """
     if not wide or len(items) < 2 or _cpu_count() < 2:
         for item in items:
@@ -119,4 +99,14 @@ def share(items: Sequence[T], work: Callable[[int, T], object], wide: bool) -> N
         for item in pending:
             work(k, item)
 
-    fork_join(partial(lane, 1), partial(lane, 0))
+    on_worker = _worker().submit(lane, 1)
+    try:
+        lane(0)
+    except BaseException:
+        if not on_worker.cancel():
+            _wait(on_worker)
+        raise
+    if not on_worker.cancel():
+        error = _wait(on_worker)
+        if error is not None:
+            raise error

@@ -53,8 +53,6 @@ DEFAULT_LOOKAHEAD_K = 5
 # against 4096 to 65536 elements and whole buffers; CHANGES.md has the times.
 BLOCK = 32768
 
-# Lanes a step's blocks are shared out to; each has its own scratch blocks.
-LANES = 2
 # Blocks from which a step shares them out to two lanes: the fewest at
 # which two lanes made the Lookahead(Adam) step of a training loop faster
 # than one; CHANGES.md has the times.
@@ -107,7 +105,7 @@ def _lane_scratch(params: ParameterSet, blocks: int) -> np.ndarray:
     hold the same scratch bytes only while no step is shared out: which
     block a lane's scratch last held depends on which lane took it. No
     step reads scratch it has not written."""
-    return np.zeros((LANES, blocks, min(BLOCK, params.flat.size)), params.dtype)
+    return np.zeros((lanes.LANES, blocks, min(BLOCK, params.flat.size)), params.dtype)
 
 
 class _BlockOptimizer:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lawa
-from lawa import averaging, checkpoint_io, cli, engine, optim
+from lawa import averaging, checkpoint_io, cli, compare, engine, optim
 from lawa.averaging import DEFAULT_EMA_ALPHA
 from lawa.checkpoint_io import read_checkpoint
 from lawa.cli import _effective_mapping, build_parser, main
@@ -223,6 +223,31 @@ class TestAverage:
         assert averaged.params == newest.params
         assert averaged.epoch == newest.epoch
 
+    def unread(self, monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"{path} was read in full")
+
+        monkeypatch.setattr(averaging, "read_checkpoint", refuse)
+
+    def test_k1_refuses_an_average_that_ties_the_newest(self, tmp_path, monkeypatch, capsys):
+        out = train_tiny(tmp_path / "run")
+        assert run_cli(["average", "--dir", str(out), "--k", "3", "--out", str(out / "zz_avg.lawa")]) == 0
+        self.unread(monkeypatch)
+        code = run_cli(["average", "--dir", str(out), "--k", "1", "--out", str(tmp_path / "k1.lawa")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ckpt_e00005.lawa" in err and "zz_avg.lawa" in err and "ambiguous" in err
+        assert not (tmp_path / "k1.lawa").exists()
+
+    def test_a_tie_on_the_window_boundary_is_refused(self, tmp_path, monkeypatch, capsys):
+        out = train_tiny(tmp_path / "run")
+        (out / "ckpt_e00004b.lawa").write_bytes((out / "ckpt_e00004.lawa").read_bytes())
+        self.unread(monkeypatch)
+        code = run_cli(["average", "--dir", str(out), "--k", "2", "--out", str(tmp_path / "a.lawa")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ckpt_e00004.lawa" in err and "ckpt_e00004b.lawa" in err and "ambiguous" in err
+
     def test_insufficient_checkpoints_exits_2(self, tmp_path, capsys):
         out = train_tiny(tmp_path / "run")
         code = run_cli(
@@ -400,6 +425,15 @@ class TestEval:
             printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1]
 
+    def test_a_checkpoint_of_another_element_type_exits_2(self, tmp_path, capsys):
+        out = train_tiny(tmp_path / "run", ["--dtype", "f32"])
+        config = tmp_path / "f64.cfg"
+        resolved = (out / "config.resolved").read_text(encoding="utf-8")
+        config.write_text(resolved.replace("dtype=f32", "dtype=f64"), encoding="utf-8")
+        code = run_cli(["eval", "--ckpt", str(out / "ckpt_e00005.lawa"), "--config", str(config)])
+        assert code == 2
+        assert "element types differ: float64 vs float32" in capsys.readouterr().err
+
     def test_unknown_train_data_exits_2(self, tmp_path):
         out = train_tiny(tmp_path / "run", ["--use-bn"])
         with pytest.raises(SystemExit) as err:
@@ -425,6 +459,23 @@ def write_metrics_csv(path, rows):
 
 
 class TestCompare:
+    @pytest.mark.parametrize(
+        "flag,higher",
+        [("--higher-better", True), ("--lower-better", False), (None, None)],
+    )
+    def test_the_direction_flag_reaches_compare_run(self, tmp_path, monkeypatch, flag, higher):
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(path, [(1.0, 0.5), (0.5, 0.4)])
+        seen, real = [], compare.compare_run
+
+        def spy(path, metric, higher_better=None):
+            seen.append(higher_better)
+            return real(path, metric, higher_better)
+
+        monkeypatch.setattr(compare, "compare_run", spy)
+        assert run_cli(["compare", str(path), *([flag] if flag else [])]) == 0
+        assert seen == [higher]
+
     def test_run_against_itself_has_zero_savings(self, tmp_path):
         path = tmp_path / "metrics.csv"
         # no averaged column values -> baseline compared against itself
@@ -884,6 +935,26 @@ class TestBadInputFiles:
         if content is not None:
             path.write_bytes(content)
         self.check_exit_2(capsys, ["compare", str(path)], str(path))
+
+    @pytest.mark.parametrize(
+        "name,content,args,message",
+        [
+            ("m.csv", b"", ["compare", "m.csv"], "m.csv: empty metrics file"),
+            ("m.csv", b"epoch,val_loss\n", ["compare", "m.csv"], "m.csv: metrics file has no rows"),
+            ("c.cfg", b"seed=1\nepochs\n", ["train", "--config", "c.cfg"], "c.cfg:2: expected key=value"),
+            ("c.cfg", b"use_bn=maybe\n", ["train", "--config", "c.cfg"], "use_bn='maybe'"),
+            (None, None, ["sweep", "--schemes", ","], "at least one scheme or k value"),
+        ],
+        ids=["empty-metrics", "header-only-metrics", "config-line-without-=", "bad-bool", "no-variants"],
+    )
+    def test_refusal_names_the_fault(self, tmp_path, monkeypatch, capsys, name, content, args, message):
+        monkeypatch.chdir(tmp_path)
+        if name is not None:
+            (tmp_path / name).write_bytes(content)
+        if args[0] != "compare":
+            args = [*args, "--out", "run"]
+        self.check_exit_2(capsys, args, message)
+        assert not (tmp_path / "run").exists()
 
 
 class TestUsage:

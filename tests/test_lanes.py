@@ -16,6 +16,7 @@ import sys
 import threading
 import time
 import weakref
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -57,6 +58,28 @@ def cpus(monkeypatch):
 def no_worker(monkeypatch):
     """Start each test without a worker, so a thread it starts is a new one."""
     monkeypatch.setattr(lanes, "_pool", None)
+
+
+@pytest.fixture
+def submits(monkeypatch):
+    """A list that gets one entry for each lane handed to the worker."""
+    calls = []
+    real = lanes._worker
+
+    class Counting:
+        def submit(self, fn, *args):
+            calls.append(1)
+            return real().submit(fn, *args)
+
+    monkeypatch.setattr(lanes, "_worker", Counting)
+    return calls
+
+
+class LateWorker:
+    """A worker that never begins what it is handed."""
+
+    def submit(self, fn, *args):
+        return Future()
 
 
 def split_pset(rng, dtype, size):
@@ -128,16 +151,13 @@ class TestOptimizerLanes:
         assert got.flat.tobytes() == want.flat.tobytes()
         assert state_bytes(got_opt) == state_bytes(want_opt)
 
-    def test_a_step_of_lane_blocks_or_more_uses_the_worker(self, cpus, monkeypatch):
+    def test_a_step_of_lane_blocks_or_more_uses_the_worker(self, cpus, submits):
         cpus(2)
-        calls = []
-        real = lanes.fork_join
-        monkeypatch.setattr(lanes, "fork_join", lambda *halves: calls.append(1) or real(*halves))
         short = (LANE_BLOCKS - 1) * BLOCK
         for size, uses in ((BLOCK, 0), (short, 0), (short + 1, 1), (9 * BLOCK, 1)):
-            calls.clear()
+            submits.clear()
             trajectory("adam", "adam", np.float64, size, "in_place")
-            assert len(calls) == STEPS * uses, size
+            assert len(submits) == STEPS * uses, size
 
 
 def wide_model(width, use_bn, dtype, depth=3):
@@ -173,27 +193,24 @@ class TestBackwardLanes:
     @pytest.mark.parametrize("width", [SMALL, LARGE])
     @pytest.mark.parametrize("use_bn", [False, True])
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
-    def test_two_lanes_are_bitwise_one(self, cpus, monkeypatch, dtype, use_bn, width):
+    def test_two_lanes_are_bitwise_one(self, cpus, submits, dtype, use_bn, width):
         spec = wide_model(width, use_bn, dtype)
-        calls = []
-        real = lanes.fork_join
-        monkeypatch.setattr(lanes, "fork_join", lambda *halves: calls.append(1) or real(*halves))
         cpus(2)
         got = workspace_bytes(backward_through(spec))
         # Layers 2 and 1 have a successor gradient to pass on; layer 0 does not.
-        assert len(calls) == (spec.n_hidden - 1 if width == self.LARGE else 0)
+        assert len(submits) == (spec.n_hidden - 1 if width == self.LARGE else 0)
         cpus(1)
-        calls.clear()
+        submits.clear()
         want = workspace_bytes(backward_through(spec))
-        assert calls == []
+        assert submits == []
         assert got == want
 
 
 class TestNothingOutlivesTheCall:
     def test_a_dropped_workspace_is_freed(self, cpus):
-        """The halves a step handed out hold views of its workspace; none
+        """The lanes a step handed out hold views of its workspace; none
         may be kept once the step has returned and the worker is idle (a
-        half the caller ran itself stays queued until the worker drops it)."""
+        cancelled lane stays queued until the worker drops it)."""
         cpus(2)
         spec = wide_model(512, False, "f64", depth=2)
         params = init_params(spec)
@@ -225,7 +242,7 @@ class TestShare:
 
     def test_the_caller_takes_what_a_late_worker_has_not_reached(self, cpus, monkeypatch):
         cpus(2)
-        monkeypatch.setattr(lanes, "fork_join", lambda on_worker, here: (here(), on_worker()))
+        monkeypatch.setattr(lanes, "_worker", LateWorker)
         taken = []
         lanes.share(range(5), lambda lane, item: taken.append((lane, item)), True)
         assert taken == [(0, item) for item in range(5)]
@@ -299,81 +316,73 @@ class TestShare:
         assert lanes._pool is None
 
 
-class TestForkJoin:
-    def test_runs_both_halves_and_returns_once_both_are_done(self):
-        done = []
-        lanes.fork_join(lambda: time.sleep(0.02) or done.append("worker"), lambda: done.append("here"))
-        assert sorted(done) == ["here", "worker"]
-
-    @pytest.mark.parametrize("failing", ["worker", "here"])
-    def test_an_error_is_raised_after_the_other_half_is_done(self, failing):
+class TestTheWorkerLane:
+    def test_the_call_returns_once_both_lanes_are_done(self, cpus):
+        cpus(2)
         done, began = [], threading.Event()
 
-        def half(name):
-            def run():
-                if name == "worker":
-                    began.set()
-                if name == failing:
-                    assert began.wait(timeout=30)  # the worker's half is under way
-                    raise Boom(name)
+        def work(lane, item):
+            if lane == 1:
+                began.set()
                 time.sleep(0.02)
-                done.append(name)
+            else:
+                assert began.wait(timeout=30)  # so that the worker takes an item
+            done.append(lane)
 
-            return run
+        lanes.share(range(2), work, True)
+        assert sorted(done) == [0, 1]
 
-        with pytest.raises(Boom, match=failing):
-            lanes.fork_join(half("worker"), half("here"))
-        assert done == [{"worker": "here", "here": "worker"}[failing]]
+    def test_when_both_lanes_raise_the_callers_error_wins(self, cpus):
+        cpus(2)
+        began = threading.Event()
 
-    def test_when_both_halves_raise_the_callers_error_wins(self):
-        def raise_(name):
-            raise Boom(name)
+        def work(lane, item):
+            if lane == 1:
+                began.set()
+                raise Boom("worker")
+            assert began.wait(timeout=30)
+            raise Boom("here")
 
         with pytest.raises(Boom, match="here"):
-            lanes.fork_join(lambda: raise_("worker"), lambda: raise_("here"))
-        lanes.fork_join(lambda: None, lambda: None)  # the worker still serves
+            lanes.share(range(2), work, True)
+        taken = []
+        lanes.share(range(2), lambda lane, item: taken.append(item), True)
+        assert sorted(taken) == [0, 1]  # the worker still serves
 
-    def test_a_half_the_worker_has_not_begun_runs_on_the_caller(self):
+    def test_a_lane_the_worker_has_not_begun_is_dropped_when_the_caller_raises(self, cpus):
+        cpus(2)
         release = threading.Event()
         blocker = lanes._worker().submit(release.wait, 30)  # keeps the worker busy
-        try:
-            threads = []
-            lanes.fork_join(
-                lambda: threads.append(threading.current_thread()),
-                lambda: threads.append(threading.current_thread()),
-            )
-            assert threads == [threading.main_thread()] * 2
-        finally:
-            release.set()
-            blocker.result()
+        taken = []
 
-    def test_a_half_the_worker_has_not_begun_is_dropped_when_the_caller_raises(self):
-        release = threading.Event()
-        blocker = lanes._worker().submit(release.wait, 30)
-        ran = []
-
-        def here():
-            raise Boom
+        def work(lane, item):
+            taken.append((lane, item))
+            if lane == 0:
+                raise Boom
 
         try:
             with pytest.raises(Boom):
-                lanes.fork_join(lambda: ran.append(1), here)
+                lanes.share(range(3), work, True)
         finally:
             release.set()
             blocker.result()
         lanes._worker().submit(lambda: None).result()  # the worker has passed it by
-        assert ran == []
+        assert taken == [(0, 0)]
 
     @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
-    def test_an_interrupted_wait_still_waits_for_the_worker(self):
+    def test_an_interrupted_wait_still_waits_for_the_worker(self, cpus):
         """A signal handler's exception during the wait comes out only once
-        the worker's half has returned."""
+        the worker's lane has returned."""
+        cpus(2)
         done, began = [], threading.Event()
 
-        def on_worker():
-            began.set()
-            time.sleep(0.3)
-            done.append("worker")
+        def work(lane, item):
+            if lane == 1:
+                began.set()
+                time.sleep(0.3)
+                done.append("worker")
+            elif began.wait(30):
+                signal.setitimer(signal.ITIMER_REAL, 0.05)
 
         def interrupt(signum, frame):
             raise Boom("interrupted")
@@ -381,29 +390,30 @@ class TestForkJoin:
         previous = signal.signal(signal.SIGALRM, interrupt)
         try:
             with pytest.raises(Boom, match="interrupted"):
-                lanes.fork_join(
-                    on_worker,
-                    lambda: began.wait(30) and signal.setitimer(signal.ITIMER_REAL, 0.05),
-                )
+                lanes.share(range(2), work, True)
             assert done == ["worker"]
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
 
-    def test_a_nested_call_runs_its_halves_in_the_calling_thread(self):
+    def test_a_nested_call_from_the_worker_runs_on_the_worker(self, cpus):
+        cpus(2)
         started = threading.Event()
-        threads = []
+        inner = []
 
-        def note():
-            threads.append(threading.current_thread())
+        def note(lane, item):
+            inner.append((lane, threading.current_thread()))
 
-        def outer():
-            started.set()
-            lanes.fork_join(note, note)
+        def outer(lane, item):
+            if lane == 1:
+                started.set()
+                lanes.share(range(2), note, True)
+            else:
+                assert started.wait(30)
 
-        lanes.fork_join(outer, lambda: started.wait(30))
-        assert len(threads) == 2 and threads[0] is threads[1]
-        assert threads[0] is not threading.main_thread()
+        lanes.share(range(2), outer, True)
+        assert [lane for lane, _ in inner] == [0, 0]
+        assert inner[0][1] is inner[1][1] is not threading.main_thread()
 
 
 def inject(opt, bad_lane, log):
@@ -465,49 +475,46 @@ class TestErrorsLeaveNoStrayWrites:
         assert got.flat.tobytes() == want.flat.tobytes()
         assert state_bytes(got_opt) == state_bytes(want_opt)
 
-    @pytest.mark.parametrize("failing", ["here", "worker"])
-    def test_a_backward_half_that_raises(self, cpus, monkeypatch, failing):
+    @pytest.mark.parametrize("bad_lane", [0, 1])
+    def test_a_backward_lane_that_raises(self, cpus, monkeypatch, bad_lane):
         spec = wide_model(TestBackwardLanes.LARGE, True, "f64", depth=2)
         cpus(1)
         want = backward_through(spec)
         cpus(2)
-        real = lanes.fork_join
-        began = threading.Event()
+        real = engine._product
+        other_began, finished = threading.Event(), []
 
-        def slow(fn):
-            return lambda: began.set() or time.sleep(0.02) or fn()
+        def product(lane, operands):
+            if lane == bad_lane:
+                assert other_began.wait(timeout=30)  # the other lane is under way
+                raise Boom(f"lane {lane}")
+            other_began.set()
+            time.sleep(0.02)
+            real(lane, operands)
+            finished.append(operands[2])
 
-        def boom():
-            assert began.wait(timeout=30)  # the other half is under way
-            raise Boom(failing)
-
-        def fork_join(on_worker, here):
-            if failing == "here":
-                real(slow(on_worker), boom)
-            else:
-                real(boom, slow(here))
-
-        monkeypatch.setattr(lanes, "fork_join", fork_join)
+        monkeypatch.setattr(engine, "_product", product)
         params = init_params(spec)
         rng = np.random.default_rng(6)
         x, y = rng.normal(size=(64, 2)), rng.integers(0, 2, size=64)
         buffers = TrainingBuffers(params, spec, 64)
         xb = buffers.gather(x, np.arange(64))
         _, cache = forward(params, spec, xb, training=True, buffers=buffers)
-        with pytest.raises(Boom, match=failing):
+        with pytest.raises(Boom, match=f"lane {bad_lane}"):
             backward(params, spec, (xb, y), cache, buffers=buffers)
-        # The lane that did not raise took both products and finished them
-        # before the error came out.
-        for got, expected in (
-            (buffers.grad_views["layer1.weight"], want.grad_views["layer1.weight"]),
-            (buffers.spare, want.spare),
-        ):
-            assert got.tobytes() == expected.tobytes()
+        # The other lane finished the product it took before the error came
+        # out: the weight gradient, or d_h in the spare rows.
+        (out,) = finished
+        if np.shares_memory(out, buffers.spare):
+            got, expected = buffers.spare, want.spare
+        else:
+            got, expected = buffers.grad_views["layer1.weight"], want.grad_views["layer1.weight"]
+        assert got.tobytes() == expected.tobytes()
         before = workspace_bytes(buffers)
         time.sleep(0.05)
         assert workspace_bytes(buffers) == before
 
-        monkeypatch.setattr(lanes, "fork_join", real)
+        monkeypatch.setattr(engine, "_product", real)
         assert workspace_bytes(backward_through(spec)) == workspace_bytes(want)
 
 

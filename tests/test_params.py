@@ -11,6 +11,7 @@ from lawa.params import (
     ParameterSet,
     add_scaled,
     check_finite,
+    check_layout,
     l2_distance,
     scale,
 )
@@ -157,6 +158,11 @@ class TestFlatBuffer:
     def test_with_updates_rejects_wrong_shape(self):
         with pytest.raises(StructureMismatch, match="'a'"):
             pset({"a": [1.0, 2.0]}).with_updates({"a": np.zeros(3)})
+
+    def test_check_layout_against_a_strict_prefix_names_the_first_extra_entry(self):
+        p = pset({"a": [1.0], "b": [2.0]})
+        with pytest.raises(StructureMismatch, match="entry counts differ; first unmatched entry 'b'"):
+            check_layout(p, p.dtype, [("a", (1,))])
 
 
 class TestArithmetic:
@@ -335,6 +341,16 @@ class TestCheckpointFile:
         with pytest.raises(FormatError, match="trailing") as err:
             read_checkpoint(path)
         assert err.value.offset == len(full)
+
+    def test_zero_tensors_rejected(self, tmp_path):
+        path = tmp_path / "c.lawa"
+        write_checkpoint(
+            Checkpoint(params=pset({"a": [1.0]}), epoch=0, step=0), path
+        )
+        path.write_bytes(path.read_bytes()[:24] + bytes(4))  # a tensor count of 0
+        with pytest.raises(FormatError, match="holds no tensors") as err:
+            read_checkpoint(path)
+        assert err.value.offset == 24
 
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(IoError):

@@ -72,8 +72,14 @@ def test_every_traced_target_runs_on_the_main_thread(monkeypatch, tmp_path):
                     monkeypatch.setattr(module, attr, on_main_only(target, original))
 
     calls = []
-    fork_join = lanes.fork_join
-    monkeypatch.setattr(lanes, "fork_join", lambda *halves: calls.append(1) or fork_join(*halves))
+    worker = lanes._worker
+
+    class Counting:
+        def submit(self, fn, *args):
+            calls.append(1)
+            return worker().submit(fn, *args)
+
+    monkeypatch.setattr(lanes, "_worker", Counting)
     cfg = RunConfig(
         n_per_class=100, hidden=(512, 512), use_bn=True, optimizer="lookahead",
         lookahead_inner="adam", lr=0.002, batch_size=64, epochs=2, k=2,
