@@ -16,7 +16,7 @@ from .averaging import (
     uniform_average,
 )
 from .checkpoint_io import read_checkpoint, write_checkpoint
-from .params import Checkpoint, ParameterSet, add_scaled, l2_distance, scale
+from .params import Checkpoint, ParameterSet, l2_distance
 
 __version__ = "0.1.0"
 
@@ -28,12 +28,10 @@ __all__ = [
     "PolyakScheme",
     "UniformScheme",
     "__version__",
-    "add_scaled",
     "l2_distance",
     "lawa_step",
     "make_scheme",
     "read_checkpoint",
-    "scale",
     "uniform_average",
     "write_checkpoint",
 ]

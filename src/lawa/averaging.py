@@ -8,27 +8,28 @@ Four schemes are supported:
   for windows above 16, which tend to hurt rather than help. A checkpoint
   observed together with its file, whose parameters take at least
   ``FILE_SLOT_BYTES``, stays in the ring only as a reference to that
-  file once it has been averaged; each later average reads it back
-  block by block. So a large model's window costs no memory between
-  save events, and at a save event only the newest checkpoint, the
-  float64 sum and one read block; a small model's window stays in
-  memory, where an add costs less than a read.
+  file once it has been averaged, so a large model's window costs no
+  memory between save events; a small model's window stays in memory,
+  where an add costs less than a read.
 * ``ema`` — exponential recursion ``avg_0 = c_0`` then
   ``avg_t = alpha * c_t + (1 - alpha) * avg_{t-1}`` (newest checkpoint
   gets weight alpha). The recursion is unbounded; no window applies.
 * ``polyak`` — running mean of every checkpoint since the start.
 * ``none`` — no averaging; ``observe`` never yields a model.
 
-All accumulation happens in float64 regardless of the checkpoint element
-type, with a final cast back, so long windows do not drift. A window's
-sum is the same, bit for bit, whether its checkpoints are in memory or in
-their files.
+Every scheme reads a checkpoint, in memory or a reference to its file,
+through one reader, :func:`_runs`, and accumulates in float64 whatever
+the checkpoint element type, with a final cast back, so long windows do
+not drift. Every fold is elementwise, so an average is the same, bit for
+bit, from memory or from files. Every average is a fresh set over a
+buffer that nothing else holds.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import deque
+from operator import iadd
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from .checkpoint_io import (
     CheckpointFile,
-    checkpoint_file,
+    open_checkpoint,
     read_checkpoint,
     read_checkpoint_header,
 )
@@ -48,13 +49,7 @@ from .errors import (
     InternalStateError,
     NonFiniteError,
 )
-from .params import (
-    Checkpoint,
-    ParameterSet,
-    check_finite,
-    check_layout,
-    check_same_structure,
-)
+from .params import Checkpoint, ParameterSet, check_finite, check_same_structure
 
 DEFAULT_WINDOW = 6
 DEFAULT_EMA_ALPHA = 0.9
@@ -64,8 +59,9 @@ WINDOW_WARN_THRESHOLD = 16
 # that file and reads the values back at each later average. Below it the
 # checkpoint stays in memory: the few kilobytes saved are not worth a read,
 # which costs several times the in-memory add (CHANGES.md has the times).
+# ``average_checkpoint_dir`` applies it to each window file's size.
 FILE_SLOT_BYTES = 1 << 18
-# Elements per read of a checkpoint held as a file reference, or per EMA fold block.
+# Elements per run of a slot's values, in memory or read from its file.
 READ_BLOCK = 1 << 15
 
 # A window slot: a checkpoint in memory, or a reference to its file.
@@ -93,9 +89,9 @@ class CheckpointRing:
         self.capacity = capacity
         self._slots: deque[Slot] = deque(maxlen=capacity)
 
-    def push(self, ckpt: Checkpoint) -> None:
-        _check_follows(ckpt.epoch, self._slots[-1].epoch if self._slots else -1)
-        self._slots.append(ckpt)
+    def push(self, slot: Slot) -> None:
+        _check_follows(slot.epoch, self._slots[-1].epoch if self._slots else -1)
+        self._slots.append(slot)
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -120,58 +116,61 @@ class CheckpointRing:
         self._slots[-1] = ref
 
 
-def _check_fits(slot: Slot, params: ParameterSet) -> None:
-    """Raise :class:`StructureMismatch` naming the first entry in which
-    ``params`` differ from the slot's checkpoint."""
-    if isinstance(slot, CheckpointFile):
-        check_layout(params, slot.dtype, slot.entries)
-    else:
-        check_same_structure(slot.params, params)
+def _template(slot: Slot) -> ParameterSet:
+    """A set with the slot's layout: its own set in memory, or a
+    :meth:`ParameterSet.template` of its file's."""
+    if isinstance(slot, Checkpoint):
+        return slot.params
+    return ParameterSet.template(slot.dtype, slot.entries)
 
 
-def _runs(
-    slot: Slot, template: ParameterSet, buffer: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The slot's values, checked to fit ``template`` and to be finite, as
-    ``(start, values)`` runs in flat order: a checkpoint in memory is one
-    run, a file is read in runs into ``buffer``."""
-    _check_fits(slot, template)
+def _runs(slot: Slot, template: ParameterSet) -> Iterator[tuple[int, np.ndarray]]:
+    """The only reader of a slot's values: ``(start, values)`` runs of at
+    most ``READ_BLOCK`` elements in flat order, views of the set in memory
+    or read from the file into one buffer that each run overwrites. Raises
+    :class:`StructureMismatch`, naming the first entry in which the slot
+    differs from ``template``, before it returns; no value that is not
+    finite is yielded."""
+    check_same_structure(_template(slot), template)
     context = f"checkpoint at epoch {slot.epoch}"
     if isinstance(slot, Checkpoint):
         check_finite(slot.params, context)
-        yield 0, slot.params.flat
-        return
-    for name, start, values in slot.runs(buffer):
-        if not np.isfinite(values).all():
-            raise NonFiniteError(f"{context}: entry {name!r} contains NaN or Inf")
-        yield start, values
+        flat = slot.params.flat
+        return ((s, flat[s : s + READ_BLOCK]) for s in range(0, flat.size, READ_BLOCK))
+
+    def read(buffer: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        for name, start, values in slot.runs(buffer):
+            if not np.isfinite(values).all():
+                raise NonFiniteError(f"{context}: entry {name!r} contains NaN or Inf")
+            yield start, values
+
+    return read(np.empty(max(1, min(READ_BLOCK, template.flat.size)), slot.dtype))
+
+
+def _fold(acc: np.ndarray, runs: Iterator[tuple[int, np.ndarray]], rule) -> None:
+    """``rule(part, values)`` for each run of ``runs``, with ``part`` the
+    run's slice of ``acc``, which the rule updates in place. No run's
+    array outlives the call, so the next slot's read buffer is the only one."""
+    for start, values in runs:
+        rule(acc[start : start + values.size], values)
 
 
 def uniform_average(ckpts: Sequence[Slot]) -> ParameterSet:
     """Elementwise arithmetic mean of the checkpoints' parameters.
 
     All checkpoints must match structurally and contain only finite
-    values. Accumulates in float64, oldest first, and divides the sum in
-    place, then casts back to the input element type. A window slot that
-    is a :class:`CheckpointFile` is read back ``READ_BLOCK`` elements at a
-    time into one buffer, each run checked and added as it is read, so
-    each element gets the same adds in the same order as from memory. At
-    least one checkpoint must be in memory: the average takes its layout.
-    The result is built by :meth:`ParameterSet.over` on a fresh buffer
-    that nothing else holds, so its owner may write it in place.
+    values. Accumulates in float64, oldest first, run by run, and divides
+    the sum in place, then casts back to the input element type. The
+    result takes the layout of the first checkpoint in memory, else of
+    the first file, and is built by :meth:`ParameterSet.over` on a fresh
+    buffer that nothing else holds, so its owner may write it in place.
     """
     if not ckpts:
         raise ConfigError("cannot average an empty checkpoint sequence")
-    template = next((c.params for c in ckpts if isinstance(c, Checkpoint)), None)
-    if template is None:
-        raise InternalStateError("a uniform average needs one checkpoint in memory")
+    template = _template(min(ckpts, key=lambda c: isinstance(c, CheckpointFile)))
     acc = np.zeros(template.flat.shape, dtype=np.float64)
-    files = any(isinstance(c, CheckpointFile) for c in ckpts)
-    buffer = np.empty(max(1, min(READ_BLOCK, acc.size)) if files else 0, template.dtype)
     for c in ckpts:
-        for start, values in _runs(c, template, buffer):
-            run = acc[start : start + values.size]
-            run += values
+        _fold(acc, _runs(c, template), iadd)
     acc /= len(ckpts)
     return template.over(acc if acc.dtype == template.dtype else acc.astype(template.dtype))
 
@@ -198,12 +197,15 @@ class AveragingScheme:
 
     kind: str
 
-    def observe(self, ckpt: Checkpoint, path=None) -> ParameterSet | None:
-        """Absorb one checkpoint; return the scheme's current average, if any.
+    def observe(self, slot: Slot, path=None) -> ParameterSet | None:
+        """Absorb one checkpoint, in memory or in its file; return the
+        scheme's current average, if any, as a fresh set over a buffer that
+        nothing else holds, the next ``observe`` included.
 
         ``path``, when given, names a file that :func:`write_checkpoint`
-        wrote from ``ckpt``; a scheme may read it back later instead of
-        holding ``ckpt``, so it must stay unchanged while the scheme lives.
+        wrote from the checkpoint in memory; a scheme may read it back
+        later instead of holding it, so that file, like a file slot, must
+        stay unchanged while the scheme lives.
         """
         raise NotImplementedError
 
@@ -211,7 +213,7 @@ class AveragingScheme:
 class NoAveraging(AveragingScheme):
     kind = "none"
 
-    def observe(self, ckpt: Checkpoint, path=None) -> None:
+    def observe(self, slot: Slot, path=None) -> None:
         return None
 
 
@@ -238,14 +240,14 @@ class UniformScheme(AveragingScheme):
         self.k = k
         self.ring = CheckpointRing(k)
 
-    def observe(self, ckpt: Checkpoint, path=None) -> ParameterSet | None:
+    def observe(self, slot: Slot, path=None) -> ParameterSet | None:
         # A foreign checkpoint is named by its entry, not by its epoch.
         if len(self.ring):
-            _check_fits(self.ring.newest, ckpt.params)
-        self.ring.push(ckpt)
-        average = lawa_step(self.ring, ckpt.epoch, self.k)
-        if path is not None and ckpt.params.flat.nbytes >= FILE_SLOT_BYTES:
-            self.ring.spill_newest(checkpoint_file(ckpt, path))
+            check_same_structure(_template(self.ring.newest), _template(slot))
+        self.ring.push(slot)
+        average = lawa_step(self.ring, slot.epoch, self.k)
+        if path is not None and _template(slot).flat.nbytes >= FILE_SLOT_BYTES:
+            self.ring.spill_newest(open_checkpoint(path))
         return average
 
 
@@ -253,33 +255,35 @@ class _RunningScheme(AveragingScheme):
     """A float64 fold over every checkpoint since the start of the run.
 
     The first checkpoint starts the state; each later one, checked against
-    the last average and its epoch, is folded in by the subclass's
-    ``_fold(acc, x)``, with ``count`` already advanced. ``_fold`` writes
-    into ``x``, a fresh float64 copy of the checkpoint, and returns it:
-    ``acc`` doubles as the read-only buffer of the set last returned for
-    float64 checkpoints. No checkpoint is kept. Subclasses bind ``observe``
-    in their own namespace, so perfbench's tracer can rebind it per class.
+    the first's layout and the last epoch, is folded in run by run by the
+    subclass's ``_rule(acc, x)``, with ``count`` already advanced: it
+    updates ``acc``, a run of the state, in place with ``x``, the
+    checkpoint's values there. No checkpoint is kept; a file that fails
+    part way leaves the state part folded. Subclasses bind ``observe`` in
+    their own namespace, so perfbench's tracer can rebind it per class.
     """
 
     def __init__(self):
         self._state: np.ndarray | None = None
-        self._average: ParameterSet | None = None
+        self._template: ParameterSet | None = None  # the layout, without values
         self._epoch = 0  # of the newest checkpoint folded in
         self.count = 0
 
-    def observe(self, ckpt: Checkpoint, path=None) -> ParameterSet:
+    def observe(self, slot: Slot, path=None) -> ParameterSet:
         """Advance the fold by one checkpoint and return its value; the
         fold holds its own state, so ``path`` goes unused."""
-        check_finite(ckpt.params, f"checkpoint at epoch {ckpt.epoch}")
-        if self._average is None:
-            self._state, self.count = ckpt.params.flat.astype(np.float64), 1
+        template = _template(slot)
+        runs = _runs(slot, template if self._template is None else self._template)
+        if self._state is None:
+            self._state = np.empty(template.flat.size, np.float64)
+            shapes = [(name, arr.shape) for name, arr in template.items()]
+            self._template = ParameterSet.template(template.dtype, shapes)
         else:
-            check_same_structure(self._average, ckpt.params)
-            _check_follows(ckpt.epoch, self._epoch)
-            self.count += 1
-            self._state = self._fold(self._state, ckpt.params.flat.astype(np.float64))
-        self._average, self._epoch = ckpt.params.with_flat(self._state), ckpt.epoch
-        return self._average
+            _check_follows(slot.epoch, self._epoch)
+        self.count += 1
+        _fold(self._state, runs, np.copyto if self.count == 1 else self._rule)
+        self._epoch = slot.epoch
+        return template.over(self._state.astype(template.dtype))
 
 
 class EmaScheme(_RunningScheme):
@@ -293,11 +297,9 @@ class EmaScheme(_RunningScheme):
         super().__init__()
         self.alpha = alpha
 
-    def _fold(self, acc, x):
-        x *= self.alpha  # alpha * x + (1 - alpha) * acc, the term a block at a time
-        for block in (slice(s, s + READ_BLOCK) for s in range(0, x.size, READ_BLOCK)):
-            x[block] += (1.0 - self.alpha) * acc[block]
-        return x
+    def _rule(self, acc, x):
+        acc *= 1.0 - self.alpha  # alpha * x + (1 - alpha) * acc
+        acc += np.multiply(x, self.alpha, dtype=np.float64)
 
     observe = _RunningScheme.observe
 
@@ -307,11 +309,10 @@ class PolyakScheme(_RunningScheme):
 
     kind = "polyak"
 
-    def _fold(self, acc, x):
-        x -= acc  # acc + (x - acc) / count
-        x /= self.count
-        x += acc
-        return x
+    def _rule(self, acc, x):
+        step = np.subtract(x, acc, dtype=np.float64)  # acc + (x - acc) / count
+        step /= self.count
+        acc += step
 
     observe = _RunningScheme.observe
 
@@ -339,7 +340,8 @@ def average_checkpoint_dir(
 
     Files are selected and ordered by the epoch and step recorded in each
     file header, never by filename; only the selected files are read in
-    full. Averaged-model outputs (``lawa_*.lawa``) living in the same run
+    full, each once, as a file slot from ``FILE_SLOT_BYTES`` on.
+    Averaged-model outputs (``lawa_*.lawa``) living in the same run
     directory are not candidates. The result is what the in-loop scheme
     (``make_scheme(scheme, k, alpha)``) holds after observing the selected
     files, oldest first; it carries the newest checkpoint's epoch and step.
@@ -368,11 +370,14 @@ def average_checkpoint_dir(
             f"so the {k} newest checkpoints are ambiguous"
         )
     for previous, path in zip([None, *paths[-k:]], paths[-k:]):
-        newest = read_checkpoint(path)
+        averaged = None  # the last average goes before the next is made
         try:
-            averaged = averager.observe(newest, path)
+            in_file = path.stat().st_size >= FILE_SLOT_BYTES
+        except OSError:  # read_checkpoint says why
+            in_file = False
+        slot = open_checkpoint(path) if in_file else read_checkpoint(path)
+        try:
+            averaged = averager.observe(slot)
         except EpochOrderError as exc:
             raise EpochOrderError(f"{path} does not follow {previous}: {exc}") from exc
-        epoch, step = newest.epoch, newest.step
-        del newest  # parse the next file with no other one alive
-    return Checkpoint(params=averaged, epoch=epoch, step=step)
+    return Checkpoint(params=averaged, epoch=slot.epoch, step=slot.step)

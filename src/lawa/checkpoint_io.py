@@ -18,9 +18,9 @@ Layout (all integers little-endian, no padding, no trailing bytes):
 Reading back a written checkpoint reproduces it bit for bit, including
 NaN payloads. Every reader walks the headers with :func:`_walk`, so
 malformed input raises the same :class:`FormatError`, carrying the byte
-offset of the problem. A :class:`CheckpointFile` refers to a file this
-module wrote, to read its values back in runs later; a file that no
-longer has the size and headers that were written is rejected.
+offset of the problem. A :class:`CheckpointFile` refers to a file by its
+headers, to read its values back in runs later; a file that no longer
+has the size and headers it had when opened is rejected.
 """
 
 from __future__ import annotations
@@ -74,26 +74,15 @@ def read_text(path, what: str) -> str:
         raise ParseError(f"{what} {path} is not UTF-8 text: {exc}") from exc
 
 
-def _preamble(epoch: int, step: int, count: int) -> bytes:
-    """The bytes before the first tensor: magic, version, epoch, step and
-    tensor count."""
-    return MAGIC + struct.pack("<IQQI", VERSION, epoch, step, count)
-
-
-def _tensor_header(name: str, shape: tuple[int, ...], code: int) -> bytes:
-    """The bytes before a tensor's data: its name, dtype code and dims."""
-    raw_name = name.encode("utf-8")
-    dims = struct.pack(f"<BI{len(shape)}Q", code, len(shape), *shape)
-    return struct.pack("<I", len(raw_name)) + raw_name + dims
-
-
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
     """Serialize ``ckpt`` to ``path`` with :func:`write_atomically`, each
     tensor's bytes written straight from its array. I/O failures raise
     :class:`IoError`."""
-    parts = [_preamble(ckpt.epoch, ckpt.step, len(ckpt.params))]
+    parts = [MAGIC + struct.pack("<IQQI", VERSION, ckpt.epoch, ckpt.step, len(ckpt.params))]
     for name, arr in ckpt.params.items():
-        parts.append(_tensor_header(name, arr.shape, _DTYPE_CODES[arr.dtype]))
+        raw = name.encode("utf-8")
+        code, rank = _DTYPE_CODES[arr.dtype], arr.ndim
+        parts.append(struct.pack(f"<I{len(raw)}sBI{rank}Q", len(raw), raw, code, rank, *arr.shape))
         parts.append(arr.astype(arr.dtype.newbyteorder("<"), copy=False))
     write_atomically(path, parts, "checkpoint")
 
@@ -192,10 +181,10 @@ def _fill(fh: BinaryIO, out: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class CheckpointFile:
-    """A checkpoint file as :func:`write_checkpoint` wrote it, held without
-    its values: its path, epoch and step, element type, each entry's name
-    and shape, and its size in bytes. :meth:`runs` reads the values back.
-    Built by :func:`checkpoint_file`."""
+    """A checkpoint file held without its values: its path, epoch and
+    step, element type, each entry's name and shape, and its size in
+    bytes. :meth:`runs` reads the values back. Built by
+    :func:`open_checkpoint`."""
 
     path: Path
     epoch: int
@@ -258,15 +247,16 @@ class CheckpointFile:
         )
 
 
-def checkpoint_file(ckpt: Checkpoint, path) -> CheckpointFile:
-    """The :class:`CheckpointFile` for ``path``, a file that
-    :func:`write_checkpoint` wrote from ``ckpt``."""
-    params = ckpt.params
-    code = _DTYPE_CODES[params.dtype]
-    entries = tuple((name, arr.shape) for name, arr in params.items())
-    size = len(_preamble(ckpt.epoch, ckpt.step, len(entries))) + params.flat.nbytes
-    size += sum(len(_tensor_header(name, shape, code)) for name, shape in entries)
-    return CheckpointFile(Path(path), ckpt.epoch, ckpt.step, params.dtype, entries, size)
+def open_checkpoint(path) -> CheckpointFile:
+    """The :class:`CheckpointFile` of ``path``, built from its headers
+    alone: the walk skips every tensor's data. Raises what
+    :func:`read_checkpoint` raises on the same file."""
+    with _opened(path) as fh:
+        walk = _walk(fh)
+        epoch, step = next(walk)
+        headers = list(walk)  # the walk ends at the end of the file
+        entries = tuple((name, shape) for _, name, _, shape in headers)
+        return CheckpointFile(Path(path), epoch, step, headers[0][2], entries, fh.tell())
 
 
 def read_checkpoint_header(path) -> tuple[int, int]:

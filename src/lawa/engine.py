@@ -550,7 +550,7 @@ def set_running_stats(params: ParameterSet, updates: Mapping[str, np.ndarray]) -
     the buffer of a set built by :meth:`ParameterSet.over`, which is
     returned, or else into a new set. Pass an ``over`` set only when no one
     else reads its buffer, such as the training loop's parameters or the
-    fresh set :func:`uniform_average` returns. A bad name or shape raises
+    fresh set that every averaging scheme returns. A bad name or shape raises
     :class:`StructureMismatch` before any write."""
     if not updates:
         return params

@@ -1,9 +1,9 @@
-"""Parameter containers and elementwise vector-space operations.
+"""Parameter containers and their structure checks.
 
 A :class:`ParameterSet` is an ordered, immutable collection of named dense
 arrays, all sharing one element type (float32 or float64). It is the unit
-that gets trained, averaged, and written to disk. All arithmetic here is
-value-semantic: operations return new sets and never modify their inputs.
+that gets trained, averaged, and written to disk. Operations here return
+new sets and never modify their inputs.
 """
 
 from __future__ import annotations
@@ -17,6 +17,16 @@ import numpy as np
 from .errors import NonFiniteError, StructureMismatch
 
 SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
+def _layout(shapes: Iterable[tuple]) -> tuple:
+    """(name, shape, start, stop) of each entry, back to back in order."""
+    layout, start = [], 0
+    for name, shape in shapes:
+        stop = start + math.prod(shape)
+        layout.append((name, shape, start, stop))
+        start = stop
+    return tuple(layout)
 
 
 class ParameterSet:
@@ -57,13 +67,19 @@ class ParameterSet:
                     f"entry {name!r}: mixed element types ({arr.dtype} vs {dtype})"
                 )
             store[name] = arr
-        layout = []
-        start = 0
-        for name, arr in store.items():
-            layout.append((name, arr.shape, start, start + arr.size))
-            start += arr.size
-        self._layout = tuple(layout)
+        self._layout = _layout((name, arr.shape) for name, arr in store.items())
         self._bind(np.concatenate([a.ravel() for a in store.values()]))
+
+    @classmethod
+    def template(cls, dtype: np.dtype, shapes: Iterable[tuple]) -> "ParameterSet":
+        """A set of element type ``dtype`` with the given (name, shape)
+        entries, in order, that holds no values: ``flat`` is a zero-stride
+        view of one zero, so it costs a few bytes at any size. It stands
+        for a layout, to check sets against or to build sets :meth:`over`."""
+        out = object.__new__(cls)
+        out._layout = _layout(shapes)
+        out._bind(np.broadcast_to(np.zeros(1, dtype), (out._layout[-1][3],)))
+        return out
 
     def _bind(self, flat: np.ndarray, buffer: np.ndarray | None = None) -> None:
         """Take ``flat`` read-only, viewed as this set's entries; ``buffer``
@@ -211,8 +227,8 @@ class Checkpoint:
 
 def check_same_structure(a: ParameterSet, b: ParameterSet) -> None:
     """Raise :class:`StructureMismatch` naming the first entry that differs."""
-    if a._layout is b._layout:  # one derives from the other: same dtype too
-        return
+    if a._layout is b._layout or (a.dtype == b.dtype and a._layout == b._layout):
+        return  # one derives from the other, or the two agree entry for entry
     check_layout(b, a.dtype, [(name, shape) for name, shape, _, _ in a._layout])
 
 
@@ -241,17 +257,6 @@ def check_finite(p: ParameterSet, context: str = "parameter set") -> None:
     if not np.all(np.isfinite(p.flat)):
         name = next(n for n, arr in p.items() if not np.all(np.isfinite(arr)))
         raise NonFiniteError(f"{context}: entry {name!r} contains NaN or Inf")
-
-
-def add_scaled(dst: ParameterSet, src: ParameterSet, c: float) -> ParameterSet:
-    """Elementwise ``dst + c * src`` over structurally identical sets."""
-    check_same_structure(dst, src)
-    return dst.with_flat(dst.flat + c * src.flat)
-
-
-def scale(p: ParameterSet, c: float) -> ParameterSet:
-    """Every element multiplied by ``c``."""
-    return p.with_flat(p.flat * c)
 
 
 def l2_distance(p: ParameterSet, q: ParameterSet) -> float:

@@ -16,7 +16,7 @@ from lawa.averaging import (
     make_scheme,
     uniform_average,
 )
-from lawa.checkpoint_io import read_checkpoint, write_checkpoint
+from lawa.checkpoint_io import CheckpointFile, open_checkpoint, read_checkpoint, write_checkpoint
 from lawa.errors import (
     ConfigError,
     ConfigWarning,
@@ -323,38 +323,77 @@ def reference_fold(history, step):
     return out
 
 
-class TestRunningFoldBitwise:
-    """EMA and Polyak against their recursions, bit for bit: a reordered or
-    merged fold changes the last bits of every averaged checkpoint."""
+def as_slot(source, tmp_path, params, epoch):
+    """``params`` at ``epoch`` in memory, or written and opened as a file slot."""
+    ckpt = ckpt_of(params, epoch)
+    if source == "memory":
+        return ckpt
+    write_checkpoint(ckpt, tmp_path / f"c{epoch}.lawa")
+    return open_checkpoint(tmp_path / f"c{epoch}.lawa")
 
+
+SOURCES = pytest.mark.parametrize("source", ["memory", "file"])
+
+
+class TestRunningFoldBitwise:
+    """Every scheme against its recursion or sum over whole arrays, bit for
+    bit, from memory and from files, read in runs of 5 values so that runs
+    split entries: a reordered or merged fold changes the last bits of
+    every averaged checkpoint."""
+
+    @pytest.fixture(autouse=True)
+    def short_runs(self, monkeypatch):
+        monkeypatch.setattr(averaging, "READ_BLOCK", 5)
+
+    @SOURCES
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("alpha", [0.9, 0.37])
-    def test_ema(self, dtype, alpha):
+    def test_ema(self, tmp_path, source, dtype, alpha):
         rng = np.random.default_rng(31)
         ema = EmaScheme(alpha=alpha)
         history = []
         for e in range(9):
             history.append(random_pset(rng, dtype=dtype, scale=3.0))
-            out = ema.observe(ckpt_of(history[-1], e))
+            out = ema.observe(as_slot(source, tmp_path, history[-1], e))
             want = reference_fold(history, lambda acc, x, t: alpha * x + (1.0 - alpha) * acc)
             for name, arr in out.items():
                 assert arr.dtype == dtype
-                assert np.array_equal(arr, want[name])
+                assert arr.tobytes() == want[name].tobytes()
         assert ema.count == 9
 
+    @SOURCES
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_polyak(self, dtype):
+    def test_polyak(self, tmp_path, source, dtype):
         rng = np.random.default_rng(32)
         poly = PolyakScheme()
         history = []
         for e in range(9):
             history.append(random_pset(rng, dtype=dtype, scale=3.0))
-            out = poly.observe(ckpt_of(history[-1], e))
+            out = poly.observe(as_slot(source, tmp_path, history[-1], e))
             want = reference_fold(history, lambda acc, x, t: acc + (x - acc) / t)
             for name, arr in out.items():
                 assert arr.dtype == dtype
-                assert np.array_equal(arr, want[name])
+                assert arr.tobytes() == want[name].tobytes()
         assert poly.count == 9
+
+    @SOURCES
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_uniform(self, tmp_path, source, dtype):
+        def mean(sets):
+            total = np.zeros(sets[0].flat.size)
+            for p in sets:
+                total += p.flat.astype(np.float64)
+            return (total / len(sets)).astype(dtype).tobytes()
+
+        rng = np.random.default_rng(34)
+        scheme = UniformScheme(4)
+        history, slots = [], []
+        for e in range(9):
+            history.append(random_pset(rng, dtype=dtype, scale=3.0))
+            slots.append(as_slot(source, tmp_path, history[-1], e))
+            out = scheme.observe(slots[-1])
+            assert out is None if e < 3 else out.flat.tobytes() == mean(history[-4:])
+        assert uniform_average(slots).flat.tobytes() == mean(history)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", ["ema", "polyak"])
@@ -507,6 +546,7 @@ class TestOfflineAveraging:
 
         monkeypatch.setattr(averaging, "read_checkpoint", unread)
         monkeypatch.setattr(averaging, "read_checkpoint_header", unread)
+        monkeypatch.setattr(averaging, "open_checkpoint", unread)
         for k in (2, 5):  # k=5 asks for more files than there are
             with pytest.raises(ConfigError, match="no average"):
                 average_checkpoint_dir(tmp_path, k=k, scheme="none")
@@ -519,6 +559,7 @@ class TestOfflineAveraging:
 
         monkeypatch.setattr(averaging, "read_checkpoint", unread)
         monkeypatch.setattr(averaging, "read_checkpoint_header", unread)
+        monkeypatch.setattr(averaging, "open_checkpoint", unread)
         with pytest.raises(ConfigError, match="k must be >= 1, got 0"):
             average_checkpoint_dir(tmp_path, 0, scheme="ema")
 
@@ -554,18 +595,29 @@ class TestOfflineAveraging:
         assert out.params.flat.tobytes() == expected.flat.tobytes()
         assert (out.epoch, out.step) == (9, 90)
 
-    def test_reads_only_the_window_in_full(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("side", ["parsed", "file"])
+    @pytest.mark.parametrize("scheme", ["uniform", "ema", "polyak"])
+    def test_reads_each_window_file_in_full_once(self, tmp_path, monkeypatch, scheme, side):
         self._write_trajectory(tmp_path, range(10))
+        size = next(tmp_path.iterdir()).stat().st_size
+        # Every file has this size: a file slot from FILE_SLOT_BYTES on.
+        monkeypatch.setattr(averaging, "FILE_SLOT_BYTES", size + (side == "parsed"))
         read = []
 
-        def counting(path):
-            read.append(path)
+        def parsed(path):
+            read.append(("parsed", path))
             return read_checkpoint(path)
 
-        monkeypatch.setattr(averaging, "read_checkpoint", counting)
-        out = average_checkpoint_dir(tmp_path, k=3)
-        assert len(read) == 3
-        assert sorted(read_checkpoint(p).epoch for p in read) == [7, 8, 9]
+        def streamed(ref, buffer):
+            read.append(("file", ref.path))
+            return runs(ref, buffer)
+
+        runs = CheckpointFile.runs
+        monkeypatch.setattr(averaging, "read_checkpoint", parsed)
+        monkeypatch.setattr(CheckpointFile, "runs", streamed)
+        out = average_checkpoint_dir(tmp_path, k=3, scheme=scheme)
+        assert [how for how, _ in read] == [side] * 3
+        assert sorted(read_checkpoint(path).epoch for _, path in read) == [7, 8, 9]
         assert out.epoch == 9
 
     def test_equal_epochs_are_ordered_by_step(self, tmp_path):

@@ -7,7 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from lawa.checkpoint_io import (  # noqa: E402
-    checkpoint_file,
+    open_checkpoint,
     read_checkpoint,
     read_checkpoint_header,
     write_checkpoint,
@@ -37,9 +37,11 @@ def target(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def reference(written, target):
-    """The :class:`CheckpointFile` of ``written``, as if ``target`` held it."""
-    return checkpoint_file(written, target)
+def reference(original, target):
+    """The :class:`CheckpointFile` that ``target`` opens as while it holds
+    the undamaged file."""
+    target.write_bytes(original)
+    return open_checkpoint(target)
 
 
 # (offset, bit to flip or bytes to write there); offsets wrap at the file size.
@@ -76,9 +78,23 @@ def test_damaged_file_raises_only_format_error(original, target, reference, edit
     except FormatError:
         runs = None
     try:
+        opened = open_checkpoint(target)
+    except FormatError:
+        opened = None
+    try:
         ckpt = read_checkpoint(target)
     except FormatError:
-        assert runs is None
+        assert runs is None and opened is None
         return
     assert header == (ckpt.epoch, ckpt.step)
     assert runs in (None, ckpt.params.flat.tobytes())
+    entries = tuple((name, arr.shape) for name, arr in ckpt.params.items())
+    assert opened is not None and opened.path == target
+    got = (opened.epoch, opened.step, opened.dtype, opened.entries, opened.size)
+    assert got == (ckpt.epoch, ckpt.step, ckpt.params.dtype, entries, target.stat().st_size)
+
+
+def test_the_undamaged_file_opens_as_written(reference, written):
+    entries = tuple((name, arr.shape) for name, arr in written.params.items())
+    assert (reference.epoch, reference.step) == (written.epoch, written.step)
+    assert (reference.dtype, reference.entries) == (written.params.dtype, entries)

@@ -9,11 +9,10 @@ from lawa.errors import FormatError, IoError, NonFiniteError, StructureMismatch
 from lawa.params import (
     Checkpoint,
     ParameterSet,
-    add_scaled,
     check_finite,
     check_layout,
+    check_same_structure,
     l2_distance,
-    scale,
 )
 from testutil import mixed_pset, pset, random_pset, traced
 
@@ -165,50 +164,46 @@ class TestFlatBuffer:
             check_layout(p, p.dtype, [("a", (1,))])
 
 
-class TestArithmetic:
-    def test_add_scaled_elementwise(self):
-        out = add_scaled(pset({"a": [1, 2]}), pset({"a": [3, 4]}), 1.0)
-        np.testing.assert_array_equal(out["a"], [4.0, 6.0])
-
-    def test_add_scaled_self_cancellation(self):
-        p = random_pset(np.random.default_rng(0))
-        out = add_scaled(p, p, -1.0)
-        for _, arr in out.items():
-            np.testing.assert_array_equal(arr, np.zeros_like(arr))
-
-    def test_add_scaled_name_mismatch(self):
+class TestStructure:
+    def test_name_mismatch(self):
         with pytest.raises(StructureMismatch, match="'a'"):
-            add_scaled(pset({"a": [1.0]}), pset({"b": [1.0]}), 1.0)
+            check_same_structure(pset({"a": [1.0]}), pset({"b": [1.0]}))
 
-    def test_add_scaled_shape_mismatch_names_entry(self):
+    def test_shape_mismatch_names_entry(self):
         with pytest.raises(StructureMismatch, match="'a'"):
-            add_scaled(pset({"a": [1.0]}), pset({"a": [1.0, 2.0]}), 1.0)
+            check_same_structure(pset({"a": [1.0]}), pset({"a": [1.0, 2.0]}))
 
-    def test_add_scaled_leaves_inputs_unmodified(self):
-        p, q = pset({"a": [1.0]}), pset({"a": [2.0]})
-        add_scaled(p, q, 3.0)
-        assert p["a"][0] == 1.0 and q["a"][0] == 2.0
+    def test_element_type_mismatch(self):
+        with pytest.raises(StructureMismatch, match="element types"):
+            check_same_structure(pset({"a": [1.0]}), pset({"a": [1.0]}, dtype=np.float32))
 
-    def test_scale(self):
-        out = scale(pset({"a": [2, 4]}), 0.5)
-        np.testing.assert_array_equal(out["a"], [1.0, 2.0])
 
-    def test_scale_identity_and_zero(self):
-        p = random_pset(np.random.default_rng(1))
-        assert scale(p, 1.0) == p
-        zero = scale(p, 0.0)
-        assert all(not arr.any() for _, arr in zero.items())
+class TestTemplate:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_has_the_layout_of_a_set_and_no_values(self, dtype):
+        p = mixed_pset(np.random.default_rng(26), dtype)
+        t = ParameterSet.template(dtype, [(name, arr.shape) for name, arr in p.items()])
+        assert t.dtype == dtype and t.names == p.names and t.flat.shape == p.flat.shape
+        assert t.flat.strides == (0,) and not t.flat.any() and not t.flat.flags.writeable
+        assert all(t[name].shape == arr.shape for name, arr in p.items())
+        check_same_structure(t, p)
+        check_same_structure(p, t)
+        assert t.over(p.flat.copy()) == p
 
-    def test_vector_space_distributivity(self):
-        # small-integer values make both routes exact in float64
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            p = pset({"a": rng.integers(-8, 8, size=(2, 3)).astype(np.float64)})
-            q = pset({"a": rng.integers(-8, 8, size=(2, 3)).astype(np.float64)})
-            c = float(rng.integers(-4, 5))
-            left = scale(add_scaled(p, q, 1.0), c)
-            right = add_scaled(scale(p, c), scale(q, c), 1.0)
-            np.testing.assert_array_equal(left["a"], right["a"])
+    def test_a_wide_template_costs_a_few_bytes(self):
+        shapes = [("w", (512, 512)), ("b", (512,))]
+        template, peak, _ = traced(ParameterSet.template, np.float64, shapes)
+        assert template.flat.size == 512 * 513
+        assert peak < 4096, peak
+
+    @pytest.mark.parametrize("shapes, match", [
+        ([("a", (2,)), ("b", (1,))], "entry 0: name 'a' vs 'c'"),
+        ([("c", (3,)), ("b", (1,))], r"entry 'c': shape \(3,\) vs \(2,\)"),
+    ], ids=["name", "shape"])
+    def test_a_set_of_another_layout_is_named(self, shapes, match):
+        template = ParameterSet.template(np.float64, shapes)
+        with pytest.raises(StructureMismatch, match=match):
+            check_same_structure(template, pset({"c": [1.0, 2.0], "b": [3.0]}))
 
 
 class TestL2Distance:

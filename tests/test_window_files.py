@@ -15,7 +15,7 @@ from lawa.averaging import (
     UniformScheme,
     uniform_average,
 )
-from lawa.checkpoint_io import CheckpointFile, checkpoint_file, read_checkpoint, write_checkpoint
+from lawa.checkpoint_io import CheckpointFile, open_checkpoint, read_checkpoint, write_checkpoint
 from lawa.cli import main
 from lawa.config import RunConfig
 from lawa.engine import ModelSpec, build_dataset, init_params, model_spec_for, train_run
@@ -44,15 +44,14 @@ def cli_ok(args):
 
 
 def spied_spills(monkeypatch):
-    """Record each file reference a window builds."""
+    """Record each file reference that averaging opens."""
     spills = []
-    build = averaging.checkpoint_file
 
-    def recorded(ckpt, path):
+    def recorded(path):
         spills.append(path)
-        return build(ckpt, path)
+        return open_checkpoint(path)
 
-    monkeypatch.setattr(averaging, "checkpoint_file", recorded)
+    monkeypatch.setattr(averaging, "open_checkpoint", recorded)
     return spills
 
 
@@ -112,16 +111,18 @@ class TestRunsAreBitwiseTheInMemoryWindow:
         run = tmp_path / "run"
         assert main(["train", *TINY, "--use-bn", "--out", str(run)]) == 0
         spills = spied_spills(monkeypatch)
-        written = {}
+        written, opened = {}, {}
         for mode, limit in MODES.items():
             monkeypatch.setattr(averaging, "FILE_SLOT_BYTES", limit)
             out = tmp_path / f"{mode}.lawa"
             args = ["average", "--dir", str(run), "--k", "4", "--scheme", scheme, "--out", str(out)]
             assert main(args) == 0
             written[mode] = out.read_bytes()
+            opened[mode], spills[:] = list(spills), []
         assert written["files"] == written["memory"]
-        # Only uniform keeps a window; the running folds keep their own state.
-        assert len(spills) == (4 if scheme == "uniform" else 0)
+        # Every scheme takes each window file as a file slot from the size on.
+        newest = sorted(run.glob("ckpt_*.lawa"))[-4:]
+        assert opened == {"memory": [], "files": newest}
 
 
 class TestTheSizeRule:
@@ -163,7 +164,7 @@ def written(tmp_path, params, epoch, name=None):
     ckpt = Checkpoint(params, epoch, 7 * epoch)
     path = tmp_path / (name or f"c{epoch}.lawa")
     write_checkpoint(ckpt, path)
-    return ckpt, checkpoint_file(ckpt, path)
+    return ckpt, open_checkpoint(path)
 
 
 class TestCheckpointFile:
@@ -248,10 +249,14 @@ class TestUniformAverageOverFiles:
         with pytest.raises(StructureMismatch, match="other"):
             scheme.observe(newest)
 
-    def test_a_window_of_files_alone_has_no_layout_to_take(self, tmp_path):
-        _, ref = written(tmp_path, pset({"a": [1.0]}), 1)
-        with pytest.raises(InternalStateError, match="in memory"):
-            uniform_average([ref])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_window_of_files_alone_takes_the_layout_of_the_first(self, tmp_path, dtype):
+        rng = np.random.default_rng(48)
+        pairs = [written(tmp_path, mixed_pset(rng, dtype), e) for e in range(3)]
+        want = uniform_average([ckpt for ckpt, _ in pairs])
+        got = uniform_average([ref for _, ref in pairs])
+        assert got == want and got.buffer is not None
+        assert got.flat.tobytes() == want.flat.tobytes()
 
     def test_a_slot_is_spilled_only_to_its_own_file(self, tmp_path):
         ring = CheckpointRing(2)
@@ -293,28 +298,27 @@ class TestWindowMemory:
         args = ["average", "--dir", str(run), "--k", "16", "--out", str(tmp_path / "avg.lawa")]
         code, peak, _ = traced(main, args)
         assert code == 0
-        # Parsing a file holds its tensors and the set built from them; the
-        # average holds the newest file's set, the float64 sum (the average
-        # itself) and its read buffer. A window in memory would hold 16 sets.
-        assert peak < 4 * one_set, (peak, one_set)
+        # Each window file is a file slot: the average holds the float64 sum
+        # (the average itself) and one read buffer. A window in memory would
+        # hold 16 sets.
+        assert peak < 2 * one_set, (peak, one_set)
         want = uniform_average([read_checkpoint(p) for p in sorted(run.glob("ckpt_*"))[-16:]])
         assert read_checkpoint(tmp_path / "avg.lawa").params.flat.tobytes() == want.flat.tobytes()
 
-    def test_a_running_fold_of_16_holds_three_sets_and_an_ema_term(self, tmp_path):
+    def test_a_running_fold_of_16_holds_its_state_and_the_average(self, tmp_path):
         run = tmp_path / "run"
         cfg = wide_cfg(tmp_path, "run", epochs=2, save_every_steps=1, k=2)
         train_run(cfg)
         one_set = init_params(model_spec_for(cfg, build_dataset(cfg))).flat.nbytes
         window = [read_checkpoint(p) for p in sorted(run.glob("ckpt_*"))[-16:]]
-        # A fold holds the state, the newest checkpoint and the float64 copy
-        # of it that the fold writes into; EMA also builds (1 - alpha) * acc
-        # one read block at a time.
-        for scheme, bound in (("polyak", 3.5), ("ema", 3.75)):
+        # A fold holds its state, one read buffer and one float64 run, and
+        # then the state and the average it hands out.
+        for scheme in ("polyak", "ema"):
             out = tmp_path / f"{scheme}.lawa"
             args = ["average", "--dir", str(run), "--k", "16", "--scheme", scheme, "--out", str(out)]
             code, peak, _ = traced(main, args)
             assert code == 0
-            assert peak < bound * one_set, (scheme, peak, one_set)
+            assert peak < 3 * one_set, (scheme, peak, one_set)
             folding = averaging.make_scheme(scheme)
             for ckpt in window:
                 want = folding.observe(ckpt)
