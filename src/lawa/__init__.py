@@ -7,11 +7,9 @@ saved checkpoints.
 """
 
 from .averaging import (
-    CheckpointRing,
     EmaScheme,
     PolyakScheme,
     UniformScheme,
-    lawa_step,
     make_scheme,
     uniform_average,
 )
@@ -22,14 +20,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Checkpoint",
-    "CheckpointRing",
     "EmaScheme",
     "ParameterSet",
     "PolyakScheme",
     "UniformScheme",
     "__version__",
     "l2_distance",
-    "lawa_step",
     "make_scheme",
     "read_checkpoint",
     "uniform_average",

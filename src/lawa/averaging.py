@@ -3,14 +3,13 @@
 Four schemes are supported:
 
 * ``uniform`` — mean of the k most recently saved checkpoints, recomputed
-  at every save once k checkpoints exist. The window is held in a
-  fixed-capacity ring; the default window is 6 and a warning is emitted
-  for windows above 16, which tend to hurt rather than help. A checkpoint
-  observed together with its file, whose parameters take at least
-  ``FILE_SLOT_BYTES``, stays in the ring only as a reference to that
-  file once it has been averaged, so a large model's window costs no
-  memory between save events; a small model's window stays in memory,
-  where an add costs less than a read.
+  at every save once k checkpoints exist. The default window is 6 and a
+  warning is emitted for windows above 16, which tend to hurt rather than
+  help. A checkpoint observed together with its file, whose parameters
+  take at least ``FILE_SLOT_BYTES``, stays in the window only as a
+  reference to that file once it has been averaged, so a large model's
+  window costs no memory between save events; a small model's window
+  stays in memory, where an add costs less than a read.
 * ``ema`` — exponential recursion ``avg_0 = c_0`` then
   ``avg_t = alpha * c_t + (1 - alpha) * avg_{t-1}`` (newest checkpoint
   gets weight alpha). The recursion is unbounded; no window applies.
@@ -66,54 +65,6 @@ READ_BLOCK = 1 << 15
 
 # A window slot: a checkpoint in memory, or a reference to its file.
 Slot = Checkpoint | CheckpointFile
-
-
-def _check_follows(epoch: int, newest: int) -> None:
-    """Every scheme's rule: each checkpoint's epoch is greater than the last."""
-    if epoch <= newest:
-        message = f"checkpoint epoch {epoch} is not greater than newest stored epoch {newest}"
-        raise EpochOrderError(message)
-
-
-class CheckpointRing:
-    """FIFO of the ``capacity`` most recently pushed checkpoints.
-
-    Pushes must come in strictly increasing epoch order; once full, each
-    push evicts exactly the oldest slot. A slot holds its checkpoint in
-    memory until :meth:`spill_newest` replaces it by its file.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ConfigError(f"ring capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._slots: deque[Slot] = deque(maxlen=capacity)
-
-    def push(self, slot: Slot) -> None:
-        _check_follows(slot.epoch, self._slots[-1].epoch if self._slots else -1)
-        self._slots.append(slot)
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def __iter__(self) -> Iterator[Slot]:
-        """Oldest first."""
-        return iter(self._slots)
-
-    @property
-    def newest(self) -> Slot:
-        return self._slots[-1]
-
-    def spill_newest(self, ref: CheckpointFile) -> None:
-        """Hold the newest checkpoint as ``ref``, a reference to the file
-        that holds it, which must stay unchanged while it is in the window."""
-        newest = self.newest
-        if (ref.epoch, ref.step) != (newest.epoch, newest.step):
-            raise InternalStateError(
-                f"file {ref.path} holds epoch {ref.epoch}, step {ref.step}, "
-                f"not the newest slot's epoch {newest.epoch}, step {newest.step}"
-            )
-        self._slots[-1] = ref
 
 
 def _template(slot: Slot) -> ParameterSet:
@@ -175,27 +126,12 @@ def uniform_average(ckpts: Sequence[Slot]) -> ParameterSet:
     return template.over(acc if acc.dtype == template.dtype else acc.astype(template.dtype))
 
 
-def lawa_step(ring: CheckpointRing, epoch: int, k: int) -> ParameterSet | None:
-    """Averaged model at the end of ``epoch``, or None until the ring holds k.
-
-    ``ring`` holds the checkpoint for ``epoch`` as its newest (the average
-    includes it); the window may start at any epoch.
-    """
-    if ring.capacity != k:
-        raise InternalStateError(f"ring capacity {ring.capacity} does not match k={k}")
-    if ring.newest.epoch != epoch:
-        raise InternalStateError(
-            f"newest ring epoch {ring.newest.epoch} does not match epoch {epoch}"
-        )
-    if len(ring) < k:
-        return None
-    return uniform_average(list(ring))
-
-
 class AveragingScheme:
     """Base interface: feed checkpoints, get averaged parameters when defined."""
 
     kind: str
+    _template: ParameterSet | None = None  # the first checkpoint's layout, without values
+    _epoch = -1  # of the newest checkpoint taken in
 
     def observe(self, slot: Slot, path=None) -> ParameterSet | None:
         """Absorb one checkpoint, in memory or in its file; return the
@@ -209,6 +145,23 @@ class AveragingScheme:
         """
         raise NotImplementedError
 
+    def _admit(self, slot: Slot) -> ParameterSet:
+        """Every averaging scheme's one rule, checked before it takes a
+        checkpoint in: the layout of the first, then an epoch greater than
+        the last, so a foreign checkpoint is named by its entry, not by its
+        epoch. Returns the layout; the caller records the epoch."""
+        layout = _template(slot)
+        if self._template is None:
+            shapes = [(name, arr.shape) for name, arr in layout.items()]
+            self._template = ParameterSet.template(layout.dtype, shapes)
+        check_same_structure(self._template, layout)
+        if slot.epoch <= self._epoch:
+            raise EpochOrderError(
+                f"checkpoint epoch {slot.epoch} is not greater than "
+                f"newest stored epoch {self._epoch}"
+            )
+        return self._template
+
 
 class NoAveraging(AveragingScheme):
     kind = "none"
@@ -218,11 +171,12 @@ class NoAveraging(AveragingScheme):
 
 
 class UniformScheme(AveragingScheme):
-    """k-latest uniform averaging driven by a checkpoint ring.
+    """k-latest uniform averaging over ``window``, the k newest slots,
+    oldest first.
 
     A checkpoint observed with its file, of at least ``FILE_SLOT_BYTES``,
-    stays in the ring as a reference to that file once it has been
-    averaged, so the ring holds no parameter set between save events.
+    stays in the window as a reference to that file once it has been
+    averaged, so the window holds no parameter set between save events.
     """
 
     kind = "uniform"
@@ -238,52 +192,51 @@ class UniformScheme(AveragingScheme):
                 stacklevel=2,
             )
         self.k = k
-        self.ring = CheckpointRing(k)
+        self.window: deque[Slot] = deque(maxlen=k)
 
     def observe(self, slot: Slot, path=None) -> ParameterSet | None:
-        # A foreign checkpoint is named by its entry, not by its epoch.
-        if len(self.ring):
-            check_same_structure(_template(self.ring.newest), _template(slot))
-        self.ring.push(slot)
-        average = lawa_step(self.ring, slot.epoch, self.k)
-        if path is not None and _template(slot).flat.nbytes >= FILE_SLOT_BYTES:
-            self.ring.spill_newest(open_checkpoint(path))
+        layout = self._admit(slot)
+        self.window.append(slot)
+        self._epoch = slot.epoch
+        average = uniform_average(self.window) if len(self.window) == self.k else None
+        if path is not None and layout.flat.nbytes >= FILE_SLOT_BYTES:
+            ref = open_checkpoint(path)
+            if (ref.epoch, ref.step) != (slot.epoch, slot.step):
+                raise InternalStateError(
+                    f"file {ref.path} holds epoch {ref.epoch}, step {ref.step}, "
+                    f"not the newest slot's epoch {slot.epoch}, step {slot.step}"
+                )
+            self.window[-1] = ref
         return average
 
 
 class _RunningScheme(AveragingScheme):
     """A float64 fold over every checkpoint since the start of the run.
 
-    The first checkpoint starts the state; each later one, checked against
-    the first's layout and the last epoch, is folded in run by run by the
-    subclass's ``_rule(acc, x)``, with ``count`` already advanced: it
-    updates ``acc``, a run of the state, in place with ``x``, the
-    checkpoint's values there. No checkpoint is kept; a file that fails
-    part way leaves the state part folded. Subclasses bind ``observe`` in
-    their own namespace, so perfbench's tracer can rebind it per class.
+    The first checkpoint starts the state; each later one is folded in run
+    by run by the subclass's ``_rule(acc, x)``, with ``count`` already
+    advanced: it updates ``acc``, a run of the state, in place with ``x``,
+    the checkpoint's values there. No checkpoint is kept; a file that
+    fails part way leaves the state part folded and the epoch where it
+    was. Subclasses bind ``observe`` in their own namespace, so
+    perfbench's tracer can rebind it per class.
     """
 
     def __init__(self):
         self._state: np.ndarray | None = None
-        self._template: ParameterSet | None = None  # the layout, without values
-        self._epoch = 0  # of the newest checkpoint folded in
         self.count = 0
 
     def observe(self, slot: Slot, path=None) -> ParameterSet:
         """Advance the fold by one checkpoint and return its value; the
         fold holds its own state, so ``path`` goes unused."""
-        template = _template(slot)
-        runs = _runs(slot, template if self._template is None else self._template)
+        layout = self._admit(slot)
+        runs = _runs(slot, layout)
         if self._state is None:
-            self._state = np.empty(template.flat.size, np.float64)
-            shapes = [(name, arr.shape) for name, arr in template.items()]
-            self._template = ParameterSet.template(template.dtype, shapes)
-        else:
-            _check_follows(slot.epoch, self._epoch)
+            self._state = np.empty(layout.flat.size, np.float64)
         self.count += 1
         _fold(self._state, runs, np.copyto if self.count == 1 else self._rule)
         self._epoch = slot.epoch
-        return template.over(self._state.astype(template.dtype))
+        return layout.over(self._state.astype(layout.dtype))
 
 
 class EmaScheme(_RunningScheme):

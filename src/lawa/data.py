@@ -175,22 +175,16 @@ def load_csv(path, label_column: str) -> Dataset:
             f"{len(rows)} data rows"
         )
 
-    train_idx, val_idx = _hash_split(len(rows))
+    labels, kind, n_classes = label_arr, "regression", 0
     if is_classification:
         labels = label_arr.astype(np.int64)
-        return Dataset(
-            features=_standardize(features, train_idx),
-            labels=labels,
-            train_idx=train_idx,
-            val_idx=val_idx,
-            kind="classification",
-            n_classes=int(labels.max()) + 1,
-        )
+        kind, n_classes = "classification", int(labels.max()) + 1
+    train_idx, val_idx = _hash_split(len(rows))
     return Dataset(
         features=_standardize(features, train_idx),
-        labels=label_arr,
+        labels=labels,
         train_idx=train_idx,
         val_idx=val_idx,
-        kind="regression",
-        n_classes=0,
+        kind=kind,
+        n_classes=n_classes,
     )

@@ -76,9 +76,10 @@ class MetricsWriter:
 def read_metrics(path) -> list[dict]:
     """Parse a metrics CSV back into dicts; empty cells become None.
 
-    An unreadable file raises :class:`IoError`, a row longer than the
-    header :class:`SchemaError`, and a file that is not UTF-8 or a cell
-    that does not parse :class:`ParseError`.
+    An unreadable file raises :class:`IoError`, a row longer or shorter
+    than the header, such as a last row that a killed run cut short,
+    :class:`SchemaError`, and a file that is not UTF-8 or a cell that does
+    not parse :class:`ParseError`.
     """
     reader = csv.DictReader(io.StringIO(read_text(path, "metrics file"), newline=""))
     if reader.fieldnames is None:
@@ -87,9 +88,11 @@ def read_metrics(path) -> list[dict]:
     for raw in reader:
         if None in raw:  # DictReader's key for the cells past the header's
             raise SchemaError(f"{path}: line {reader.line_num} has more cells than the header")
+        if None in raw.values():  # DictReader's value for the cells a row lacks
+            raise SchemaError(f"{path}: line {reader.line_num} has fewer cells than the header")
         row: dict = {}
         for key, text in raw.items():
-            if text is None or text == "":
+            if text == "":
                 row[key] = None
                 continue
             try:

@@ -10,13 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from lawa.averaging import (
-    CheckpointRing,
-    EmaScheme,
-    PolyakScheme,
-    lawa_step,
-    uniform_average,
-)
+from lawa.averaging import EmaScheme, PolyakScheme, UniformScheme, uniform_average
 from lawa.checkpoint_io import read_checkpoint, write_checkpoint
 from lawa.cli import main as cli_main
 from lawa.engine import (
@@ -79,7 +73,7 @@ def test_c01_averaging_exactness():
 
 
 # --------------------------------------------------------------------------
-# 2. Ring/oracle equivalence over a 30-epoch run's checkpoint files
+# 2. Window/oracle equivalence over a 30-epoch run's checkpoint files
 # --------------------------------------------------------------------------
 
 
@@ -103,7 +97,7 @@ def test_c02_ring_oracle_equivalence(tmp_path):
         assert max_abs_diff(in_training, oracle) <= 1e-12, f"epoch {epoch}"
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
-    report("2 ring/oracle equivalence", f"25 windows checked, {elapsed:.2f}s")
+    report("2 window/oracle equivalence", f"25 windows checked, {elapsed:.2f}s")
 
 
 # --------------------------------------------------------------------------
@@ -115,10 +109,9 @@ def test_c03_scheme_degeneracies():
     rng = np.random.default_rng(103)
     trajectory = [ckpt_of(random_pset(rng), e) for e in range(8)]
 
-    ring = CheckpointRing(1)
+    latest = UniformScheme(1)
     for ck in trajectory:
-        ring.push(ck)
-        out = lawa_step(ring, ck.epoch, 1)
+        out = latest.observe(ck)
         assert out == ck.params  # k=1 is exactly the latest checkpoint
 
     ema_latest = EmaScheme(alpha=1.0)
@@ -138,12 +131,10 @@ def test_c03_scheme_degeneracies():
     for name, arr in poly_out.items():
         np.testing.assert_allclose(arr, uniform_all[name], rtol=1e-10)
 
-    gate_ring = CheckpointRing(AVERAGING_WINDOW)
+    gate = UniformScheme(AVERAGING_WINDOW)
     for ck in trajectory[: AVERAGING_WINDOW - 1]:
-        gate_ring.push(ck)
-        assert lawa_step(gate_ring, ck.epoch, AVERAGING_WINDOW) is None
-    gate_ring.push(trajectory[AVERAGING_WINDOW - 1])
-    assert lawa_step(gate_ring, AVERAGING_WINDOW - 1, AVERAGING_WINDOW) is not None
+        assert gate.observe(ck) is None
+    assert gate.observe(trajectory[AVERAGING_WINDOW - 1]) is not None
 
     report("3 scheme degeneracies", "k=1, alpha=1, alpha=0, polyak, gating")
 

@@ -6,13 +6,11 @@ import pytest
 
 from lawa import averaging
 from lawa.averaging import (
-    CheckpointRing,
     EmaScheme,
     NoAveraging,
     PolyakScheme,
     UniformScheme,
     average_checkpoint_dir,
-    lawa_step,
     make_scheme,
     uniform_average,
 )
@@ -23,7 +21,6 @@ from lawa.errors import (
     EpochOrderError,
     InsufficientCheckpoints,
     FormatError,
-    InternalStateError,
     NonFiniteError,
     StructureMismatch,
 )
@@ -39,34 +36,36 @@ from testutil import (
 )
 
 
-class TestRing:
+class TestWindow:
     def test_fifo_eviction(self):
-        ring = CheckpointRing(2)
+        scheme = UniformScheme(2)
         for e in range(3):
-            ring.push(scalar_ckpt(float(e), e))
-        assert [c.epoch for c in ring] == [1, 2]
+            scheme.observe(scalar_ckpt(float(e), e))
+        assert [c.epoch for c in scheme.window] == [1, 2]
 
     def test_partial_fill(self):
-        ring = CheckpointRing(3)
-        ring.push(scalar_ckpt(0.0, 0))
-        assert len(ring) == 1
-        assert ring.newest.epoch == 0
+        scheme = UniformScheme(3)
+        scheme.observe(scalar_ckpt(0.0, 0))
+        assert len(scheme.window) == 1
+        assert scheme.window[-1].epoch == 0
 
     def test_repeated_epoch_rejected(self):
-        ring = CheckpointRing(3)
-        ring.push(scalar_ckpt(1.0, 1))
+        scheme = UniformScheme(3)
+        scheme.observe(scalar_ckpt(1.0, 1))
         with pytest.raises(EpochOrderError):
-            ring.push(scalar_ckpt(2.0, 1))
+            scheme.observe(scalar_ckpt(2.0, 1))
+        assert [c.epoch for c in scheme.window] == [1]
 
     def test_decreasing_epoch_rejected(self):
-        ring = CheckpointRing(3)
-        ring.push(scalar_ckpt(1.0, 5))
+        scheme = UniformScheme(3)
+        scheme.observe(scalar_ckpt(1.0, 5))
         with pytest.raises(EpochOrderError):
-            ring.push(scalar_ckpt(2.0, 4))
+            scheme.observe(scalar_ckpt(2.0, 4))
+        assert [c.epoch for c in scheme.window] == [5]
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ConfigError):
-            CheckpointRing(0)
+            UniformScheme(0)
 
 
 class TestUniformAverage:
@@ -156,34 +155,25 @@ class TestUniformAverage:
             assert np.array_equal(arr, want), name
 
 
-class TestLawaStep:
+class TestUniformScheme:
     def test_gate_before_k_checkpoints(self):
-        ring = CheckpointRing(6)
+        scheme = UniformScheme(6)
         for e in range(5):
-            ring.push(scalar_ckpt(float(e), e))
-        assert lawa_step(ring, 4, 6) is None
+            assert scheme.observe(scalar_ckpt(float(e), e)) is None
 
     def test_k1_returns_latest_exactly(self):
-        ring = CheckpointRing(1)
+        scheme = UniformScheme(1)
         p = random_pset(np.random.default_rng(12))
-        ring.push(ckpt_of(p, 0))
-        out = lawa_step(ring, 0, 1)
+        out = scheme.observe(ckpt_of(p, 0))
         assert out == p
 
     def test_k3_scalar_trajectory(self):
-        ring = CheckpointRing(3)
+        scheme = UniformScheme(3)
         result = None
         for e in range(5):
-            ring.push(scalar_ckpt(float(e), e))
-            result = lawa_step(ring, e, 3)
+            result = scheme.observe(scalar_ckpt(float(e), e))
         assert result is not None
         assert result["w"][0] == pytest.approx(3.0, abs=1e-15)
-
-    def test_occupancy_mismatch(self):
-        ring = CheckpointRing(3)
-        ring.push(scalar_ckpt(0.0, 0))
-        with pytest.raises(InternalStateError):
-            lawa_step(ring, 4, 3)
 
     def test_window_may_start_at_any_epoch(self):
         scheme = UniformScheme(3)
@@ -191,23 +181,16 @@ class TestLawaStep:
         assert outs[0] is None and outs[1] is None
         assert outs[2]["w"][0] == 6.0 and outs[3]["w"][0] == 7.0
 
-    def test_capacity_mismatch(self):
-        ring = CheckpointRing(4)
-        for e in range(4):
-            ring.push(scalar_ckpt(float(e), e))
-        with pytest.raises(InternalStateError):
-            lawa_step(ring, 3, 3)
-
-    def test_ring_equals_naive_mean_over_window(self):
+    def test_window_equals_naive_mean_over_window(self):
         rng = np.random.default_rng(13)
         k = 4
-        ring = CheckpointRing(k)
+        scheme = UniformScheme(k)
         history = []
         for e in range(9):
             ck = ckpt_of(random_pset(rng), e)
             history.append(ck)
-            ring.push(ck)
-            out = lawa_step(ring, e, k)
+            out = scheme.observe(ck)
+            assert list(scheme.window) == history[-k:]
             if e + 1 < k:
                 assert out is None
             else:
@@ -412,27 +395,44 @@ class TestRunningFoldBitwise:
 
 
 class TestRunningFoldOrder:
-    """A fold, like the ring, takes each checkpoint after the last epoch."""
+    """Every averaging scheme admits a checkpoint by one rule: the first
+    checkpoint's layout, then an epoch after the last."""
 
     @pytest.mark.parametrize("repeat", [2, 1], ids=["repeated", "decreasing"])
-    @pytest.mark.parametrize("kind", ["ema", "polyak"])
+    @pytest.mark.parametrize("kind", ["ema", "polyak", "uniform"])
     def test_an_epoch_that_does_not_increase_is_rejected(self, kind, repeat):
-        scheme, twin = make_scheme(kind), make_scheme(kind)
+        scheme, twin = make_scheme(kind, k=2), make_scheme(kind, k=2)
         for e in range(3):
             scheme.observe(scalar_ckpt(float(e), e))
             twin.observe(scalar_ckpt(float(e), e))
         message = f"epoch {repeat} is not greater than newest stored epoch 2"
         with pytest.raises(EpochOrderError, match=message):
             scheme.observe(scalar_ckpt(7.0, repeat))
-        # The rejected checkpoint left the fold as it was.
-        assert scheme.count == 3
+        # The rejected checkpoint left the scheme as it was.
+        if kind == "uniform":
+            assert [c.epoch for c in scheme.window] == [1, 2]
+        else:
+            assert scheme.count == 3
         assert scheme.observe(scalar_ckpt(3.0, 3)) == twin.observe(scalar_ckpt(3.0, 3))
 
     @pytest.mark.parametrize("kind", ["ema", "polyak"])
+    def test_a_file_that_fails_part_way_leaves_the_epoch(self, tmp_path, monkeypatch, kind):
+        monkeypatch.setattr(averaging, "READ_BLOCK", 2)
+        scheme = make_scheme(kind)
+        scheme.observe(ckpt_of(pset({"a": [1.0, 2.0], "b": [3.0, 4.0]}), 0))
+        bad = ckpt_of(pset({"a": [1.0, 2.0], "b": [3.0, np.nan]}), 1)
+        write_checkpoint(bad, tmp_path / "c.lawa")
+        with pytest.raises(NonFiniteError, match="entry 'b'"):
+            scheme.observe(open_checkpoint(tmp_path / "c.lawa"))
+        # Epoch 1 is still after the newest epoch folded in.
+        scheme.observe(ckpt_of(pset({"a": [1.0, 2.0], "b": [3.0, 4.0]}), 1))
+
+    @pytest.mark.parametrize("kind", ["ema", "polyak", "uniform"])
     def test_a_foreign_structure_is_named_before_the_epoch(self, kind):
         scheme = make_scheme(kind)
         scheme.observe(scalar_ckpt(1.0, 1))
-        with pytest.raises(StructureMismatch):
+        # The layout the scheme holds is the expected side, named first.
+        with pytest.raises(StructureMismatch, match="entry 0: name 'w' vs 'other'"):
             scheme.observe(ckpt_of(pset({"other": [1.0]}), 1))
 
 

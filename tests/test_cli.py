@@ -941,11 +941,14 @@ class TestBadInputFiles:
         [
             ("m.csv", b"", ["compare", "m.csv"], "m.csv: empty metrics file"),
             ("m.csv", b"epoch,val_loss\n", ["compare", "m.csv"], "m.csv: metrics file has no rows"),
+            ("m.csv", b"epoch,val_loss,val_acc\n0,1.0,0.5\n1,0.9\n", ["compare", "m.csv"],
+             "m.csv: line 3 has fewer cells than the header"),
             ("c.cfg", b"seed=1\nepochs\n", ["train", "--config", "c.cfg"], "c.cfg:2: expected key=value"),
             ("c.cfg", b"use_bn=maybe\n", ["train", "--config", "c.cfg"], "use_bn='maybe'"),
             (None, None, ["sweep", "--schemes", ","], "at least one scheme or k value"),
         ],
-        ids=["empty-metrics", "header-only-metrics", "config-line-without-=", "bad-bool", "no-variants"],
+        ids=["empty-metrics", "header-only-metrics", "short-row-metrics", "config-line-without-=",
+             "bad-bool", "no-variants"],
     )
     def test_refusal_names_the_fault(self, tmp_path, monkeypatch, capsys, name, content, args, message):
         monkeypatch.chdir(tmp_path)

@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from lawa.errors import SchemaError
 from lawa.metrics import METRICS_HEADER, MetricsRecord, MetricsWriter, read_metrics
 
 FULL = MetricsRecord(
@@ -43,3 +46,22 @@ def test_record_round_trips_through_the_csv(tmp_path, rec):
             assert type(row[name]) is int and row[name] == value, name
         else:
             assert type(row[name]) is float and row[name] == float(f"{value:.9g}"), name
+
+
+@pytest.mark.parametrize(
+    "cells, fault",
+    [(METRICS_HEADER.index("val_acc") + 1, "fewer"), (len(METRICS_HEADER) + 1, "more")],
+    ids=["cut-after-val_acc", "one-cell-too-many"],
+)
+def test_a_last_row_of_another_length_is_refused_by_line(tmp_path, cells, fault):
+    # A killed run can leave its last row cut short.
+    path = tmp_path / "metrics.csv"
+    with MetricsWriter(path) as writer:
+        writer.append(NO_AVERAGE)
+        writer.append(FULL)
+    header, first, last = path.read_text(encoding="utf-8").splitlines()
+    last = ",".join((last.split(",") + ["1"])[:cells])
+    path.write_text(f"{header}\n{first}\n{last}\n", encoding="utf-8")
+    message = f"{path}: line 3 has {fault} cells than the header"
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        read_metrics(path)

@@ -318,7 +318,7 @@ class TestInPlaceStateKeepsValueSemantics:
         for t, g in enumerate(grads[1:11], start=1):
             p = opt.step(p, g, 0.05)
             scheme.observe(Checkpoint(params=p, epoch=t, step=t + 1))
-        assert list(scheme.ring)[0] is first
+        assert scheme.window[0] is first
         for s, before in held:
             assert s.flat.tobytes() == before
 

@@ -27,7 +27,7 @@ def run_snippet(epochs: int) -> dict:
 @pytest.mark.parametrize("epochs", [6, 9])
 def test_the_snippet_averages_the_six_latest_checkpoints(epochs):
     names = run_snippet(epochs)
-    window = list(names["ring"])
+    window = list(names["scheme"].window)
     assert [c.epoch for c in window] == list(range(epochs - 6, epochs))
     assert [c.step for c in window] == [10 * (e + 1) for e in range(epochs - 6, epochs)]
     assert names["averaged"] == uniform_average(window)

@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 
 from lawa import averaging, engine
-from lawa.averaging import (
-    FILE_SLOT_BYTES,
-    CheckpointRing,
-    UniformScheme,
-    uniform_average,
-)
+from lawa.averaging import FILE_SLOT_BYTES, UniformScheme, uniform_average
 from lawa.checkpoint_io import CheckpointFile, open_checkpoint, read_checkpoint, write_checkpoint
 from lawa.cli import main
 from lawa.config import RunConfig
@@ -141,7 +136,7 @@ class TestTheSizeRule:
             path = tmp_path / f"c{e}.lawa"
             write_checkpoint(ckpts[-1], path)
             average = scheme.observe(ckpts[-1], path)
-        assert all(isinstance(s, CheckpointFile) == in_file for s in scheme.ring)
+        assert all(isinstance(s, CheckpointFile) == in_file for s in scheme.window)
         want = uniform_average(ckpts[1:])
         assert average.flat.tobytes() == want.flat.tobytes()
 
@@ -156,7 +151,7 @@ class TestTheSizeRule:
         scheme = UniformScheme(k=2)
         for e in range(3):
             scheme.observe(Checkpoint(pset({"w": np.ones(FILE_SLOT_BYTES)}), e, e))
-        assert all(isinstance(s, Checkpoint) for s in scheme.ring)
+        assert all(isinstance(s, Checkpoint) for s in scheme.window)
 
 
 def written(tmp_path, params, epoch, name=None):
@@ -238,14 +233,15 @@ class TestUniformAverageOverFiles:
         with pytest.raises(NonFiniteError, match="checkpoint at epoch 1: entry 'b'"):
             uniform_average([ref, newest])
 
-    def test_a_file_of_another_structure_is_named_by_entry(self, tmp_path):
-        _, ref = written(tmp_path, pset({"a": [1.0], "other": [2.0]}), 1)
+    def test_a_file_of_another_structure_is_named_by_entry(self, tmp_path, monkeypatch):
+        ckpt, ref = written(tmp_path, pset({"a": [1.0], "other": [2.0]}), 1)
         newest, _ = written(tmp_path, pset({"a": [1.0], "b": [2.0]}), 2)
         with pytest.raises(StructureMismatch, match="other"):
             uniform_average([ref, newest])
+        monkeypatch.setattr(averaging, "FILE_SLOT_BYTES", 0)
         scheme = UniformScheme(k=2)
-        scheme.ring.push(Checkpoint(pset({"a": [1.0], "other": [2.0]}), 1, 7))
-        scheme.ring.spill_newest(ref)
+        scheme.observe(ckpt, ref.path)
+        assert isinstance(scheme.window[-1], CheckpointFile)
         with pytest.raises(StructureMismatch, match="other"):
             scheme.observe(newest)
 
@@ -258,13 +254,13 @@ class TestUniformAverageOverFiles:
         assert got == want and got.buffer is not None
         assert got.flat.tobytes() == want.flat.tobytes()
 
-    def test_a_slot_is_spilled_only_to_its_own_file(self, tmp_path):
-        ring = CheckpointRing(2)
+    def test_a_slot_is_spilled_only_to_its_own_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(averaging, "FILE_SLOT_BYTES", 0)
+        scheme = UniformScheme(k=2)
         ckpt, _ = written(tmp_path, pset({"a": [1.0]}), 1)
         _, other = written(tmp_path, pset({"a": [1.0]}), 2)
-        ring.push(ckpt)
         with pytest.raises(InternalStateError, match="epoch 2"):
-            ring.spill_newest(other)
+            scheme.observe(ckpt, other.path)
 
 
 def wide_cfg(tmp_path, name, **overrides) -> RunConfig:
