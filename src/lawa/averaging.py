@@ -5,23 +5,19 @@ Four schemes are supported:
 * ``uniform`` — mean of the k most recently saved checkpoints, recomputed
   at every save once k checkpoints exist. The default window is 6 and a
   warning is emitted for windows above 16, which tend to hurt rather than
-  help. A checkpoint observed together with its file, whose parameters
-  take at least ``FILE_SLOT_BYTES``, stays in the window only as a
-  reference to that file once it has been averaged, so a large model's
-  window costs no memory between save events; a small model's window
-  stays in memory, where an add costs less than a read.
+  help. The window keeps each slot as it was handed in.
 * ``ema`` — exponential recursion ``avg_0 = c_0`` then
   ``avg_t = alpha * c_t + (1 - alpha) * avg_{t-1}`` (newest checkpoint
   gets weight alpha). The recursion is unbounded; no window applies.
 * ``polyak`` — running mean of every checkpoint since the start.
 * ``none`` — no averaging; ``observe`` never yields a model.
 
-Every scheme reads a checkpoint, in memory or a reference to its file,
-through one reader, :func:`_runs`, and accumulates in float64 whatever
-the checkpoint element type, with a final cast back, so long windows do
-not drift. Every fold is elementwise, so an average is the same, bit for
-bit, from memory or from files. Every average is a fresh set over a
-buffer that nothing else holds.
+Every scheme reads a slot, a checkpoint in memory or a reference to its
+file as :func:`window_slot` picks, through one reader, :func:`_runs`,
+and accumulates in float64 whatever the checkpoint element type, with a
+final cast back, so long windows do not drift. Every fold is
+elementwise, so an average is the same, bit for bit, from memory or from
+files. Every average is a fresh set over a buffer that nothing else holds.
 """
 
 from __future__ import annotations
@@ -53,18 +49,30 @@ from .params import Checkpoint, ParameterSet, check_finite, check_same_structure
 DEFAULT_WINDOW = 6
 DEFAULT_EMA_ALPHA = 0.9
 WINDOW_WARN_THRESHOLD = 16
-# Bytes of a parameter set from which a uniform window, once it has
-# averaged a checkpoint that came with its file, keeps only a reference to
-# that file and reads the values back at each later average. Below it the
-# checkpoint stays in memory: the few kilobytes saved are not worth a read,
-# which costs several times the in-memory add (CHANGES.md has the times).
-# ``average_checkpoint_dir`` applies it to each window file's size.
+# Bytes of a checkpoint file from which its slot is a reference to the
+# file, whose values each average reads back, so a large model's window
+# holds no parameter set between save events. Below it the checkpoint
+# stays in memory: the few kilobytes saved are not worth a read, which
+# costs several times the in-memory add (CHANGES.md has the times).
 FILE_SLOT_BYTES = 1 << 18
 # Elements per run of a slot's values, in memory or read from its file.
 READ_BLOCK = 1 << 15
 
 # A window slot: a checkpoint in memory, or a reference to its file.
 Slot = Checkpoint | CheckpointFile
+
+
+def window_slot(path, ckpt: Checkpoint | None = None) -> Slot:
+    """The slot of the checkpoint file ``path``: a reference to the file
+    from ``FILE_SLOT_BYTES`` of file size on, else ``ckpt``, the checkpoint
+    that was written there, or, without it, the file read into memory."""
+    try:
+        size = Path(path).stat().st_size
+    except OSError:  # read_checkpoint says why
+        size = 0
+    if size >= FILE_SLOT_BYTES:
+        return open_checkpoint(path)
+    return read_checkpoint(path) if ckpt is None else ckpt
 
 
 def _template(slot: Slot) -> ParameterSet:
@@ -112,13 +120,13 @@ def uniform_average(ckpts: Sequence[Slot]) -> ParameterSet:
     All checkpoints must match structurally and contain only finite
     values. Accumulates in float64, oldest first, run by run, and divides
     the sum in place, then casts back to the input element type. The
-    result takes the layout of the first checkpoint in memory, else of
-    the first file, and is built by :meth:`ParameterSet.over` on a fresh
-    buffer that nothing else holds, so its owner may write it in place.
+    result takes the layout of the first checkpoint and is built by
+    :meth:`ParameterSet.over` on a fresh buffer that nothing else holds,
+    so its owner may write it in place.
     """
     if not ckpts:
         raise ConfigError("cannot average an empty checkpoint sequence")
-    template = _template(min(ckpts, key=lambda c: isinstance(c, CheckpointFile)))
+    template = _template(ckpts[0])
     acc = np.zeros(template.flat.shape, dtype=np.float64)
     for c in ckpts:
         _fold(acc, _runs(c, template), iadd)
@@ -133,15 +141,12 @@ class AveragingScheme:
     _template: ParameterSet | None = None  # the first checkpoint's layout, without values
     _epoch = -1  # of the newest checkpoint taken in
 
-    def observe(self, slot: Slot, path=None) -> ParameterSet | None:
+    def observe(self, slot: Slot) -> ParameterSet | None:
         """Absorb one checkpoint, in memory or in its file; return the
         scheme's current average, if any, as a fresh set over a buffer that
-        nothing else holds, the next ``observe`` included.
-
-        ``path``, when given, names a file that :func:`write_checkpoint`
-        wrote from the checkpoint in memory; a scheme may read it back
-        later instead of holding it, so that file, like a file slot, must
-        stay unchanged while the scheme lives.
+        nothing else holds, the next ``observe`` included. A scheme may keep
+        the slot as it was handed in, so a file slot's file must stay
+        unchanged while the scheme lives.
         """
         raise NotImplementedError
 
@@ -149,34 +154,37 @@ class AveragingScheme:
         """Every averaging scheme's one rule, checked before it takes a
         checkpoint in: the layout of the first, then an epoch greater than
         the last, so a foreign checkpoint is named by its entry, not by its
-        epoch. Returns the layout; the caller records the epoch."""
+        epoch. Returns the layout, which the caller records with the epoch
+        once it has taken the checkpoint in."""
         layout = _template(slot)
-        if self._template is None:
+        template = self._template
+        if template is None:
             shapes = [(name, arr.shape) for name, arr in layout.items()]
-            self._template = ParameterSet.template(layout.dtype, shapes)
-        check_same_structure(self._template, layout)
+            template = ParameterSet.template(layout.dtype, shapes)
+        check_same_structure(template, layout)
         if slot.epoch <= self._epoch:
             raise EpochOrderError(
                 f"checkpoint epoch {slot.epoch} is not greater than "
                 f"newest stored epoch {self._epoch}"
             )
-        return self._template
+        return template
 
 
 class NoAveraging(AveragingScheme):
     kind = "none"
 
-    def observe(self, slot: Slot, path=None) -> None:
+    def observe(self, slot: Slot) -> None:
         return None
 
 
 class UniformScheme(AveragingScheme):
-    """k-latest uniform averaging over ``window``, the k newest slots,
-    oldest first.
+    """k-latest uniform averaging over ``window``, the k newest slots as
+    they were observed, oldest first.
 
-    A checkpoint observed with its file, of at least ``FILE_SLOT_BYTES``,
-    stays in the window as a reference to that file once it has been
-    averaged, so the window holds no parameter set between save events.
+    ``observe`` is all or nothing: it averages the window it would have
+    and takes the slot in only once that succeeds. A checkpoint in memory
+    must be finite even before the window fills; a file slot is checked
+    when an average first reads it.
     """
 
     kind = "uniform"
@@ -194,19 +202,16 @@ class UniformScheme(AveragingScheme):
         self.k = k
         self.window: deque[Slot] = deque(maxlen=k)
 
-    def observe(self, slot: Slot, path=None) -> ParameterSet | None:
+    def observe(self, slot: Slot) -> ParameterSet | None:
         layout = self._admit(slot)
+        window = [*self.window, slot][-self.k :]
+        average = None
+        if len(window) == self.k:
+            average = uniform_average(window)
+        elif isinstance(slot, Checkpoint):
+            check_finite(slot.params, f"checkpoint at epoch {slot.epoch}")
         self.window.append(slot)
-        self._epoch = slot.epoch
-        average = uniform_average(self.window) if len(self.window) == self.k else None
-        if path is not None and layout.flat.nbytes >= FILE_SLOT_BYTES:
-            ref = open_checkpoint(path)
-            if (ref.epoch, ref.step) != (slot.epoch, slot.step):
-                raise InternalStateError(
-                    f"file {ref.path} holds epoch {ref.epoch}, step {ref.step}, "
-                    f"not the newest slot's epoch {slot.epoch}, step {slot.step}"
-                )
-            self.window[-1] = ref
+        self._template, self._epoch = layout, slot.epoch
         return average
 
 
@@ -214,28 +219,36 @@ class _RunningScheme(AveragingScheme):
     """A float64 fold over every checkpoint since the start of the run.
 
     The first checkpoint starts the state; each later one is folded in run
-    by run by the subclass's ``_rule(acc, x)``, with ``count`` already
-    advanced: it updates ``acc``, a run of the state, in place with ``x``,
-    the checkpoint's values there. No checkpoint is kept; a file that
-    fails part way leaves the state part folded and the epoch where it
-    was. Subclasses bind ``observe`` in their own namespace, so
-    perfbench's tracer can rebind it per class.
+    by run by the subclass's ``_rule(acc, x)``: it updates ``acc``, a run
+    of the state, in place with ``x``, the checkpoint's values there, as
+    the ``count + 1``-th checkpoint. No checkpoint is kept. ``count``
+    counts whole folds: a file that fails part way leaves the state part
+    folded, so every later ``observe`` raises :class:`InternalStateError`
+    naming its epoch. Subclasses bind ``observe`` in their own namespace,
+    so perfbench's tracer can rebind it per class.
     """
 
     def __init__(self):
         self._state: np.ndarray | None = None
+        self._torn: int | None = None  # the epoch of a fold that failed part way
         self.count = 0
 
-    def observe(self, slot: Slot, path=None) -> ParameterSet:
-        """Advance the fold by one checkpoint and return its value; the
-        fold holds its own state, so ``path`` goes unused."""
+    def observe(self, slot: Slot) -> ParameterSet:
+        """Advance the fold by one checkpoint and return its value."""
+        if self._torn is not None:
+            raise InternalStateError(
+                f"the fold of the checkpoint at epoch {self._torn} failed part way; "
+                "this scheme takes no further checkpoints"
+            )
         layout = self._admit(slot)
         runs = _runs(slot, layout)
         if self._state is None:
             self._state = np.empty(layout.flat.size, np.float64)
+        self._torn = slot.epoch
+        _fold(self._state, runs, np.copyto if self.count == 0 else self._rule)
+        self._torn = None
         self.count += 1
-        _fold(self._state, runs, np.copyto if self.count == 1 else self._rule)
-        self._epoch = slot.epoch
+        self._template, self._epoch = layout, slot.epoch
         return layout.over(self._state.astype(layout.dtype))
 
 
@@ -263,8 +276,8 @@ class PolyakScheme(_RunningScheme):
     kind = "polyak"
 
     def _rule(self, acc, x):
-        step = np.subtract(x, acc, dtype=np.float64)  # acc + (x - acc) / count
-        step /= self.count
+        step = np.subtract(x, acc, dtype=np.float64)  # acc + (x - acc) / (count + 1)
+        step /= self.count + 1
         acc += step
 
     observe = _RunningScheme.observe
@@ -293,7 +306,7 @@ def average_checkpoint_dir(
 
     Files are selected and ordered by the epoch and step recorded in each
     file header, never by filename; only the selected files are read in
-    full, each once, as a file slot from ``FILE_SLOT_BYTES`` on.
+    full, each once, as its :func:`window_slot`.
     Averaged-model outputs (``lawa_*.lawa``) living in the same run
     directory are not candidates. The result is what the in-loop scheme
     (``make_scheme(scheme, k, alpha)``) holds after observing the selected
@@ -324,11 +337,7 @@ def average_checkpoint_dir(
         )
     for previous, path in zip([None, *paths[-k:]], paths[-k:]):
         averaged = None  # the last average goes before the next is made
-        try:
-            in_file = path.stat().st_size >= FILE_SLOT_BYTES
-        except OSError:  # read_checkpoint says why
-            in_file = False
-        slot = open_checkpoint(path) if in_file else read_checkpoint(path)
+        slot = window_slot(path)
         try:
             averaged = averager.observe(slot)
         except EpochOrderError as exc:

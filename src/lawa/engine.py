@@ -31,7 +31,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from . import lanes
-from .averaging import AveragingScheme, make_scheme
+from .averaging import AveragingScheme, make_scheme, window_slot
 from .checkpoint_io import write_atomically, write_checkpoint
 from .config import RunConfig, resolved_text
 from .data import Dataset, load_csv, make_spirals
@@ -733,9 +733,9 @@ def train_variants(
     backward, the optimizer step and the raw-model evaluations run once;
     each save event writes the checkpoint once, hard-links it into every
     other output directory (writing it again where a link fails) and
-    feeds every config's averaging scheme the checkpoint and the first
-    directory's file, which a uniform window of a large model reads back
-    at later save events. Each directory ends up
+    feeds every config's averaging scheme one slot, the first directory's
+    file's :func:`window_slot`: a large model's checkpoint is read back
+    from that file at each average. Each directory ends up
     byte-identical to a ``train_run`` of its config, except for
     ``wall_seconds``, which counts from the shared start. A non-finite
     value aborts every variant at the same epoch. Every config is
@@ -851,9 +851,9 @@ def train_variants(
                 os.link(first, path)
             except OSError:
                 write_checkpoint(ckpt, path)
+        handed = window_slot(first, ckpt)  # the other files are links or copies
         for v in variants:
-            # The other directories' files are links to this one, or copies.
-            averaged = v.scheme.observe(ckpt, first)
+            averaged = v.scheme.observe(handed)
             if averaged is None:
                 continue
             averaged = apply_bn_mode(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from typing import IO, get_type_hints
 
 from .checkpoint_io import read_text
-from .errors import ParseError, SchemaError
+from .errors import IoError, ParseError, SchemaError
 
 
 @dataclass(frozen=True)
@@ -52,19 +52,39 @@ def csv_line(row) -> str:
 
 
 class MetricsWriter:
-    """Appends one CSV line per epoch, flushing so partial runs keep data."""
+    """Appends one CSV line per epoch, flushing so partial runs keep data.
+    A failed create, append or close raises :class:`IoError` naming the file."""
 
     def __init__(self, path):
-        self._fh: IO[str] = open(path, "w", encoding="utf-8", newline="")
-        self._fh.write(",".join(METRICS_HEADER) + "\n")
-        self._fh.flush()
+        self._path = path
+        try:
+            self._fh: IO[str] = open(path, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise self._error(exc) from exc
+        try:
+            self._line(",".join(METRICS_HEADER))
+        except IoError:
+            self.close()
+            raise
 
     def append(self, rec: MetricsRecord) -> None:
-        self._fh.write(csv_line(rec) + "\n")
-        self._fh.flush()
+        self._line(csv_line(rec))
+
+    def _line(self, text: str) -> None:
+        try:
+            self._fh.write(text + "\n")
+            self._fh.flush()
+        except OSError as exc:
+            raise self._error(exc) from exc
+
+    def _error(self, exc: OSError) -> IoError:
+        return IoError(f"cannot write metrics file {self._path}: {exc}")
 
     def close(self) -> None:
-        self._fh.close()
+        try:
+            self._fh.close()
+        except OSError as exc:
+            raise self._error(exc) from exc
 
     def __enter__(self) -> "MetricsWriter":
         return self

@@ -21,6 +21,7 @@ from lawa.errors import (
     EpochOrderError,
     InsufficientCheckpoints,
     FormatError,
+    InternalStateError,
     NonFiniteError,
     StructureMismatch,
 )
@@ -416,16 +417,32 @@ class TestRunningFoldOrder:
         assert scheme.observe(scalar_ckpt(3.0, 3)) == twin.observe(scalar_ckpt(3.0, 3))
 
     @pytest.mark.parametrize("kind", ["ema", "polyak"])
-    def test_a_file_that_fails_part_way_leaves_the_epoch(self, tmp_path, monkeypatch, kind):
+    def test_a_file_that_fails_part_way_stops_the_fold(self, tmp_path, monkeypatch, kind):
         monkeypatch.setattr(averaging, "READ_BLOCK", 2)
-        scheme = make_scheme(kind)
-        scheme.observe(ckpt_of(pset({"a": [1.0, 2.0], "b": [3.0, 4.0]}), 0))
-        bad = ckpt_of(pset({"a": [1.0, 2.0], "b": [3.0, np.nan]}), 1)
+        scheme, twin = make_scheme(kind), make_scheme(kind)
+        first = ckpt_of(pset({"a": [1.0], "b": [1.0]}), 0)
+        scheme.observe(first)
+        twin.observe(first)
+        # Entry 'a' is folded in before entry 'b' is found not finite.
+        bad = ckpt_of(pset({"a": [5.0], "b": [np.nan]}), 1)
         write_checkpoint(bad, tmp_path / "c.lawa")
         with pytest.raises(NonFiniteError, match="entry 'b'"):
             scheme.observe(open_checkpoint(tmp_path / "c.lawa"))
-        # Epoch 1 is still after the newest epoch folded in.
-        scheme.observe(ckpt_of(pset({"a": [1.0, 2.0], "b": [3.0, 4.0]}), 1))
+        assert scheme.count == 1
+        # Folding on would mix the failed file's 'a' into every later average.
+        following = ckpt_of(pset({"a": [3.0], "b": [3.0]}), 1)
+        for _ in range(2):
+            with pytest.raises(InternalStateError, match="epoch 1 failed part way"):
+                scheme.observe(following)
+        assert scheme.count == 1
+        assert twin.observe(following)["a"][0] == pytest.approx({"ema": 2.8, "polyak": 2.0}[kind])
+
+    @pytest.mark.parametrize("kind", ["ema", "polyak", "uniform"])
+    def test_a_refused_first_checkpoint_fixes_no_layout(self, kind):
+        scheme = make_scheme(kind)
+        with pytest.raises(NonFiniteError):
+            scheme.observe(ckpt_of(pset({"other": [np.nan]}), 0))
+        scheme.observe(scalar_ckpt(1.0, 0))  # neither its layout nor its epoch was kept
 
     @pytest.mark.parametrize("kind", ["ema", "polyak", "uniform"])
     def test_a_foreign_structure_is_named_before_the_epoch(self, kind):
@@ -434,6 +451,36 @@ class TestRunningFoldOrder:
         # The layout the scheme holds is the expected side, named first.
         with pytest.raises(StructureMismatch, match="entry 0: name 'w' vs 'other'"):
             scheme.observe(ckpt_of(pset({"other": [1.0]}), 1))
+
+
+class TestUniformIsAllOrNothing:
+    """A checkpoint that ``UniformScheme.observe`` refuses leaves the
+    window as it was."""
+
+    def test_a_refused_checkpoint_leaves_a_full_window(self):
+        scheme = make_scheme("uniform", k=2)
+        scheme.observe(scalar_ckpt(1.0, 0))
+        with pytest.raises(NonFiniteError, match="epoch 1: entry 'w'"):
+            scheme.observe(scalar_ckpt(np.nan, 1))
+        assert [c.epoch for c in scheme.window] == [0]
+        assert scheme.observe(scalar_ckpt(2.0, 2))["w"][0] == 1.5
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_checkpoint_in_memory_is_refused_before_the_window_fills(self, value):
+        scheme = make_scheme("uniform", k=3)
+        scheme.observe(scalar_ckpt(1.0, 0))
+        with pytest.raises(NonFiniteError, match="epoch 1: entry 'w'"):
+            scheme.observe(scalar_ckpt(value, 1))
+        assert len(scheme.window) == 1
+
+    def test_a_file_slot_is_checked_when_an_average_first_reads_it(self, tmp_path):
+        scheme = make_scheme("uniform", k=2)
+        write_checkpoint(scalar_ckpt(np.nan, 0), tmp_path / "c.lawa")
+        bad = open_checkpoint(tmp_path / "c.lawa")
+        assert scheme.observe(bad) is None
+        with pytest.raises(NonFiniteError, match="epoch 0: entry 'w'"):
+            scheme.observe(scalar_ckpt(2.0, 1))
+        assert list(scheme.window) == [bad]
 
 
 class TestSchemeFactory:

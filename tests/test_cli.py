@@ -1,4 +1,5 @@
 import argparse
+import errno
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import lawa
-from lawa import averaging, checkpoint_io, cli, compare, engine, optim
+from lawa import averaging, checkpoint_io, cli, compare, engine, metrics, optim
 from lawa.averaging import DEFAULT_EMA_ALPHA
 from lawa.checkpoint_io import read_checkpoint
 from lawa.cli import _effective_mapping, build_parser, main
@@ -958,6 +959,39 @@ class TestBadInputFiles:
             args = [*args, "--out", "run"]
         self.check_exit_2(capsys, args, message)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("rows", [None, 1], ids=["create", "second-append"])
+    def test_a_failed_metrics_write_exits_2(self, tmp_path, monkeypatch, capsys, rows):
+        """The disk fills when metrics.csv is created, or at its second row."""
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        class FillsUp:
+            def __init__(self, fh):
+                self.fh, self.lines = fh, 0
+
+            def write(self, text):
+                if self.lines > rows:  # the header, then `rows` rows
+                    raise full
+                self.lines += 1
+                return self.fh.write(text)
+
+            def flush(self):
+                self.fh.flush()
+
+            def close(self):
+                self.fh.close()
+
+        def filling_open(path, *args, **kwargs):
+            if rows is None:
+                raise full
+            return FillsUp(open(path, *args, **kwargs))
+
+        monkeypatch.setattr(metrics, "open", filling_open, raising=False)
+        out = tmp_path / "run"
+        path = out / "metrics.csv"
+        self.check_exit_2(capsys, ["train", *TINY, "--out", str(out)], f"cannot write metrics file {path}")
+        if rows is not None:
+            assert len(path.read_text().splitlines()) == 1 + rows
 
 
 class TestUsage:

@@ -1317,9 +1317,9 @@ class TestTrainVariantsHandsOutCopies:
             scheme = make_scheme(*args)
             observe = scheme.observe
 
-            def recorded_observe(ckpt, path=None):
+            def recorded_observe(ckpt):
                 hand_out(ckpt.params)
-                average = observe(ckpt, path)
+                average = observe(ckpt)
                 if average is not None and average.buffer is not None:
                     seen["averages"].append(average.buffer)
                 return average

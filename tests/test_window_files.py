@@ -9,14 +9,19 @@ import numpy as np
 import pytest
 
 from lawa import averaging, engine
-from lawa.averaging import FILE_SLOT_BYTES, UniformScheme, uniform_average
-from lawa.checkpoint_io import CheckpointFile, open_checkpoint, read_checkpoint, write_checkpoint
+from lawa.averaging import FILE_SLOT_BYTES, UniformScheme, uniform_average, window_slot
+from lawa.checkpoint_io import (
+    CheckpointFile,
+    open_checkpoint,
+    read_checkpoint,
+    read_checkpoint_header,
+    write_checkpoint,
+)
 from lawa.cli import main
 from lawa.config import RunConfig
 from lawa.engine import ModelSpec, build_dataset, init_params, model_spec_for, train_run
 from lawa.errors import (
     FormatError,
-    InternalStateError,
     IoError,
     NonFiniteError,
     StructureMismatch,
@@ -121,22 +126,28 @@ class TestRunsAreBitwiseTheInMemoryWindow:
 
 
 class TestTheSizeRule:
-    """A slot is held in its file from FILE_SLOT_BYTES of parameters on."""
+    """A slot is held in its file from FILE_SLOT_BYTES of file size on."""
 
-    @pytest.mark.parametrize("elements, in_file", [
-        (FILE_SLOT_BYTES // 8 - 1, False),
-        (FILE_SLOT_BYTES // 8, True),
-    ], ids=["below", "at"])
-    def test_each_side_of_the_constant(self, tmp_path, elements, in_file):
+    @pytest.mark.parametrize("below", [1, 0], ids=["below", "at"])
+    def test_each_side_of_the_constant(self, tmp_path, below):
         rng = np.random.default_rng(40)
+        # The fewest f64 elements whose file reaches the limit, less `below`.
+        probe = tmp_path / "probe.lawa"
+        write_checkpoint(Checkpoint(pset({"w": [0.0]}), 0, 0), probe)
+        overhead = probe.stat().st_size - 8
+        elements = -(-(FILE_SLOT_BYTES - overhead) // 8) - below
         scheme = UniformScheme(k=3)
         ckpts = []
         for e in range(4):
             ckpts.append(Checkpoint(pset({"w": rng.normal(size=elements)}), e, 10 * e))
             path = tmp_path / f"c{e}.lawa"
             write_checkpoint(ckpts[-1], path)
-            average = scheme.observe(ckpts[-1], path)
-        assert all(isinstance(s, CheckpointFile) == in_file for s in scheme.window)
+            assert (path.stat().st_size >= FILE_SLOT_BYTES) == (not below)
+            slot = window_slot(path, ckpts[-1])
+            assert slot is ckpts[-1] if below else slot == open_checkpoint(path)
+            assert window_slot(path) == (read_checkpoint(path) if below else slot)
+            average = scheme.observe(slot)
+        assert all(isinstance(s, CheckpointFile) != below for s in scheme.window)
         want = uniform_average(ckpts[1:])
         assert average.flat.tobytes() == want.flat.tobytes()
 
@@ -147,11 +158,37 @@ class TestTheSizeRule:
 
         assert set_bytes((64, 64), False) < FILE_SLOT_BYTES <= set_bytes((512, 512), True)
 
-    def test_without_a_path_the_window_stays_in_memory(self):
+    def test_a_window_keeps_the_slots_it_is_handed(self):
         scheme = UniformScheme(k=2)
         for e in range(3):
             scheme.observe(Checkpoint(pset({"w": np.ones(FILE_SLOT_BYTES)}), e, e))
         assert all(isinstance(s, Checkpoint) for s in scheme.window)
+
+    @pytest.mark.parametrize("hidden", ["8", "256,256"], ids=["memory", "files"])
+    def test_the_window_is_rebuilt_from_the_file_list(self, tmp_path, monkeypatch, hidden):
+        schemes = []
+        make_scheme = engine.make_scheme
+
+        def recorded(*args):
+            schemes.append(make_scheme(*args))
+            return schemes[-1]
+
+        monkeypatch.setattr(engine, "make_scheme", recorded)
+        run = tmp_path / "run"
+        assert main(["train", *TINY, "--use-bn", "--hidden", hidden, "--out", str(run)]) == 0
+        (trained,) = schemes
+        paths = sorted(run.glob("ckpt_*.lawa"), key=read_checkpoint_header)
+        in_files = hidden != "8"
+        assert (paths[-1].stat().st_size >= FILE_SLOT_BYTES) == in_files
+        rebuilt = UniformScheme(trained.k)
+        for path in paths[-trained.k :]:
+            rebuilt.observe(window_slot(path))
+        assert all(isinstance(s, CheckpointFile) == in_files for s in trained.window)
+        assert list(rebuilt.window) == list(trained.window)
+        newest = read_checkpoint(paths[-1])
+        following = Checkpoint(newest.params, newest.epoch + 1, newest.step + 1)
+        want = trained.observe(following)
+        assert rebuilt.observe(following).flat.tobytes() == want.flat.tobytes()
 
 
 def written(tmp_path, params, epoch, name=None):
@@ -233,14 +270,13 @@ class TestUniformAverageOverFiles:
         with pytest.raises(NonFiniteError, match="checkpoint at epoch 1: entry 'b'"):
             uniform_average([ref, newest])
 
-    def test_a_file_of_another_structure_is_named_by_entry(self, tmp_path, monkeypatch):
-        ckpt, ref = written(tmp_path, pset({"a": [1.0], "other": [2.0]}), 1)
+    def test_a_file_of_another_structure_is_named_by_entry(self, tmp_path):
+        _, ref = written(tmp_path, pset({"a": [1.0], "other": [2.0]}), 1)
         newest, _ = written(tmp_path, pset({"a": [1.0], "b": [2.0]}), 2)
         with pytest.raises(StructureMismatch, match="other"):
             uniform_average([ref, newest])
-        monkeypatch.setattr(averaging, "FILE_SLOT_BYTES", 0)
         scheme = UniformScheme(k=2)
-        scheme.observe(ckpt, ref.path)
+        scheme.observe(ref)
         assert isinstance(scheme.window[-1], CheckpointFile)
         with pytest.raises(StructureMismatch, match="other"):
             scheme.observe(newest)
@@ -253,14 +289,6 @@ class TestUniformAverageOverFiles:
         got = uniform_average([ref for _, ref in pairs])
         assert got == want and got.buffer is not None
         assert got.flat.tobytes() == want.flat.tobytes()
-
-    def test_a_slot_is_spilled_only_to_its_own_file(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(averaging, "FILE_SLOT_BYTES", 0)
-        scheme = UniformScheme(k=2)
-        ckpt, _ = written(tmp_path, pset({"a": [1.0]}), 1)
-        _, other = written(tmp_path, pset({"a": [1.0]}), 2)
-        with pytest.raises(InternalStateError, match="epoch 2"):
-            scheme.observe(ckpt, other.path)
 
 
 def wide_cfg(tmp_path, name, **overrides) -> RunConfig:
