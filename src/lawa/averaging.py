@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
+from functools import partial
 from operator import iadd
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -42,6 +43,7 @@ from .errors import (
     EpochOrderError,
     InsufficientCheckpoints,
     InternalStateError,
+    LawaError,
     NonFiniteError,
 )
 from .params import Checkpoint, ParameterSet, check_finite, check_same_structure
@@ -140,6 +142,7 @@ class AveragingScheme:
     kind: str
     _template: ParameterSet | None = None  # the first checkpoint's layout, without values
     _epoch = -1  # of the newest checkpoint taken in
+    _stopped: str | None = None  # why no right average can follow, once none can
 
     def observe(self, slot: Slot) -> ParameterSet | None:
         """Absorb one checkpoint, in memory or in its file; return the
@@ -155,7 +158,10 @@ class AveragingScheme:
         checkpoint in: the layout of the first, then an epoch greater than
         the last, so a foreign checkpoint is named by its entry, not by its
         epoch. Returns the layout, which the caller records with the epoch
-        once it has taken the checkpoint in."""
+        once it has taken the checkpoint in. A scheme that has stopped
+        raises :class:`InternalStateError` saying why."""
+        if self._stopped is not None:
+            raise InternalStateError(f"{self._stopped}; this scheme takes no further checkpoints")
         layout = _template(slot)
         template = self._template
         if template is None:
@@ -184,7 +190,9 @@ class UniformScheme(AveragingScheme):
     ``observe`` is all or nothing: it averages the window it would have
     and takes the slot in only once that succeeds. A checkpoint in memory
     must be finite even before the window fills; a file slot is checked
-    when an average first reads it.
+    when an average first reads it. A slot already in the window that
+    fails there can never leave it, so the scheme then stops: every later
+    ``observe`` raises :class:`InternalStateError` naming its epoch.
     """
 
     kind = "uniform"
@@ -207,12 +215,27 @@ class UniformScheme(AveragingScheme):
         window = [*self.window, slot][-self.k :]
         average = None
         if len(window) == self.k:
-            average = uniform_average(window)
+            try:
+                average = uniform_average(window)
+            except LawaError:
+                self._stop_at_a_failing_slot(window[:-1], layout)
+                raise
         elif isinstance(slot, Checkpoint):
             check_finite(slot.params, f"checkpoint at epoch {slot.epoch}")
         self.window.append(slot)
         self._template, self._epoch = layout, slot.epoch
         return average
+
+    def _stop_at_a_failing_slot(self, held: list[Slot], layout: ParameterSet) -> None:
+        """Stop the scheme at the first of ``held``, the slots the window
+        keeps, that its reader refuses; only a file never read before can."""
+        for slot in held:
+            try:
+                for _ in _runs(slot, layout):
+                    pass
+            except LawaError as exc:
+                self._stopped = f"the window holds the checkpoint at epoch {slot.epoch}: {exc}"
+                return
 
 
 class _RunningScheme(AveragingScheme):
@@ -222,34 +245,36 @@ class _RunningScheme(AveragingScheme):
     by run by the subclass's ``_rule(acc, x)``: it updates ``acc``, a run
     of the state, in place with ``x``, the checkpoint's values there, as
     the ``count + 1``-th checkpoint. No checkpoint is kept. ``count``
-    counts whole folds: a file that fails part way leaves the state part
-    folded, so every later ``observe`` raises :class:`InternalStateError`
-    naming its epoch. Subclasses bind ``observe`` in their own namespace,
-    so perfbench's tracer can rebind it per class.
+    counts whole folds. A file slot that fails once a run of it has been
+    folded into a started state leaves that state part folded, so every
+    later ``observe`` raises :class:`InternalStateError` naming its epoch;
+    any other failure leaves the scheme as it was. Subclasses bind
+    ``observe`` in their own namespace, so perfbench's tracer can rebind
+    it per class.
     """
 
     def __init__(self):
         self._state: np.ndarray | None = None
-        self._torn: int | None = None  # the epoch of a fold that failed part way
         self.count = 0
 
     def observe(self, slot: Slot) -> ParameterSet:
         """Advance the fold by one checkpoint and return its value."""
-        if self._torn is not None:
-            raise InternalStateError(
-                f"the fold of the checkpoint at epoch {self._torn} failed part way; "
-                "this scheme takes no further checkpoints"
-            )
         layout = self._admit(slot)
         runs = _runs(slot, layout)
-        if self._state is None:
+        if self.count == 0:  # a failed first fold leaves nothing the next one reads
             self._state = np.empty(layout.flat.size, np.float64)
-        self._torn = slot.epoch
-        _fold(self._state, runs, np.copyto if self.count == 0 else self._rule)
-        self._torn = None
+            _fold(self._state, runs, np.copyto)
+        else:
+            _fold(self._state, runs, partial(self._fold_run, slot.epoch))
+            self._stopped = None
         self.count += 1
         self._template, self._epoch = layout, slot.epoch
         return layout.over(self._state.astype(layout.dtype))
+
+    def _fold_run(self, epoch: int, acc: np.ndarray, x: np.ndarray) -> None:
+        # Until the whole checkpoint is folded in, the state is part folded.
+        self._stopped = f"the fold of the checkpoint at epoch {epoch} failed part way"
+        self._rule(acc, x)
 
 
 class EmaScheme(_RunningScheme):

@@ -437,6 +437,26 @@ class TestRunningFoldOrder:
         assert scheme.count == 1
         assert twin.observe(following)["a"][0] == pytest.approx({"ema": 2.8, "polyak": 2.0}[kind])
 
+    @pytest.mark.parametrize("kind", ["ema", "polyak"])
+    @pytest.mark.parametrize("observed", [0, 1], ids=["first", "later"])
+    def test_a_file_refused_before_its_fold_changes_the_state_is_left_out(
+        self, tmp_path, monkeypatch, kind, observed
+    ):
+        monkeypatch.setattr(averaging, "READ_BLOCK", 2)
+        scheme, twin = make_scheme(kind), make_scheme(kind)
+        for e in range(observed):
+            scheme.observe(ckpt_of(pset({"a": [1.0], "b": [1.0]}), e))
+            twin.observe(ckpt_of(pset({"a": [1.0], "b": [1.0]}), e))
+        # A first checkpoint starts the state whatever it holds; a later one
+        # changes it from its first run on, so here entry 'a' must fail.
+        bad = {"a": [5.0], "b": [np.nan]} if observed == 0 else {"a": [np.nan], "b": [5.0]}
+        write_checkpoint(ckpt_of(pset(bad), observed), tmp_path / "c.lawa")
+        with pytest.raises(NonFiniteError):
+            scheme.observe(open_checkpoint(tmp_path / "c.lawa"))
+        assert scheme.count == observed
+        following = ckpt_of(pset({"a": [3.0], "b": [3.0]}), observed)
+        assert scheme.observe(following) == twin.observe(following)
+
     @pytest.mark.parametrize("kind", ["ema", "polyak", "uniform"])
     def test_a_refused_first_checkpoint_fixes_no_layout(self, kind):
         scheme = make_scheme(kind)
@@ -481,6 +501,20 @@ class TestUniformIsAllOrNothing:
         with pytest.raises(NonFiniteError, match="epoch 0: entry 'w'"):
             scheme.observe(scalar_ckpt(2.0, 1))
         assert list(scheme.window) == [bad]
+        # The bad slot can never leave the window, so the scheme has stopped.
+        for epoch in (1, 2):
+            with pytest.raises(InternalStateError, match="holds the checkpoint at epoch 0"):
+                scheme.observe(scalar_ckpt(2.0, epoch))
+        assert list(scheme.window) == [bad]
+
+    def test_a_failing_newest_file_slot_leaves_the_scheme_running(self, tmp_path):
+        scheme = make_scheme("uniform", k=2)
+        write_checkpoint(scalar_ckpt(1.0, 0), tmp_path / "a.lawa")
+        write_checkpoint(scalar_ckpt(np.nan, 1), tmp_path / "b.lawa")
+        assert scheme.observe(open_checkpoint(tmp_path / "a.lawa")) is None
+        with pytest.raises(NonFiniteError, match="epoch 1: entry 'w'"):
+            scheme.observe(open_checkpoint(tmp_path / "b.lawa"))
+        assert scheme.observe(scalar_ckpt(2.0, 1))["w"][0] == 1.5
 
 
 class TestSchemeFactory:
