@@ -46,9 +46,12 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 # Rows per block over which recompute_bn_stats sums a batch-norm layer's product.
 ROW_BLOCK = 256
-# Rows times weight elements from which backward runs a hidden layer's
-# two products in two lanes: about the least at which two lanes made the
-# step of a training loop faster than one; CHANGES.md has the times.
+# Rows times weight elements from which a hidden layer's products run in
+# two lanes: backward's pair of products, and the forward's and inference
+# walk's ``h @ w + b`` as two row halves, when each half holds at least 8
+# rows. About the least at which two lanes made the step of a training
+# loop faster than one; CHANGES.md has the times. The output layer's
+# product, and every sum over rows, stays whole and in order.
 LANE_PRODUCT = 1 << 23
 
 
@@ -262,7 +265,10 @@ def forward(
     bitwise as ``z.var(axis=0)``, ``(z - mu) * inv`` and ``gamma * zhat +
     beta`` compute them. Inference runs the hidden layers in place,
     bitwise as the out-of-place expression ``gamma * ((h @ w + b - mean)
-    * inv) + beta``.
+    * inv) + beta``. A wide hidden layer's ``h @ w + b`` (see
+    :func:`_hidden_product`) is two row halves handed to
+    :func:`lanes.share`; the batch-norm statistics and the output layer's
+    product stay whole, and two lanes give the bits of one.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != spec.widths[0]:
@@ -286,8 +292,7 @@ def forward(
     layers = []
     bn_updates: dict[str, np.ndarray] = {}
     for i, (z, bn_out, relu, _) in enumerate(rows):
-        np.matmul(h, params[f"layer{i}.weight"], out=z)
-        z += params[f"layer{i}.bias"]
+        _hidden_product(h, params[f"layer{i}.weight"], params[f"layer{i}.bias"], z)
         bn_cache = None
         if spec.use_bn[i]:
             gamma = params[f"layer{i}.bn_gamma"]
@@ -337,19 +342,68 @@ def _inference_layers(
     ``gamma * ((z - mean) * inv) + beta`` one operation at a time in that
     order, then rectifies it; that ``z`` is the next layer's input, and
     once the walk is exhausted the last ``z`` holds the network's last
-    hidden activations.
+    hidden activations. A wide layer (see :func:`_hidden_product`) hands
+    its product, and then its normalization and ReLU, to
+    :func:`lanes.share` as two row halves; every row's bits are those of
+    the whole.
     """
     for i, z in enumerate(buffers.hidden_rows(spec, len(h))):
-        np.matmul(h, params[f"layer{i}.weight"], out=z)
-        z += params[f"layer{i}.bias"]
+        half = _hidden_product(h, params[f"layer{i}.weight"], params[f"layer{i}.bias"], z)
         yield i, z
+        bn = None
         if spec.use_bn[i]:
-            z -= stats[f"layer{i}.bn_running_mean"]
-            z *= 1.0 / np.sqrt(stats[f"layer{i}.bn_running_var"] + BN_EPS)
-            z *= params[f"layer{i}.bn_gamma"]
-            z += params[f"layer{i}.bn_beta"]
-        np.maximum(z, 0.0, out=z)
+            bn = (
+                stats[f"layer{i}.bn_running_mean"],
+                1.0 / np.sqrt(stats[f"layer{i}.bn_running_var"] + BN_EPS),
+                params[f"layer{i}.bn_gamma"],
+                params[f"layer{i}.bn_beta"],
+            )
+        if half:
+            lanes.share(((z[:half], bn), (z[half:], bn)), _normalize_rectify, True)
+        else:
+            _normalize_rectify(0, (z, bn))
         h = z
+
+
+def _hidden_product(h: np.ndarray, w: np.ndarray, b: np.ndarray, z: np.ndarray) -> int:
+    """Write ``h @ w + b`` into ``z``; return the rows of the first of the
+    two row halves that went to :func:`lanes.share`, or 0 when it ran whole.
+
+    It runs in halves when the layer is wide (rows times weight elements
+    reach ``LANE_PRODUCT``), each half holds at least 8 rows, since BLAS
+    gave halves of 2 to 7 rows through a 512-square weight other bits
+    than the whole product, and the process has a second CPU.
+    """
+    rows = len(h)
+    half = rows // 2
+    if rows * w.size < LANE_PRODUCT or half < 8 or lanes._cpu_count() < 2:
+        np.matmul(h, w, out=z)
+        z += b
+        return 0
+    lanes.share(((h[:half], z[:half], w, b), (h[half:], z[half:], w, b)), _affine, True)
+    return half
+
+
+def _affine(lane: int, operands: tuple[np.ndarray, ...]) -> None:
+    """Write ``h @ w + b`` into ``z``, for ``operands`` ``(h, z, w, b)``."""
+    h, z, w, b = operands
+    np.matmul(h, w, out=z)
+    z += b
+
+
+def _normalize_rectify(lane: int, operands: tuple) -> None:
+    """For ``operands`` ``(z, bn)``: normalize ``z`` in place as ``gamma *
+    ((z - mean) * inv) + beta``, one operation at a time in that order,
+    with ``bn`` ``(mean, inv, gamma, beta)`` unless it is None, then
+    rectify it."""
+    z, bn = operands
+    if bn is not None:
+        mean, inv, gamma, beta = bn
+        z -= mean
+        z *= inv
+        z *= gamma
+        z += beta
+    np.maximum(z, 0.0, out=z)
 
 
 def _loss_pieces(
@@ -518,9 +572,11 @@ def evaluate(
     sums, so another ``batch_size`` may change it by rounding only. Each
     batch is one ``forward``: BLAS gives the rows of a narrow output
     layer's product different bits at different row counts, so splitting
-    a batch further would change the loss. The hidden layers go into
-    ``buffers``; None makes a fresh set for this call. A ``batch_size``
-    below 1 raises :class:`ConfigError`.
+    a batch further would change the loss. Only a wide hidden layer runs
+    as two row halves, one per lane, which give the bits of the whole;
+    the output product and the loss sums stay whole and in order. The
+    hidden layers go into ``buffers``; None makes a fresh set for this
+    call. A ``batch_size`` below 1 raises :class:`ConfigError`.
     """
     n = len(x)
     if n == 0:
@@ -575,10 +631,11 @@ def recompute_bn_stats(
     and then used when producing the activations feeding later layers.
     Non-normalization entries are returned untouched (bitwise).
 
-    Each layer's product is one ``np.matmul`` into the layer's view of
-    ``buffers`` (a fresh set when None). A batch-norm layer's float64 sums
-    are taken over blocks of ``ROW_BLOCK`` rows of that product, in row
-    order; then the view is normalized and rectified in place. Nothing
+    Each layer's product goes into the layer's view of ``buffers`` (a
+    fresh set when None), as two row halves on two lanes when the layer is
+    wide (see :func:`_inference_layers`). A batch-norm layer's float64 sums
+    are taken whole, over blocks of ``ROW_BLOCK`` rows of that product, in
+    row order; then the view is normalized and rectified in place. Nothing
     after the last batch-norm layer is computed, and the last one is not
     normalized, since no layer reads its output. The statistics are
     written by :func:`set_running_stats`, in place into a set built by

@@ -1,13 +1,19 @@
 """Two lanes of work: lane 0 on the calling thread, lane 1 on a worker.
 
 The wide pieces of a training step are independent: the optimizer's
-blocks, and ``backward``'s weight-gradient and input-gradient products.
-Each piece is a run of numpy and BLAS calls that release the GIL, so on
-a host with a second CPU two can run at once. Each piece writes only its
-own arrays, so the results are bitwise those of running them one after
-the other. Handing a piece to the worker costs a wake-up and GIL
-hand-offs, so each caller tells :func:`share` whether its pieces pay
-for that (``optim.LANE_BLOCKS``, ``engine.LANE_PRODUCT``).
+blocks, ``backward``'s weight-gradient and input-gradient products, and
+the two row halves of a wide hidden layer's ``h @ w + b`` in the
+training ``forward`` and in every inference walk, whose normalization
+and ReLU go by the same halves. Each piece is a run of numpy and BLAS
+calls that release the GIL, so on a host with a second CPU two can run
+at once. Each piece writes only its own arrays, so the results are
+bitwise those of running them one after the other; a row half is
+bitwise the whole product's rows when each half holds at least 8 rows,
+which a test checks on the host's BLAS. What no row split may change
+stays whole and in order: the output layer's product, the batch-norm
+statistics and every loss sum. Handing a piece to the worker costs a
+wake-up and GIL hand-offs, so each caller tells :func:`share` whether
+its pieces pay for that (``optim.LANE_BLOCKS``, ``engine.LANE_PRODUCT``).
 
 :func:`share` submits lane 1 to the worker and runs lane 0 itself, and
 each lane takes the next piece neither has taken. Lane 0 returns once

@@ -1,6 +1,6 @@
 """Two lanes against one: the second CPU changes no bit of a training
-step, leaves no write behind an error, survives a fork and starts no
-thread a step does not need.
+step or an inference walk, leaves no write behind an error, survives a
+fork and starts no thread a step does not need.
 
 The tests of training steps set the CPU count the lanes see, so each
 path runs on any host: 1 forces one lane, and 2 gives two lanes to every
@@ -21,19 +21,23 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from lawa import engine, lanes, optim
+from lawa import cli, engine, lanes, optim
 from lawa.config import RunConfig
 from lawa.engine import (
     LANE_PRODUCT,
+    InferenceBuffers,
     ModelSpec,
     TrainingBuffers,
     backward,
+    evaluate,
     forward,
     init_params,
+    recompute_bn_stats,
     set_running_stats,
 )
 from lawa.optim import BLOCK, LANE_BLOCKS, Lookahead, make_optimizer
 from lawa.params import ParameterSet
+from testutil import masked_files
 
 KINDS = [("sgd", "sgd"), ("adam", "adam"), ("lookahead", "sgd"), ("lookahead", "adam")]
 DTYPES = [np.float32, np.float64]
@@ -166,15 +170,26 @@ def wide_model(width, use_bn, dtype, depth=3):
     )
 
 
-def backward_through(spec, batch=64, seed=6):
-    """A forward and backward through one fresh workspace; returns it."""
+def forward_through(spec, batch=64, seed=6):
+    """A training forward through one fresh workspace; returns the
+    parameters, the batch, the forward's outputs and cache, and the
+    workspace."""
     params = init_params(spec)
     rng = np.random.default_rng(seed)
-    x, y = rng.normal(size=(batch, 2)), rng.integers(0, 2, size=batch)
+    # Cast first, as the training loop does: a gather that casts reads the
+    # uninitialized input rows too, and a signalling NaN there would warn.
+    x = rng.normal(size=(batch, spec.widths[0])).astype(spec.np_dtype)
+    y = rng.integers(0, 2, size=batch)
     buffers = TrainingBuffers(params, spec, batch)
     xb = buffers.gather(x, np.arange(batch))
-    _, cache = forward(params, spec, xb, training=True, buffers=buffers)
-    backward(params, spec, (xb, y), cache, buffers=buffers)
+    outputs, cache = forward(params, spec, xb, training=True, buffers=buffers)
+    return params, (xb, y), outputs, cache, buffers
+
+
+def backward_through(spec, batch=64, seed=6):
+    """A forward and backward through one fresh workspace; returns it."""
+    params, batch, _, cache, buffers = forward_through(spec, batch, seed)
+    backward(params, spec, batch, cache, buffers=buffers)
     return buffers
 
 
@@ -196,13 +211,169 @@ class TestBackwardLanes:
     def test_two_lanes_are_bitwise_one(self, cpus, submits, dtype, use_bn, width):
         spec = wide_model(width, use_bn, dtype)
         cpus(2)
-        got = workspace_bytes(backward_through(spec))
+        params, batch, _, cache, buffers = forward_through(spec)
+        submits.clear()  # count backward's submits alone
+        backward(params, spec, batch, cache, buffers=buffers)
+        got = workspace_bytes(buffers)
         # Layers 2 and 1 have a successor gradient to pass on; layer 0 does not.
         assert len(submits) == (spec.n_hidden - 1 if width == self.LARGE else 0)
         cpus(1)
         submits.clear()
         want = workspace_bytes(backward_through(spec))
         assert submits == []
+        assert got == want
+
+
+def forward_bytes(outputs, cache, buffers):
+    """What a training forward wrote: its outputs, its running statistics
+    and each layer's product, batch-norm output and ReLU output."""
+    rows = [
+        arr.tobytes() for z, bn, relu, _ in buffers.layers for arr in (z, bn, relu) if arr is not None
+    ]
+    stats = [(name, arr.tobytes()) for name, arr in sorted(cache["bn_updates"].items())]
+    return outputs.tobytes(), stats, rows
+
+
+def moved_params(spec, seed=9):
+    """Initial parameters with every bias and batch-norm entry moved off its
+    initial fill, so that each normalization step changes bits."""
+    rng = np.random.default_rng(seed)
+
+    def moved(name, arr):
+        if name.endswith("weight"):
+            return arr
+        return np.abs(arr + 0.5 * rng.normal(size=arr.shape)).astype(arr.dtype)
+
+    return ParameterSet((name, moved(name, arr)) for name, arr in init_params(spec).items())
+
+
+def inference_data(spec, rows, seed=7):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(rows, spec.widths[0])), rng.integers(0, 2, size=rows)
+
+
+def evaluate_bytes(params, spec, x, y):
+    """The loss and accuracy of ``evaluate`` and the hidden rows it left."""
+    buffers = InferenceBuffers()
+    loss, accuracy = evaluate(params, spec, x, y, buffers=buffers)
+    rows = [z.tobytes() for z in buffers.hidden_rows(spec, len(x))]
+    return np.float64(loss).tobytes(), np.float64(accuracy).tobytes(), rows
+
+
+class TestRowHalves:
+    """A wide hidden layer's ``h @ w + b`` goes to two lanes as two row
+    halves, in the training forward and in every inference walk; the walk
+    normalizes and rectifies by the same halves."""
+
+    @pytest.mark.parametrize("rows", [64, 400, 1600])
+    @pytest.mark.parametrize("fan_in", [2, 512])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_row_halves_of_a_product_are_the_whole_on_this_blas(self, dtype, fan_in, rows):
+        """The benchmark's hidden products: a BLAS that fails this would
+        change the digests of two-lane runs."""
+        rng = np.random.default_rng(rows + fan_in)
+        a = rng.normal(size=(rows, fan_in)).astype(dtype)
+        w = rng.uniform(-1.0, 1.0, size=(fan_in, 512)).astype(dtype)
+        whole, halves = np.empty((rows, 512), dtype), np.empty((rows, 512), dtype)
+        np.matmul(a, w, out=whole)
+        half = rows // 2
+        np.matmul(a[:half], w, out=halves[:half])
+        np.matmul(a[half:], w, out=halves[half:])
+        assert halves.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("use_bn", [False, True])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_a_training_forward(self, cpus, submits, dtype, use_bn):
+        spec = wide_model(TestBackwardLanes.LARGE, use_bn, dtype)
+        cpus(2)
+        got = forward_bytes(*forward_through(spec)[2:])
+        # Layers 1 and 2; layer 0's 2-row weight is narrow.
+        assert len(submits) == 2
+        cpus(1)
+        submits.clear()
+        want = forward_bytes(*forward_through(spec)[2:])
+        assert submits == []
+        assert got == want
+
+    @pytest.mark.parametrize("use_bn", [False, True])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_evaluate(self, cpus, submits, dtype, use_bn):
+        spec = wide_model(TestBackwardLanes.LARGE, use_bn, dtype)
+        params = moved_params(spec)
+        x, y = inference_data(spec, 400)
+        cpus(2)
+        got = evaluate_bytes(params, spec, x, y)
+        # The product, then the normalization and ReLU, of layers 1 and 2.
+        assert len(submits) == 4
+        cpus(1)
+        submits.clear()
+        want = evaluate_bytes(params, spec, x, y)
+        assert submits == []
+        assert got == want
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_recompute_bn_stats(self, cpus, submits, dtype):
+        spec = wide_model(TestBackwardLanes.LARGE, True, dtype)
+        params = moved_params(spec)
+        x, _ = inference_data(spec, 400)
+        cpus(2)
+        got = recompute_bn_stats(params, spec, x).flat.tobytes()
+        # Layer 1's product and normalization, then layer 2's product: the
+        # last batch-norm layer is not normalized.
+        assert len(submits) == 3
+        cpus(1)
+        submits.clear()
+        want = recompute_bn_stats(params, spec, x).flat.tobytes()
+        assert submits == []
+        assert got == want
+
+    @pytest.mark.parametrize("rows,shared", [(4, False), (15, False), (16, True)])
+    def test_halves_of_fewer_than_8_rows_stay_whole(self, cpus, submits, rows, shared):
+        """Every batch here is wide by ``LANE_PRODUCT`` through the
+        2048-wide layer; only one whose halves hold 8 rows is split."""
+        spec = ModelSpec(widths=(2, 2048, 2048, 2), use_bn=(True, True), init_seed=5, dtype="f32")
+        assert rows * 2048 * 2048 >= LANE_PRODUCT
+        x, y = inference_data(spec, rows)
+        params = init_params(spec)
+
+        def run():
+            trained = forward_bytes(*forward_through(spec, rows)[2:])
+            return trained, evaluate_bytes(params, spec, x, y)
+
+        cpus(2)
+        got = run()
+        # The training forward's product of layer 1; evaluate's product,
+        # then normalization and ReLU, of layer 1.
+        assert len(submits) == (3 if shared else 0)
+        cpus(1)
+        submits.clear()
+        assert run() == got
+        assert submits == []
+
+    @pytest.mark.parametrize("use_bn", [False, True])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_a_whole_train_writes_the_files_of_one_lane(
+        self, cpus, submits, tmp_path, dtype, use_bn
+    ):
+        """Every checkpoint, averaged checkpoint and metrics row (without
+        ``wall_seconds``) of a 2-384-384-2 ``lawa train``."""
+        args = [
+            "train", "--dataset", "spirals", "--n-per-class", "100", "--hidden", "384,384",
+            "--use-bn" if use_bn else "--no-use-bn", "--optimizer", "adam", "--lr", "0.002",
+            "--batch-size", "64", "--epochs", "3", "--scheme", "uniform", "--k", "2",
+            "--save-averaged", "--dtype", dtype,
+        ]
+        cpus(2)
+        assert cli.main([*args, "--out", str(tmp_path / "two")]) == 0
+        assert submits
+        cpus(1)
+        submits.clear()
+        assert cli.main([*args, "--out", str(tmp_path / "one")]) == 0
+        assert submits == []
+        # config.resolved names the output directory.
+        got, want = masked_files(tmp_path / "two"), masked_files(tmp_path / "one")
+        del got["config.resolved"], want["config.resolved"]
+        assert {name[:5] for name in want} == {"ckpt_", "lawa_", "metri"}
         assert got == want
 
 
@@ -221,6 +392,21 @@ class TestNothingOutlivesTheCall:
         rows = [arr for layer in buffers.layers for arr in layer if arr is not None]
         arrays = [weakref.ref(a) for a in (buffers.grads.buffer, buffers.spare, *rows)]
         del buffers, rows
+        gc.collect()
+        assert [ref() for ref in arrays] == [None] * len(arrays)
+
+    def test_a_dropped_inference_buffer_is_freed(self, cpus, submits):
+        """The halves a two-lane ``evaluate`` handed out are views of its
+        buffers; the worker keeps none of them once the call has returned."""
+        cpus(2)
+        spec = wide_model(512, True, "f64", depth=2)
+        x, y = inference_data(spec, 64)
+        buffers = InferenceBuffers()
+        evaluate(init_params(spec), spec, x, y, buffers=buffers)
+        assert submits
+        lanes._worker().submit(lambda: None).result()
+        arrays = [weakref.ref(z.base) for z in buffers.hidden_rows(spec, len(x))]
+        del buffers
         gc.collect()
         assert [ref() for ref in arrays] == [None] * len(arrays)
 
@@ -494,14 +680,9 @@ class TestErrorsLeaveNoStrayWrites:
             finished.append(operands[2])
 
         monkeypatch.setattr(engine, "_product", product)
-        params = init_params(spec)
-        rng = np.random.default_rng(6)
-        x, y = rng.normal(size=(64, 2)), rng.integers(0, 2, size=64)
-        buffers = TrainingBuffers(params, spec, 64)
-        xb = buffers.gather(x, np.arange(64))
-        _, cache = forward(params, spec, xb, training=True, buffers=buffers)
+        params, batch, _, cache, buffers = forward_through(spec)
         with pytest.raises(Boom, match=f"lane {bad_lane}"):
-            backward(params, spec, (xb, y), cache, buffers=buffers)
+            backward(params, spec, batch, cache, buffers=buffers)
         # The other lane finished the product it took before the error came
         # out: the weight gradient, or d_h in the spare rows.
         (out,) = finished
