@@ -154,15 +154,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if duplicates:
         raise ConfigError(f"duplicate sweep variants: {', '.join(duplicates)}")
 
-    # Every variant is validated before train_variants checks every output
-    # directory and trains their one shared trajectory.
     out_root = Path(base.get("out", "sweep"))
-    configs = [
-        config_from_mapping({**base, **overrides, "out": str(out_root / name)})
-        for name, overrides in variants
-    ]
+    sweep_csv = out_root / "sweep.csv"
+    if sweep_csv.exists():
+        raise ConfigError(
+            f"{sweep_csv} already exists; remove the finished sweep or choose another --out"
+        )
+    cfg = config_from_mapping({**base, "out": str(out_root)})
+    runs = train_variants(
+        cfg, [{**overrides, "out": str(out_root / name)} for name, overrides in variants]
+    )
     lines = ["variant," + ",".join(METRICS_HEADER)]
-    for name, records in zip(names, train_variants(configs)):
+    for name, records in zip(names, runs):
         lines.extend(f"{name},{csv_line(r)}" for r in records)
         last = records[-1]
         final_avg = "-" if last.avg_val_loss is None else f"{last.avg_val_loss:.6g}"
@@ -175,7 +178,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"final_avg_val_loss={final_avg} "
             f"best_avg_val_loss={'-' if best_avg is None else f'{best_avg:.6g}'}"
         )
-    sweep_csv = out_root / "sweep.csv"
     write_atomically(sweep_csv, ("\n".join(lines) + "\n").encode("utf-8"), "sweep CSV")
     print(f"wrote {sweep_csv}")
     return 0

@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -235,8 +235,12 @@ class TrainingBuffers:
             )
 
     def gather(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``x[rows]`` written into the input batch rows; an ``x`` not in the
-        model's element type makes ``take`` read and cast them too."""
+        """``x[rows]`` written into the input batch rows. An ``x`` not in the
+        model's element type is gathered, then cast into the rows: ``take``
+        with ``out=`` would also read their old values and cast them."""
+        if x.dtype != self.input.dtype:
+            self.input[...] = x[rows]
+            return self.input
         return x.take(rows, axis=0, out=self.input)
 
 
@@ -732,9 +736,8 @@ def refuse_used_out_dir(out_dir: Path) -> None:
         )
 
 
-# The fields that may differ between the configs of one shared trajectory:
-# they feed the averaging scheme or name the output directory, never the
-# weights.
+# The only fields a variant of ``train_variants`` sets; every other field
+# is the trajectory's.
 AVERAGING_FIELDS = ("scheme", "k", "alpha", "out")
 
 
@@ -749,12 +752,13 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None) -> list[MetricsRec
     the failing epoch in the error message. An output directory that
     already holds checkpoints or metrics is refused before any write.
     """
-    return train_variants([cfg], dataset)[0]
+    return train_variants(cfg, [{}], dataset)[0]
 
 
 @dataclass
 class _Variant:
-    """One config's averaging state along the shared trajectory."""
+    """One variant's config, the trajectory's with its averaging fields
+    set, and its averaging state along the trajectory."""
 
     cfg: RunConfig
     out_dir: Path
@@ -765,38 +769,27 @@ class _Variant:
     records: list[MetricsRecord] = field(default_factory=list)
 
 
-def _check_one_trajectory(cfgs: Sequence[RunConfig]) -> None:
-    first = cfgs[0]
-    shared = [f.name for f in fields(RunConfig) if f.name not in AVERAGING_FIELDS]
-    for cfg in cfgs[1:]:
-        differing = [n for n in shared if getattr(cfg, n) != getattr(first, n)]
-        if differing:
-            raise ConfigError(
-                f"configs for {first.out} and {cfg.out} differ in {', '.join(differing)}; "
-                f"variants of one trajectory may differ only in {', '.join(AVERAGING_FIELDS)}"
-            )
-    outs = [Path(cfg.out) for cfg in cfgs]
-    if len(set(outs)) != len(outs):
-        raise ConfigError("two variants share one output directory")
-
-
 def train_variants(
-    cfgs: Sequence[RunConfig], dataset: Dataset | None = None
+    cfg: RunConfig, variants: Sequence[Mapping[str, object]], dataset: Dataset | None = None
 ) -> list[list[MetricsRecord]]:
-    """Train one trajectory and average it once per config, as ``train_run``
-    would for each config alone; returns each config's metrics records.
+    """Train the trajectory of ``cfg`` once and average it once per
+    variant, as ``train_run`` would for each variant's config alone;
+    returns each variant's metrics records.
 
-    The configs may differ only in ``AVERAGING_FIELDS``. Forward,
-    backward, the optimizer step and the raw-model evaluations run once;
-    each save event writes the checkpoint once, hard-links it into every
-    other output directory (writing it again where a link fails) and
-    feeds every config's averaging scheme one slot, the first directory's
+    A variant maps fields of ``AVERAGING_FIELDS`` to typed values, and
+    its config is ``dataclasses.replace(cfg, **variant)``; a key outside
+    ``AVERAGING_FIELDS`` raises :class:`ConfigError`. Forward, backward,
+    the optimizer step and the raw-model evaluations run once; each save
+    event writes the checkpoint once, hard-links it into every other
+    output directory (writing it again where a link fails) and feeds
+    every variant's averaging scheme one slot, the first directory's
     file's :func:`window_slot`: a large model's checkpoint is read back
     from that file at each average. Each directory ends up
-    byte-identical to a ``train_run`` of its config, except for
-    ``wall_seconds``, which counts from the shared start. A non-finite
-    value aborts every variant at the same epoch. Every config is
-    validated and every output directory checked before any write.
+    byte-identical to a ``train_run`` of its variant's config, except
+    for ``wall_seconds``, which counts from the shared start. A
+    non-finite value aborts every variant at the same epoch. Every
+    variant's config is validated and every output directory checked
+    before any write.
 
     The loop holds one parameter buffer, which each optimizer step
     updates in place. Each epoch builds a :class:`TrainingBuffers` for the
@@ -813,14 +806,23 @@ def train_variants(
     directory that cannot be created :class:`IoError`, before anything
     is written.
     """
-    if not cfgs:
-        raise ConfigError("train_variants needs at least one config")
-    for cfg in cfgs:
-        cfg.validate()
-    _check_one_trajectory(cfgs)
-    for cfg in cfgs:
-        refuse_used_out_dir(Path(cfg.out))
-    cfg = cfgs[0]
+    if not variants:
+        raise ConfigError("train_variants needs at least one variant")
+    runs = []
+    for variant in variants:
+        other = sorted(set(variant) - set(AVERAGING_FIELDS))
+        if other:
+            raise ConfigError(
+                f"a variant sets {', '.join(other)}; a variant may set only "
+                f"{', '.join(AVERAGING_FIELDS)}"
+            )
+        c = replace(cfg, **variant)
+        c.validate()
+        runs.append(_Variant(c, Path(c.out), make_scheme(c.scheme, c.k, c.alpha)))
+    if len({v.out_dir for v in runs}) != len(runs):
+        raise ConfigError("two variants share one output directory")
+    for v in runs:
+        refuse_used_out_dir(v.out_dir)
     if dataset is None:
         dataset = build_dataset(cfg)
     spec = model_spec_for(cfg, dataset)
@@ -861,15 +863,12 @@ def train_variants(
         end_lr=cfg.end_lr,
         power=cfg.power,
     )
-    variants = [
-        _Variant(c, Path(c.out), make_scheme(c.scheme, c.k, c.alpha)) for c in cfgs
-    ]
-    for v in variants:
+    for v in runs:
         try:
             v.out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise IoError(f"cannot create output directory {v.out_dir}: {exc}") from exc
-    for v in variants:
+    for v in runs:
         write_atomically(
             v.out_dir / "config.resolved", resolved_text(v.cfg).encode("utf-8"), "config"
         )
@@ -893,23 +892,23 @@ def train_variants(
         nonlocal slot
         # Every scheme that has yielded an average yields one at each later
         # save event, so an average no epoch end has read can go first.
-        for v in variants:
+        for v in runs:
             v.average = None
         current = params.with_flat(params.flat.copy())
         ckpt = Checkpoint(params=current, epoch=slot, step=global_step)
         # Every directory holds the checkpoint before any scheme can reject it.
         # The file is written once and hard-linked into the other directories;
         # no file is ever rewritten in place, so the links cannot diverge.
-        first = checkpoint_path(variants[0].out_dir, slot)
+        first = checkpoint_path(runs[0].out_dir, slot)
         write_checkpoint(ckpt, first)
-        for v in variants[1:]:
+        for v in runs[1:]:
             path = checkpoint_path(v.out_dir, slot)
             try:
                 os.link(first, path)
             except OSError:
                 write_checkpoint(ckpt, path)
         handed = window_slot(first, ckpt)  # the other files are links or copies
-        for v in variants:
+        for v in runs:
             averaged = v.scheme.observe(handed)
             if averaged is None:
                 continue
@@ -926,7 +925,7 @@ def train_variants(
         return current
 
     with ExitStack() as stack:
-        for v in variants:
+        for v in runs:
             v.writer = stack.enter_context(MetricsWriter(v.out_dir / "metrics.csv"))
         for epoch in range(cfg.epochs):
             try:
@@ -947,14 +946,14 @@ def train_variants(
                 train_loss, train_acc = evaluate(saved, spec, x_train, y_train, buffers=buffers)
                 val_loss, val_acc = evaluate(saved, spec, x_val, y_val, buffers=buffers)
                 saved = None  # a window may keep it; this loop need not
-                for v in variants:
+                for v in runs:
                     if v.average is not None:
                         v.avg_metrics = evaluate(v.average, spec, x_val, y_val, buffers=buffers)
                         v.average = None
             except NonFiniteError as exc:
                 raise type(exc)(f"run aborted at epoch {epoch}: {exc}") from exc
 
-            for v in variants:
+            for v in runs:
                 avg_val_loss, avg_val_acc = v.avg_metrics
                 record = MetricsRecord(
                     epoch=epoch,
@@ -970,4 +969,4 @@ def train_variants(
                 )
                 v.records.append(record)
                 v.writer.append(record)
-    return [v.records for v in variants]
+    return [v.records for v in runs]

@@ -649,8 +649,28 @@ class TestSweep:
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
         assert "variant=" not in captured.out
-        assert str(root / "uniform") in captured.err
+        assert str(root / "sweep.csv") in captured.err
         assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
+
+    def test_a_finished_root_is_refused_whatever_the_new_variants(self, tmp_path, capsys):
+        root = tmp_path / "sweep"
+        argv = ["sweep", *TINY, "--epochs", "2", "--out", str(root)]
+        assert run_cli([*argv, "--schemes", "ema"]) == 0
+        before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert run_cli([*argv, "--schemes", "polyak"]) == 2
+        assert str(root / "sweep.csv") in capsys.readouterr().err
+        assert not (root / "polyak").exists()
+        assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
+
+    def test_a_root_holding_other_files_is_accepted(self, tmp_path):
+        root = tmp_path / "sweep"
+        root.mkdir()
+        (root / "notes.txt").write_text("kept")
+        argv = ["sweep", *TINY, "--epochs", "2", "--schemes", "ema", "--out", str(root)]
+        assert run_cli(argv) == 0
+        assert (root / "notes.txt").read_text() == "kept"
+        assert (root / "sweep.csv").exists()
 
     def test_used_later_variant_dir_stops_before_the_first_trains(self, tmp_path):
         root = tmp_path / "sweep"
@@ -690,8 +710,9 @@ class TestSharedTrajectory:
         [
             ["--use-bn", "--save-averaged", "--optimizer", "lookahead"],
             ["--save-every-steps", "3"],
+            ["--dtype", "f32", "--use-bn", "--save-averaged", "--save-every-steps", "3"],
         ],
-        ids=["bn_lookahead_save_averaged", "save_every_steps"],
+        ids=["bn_lookahead_save_averaged", "save_every_steps", "f32_bn_save_averaged_steps"],
     )
     def test_each_variant_equals_a_separate_train(self, tmp_path, monkeypatch, extra):
         base = [*TINY, "--k", "4", "--alpha", "0.7", *extra]

@@ -87,15 +87,17 @@ class TestRunsAreBitwiseTheInMemoryWindow:
         assert got == masked_files(memory / "run")
         assert sum(name.startswith("lawa_") for name in got) >= 4
 
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
     @pytest.mark.parametrize("links", ["linked", "copied"])
-    def test_sweep(self, tmp_path, monkeypatch, links):
+    def test_sweep(self, tmp_path, monkeypatch, links, dtype):
         if links == "copied":
             def no_link(src, dst):
                 raise OSError("links refused")
 
             monkeypatch.setattr(os, "link", no_link)
         args = [
-            "sweep", *TINY, "--use-bn", "--save-averaged", "--schemes", "uniform,ema,polyak",
+            "sweep", *TINY, "--dtype", dtype, "--use-bn", "--save-averaged",
+            "--schemes", "uniform,ema,polyak",
             "--k-values", "2,3", "--out", "sweep",
         ]
         memory, files = in_both_modes(tmp_path, monkeypatch, lambda: cli_ok(args))
