@@ -7,6 +7,7 @@ to replay it exactly.
 
 from __future__ import annotations
 
+import numbers
 import typing
 from dataclasses import dataclass, field, fields
 
@@ -82,6 +83,11 @@ class RunConfig:
     out: str = "run"
 
     def validate(self) -> None:
+        for name, kind in FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not _has_type(value, kind):
+                declared = kind.__name__ if isinstance(kind, type) else str(kind)
+                raise ConfigError(f"{name} must be {declared}, got {type(value).__name__} {value!r}")
         for name, allowed in CHOICES.items():
             value = getattr(self, name)
             if value not in allowed:
@@ -114,6 +120,20 @@ class RunConfig:
 
 # Field name -> type; the one schema the config parser and the CLI flags follow.
 FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _has_type(value, kind) -> bool:
+    """Whether ``value`` is of the declared type ``kind``: an int passes
+    for a float, a bool for neither, and ``hidden`` is a tuple of ints."""
+    if kind is bool or kind is str:
+        return isinstance(value, kind)
+    if isinstance(value, bool):
+        return False
+    if kind is int:
+        return isinstance(value, numbers.Integral)
+    if kind is float:
+        return isinstance(value, numbers.Real)
+    return isinstance(value, tuple) and all(_has_type(v, int) for v in value)
 
 
 def _parse_value(key: str, text: str):

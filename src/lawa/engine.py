@@ -44,14 +44,16 @@ from .rng import rng_for
 BN_EPS = 1e-5
 # Weight of a training batch's statistics in the running batch-norm statistics.
 BN_MOMENTUM = 0.1
-# Rows per block over which recompute_bn_stats sums a batch-norm layer's product.
+# Rows per block of a wide inference walk, and per partial sum of a
+# batch-norm layer's statistics.
 ROW_BLOCK = 256
 # Rows times weight elements from which a hidden layer's products run in
-# two lanes: backward's pair of products, and the forward's and inference
-# walk's ``h @ w + b`` as two row halves, when each half holds at least 8
-# rows. About the least at which two lanes made the step of a training
-# loop faster than one; CHANGES.md has the times. The output layer's
-# product, and every sum over rows, stays whole and in order.
+# two lanes: backward's pair of products, and the training forward's
+# ``h @ w + b`` as two row halves, when each half holds at least 8 rows;
+# and rows times the widest hidden weight from which an inference walk goes
+# in row blocks. About the least at which two lanes made the step of a
+# training loop faster than one; CHANGES.md has the times. The output
+# layer's product, and every sum over rows, stays whole and in order.
 LANE_PRODUCT = 1 << 23
 
 
@@ -145,32 +147,28 @@ def init_params(spec: ModelSpec) -> ParameterSet:
 
 
 class InferenceBuffers:
-    """Two row buffers that inference passes write their hidden layers into.
-
-    Hidden layer ``i`` of a pass over ``n`` rows is a leading ``n``-row
-    view of buffer ``i % 2``, so each layer reads the buffer the layer
-    before it wrote. Both buffers grow on demand to the largest request,
-    rows times the widest hidden layer, and are reused by later passes;
-    they are freed with this object. A training loop holds one for all its
-    evaluations, so no pass allocates and faults in fresh layer arrays.
-    Nothing a pass returns is a view of these buffers.
+    """Where inference walks write their hidden layers: ``full``, two flat
+    buffers for layers held at full height, and ``areas``, two for the row
+    blocks of a wide walk's other layers (see :func:`_blocked_walk` and
+    :func:`_whole_walk`). Each grows on demand and is reused by later
+    walks, so a training loop that holds one set for all its evaluations
+    allocates no fresh layer arrays. Nothing a walk returns is a view of
+    these buffers.
     """
 
-    __slots__ = ("_pair",)
+    __slots__ = ("full", "areas")
 
     def __init__(self):
-        self._pair = (np.empty(0), np.empty(0))
+        self.full = [np.empty(0), np.empty(0)]
+        self.areas = [np.empty(0), np.empty(0)]
 
-    def hidden_rows(self, spec: ModelSpec, n: int) -> list[np.ndarray]:
-        """One ``(n, width)`` view per hidden layer of ``spec``, alternating
-        between the two buffers."""
-        size = n * max(spec.widths[1:-1])
-        if self._pair[0].size < size or self._pair[0].dtype != spec.np_dtype:
-            self._pair = (np.empty(size, spec.np_dtype), np.empty(size, spec.np_dtype))
-        return [
-            self._pair[i % 2][: n * width].reshape(n, width)
-            for i, width in enumerate(spec.widths[1:-1])
-        ]
+
+def _grown(arrays: list[np.ndarray], k: int, size: int, dtype: np.dtype) -> np.ndarray:
+    """``arrays[k]``, replaced first by a new buffer of ``size`` elements
+    when it is smaller or of another element type."""
+    if arrays[k].size < size or arrays[k].dtype != dtype:
+        arrays[k] = np.empty(size, dtype)
+    return arrays[k]
 
 
 def _layer_rows(spec: ModelSpec, n: int) -> list[tuple[np.ndarray, ...]]:
@@ -269,10 +267,12 @@ def forward(
     bitwise as ``z.var(axis=0)``, ``(z - mu) * inv`` and ``gamma * zhat +
     beta`` compute them. Inference runs the hidden layers in place,
     bitwise as the out-of-place expression ``gamma * ((h @ w + b - mean)
-    * inv) + beta``. A wide hidden layer's ``h @ w + b`` (see
-    :func:`_hidden_product`) is two row halves handed to
-    :func:`lanes.share`; the batch-norm statistics and the output layer's
-    product stay whole, and two lanes give the bits of one.
+    * inv) + beta``; a wide walk goes in row blocks that each lane
+    carries through every hidden layer, and holds only the last hidden
+    layer at full height (see :func:`_inference_walk`). In training, a wide
+    hidden layer's ``h @ w + b`` (see :func:`_hidden_product`) is two row
+    halves handed to :func:`lanes.share`. The batch-norm statistics and the
+    output layer's product stay whole, and the CPU count changes no bit.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != spec.widths[0]:
@@ -284,9 +284,8 @@ def forward(
         raise TypeError(f"this forward writes into {kind.__name__}, not {type(buffers).__name__}")
     h = x.astype(spec.np_dtype, copy=False)
     if not training:
-        for _, z in _inference_layers(params, spec, h, buffers or InferenceBuffers(), params):
-            pass  # each resumption normalizes and rectifies z in place
-        outputs = _output_layer(params, spec, z)
+        last = _inference_walk(params, spec, h, buffers or InferenceBuffers())
+        outputs = _output_layer(params, spec, last)
         return outputs, {"layers": [], "last_input": None, "outputs": outputs, "bn_updates": {}}
     if buffers is None:
         rows = _layer_rows(spec, len(h))
@@ -334,58 +333,227 @@ def _output_layer(params: ParameterSet, spec: ModelSpec, h: np.ndarray) -> np.nd
     return outputs
 
 
-def _inference_layers(
-    params: ParameterSet, spec: ModelSpec, h: np.ndarray, buffers: InferenceBuffers,
-    stats: ParameterSet | dict[str, np.ndarray],
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The hidden layers of an inference pass, each in its view of ``buffers``.
+def _row_blocks(spec: ModelSpec, n: int) -> list[slice]:
+    """The row blocks of an inference walk over ``n`` rows.
 
-    Yields ``(i, z)`` once ``z`` holds layer ``i``'s product plus bias.
-    When resumed, it normalizes ``z`` in place with the running statistics
-    ``stats`` holds for the layer by then, if it has batch norm, as
-    ``gamma * ((z - mean) * inv) + beta`` one operation at a time in that
-    order, then rectifies it; that ``z`` is the next layer's input, and
-    once the walk is exhausted the last ``z`` holds the network's last
-    hidden activations. A wide layer (see :func:`_hidden_product`) hands
-    its product, and then its normalization and ReLU, to
-    :func:`lanes.share` as two row halves; every row's bits are those of
-    the whole.
+    A walk whose rows times widest hidden weight reach ``LANE_PRODUCT``
+    goes in blocks of ``ROW_BLOCK`` rows, a last block of fewer than 8 rows
+    joining the one before it, since BLAS gave blocks of 2 to 7 rows
+    through a 512-square weight other bits than the whole product. A
+    narrower walk is one block of every row. The blocks depend on the row
+    count and the model alone, never on the CPU count.
     """
-    for i, z in enumerate(buffers.hidden_rows(spec, len(h))):
-        half = _hidden_product(h, params[f"layer{i}.weight"], params[f"layer{i}.bias"], z)
-        yield i, z
-        bn = None
-        if spec.use_bn[i]:
-            bn = (
-                stats[f"layer{i}.bn_running_mean"],
-                1.0 / np.sqrt(stats[f"layer{i}.bn_running_var"] + BN_EPS),
-                params[f"layer{i}.bn_gamma"],
-                params[f"layer{i}.bn_beta"],
-            )
-        if half:
-            lanes.share(((z[:half], bn), (z[half:], bn)), _normalize_rectify, True)
-        else:
-            _normalize_rectify(0, (z, bn))
+    widest = max(a * b for a, b in zip(spec.widths[:-2], spec.widths[1:-1]))
+    starts = list(range(0, n, ROW_BLOCK))
+    if n * widest < LANE_PRODUCT or len(starts) < 2:
+        return [slice(0, n)]
+    if n - starts[-1] < 8:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _normalization(
+    spec: ModelSpec, params: ParameterSet, stats: ParameterSet | dict[str, np.ndarray], i: int
+) -> tuple[np.ndarray, ...] | None:
+    """``(mean, inv, gamma, beta)`` of hidden layer ``i`` with the running
+    statistics ``stats`` holds for it, or None when it has no batch norm."""
+    if not spec.use_bn[i]:
+        return None
+    return (
+        stats[f"layer{i}.bn_running_mean"],
+        1.0 / np.sqrt(stats[f"layer{i}.bn_running_var"] + BN_EPS),
+        params[f"layer{i}.bn_gamma"],
+        params[f"layer{i}.bn_beta"],
+    )
+
+
+def _inference_walk(
+    params: ParameterSet,
+    spec: ModelSpec,
+    x: np.ndarray,
+    buffers: InferenceBuffers,
+    measured: dict[str, np.ndarray] | None = None,
+) -> np.ndarray | None:
+    """The hidden layers of an inference pass over the rows of ``x``.
+
+    With ``measured`` None, each layer is normalized with the running
+    statistics of ``params`` and rectified, and the last hidden layer is
+    returned at full height, for the output product. Otherwise the walk
+    ends at the last batch-norm layer and returns None: it stores in
+    ``measured`` each batch-norm layer's mean and population variance over
+    every row, and normalizes the layer with them before the next layer
+    reads it; the last one is not normalized, since nothing reads it. A
+    layer's float64 sums are taken over each ``ROW_BLOCK`` rows and added
+    in row order.
+    """
+    if measured is None:
+        last, waits = spec.n_hidden - 1, []
+    else:
+        normalized = [i for i, on in enumerate(spec.use_bn) if on]
+        last, waits = normalized[-1], normalized[:-1]
+    blocks = _row_blocks(spec, len(x))
+    if len(blocks) == 1:
+        return _whole_walk(params, spec, x, buffers, last, measured)
+    return _blocked_walk(params, spec, x, buffers, blocks, [*waits, last], measured)
+
+
+def _whole_walk(
+    params: ParameterSet,
+    spec: ModelSpec,
+    h: np.ndarray,
+    buffers: InferenceBuffers,
+    last: int,
+    measured: dict[str, np.ndarray] | None,
+) -> np.ndarray | None:
+    """:func:`_inference_walk` in one block, up to hidden layer ``last``:
+    layer ``i`` at full height in ``buffers.areas[0]`` when ``i`` is even
+    and ``buffers.full[0]`` when odd, the two buffers a wide walk of two
+    hidden layers takes. A measured layer squares into the other buffer,
+    or its own rows when it is ``last``.
+    """
+    n, dtype, stats = len(h), spec.np_dtype, params if measured is None else measured
+    size = n * max(spec.widths[1:-1])
+    pair = (buffers.areas, buffers.full)
+    for i in range(last + 1):
+        width = spec.widths[i + 1]
+        z = _grown(pair[i % 2], 0, size, dtype)[: n * width].reshape(n, width)
+        np.matmul(h, params[f"layer{i}.weight"], out=z)
+        z += params[f"layer{i}.bias"]
+        if measured is not None and spec.use_bn[i]:
+            scratch = None if i == last else _grown(pair[(i + 1) % 2], 0, size, dtype)
+            sums = np.empty((len(range(0, n, ROW_BLOCK)), 2, width))
+            _row_sums(z, 0, sums, scratch)
+            _store_statistics(measured, i, sums, n, dtype)
+            if i == last:
+                return None
+        _normalize_rectify(z, _normalization(spec, params, stats, i))
         h = z
+    return h
 
 
-def _hidden_product(h: np.ndarray, w: np.ndarray, b: np.ndarray, z: np.ndarray) -> int:
-    """Write ``h @ w + b`` into ``z``; return the rows of the first of the
-    two row halves that went to :func:`lanes.share`, or 0 when it ran whole.
+def _blocked_walk(
+    params: ParameterSet,
+    spec: ModelSpec,
+    x: np.ndarray,
+    buffers: InferenceBuffers,
+    blocks: list[slice],
+    ends: list[int],
+    measured: dict[str, np.ndarray] | None,
+) -> np.ndarray | None:
+    """:func:`_inference_walk` in the row ``blocks``, in segments of
+    layers up to each of ``ends``.
 
-    It runs in halves when the layer is wide (rows times weight elements
-    reach ``LANE_PRODUCT``), each half holds at least 8 rows, since BLAS
-    gave halves of 2 to 7 rows through a 512-square weight other bits
-    than the whole product, and the process has a second CPU.
+    :func:`lanes.share` hands out a segment's blocks, and a lane carries
+    its block through every layer of the segment while the block is in
+    that core's cache. Only a layer that a later step reads whole is held
+    at full height, in ``buffers.full``, two in turn: the last layer of an
+    evaluation, for the output product, or a measured layer before the
+    last, whose rows wait for their statistics (the next segment
+    normalizes them block by block). A segment's other layers take
+    ``buffers.areas`` in turn from area 0, lane 0's block at the front and
+    lane 1's at the back; an area holds the two largest blocks, so two
+    blocks never meet. A held measured layer squares into its block's
+    place in area 0, which a walk that measures has, as its last segment
+    starts there. The lane that carries a block changes no bit.
+    """
+    n, dtype, widths = len(x), spec.np_dtype, spec.widths[1:-1]
+    widest = max(widths)
+    held = ends if measured is None else ends[:-1]
+    full = {
+        i: _grown(buffers.full, k % 2, n * widest, dtype)[: n * widths[i]].reshape(n, widths[i])
+        for k, i in enumerate(held)
+    }
+    starts = [0, *(end + 1 for end in ends[:-1])]
+    in_areas = max(
+        sum(i not in full for i in range(start, end + 1)) for start, end in zip(starts, ends)
+    )
+    area_rows = sum(sorted(b.stop - b.start for b in blocks)[-2:])
+    areas = [_grown(buffers.areas, a, area_rows * widest, dtype) for a in range(min(2, in_areas))]
+    stats = params if measured is None else measured
+    h, norm = x, None  # a segment's input, and the normalization it waits for
+    for start, end in zip(starts, ends):
+        # Every layer of an evaluation is normalized by its block; a
+        # measured layer, by the next segment.
+        normalized = {
+            i: _normalization(spec, params, stats, i)
+            for i in range(start, end + 1)
+            if measured is None or i < end
+        }
+        sums = None if measured is None else np.empty((len(range(0, n, ROW_BLOCK)), 2, widths[end]))
+
+        def carry(lane: int, rows: slice) -> None:
+            r = rows.stop - rows.start
+            at = 0 if lane == 0 else (area_rows - r) * widest
+            g = h[rows]
+            if norm is not None:
+                _normalize_rectify(g, norm)
+            for i in range(start, end + 1):
+                if i in full:
+                    z = full[i][rows]
+                else:
+                    z = areas[(i - start) % 2][at : at + r * widths[i]].reshape(r, widths[i])
+                np.matmul(g, params[f"layer{i}.weight"], out=z)
+                z += params[f"layer{i}.bias"]
+                if i in normalized:
+                    _normalize_rectify(z, normalized[i])
+                g = z
+            if sums is not None:
+                _row_sums(g, rows.start // ROW_BLOCK, sums, areas[0][at:] if end in full else None)
+
+        lanes.share(blocks, carry, True)
+        if sums is not None:
+            _store_statistics(measured, end, sums, n, dtype)
+            if end in full:
+                h, norm = full[end], _normalization(spec, params, measured, end)
+    return full.get(ends[-1])
+
+
+def _row_sums(z: np.ndarray, first: int, sums: np.ndarray, scratch: np.ndarray | None) -> None:
+    """Write the float64 sum and sum of squares of each ``ROW_BLOCK`` rows
+    of ``z`` into ``sums[first]``, ``sums[first + 1]`` and on, the squares
+    into the front of the flat ``scratch``, or into ``z`` itself when it
+    is None."""
+    for c in range(0, len(z), ROW_BLOCK):
+        chunk = z[c : c + ROW_BLOCK]
+        out = chunk if scratch is None else scratch[: chunk.size].reshape(chunk.shape)
+        sums[first + c // ROW_BLOCK, 0] = chunk.sum(axis=0, dtype=np.float64)
+        sums[first + c // ROW_BLOCK, 1] = np.multiply(chunk, chunk, out=out).sum(
+            axis=0, dtype=np.float64
+        )
+
+
+def _store_statistics(
+    measured: dict[str, np.ndarray], i: int, sums: np.ndarray, n: int, dtype: np.dtype
+) -> None:
+    """Store in ``measured`` hidden layer ``i``'s mean and population
+    variance over ``n`` rows, from the per-block ``sums`` added in row
+    order."""
+    total = np.zeros(sums.shape[2], dtype=np.float64)
+    total_sq = np.zeros(sums.shape[2], dtype=np.float64)
+    for part, part_sq in sums:
+        total += part
+        total_sq += part_sq
+    mean = total / n
+    var = np.maximum(total_sq / n - mean * mean, 0.0)
+    measured[f"layer{i}.bn_running_mean"] = mean.astype(dtype)
+    measured[f"layer{i}.bn_running_var"] = var.astype(dtype)
+
+
+def _hidden_product(h: np.ndarray, w: np.ndarray, b: np.ndarray, z: np.ndarray) -> None:
+    """Write ``h @ w + b`` into ``z``, as two row halves handed to
+    :func:`lanes.share` when the layer is wide (rows times weight elements
+    reach ``LANE_PRODUCT``) and each half holds at least 8 rows, since
+    BLAS gave halves of 2 to 7 rows through a 512-square weight other bits
+    than the whole product. The split depends on the shapes alone, so the
+    CPU count changes no bit.
     """
     rows = len(h)
     half = rows // 2
-    if rows * w.size < LANE_PRODUCT or half < 8 or lanes._cpu_count() < 2:
+    if rows * w.size < LANE_PRODUCT or half < 8:
         np.matmul(h, w, out=z)
         z += b
-        return 0
+        return
     lanes.share(((h[:half], z[:half], w, b), (h[half:], z[half:], w, b)), _affine, True)
-    return half
 
 
 def _affine(lane: int, operands: tuple[np.ndarray, ...]) -> None:
@@ -395,12 +563,10 @@ def _affine(lane: int, operands: tuple[np.ndarray, ...]) -> None:
     z += b
 
 
-def _normalize_rectify(lane: int, operands: tuple) -> None:
-    """For ``operands`` ``(z, bn)``: normalize ``z`` in place as ``gamma *
-    ((z - mean) * inv) + beta``, one operation at a time in that order,
-    with ``bn`` ``(mean, inv, gamma, beta)`` unless it is None, then
-    rectify it."""
-    z, bn = operands
+def _normalize_rectify(z: np.ndarray, bn: tuple[np.ndarray, ...] | None) -> None:
+    """Normalize ``z`` in place as ``gamma * ((z - mean) * inv) + beta``,
+    one operation at a time in that order, with ``bn`` ``(mean, inv,
+    gamma, beta)`` unless it is None, then rectify it."""
     if bn is not None:
         mean, inv, gamma, beta = bn
         z -= mean
@@ -576,11 +742,12 @@ def evaluate(
     sums, so another ``batch_size`` may change it by rounding only. Each
     batch is one ``forward``: BLAS gives the rows of a narrow output
     layer's product different bits at different row counts, so splitting
-    a batch further would change the loss. Only a wide hidden layer runs
-    as two row halves, one per lane, which give the bits of the whole;
-    the output product and the loss sums stay whole and in order. The
-    hidden layers go into ``buffers``; None makes a fresh set for this
-    call. A ``batch_size`` below 1 raises :class:`ConfigError`.
+    a batch further would change the loss. Only the hidden layers of a
+    wide walk go in row blocks, each carried by one lane, and the CPU
+    count changes no bit; the output product and the loss sums stay whole
+    and in order. The hidden layers go into ``buffers`` (see
+    :class:`InferenceBuffers`); None makes a fresh set for this call. A
+    ``batch_size`` below 1 raises :class:`ConfigError`.
     """
     n = len(x)
     if n == 0:
@@ -635,42 +802,24 @@ def recompute_bn_stats(
     and then used when producing the activations feeding later layers.
     Non-normalization entries are returned untouched (bitwise).
 
-    Each layer's product goes into the layer's view of ``buffers`` (a
-    fresh set when None), as two row halves on two lanes when the layer is
-    wide (see :func:`_inference_layers`). A batch-norm layer's float64 sums
-    are taken whole, over blocks of ``ROW_BLOCK`` rows of that product, in
-    row order; then the view is normalized and rectified in place. Nothing
-    after the last batch-norm layer is computed, and the last one is not
-    normalized, since no layer reads its output. The statistics are
-    written by :func:`set_running_stats`, in place into a set built by
-    :meth:`ParameterSet.over`.
+    The walk goes into ``buffers`` (a fresh set when None), in row blocks
+    that each lane carries through the layers when it is wide (see
+    :func:`_blocked_walk`). There every batch-norm layer but the last
+    waits at full height for its statistics, and the last stays in its
+    blocks. A batch-norm layer's float64 sums are taken over each
+    ``ROW_BLOCK`` rows of its product and added in row order, so the CPU
+    count changes no bit. Nothing after the last batch-norm layer is
+    computed, and the last one is not normalized, since no layer reads its
+    output. The statistics are written by :func:`set_running_stats`, in
+    place into a set built by :meth:`ParameterSet.over`.
     """
     if len(x) == 0:
         raise EmptyDataError("cannot recompute normalization statistics without data")
     if not spec.has_bn:
         return params
-    dtype = spec.np_dtype
-    h = np.asarray(x).astype(dtype, copy=False)
-    n = len(h)
-    last_bn = max(i for i, on in enumerate(spec.use_bn) if on)
+    h = np.asarray(x).astype(spec.np_dtype, copy=False)
     updates: dict[str, np.ndarray] = {}
-    # Resuming the walk normalizes layer i from ``updates``: store its statistics first.
-    for i, z in _inference_layers(params, spec, h, buffers or InferenceBuffers(), updates):
-        if not spec.use_bn[i]:
-            continue
-        width = spec.widths[i + 1]
-        total = np.zeros(width, dtype=np.float64)
-        total_sq = np.zeros(width, dtype=np.float64)
-        for start in range(0, n, ROW_BLOCK):
-            block = z[start : start + ROW_BLOCK]
-            total += block.sum(axis=0, dtype=np.float64)
-            total_sq += (block * block).sum(axis=0, dtype=np.float64)
-        mean = total / n
-        var = np.maximum(total_sq / n - mean * mean, 0.0)
-        updates[f"layer{i}.bn_running_mean"] = mean.astype(dtype)
-        updates[f"layer{i}.bn_running_var"] = var.astype(dtype)
-        if i == last_bn:
-            break
+    _inference_walk(params, spec, h, buffers or InferenceBuffers(), updates)
     return set_running_stats(params, updates)
 
 

@@ -1,19 +1,23 @@
 """Two lanes of work: lane 0 on the calling thread, lane 1 on a worker.
 
-The wide pieces of a training step are independent: the optimizer's
-blocks, ``backward``'s weight-gradient and input-gradient products, and
-the two row halves of a wide hidden layer's ``h @ w + b`` in the
-training ``forward`` and in every inference walk, whose normalization
-and ReLU go by the same halves. Each piece is a run of numpy and BLAS
-calls that release the GIL, so on a host with a second CPU two can run
-at once. Each piece writes only its own arrays, so the results are
-bitwise those of running them one after the other; a row half is
-bitwise the whole product's rows when each half holds at least 8 rows,
-which a test checks on the host's BLAS. What no row split may change
-stays whole and in order: the output layer's product, the batch-norm
-statistics and every loss sum. Handing a piece to the worker costs a
-wake-up and GIL hand-offs, so each caller tells :func:`share` whether
-its pieces pay for that (``optim.LANE_BLOCKS``, ``engine.LANE_PRODUCT``).
+The wide pieces of a training step or an inference walk are
+independent: the optimizer's blocks, ``backward``'s weight-gradient and
+input-gradient products, the two row halves of a wide hidden layer's
+``h @ w + b`` in the training ``forward``, and the row blocks of a wide
+inference walk, each of which one lane carries through every hidden
+layer. Each piece is a run of numpy and BLAS calls that release the GIL,
+so on a host with a second CPU two can run at once. Each piece writes
+only its own arrays, so the results are bitwise those of running them
+one after the other. How a caller splits its work depends on the shapes
+alone, never on the CPU count, so the CPU count changes no bit; a row
+half or block is bitwise the whole product's rows when it holds at least
+8 rows, which a test checks on the host's BLAS at the benchmark's
+shapes. What no row split may change stays whole and in order: the
+output layer's product, the batch-norm statistics (summed per block of
+rows, then in row order) and every loss sum. Handing a piece to the
+worker costs a wake-up and GIL hand-offs, so each caller tells
+:func:`share` whether its pieces pay for that (``optim.LANE_BLOCKS``,
+``engine.LANE_PRODUCT``).
 
 :func:`share` submits lane 1 to the worker and runs lane 0 itself, and
 each lane takes the next piece neither has taken. Lane 0 returns once

@@ -865,6 +865,28 @@ class TestSchema:
         with pytest.raises(ConfigError, match=rf"\b{field}\b"):
             config_from_mapping(mapping)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("k", "3"),
+            ("k", 3.0),
+            ("epochs", True),
+            ("lr", "0.1"),
+            ("use_bn", 1),
+            ("scheme", None),
+            ("hidden", [64, 64]),
+            ("hidden", (64, 2.5)),
+        ],
+    )
+    def test_a_value_of_the_wrong_type_is_refused_naming_its_field(self, field, value):
+        """Before any other rule: ``k="3"`` would otherwise meet ``k < 1``
+        and raise a bare ``TypeError``."""
+        with pytest.raises(ConfigError, match=rf"^{field} must be "):
+            RunConfig(**{field: value}).validate()
+
+    def test_an_int_passes_for_a_float(self):
+        RunConfig(lr=1, alpha=0, noise=np.int64(0)).validate()
+
     def test_average_alpha_default_is_the_ema_default(self):
         args = build_parser().parse_args(
             ["average", "--dir", "d", "--k", "2", "--out", "o"]

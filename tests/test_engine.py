@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lawa import averaging, engine, optim
+from lawa import averaging, engine, lanes, optim
 from lawa.checkpoint_io import read_checkpoint
 from lawa.config import RunConfig, resolved_text
 from lawa.data import make_spirals
@@ -525,7 +525,7 @@ GUARD_SHAPES = [
     for dtype in ("f32", "f64")
     for hidden in (512, 64)
     for use_bn in ((True, True), (True, False), (False, True))
-    for n in (1, 255, 1600, 1601)
+    for n in (1, 255, 263, 264, 1600, 1601)
 ]
 
 
@@ -602,11 +602,13 @@ class TestInferenceBuffers:
             forward(params, spec, x, training=False, buffers=buffers)[0],
             forward(params, spec, x[:400], training=False, buffers=buffers)[0],
         ]
-        views = buffers.hidden_rows(spec, 1600)
-        assert not np.shares_memory(views[0], views[1])
+        held = [a for a in (*buffers.full, *buffers.areas) if a.size]
+        assert held
+        for k, a in enumerate(held):
+            assert not any(np.shares_memory(a, b) for b in held[k + 1 :])
         for arr in returned:
-            for view in views:
-                assert not np.shares_memory(arr, view)
+            for a in held:
+                assert not np.shares_memory(arr, a)
 
     @pytest.mark.parametrize(
         "extra",
@@ -1065,6 +1067,15 @@ class TestTrainVariants:
             train_variants(tiny_cfg(tmp_path), variants)
         assert not (tmp_path / "a").exists()
 
+    def test_a_variant_value_of_the_wrong_type_is_refused_naming_it_before_any_write(
+        self, tmp_path
+    ):
+        variants = [dict(out=str(tmp_path / "a")), dict(k="3", out=str(tmp_path / "b"))]
+        with pytest.raises(ConfigError, match=r"^k must be int, got str '3'$"):
+            train_variants(tiny_cfg(tmp_path), variants)
+        assert not (tmp_path / "a").exists()
+        assert not (tmp_path / "b").exists()
+
     def test_no_variants_is_refused(self, tmp_path):
         with pytest.raises(ConfigError):
             train_variants(tiny_cfg(tmp_path), [])
@@ -1452,6 +1463,42 @@ class TestPeakMemory:
         assert params.total_size() * 8 > 2_000_000
         assert peak < 512 * 1024
 
+    @pytest.mark.parametrize("walk", ["evaluate", "recompute_bn_stats"])
+    @pytest.mark.parametrize(
+        "widths,layers,blocks",
+        [
+            # Wide: the last layer, or the first waiting for its statistics,
+            # and each lane's block of the other.
+            ((2, 512, 512, 2), {"evaluate": 1, "recompute_bn_stats": 1}, 2),
+            # Wide and deeper: two block areas in an evaluation, two layers
+            # waiting in turn for their statistics in a recompute.
+            ((2, 512, 512, 512, 2), {"evaluate": 1, "recompute_bn_stats": 2}, {"evaluate": 4, "recompute_bn_stats": 2}),
+            # One block: every layer at full height, two in turn.
+            ((2, 64, 64, 64, 2), {"evaluate": 2, "recompute_bn_stats": 2}, 0),
+        ],
+    )
+    def test_a_walk_holds_its_full_height_layers_and_a_block_per_lane(
+        self, monkeypatch, walk, widths, layers, blocks
+    ):
+        monkeypatch.setattr(lanes, "_cpu_count", lambda: 2)
+        lanes.share(range(2), lambda lane, item: None, True)  # the worker, made untraced
+        depth = len(widths) - 2
+        spec = ModelSpec(widths=widths, use_bn=(True,) * depth, init_seed=4)
+        params = perturbed_bn_params(spec, seed=4)
+        params = params.over(params.flat.copy())  # so the recompute writes in place
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=(1600, 2)), rng.integers(0, 2, size=1600)
+        if walk == "evaluate":
+            _, peak, _ = traced(evaluate, params, spec, x, y)
+        else:
+            _, peak, _ = traced(recompute_bn_stats, params, spec, x)
+        if isinstance(blocks, dict):
+            blocks = blocks[walk]
+        # The slack holds the sums, the outputs and numpy's 64 KB buffer for
+        # each broadcast operation under way in a lane.
+        layer, block = 1600 * widths[1] * 8, engine.ROW_BLOCK * widths[1] * 8
+        assert peak < layers[walk] * layer + blocks * block + 512 * 1024, peak
+
     def test_a_run_holds_its_window_and_one_average(self, tmp_path):
         k = 3
         cfg = tiny_cfg(
@@ -1464,7 +1511,9 @@ class TestPeakMemory:
         one_set = 8 * size
         # SGD momentum: the velocity and one scratch block.
         optimizer_state = one_set + 8 * min(optim.BLOCK, size)
-        # The widest pass: every training row through a 256-wide layer.
+        # The widest walk: every training row through two 256-wide layers,
+        # one held at full height and one in row blocks, or a walk of one
+        # block, two in turn.
         inference_pair = 2 * 8 * len(dataset.train()[0]) * 256
         # The set is above FILE_SLOT_BYTES, so the window's older
         # checkpoints are read back from their files at each save event. At

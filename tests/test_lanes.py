@@ -252,34 +252,73 @@ def inference_data(spec, rows, seed=7):
     return rng.normal(size=(rows, spec.widths[0])), rng.integers(0, 2, size=rows)
 
 
-def evaluate_bytes(params, spec, x, y):
-    """The loss and accuracy of ``evaluate`` and the hidden rows it left."""
+def inference_bytes(params, spec, x, y):
+    """The outputs of an inference ``forward``, the loss and accuracy of
+    ``evaluate`` and the full-height layer they left."""
     buffers = InferenceBuffers()
+    outputs, _ = forward(params, spec, x, training=False, buffers=buffers)
     loss, accuracy = evaluate(params, spec, x, y, buffers=buffers)
-    rows = [z.tobytes() for z in buffers.hidden_rows(spec, len(x))]
-    return np.float64(loss).tobytes(), np.float64(accuracy).tobytes(), rows
+    full = [a.tobytes() for a in buffers.full]
+    return outputs.tobytes(), np.float64(loss).tobytes(), np.float64(accuracy).tobytes(), full
+
+
+def recompute_bytes(params, spec, x):
+    """The parameters ``recompute_bn_stats`` returns and the full-height
+    layers it left."""
+    buffers = InferenceBuffers()
+    stats = recompute_bn_stats(params, spec, x, buffers=buffers).flat.tobytes()
+    return stats, [a.tobytes() for a in buffers.full]
 
 
 class TestRowHalves:
     """A wide hidden layer's ``h @ w + b`` goes to two lanes as two row
-    halves, in the training forward and in every inference walk; the walk
-    normalizes and rectifies by the same halves."""
+    halves in the training forward; an inference walk hands out row blocks,
+    each carried through the hidden layers by one lane."""
 
-    @pytest.mark.parametrize("rows", [64, 400, 1600])
+    @pytest.mark.parametrize("rows", [64, 263, 264, 400, 1600])
     @pytest.mark.parametrize("fan_in", [2, 512])
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_row_halves_of_a_product_are_the_whole_on_this_blas(self, dtype, fan_in, rows):
-        """The benchmark's hidden products: a BLAS that fails this would
-        change the digests of two-lane runs."""
+        """The benchmark's hidden products, in the training forward's row
+        halves and in the inference walk's row blocks: a BLAS that fails
+        this would change the digests of runs."""
         rng = np.random.default_rng(rows + fan_in)
         a = rng.normal(size=(rows, fan_in)).astype(dtype)
         w = rng.uniform(-1.0, 1.0, size=(fan_in, 512)).astype(dtype)
-        whole, halves = np.empty((rows, 512), dtype), np.empty((rows, 512), dtype)
+        whole = np.empty((rows, 512), dtype)
         np.matmul(a, w, out=whole)
         half = rows // 2
-        np.matmul(a[:half], w, out=halves[:half])
-        np.matmul(a[half:], w, out=halves[half:])
-        assert halves.tobytes() == whole.tobytes()
+        halves = [slice(0, half), slice(half, rows)]
+        blocks = engine._row_blocks(wide_model(512, True, "f64", depth=2), rows)
+        for parts in (halves, blocks):
+            got = np.empty((rows, 512), dtype)
+            for part in parts:
+                np.matmul(a[part], w, out=got[part])
+            assert got.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize(
+        "width,rows,blocks",
+        [
+            (512, 1600, [256] * 6 + [64]),
+            (512, 264, [256, 8]),
+            (512, 263, [263]),
+            (512, 519, [256, 263]),
+            (512, 31, [31]),
+            (64, 1600, [1600]),
+            (64, 2048, [256] * 8),
+        ],
+    )
+    def test_the_blocks_of_a_walk_follow_its_rows_and_model(self, cpus, width, rows, blocks):
+        """Blocks of ``ROW_BLOCK`` rows, the last of fewer than 8 joining the
+        one before it, once rows times the widest hidden weight reach
+        ``LANE_PRODUCT``; the CPU count plays no part."""
+        spec = wide_model(width, False, "f32", depth=2)
+        for n in (1, 2):
+            cpus(n)
+            got = engine._row_blocks(spec, rows)
+            assert [b.stop - b.start for b in got] == blocks
+            assert got[0].start == 0 and got[-1].stop == rows
+            assert all(a.stop == b.start for a, b in zip(got, got[1:]))
 
     @pytest.mark.parametrize("use_bn", [False, True])
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -295,42 +334,45 @@ class TestRowHalves:
         assert submits == []
         assert got == want
 
+    @pytest.mark.parametrize("rows,shared", [(263, False), (264, True), (519, True), (1600, True)])
     @pytest.mark.parametrize("use_bn", [False, True])
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
-    def test_evaluate(self, cpus, submits, dtype, use_bn):
+    def test_evaluate(self, cpus, submits, dtype, use_bn, rows, shared):
         spec = wide_model(TestBackwardLanes.LARGE, use_bn, dtype)
         params = moved_params(spec)
-        x, y = inference_data(spec, 400)
+        x, y = inference_data(spec, rows)
         cpus(2)
-        got = evaluate_bytes(params, spec, x, y)
-        # The product, then the normalization and ReLU, of layers 1 and 2.
-        assert len(submits) == 4
+        got = inference_bytes(params, spec, x, y)
+        # One walk each for forward and evaluate, its blocks handed out once.
+        assert len(submits) == (2 if shared else 0)
         cpus(1)
         submits.clear()
-        want = evaluate_bytes(params, spec, x, y)
+        want = inference_bytes(params, spec, x, y)
         assert submits == []
         assert got == want
 
+    @pytest.mark.parametrize("rows,shared", [(263, False), (264, True), (519, True), (1600, True)])
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
-    def test_recompute_bn_stats(self, cpus, submits, dtype):
+    def test_recompute_bn_stats(self, cpus, submits, dtype, rows, shared):
         spec = wide_model(TestBackwardLanes.LARGE, True, dtype)
         params = moved_params(spec)
-        x, _ = inference_data(spec, 400)
+        x, _ = inference_data(spec, rows)
         cpus(2)
-        got = recompute_bn_stats(params, spec, x).flat.tobytes()
-        # Layer 1's product and normalization, then layer 2's product: the
-        # last batch-norm layer is not normalized.
-        assert len(submits) == 3
+        got = recompute_bytes(params, spec, x)
+        # One hand-out per batch-norm layer: layers 0 and 1 wait at full
+        # height for their statistics, and layer 2 is summed in its blocks.
+        assert len(submits) == (3 if shared else 0)
         cpus(1)
         submits.clear()
-        want = recompute_bn_stats(params, spec, x).flat.tobytes()
+        want = recompute_bytes(params, spec, x)
         assert submits == []
         assert got == want
 
     @pytest.mark.parametrize("rows,shared", [(4, False), (15, False), (16, True)])
     def test_halves_of_fewer_than_8_rows_stay_whole(self, cpus, submits, rows, shared):
         """Every batch here is wide by ``LANE_PRODUCT`` through the
-        2048-wide layer; only one whose halves hold 8 rows is split."""
+        2048-wide layer; only one whose halves hold 8 rows is split, and
+        each is one block of an inference walk."""
         spec = ModelSpec(widths=(2, 2048, 2048, 2), use_bn=(True, True), init_seed=5, dtype="f32")
         assert rows * 2048 * 2048 >= LANE_PRODUCT
         x, y = inference_data(spec, rows)
@@ -338,13 +380,12 @@ class TestRowHalves:
 
         def run():
             trained = forward_bytes(*forward_through(spec, rows)[2:])
-            return trained, evaluate_bytes(params, spec, x, y)
+            return trained, inference_bytes(params, spec, x, y)
 
         cpus(2)
         got = run()
-        # The training forward's product of layer 1; evaluate's product,
-        # then normalization and ReLU, of layer 1.
-        assert len(submits) == (3 if shared else 0)
+        # The training forward's product of layer 1.
+        assert len(submits) == (1 if shared else 0)
         cpus(1)
         submits.clear()
         assert run() == got
@@ -396,19 +437,81 @@ class TestNothingOutlivesTheCall:
         assert [ref() for ref in arrays] == [None] * len(arrays)
 
     def test_a_dropped_inference_buffer_is_freed(self, cpus, submits):
-        """The halves a two-lane ``evaluate`` handed out are views of its
+        """The blocks a two-lane ``evaluate`` handed out are views of its
         buffers; the worker keeps none of them once the call has returned."""
         cpus(2)
         spec = wide_model(512, True, "f64", depth=2)
-        x, y = inference_data(spec, 64)
+        x, y = inference_data(spec, 400)
         buffers = InferenceBuffers()
         evaluate(init_params(spec), spec, x, y, buffers=buffers)
         assert submits
         lanes._worker().submit(lambda: None).result()
-        arrays = [weakref.ref(z.base) for z in buffers.hidden_rows(spec, len(x))]
+        arrays = [weakref.ref(a) for a in (*buffers.full, *buffers.areas) if a.size]
+        assert arrays
         del buffers
         gc.collect()
         assert [ref() for ref in arrays] == [None] * len(arrays)
+
+
+# Compares, for each case, the bytes of an inference forward, a batch-norm
+# recompute and a training forward with the lanes seeing one CPU and two.
+CPU_COUNT_CHILD = """
+import sys
+import numpy as np
+from lawa import lanes
+from lawa.engine import ModelSpec, TrainingBuffers, forward, init_params, recompute_bn_stats
+from lawa.params import ParameterSet
+
+def moved(spec):
+    rng = np.random.default_rng(9)
+    return ParameterSet(
+        (name, arr if name.endswith("weight")
+         else np.abs(arr + 0.5 * rng.normal(size=arr.shape)).astype(arr.dtype))
+        for name, arr in init_params(spec).items()
+    )
+
+def results(spec, params, x):
+    outputs, _ = forward(params, spec, x, training=False)
+    stats = recompute_bn_stats(params, spec, x).flat
+    buffers = TrainingBuffers(params, spec, len(x))
+    trained, cache = forward(params, spec, x, training=True, buffers=buffers)
+    updates = [cache["bn_updates"][name] for name in sorted(cache["bn_updates"])]
+    return [a.tobytes() for a in (outputs, stats, trained, *updates)]
+
+cases = [((2, 1000, 100, 2), "f64", rows) for rows in range(40, 180)]
+cases += [((2, 512, 512, 2), dtype, rows) for dtype in ("f32", "f64") for rows in (264, 1600)]
+differ = []
+for widths, dtype, rows in cases:
+    spec = ModelSpec(widths=widths, use_bn=(True, True), init_seed=5, dtype=dtype)
+    params = moved(spec)
+    x = np.random.default_rng(rows).normal(size=(rows, 2)).astype(spec.np_dtype)
+    got = []
+    for cpus in (1, 2):
+        lanes._cpu_count = lambda: cpus
+        got.append(results(spec, params, x))
+    if got[0] != got[1]:
+        differ.append((widths, dtype, rows))
+print(f"{len(differ)} of {len(cases)} cases differ: {differ}")
+sys.exit(1 if differ else 0)
+"""
+
+
+class TestTheCpuCountChangesNoByte:
+    def test_on_a_blas_of_two_threads(self):
+        """A threaded BLAS may give a row block of a product other bits
+        than the whole product, so the blocks must not follow the CPU
+        count."""
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(sys.path),
+            "OPENBLAS_NUM_THREADS": "2",
+            "OMP_NUM_THREADS": "2",
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", CPU_COUNT_CHILD],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout
 
 
 def wide_step_sets(size=9 * BLOCK, seed=8):
