@@ -49,12 +49,12 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         else:
             kwargs = {
                 "type": kind if kind in (int, float) else None,
-                "choices": CHOICES.get(f.name),
+                "choices": f.metadata["choices"],
             }
         parser.add_argument(
             "--" + f.name.replace("_", "-"),
             default=argparse.SUPPRESS,
-            help=f.metadata.get("help"),
+            help=f.metadata["help"],
             **kwargs,
         )
 

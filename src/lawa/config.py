@@ -3,10 +3,18 @@
 A run is fully determined by its RunConfig (including the seed), and the
 ``config.resolved`` file a run writes can be fed back through ``--config``
 to replay it exactly.
+
+A field's facts live in its ``dataclasses.field`` metadata, which
+:func:`_field` sets: its ``role`` (``trajectory``, ``averaging`` or
+``output``; a sweep variant may set only the last two), its ``choices``,
+its inclusive bounds ``low`` and ``high``, and its ``help``. ``validate``
+checks each value's declared type, and that a float value is finite,
+before it reads them.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import typing
 from dataclasses import dataclass, field, fields
@@ -14,73 +22,58 @@ from dataclasses import dataclass, field, fields
 from . import averaging, optim
 from .errors import ConfigError
 
-DATASETS = ("spirals", "csv")
-OPTIMIZERS = ("sgd", "adam", "lookahead")
-SCHEDULES = ("constant", "cosine", "poly_warmup")
-SCHEMES = ("none", "uniform", "ema", "polyak")
-BN_MODES = ("auto", "recompute", "copy", "off")
-DTYPES = ("f32", "f64")
-LOOKAHEAD_INNERS = ("sgd", "adam")
 
-# Allowed values of the string fields that take one of a fixed set.
-CHOICES = {
-    "dataset": DATASETS,
-    "optimizer": OPTIMIZERS,
-    "schedule": SCHEDULES,
-    "scheme": SCHEMES,
-    "bn_mode": BN_MODES,
-    "dtype": DTYPES,
-    "lookahead_inner": LOOKAHEAD_INNERS,
-}
+def _field(default, *, role="trajectory", choices=None, low=None, high=None, help=None):
+    """A RunConfig field with its default and its facts."""
+    facts = {"role": role, "choices": choices, "low": low, "high": high, "help": help}
+    return field(default=default, metadata=facts)
 
 
 @dataclass
 class RunConfig:
     # dataset
-    dataset: str = "spirals"
-    n_per_class: int = 1000
-    classes: int = 2
-    noise: float = 0.2
-    csv: str = field(default="", metadata={"help": "CSV path for --dataset csv"})
-    label_column: str = "label"
+    dataset: str = _field("spirals", choices=("spirals", "csv"))
+    n_per_class: int = _field(1000)
+    classes: int = _field(2)
+    noise: float = _field(0.2)
+    csv: str = _field("", help="CSV path for --dataset csv")
+    label_column: str = _field("label")
     # model
-    hidden: tuple[int, ...] = field(
-        default=(64, 64), metadata={"help": "comma list of hidden widths"}
-    )
-    use_bn: bool = False
-    dtype: str = "f64"
+    hidden: tuple[int, ...] = _field((64, 64), low=1, help="comma list of hidden widths")
+    use_bn: bool = _field(False)
+    dtype: str = _field("f64", choices=("f32", "f64"))
     # optimizer
-    optimizer: str = "sgd"
-    lr: float = 0.1
-    momentum: float = optim.DEFAULT_MOMENTUM
-    beta1: float = optim.DEFAULT_BETA1
-    beta2: float = optim.DEFAULT_BETA2
-    adam_eps: float = optim.DEFAULT_ADAM_EPS
-    lookahead_alpha: float = optim.DEFAULT_LOOKAHEAD_ALPHA
-    lookahead_k: int = optim.DEFAULT_LOOKAHEAD_K
-    lookahead_inner: str = "sgd"
+    optimizer: str = _field("sgd", choices=("sgd", "adam", "lookahead"))
+    lr: float = _field(0.1, low=0)
+    momentum: float = _field(optim.DEFAULT_MOMENTUM, low=0)
+    beta1: float = _field(optim.DEFAULT_BETA1)
+    beta2: float = _field(optim.DEFAULT_BETA2)
+    adam_eps: float = _field(optim.DEFAULT_ADAM_EPS)
+    lookahead_alpha: float = _field(optim.DEFAULT_LOOKAHEAD_ALPHA)
+    lookahead_k: int = _field(optim.DEFAULT_LOOKAHEAD_K)
+    lookahead_inner: str = _field("sgd", choices=("sgd", "adam"))
     # schedule
-    schedule: str = "cosine"
-    warmup_steps: int = 0
-    end_lr: float = 0.0
-    power: float = 1.0
+    schedule: str = _field("cosine", choices=("constant", "cosine", "poly_warmup"))
+    warmup_steps: int = _field(0, low=0)
+    end_lr: float = _field(0.0)
+    power: float = _field(1.0)
     # run shape
-    epochs: int = 50
-    batch_size: int = 64
-    seed: int = 0
+    epochs: int = _field(50, low=1)
+    batch_size: int = _field(64, low=1)
+    seed: int = _field(0, low=0)
     # averaging
-    scheme: str = "uniform"
-    k: int = field(default=averaging.DEFAULT_WINDOW, metadata={"help": "averaging window"})
-    alpha: float = field(
-        default=averaging.DEFAULT_EMA_ALPHA, metadata={"help": "ema coefficient"}
+    scheme: str = _field("uniform", role="averaging", choices=("none", "uniform", "ema", "polyak"))
+    k: int = _field(averaging.DEFAULT_WINDOW, role="averaging", low=1, help="averaging window")
+    alpha: float = _field(
+        averaging.DEFAULT_EMA_ALPHA, role="averaging", low=0, high=1, help="ema coefficient"
     )
     # batch-norm statistics handling for the averaged model
-    bn_mode: str = "auto"
+    bn_mode: str = _field("auto", choices=("auto", "recompute", "copy", "off"))
     # checkpointing
-    save_every_steps: int = 0  # 0 = save once per epoch
-    save_averaged: bool = False
+    save_every_steps: int = _field(0, low=0)  # 0 = save once per epoch
+    save_averaged: bool = _field(False)
     # output
-    out: str = "run"
+    out: str = _field("run", role="output")
 
     def validate(self) -> None:
         for name, kind in FIELD_TYPES.items():
@@ -88,43 +81,35 @@ class RunConfig:
             if not _has_type(value, kind):
                 declared = kind.__name__ if isinstance(kind, type) else str(kind)
                 raise ConfigError(f"{name} must be {declared}, got {type(value).__name__} {value!r}")
-        for name, allowed in CHOICES.items():
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            choices, low, high = f.metadata["choices"], f.metadata["low"], f.metadata["high"]
+            items = value if isinstance(value, tuple) else (value,)  # a bound holds for each width
+            if choices is not None and value not in choices:
+                raise ConfigError(f"{f.name} must be one of {choices}, got {value!r}")
+            if low is not None and not all(low <= v for v in items):
+                raise ConfigError(f"{f.name} must be >= {low}, got {value}")
+            if high is not None and not all(v <= high for v in items):
+                raise ConfigError(f"{f.name} must be <= {high}, got {value}")
         if self.dataset == "csv" and not self.csv:
             raise ConfigError("dataset=csv requires a csv path")
-        if not self.hidden or any(h < 1 for h in self.hidden):
-            raise ConfigError(f"hidden widths must be positive, got {self.hidden}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.k < 1:
-            raise ConfigError(f"averaging window k must be >= 1, got {self.k}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"ema alpha must lie in [0, 1], got {self.alpha}")
-        if self.lr < 0.0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
-        if self.momentum < 0.0:
-            raise ConfigError(f"momentum must be >= 0, got {self.momentum}")
-        if self.save_every_steps < 0:
-            raise ConfigError("save_every_steps must be >= 0")
-        if self.warmup_steps < 0:
-            raise ConfigError("warmup_steps must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        if not self.hidden:
+            raise ConfigError("hidden must list at least one width")
         if not self.out:
             raise ConfigError("out must name an output directory")
 
 
-# Field name -> type; the one schema the config parser and the CLI flags follow.
+# Field name -> declared type.
 FIELD_TYPES = typing.get_type_hints(RunConfig)
+# Field name -> allowed values, for the fields that take one of a fixed set.
+CHOICES = {f.name: f.metadata["choices"] for f in fields(RunConfig) if f.metadata["choices"]}
 
 
 def _has_type(value, kind) -> bool:
     """Whether ``value`` is of the declared type ``kind``: an int passes
-    for a float, a bool for neither, and ``hidden`` is a tuple of ints."""
+    for a float, a bool for neither, and a tuple type is a tuple of ints."""
     if kind is bool or kind is str:
         return isinstance(value, kind)
     if isinstance(value, bool):
@@ -139,7 +124,7 @@ def _has_type(value, kind) -> bool:
 def _parse_value(key: str, text: str):
     kind = FIELD_TYPES[key]
     try:
-        if key == "hidden":
+        if kind == tuple[int, ...]:
             return tuple(int(part) for part in text.split(","))
         if kind is bool:
             lowered = text.strip().lower()
@@ -161,11 +146,11 @@ def config_from_mapping(mapping: dict) -> RunConfig:
     kwargs = {}
     for key, value in mapping.items():
         if isinstance(value, str):
-            kwargs[key] = _parse_value(key, value)
-        elif key == "hidden":
-            kwargs[key] = tuple(int(v) for v in value)
-        else:
-            kwargs[key] = value
+            value = _parse_value(key, value)
+        elif FIELD_TYPES[key] == tuple[int, ...] and isinstance(value, (list, tuple)):
+            # An integral element becomes an int; ``validate`` names any other.
+            value = tuple(int(v) if _has_type(v, int) else v for v in value)
+        kwargs[key] = value
     cfg = RunConfig(**kwargs)
     cfg.validate()
     return cfg

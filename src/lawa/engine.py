@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -885,9 +885,9 @@ def refuse_used_out_dir(out_dir: Path) -> None:
         )
 
 
-# The only fields a variant of ``train_variants`` sets; every other field
-# is the trajectory's.
-AVERAGING_FIELDS = ("scheme", "k", "alpha", "out")
+# The fields whose role is averaging or output: the only fields a variant
+# of ``train_variants`` sets; every other field is the trajectory's.
+AVERAGING_FIELDS = tuple(f.name for f in fields(RunConfig) if f.metadata["role"] != "trajectory")
 
 
 def train_run(cfg: RunConfig, dataset: Dataset | None = None) -> list[MetricsRecord]:

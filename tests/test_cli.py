@@ -15,7 +15,7 @@ from lawa.averaging import DEFAULT_EMA_ALPHA
 from lawa.checkpoint_io import read_checkpoint
 from lawa.cli import _effective_mapping, build_parser, main
 from lawa.compare import compare_run
-from lawa.config import CHOICES, SCHEMES, RunConfig, config_from_mapping, resolved_text
+from lawa.config import CHOICES, RunConfig, config_from_mapping, resolved_text
 from lawa.errors import ConfigError, SchemaError
 from lawa.metrics import read_metrics
 from testutil import masked_files, max_abs_diff
@@ -309,7 +309,7 @@ class TestAverage:
         scheme = next(
             a for a in sub.choices["average"]._actions if "--scheme" in a.option_strings
         )
-        assert tuple(scheme.choices) == SCHEMES
+        assert scheme.choices == FACTS["scheme"]["choices"] == ("none", "uniform", "ema", "polyak")
 
     @pytest.mark.parametrize("scheme", ["uniform", "ema", "polyak"])
     def test_average_written_into_the_run_dir_is_refused_later(self, tmp_path, capsys, scheme):
@@ -779,6 +779,10 @@ class TestSharedTrajectory:
         assert not (root / "sweep.csv").exists()
 
 
+# Field name -> its facts, as RunConfig's field metadata declares them.
+FACTS = {f.name: f.metadata for f in fields(RunConfig)}
+
+
 def run_flags(parser_name):
     """Primary option string of every RunConfig flag of a subcommand."""
     parser = build_parser()
@@ -804,6 +808,25 @@ class TestSchema:
     def test_one_flag_per_config_field(self, command):
         want = {"--" + f.name.replace("_", "-") for f in fields(RunConfig)}
         assert run_flags(command) == want
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_each_flag_offers_the_choices_its_field_declares(self, command):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for action in sub.choices[command]._actions:
+            name = action.option_strings[0][2:].replace("-", "_")
+            if name in FACTS:
+                assert action.choices == FACTS[name]["choices"], name
+        declared = {name: facts["choices"] for name, facts in FACTS.items() if facts["choices"]}
+        assert CHOICES == declared
+
+    def test_every_field_declares_a_role(self):
+        roles = {name: facts["role"] for name, facts in FACTS.items()}
+        assert set(roles.values()) == {"trajectory", "averaging", "output"}
+        assert [name for name, role in roles.items() if role != "trajectory"] == [
+            "scheme", "k", "alpha", "out"
+        ]
+        assert engine.AVERAGING_FIELDS == ("scheme", "k", "alpha", "out")
 
     def test_flags_resolved_and_config_round_trip(self, tmp_path):
         default = RunConfig()
@@ -858,12 +881,43 @@ class TestSchema:
             ("warmup_steps", "-1"),
             ("seed", "-1"),
             ("out", ""),
+            ("hidden", ()),
+            ("hidden", [64, 2.5]),
+            ("hidden", [64, "x"]),
+            ("hidden", 5),
+            ("lr", "nan"),
+            ("momentum", "inf"),
+            ("noise", "-inf"),
         ],
     )
     def test_each_rule_names_its_field(self, field, value):
         mapping = {field: value, **({"dataset": "csv"} if field == "csv" else {})}
         with pytest.raises(ConfigError, match=rf"\b{field}\b"):
             config_from_mapping(mapping)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("k", 1),
+            ("epochs", 1),
+            ("batch_size", 1),
+            ("alpha", 0.0),
+            ("alpha", 1.0),
+            ("lr", 0),
+            ("momentum", 0),
+            ("save_every_steps", 0),
+            ("warmup_steps", 0),
+            ("seed", 0),
+            ("hidden", (1,)),
+        ],
+    )
+    def test_each_bound_is_inclusive(self, field, value):
+        assert config_from_mapping({field: value}) == RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("hidden", [[64, 64], (64, np.int64(64)), [np.int32(64), 64]])
+    def test_a_typed_hidden_list_becomes_a_tuple_of_ints(self, hidden):
+        widths = config_from_mapping({"hidden": hidden}).hidden
+        assert widths == (64, 64) and all(type(w) is int for w in widths)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -903,6 +957,15 @@ class TestBadInputFiles:
         assert run_cli(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err, err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--lr", "nan"), ("--momentum", "inf"), ("--noise", "nan")]
+    )
+    def test_a_non_finite_float_writes_nothing(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "run"
+        args = ["train", *TINY, "--epochs", "2", flag, value, "--out", str(out)]
+        self.check_exit_2(capsys, args, f"{flag[2:]} must be finite, got {value}")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "name,content",

@@ -13,6 +13,7 @@ from lawa.checkpoint_io import read_checkpoint
 from lawa.config import RunConfig, resolved_text
 from lawa.data import make_spirals
 from lawa.engine import (
+    AVERAGING_FIELDS,
     BN_EPS,
     BN_MOMENTUM,
     InferenceBuffers,
@@ -1055,6 +1056,27 @@ class TestTrainVariants:
             train_variants(cfg, variants)
         assert not (tmp_path / "a").exists()
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("name, value", [("bn_mode", "copy"), ("save_averaged", True)])
+    def test_a_variant_that_sets_bn_mode_or_save_averaged_is_refused_before_any_write(
+        self, tmp_path, name, value
+    ):
+        """They shape no weights, but their role is the trajectory's."""
+        variants = [dict(out=str(tmp_path / "a")), {name: value, "out": str(tmp_path / "b")}]
+        with pytest.raises(ConfigError, match=rf"^a variant sets {name}; a variant may set only "):
+            train_variants(tiny_cfg(tmp_path, epochs=1), variants)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_variant_may_set_each_averaging_and_output_field(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, epochs=1)
+        variants = [
+            dict(scheme="ema"), dict(k=2), dict(alpha=0.5), dict(scheme="polyak", k=1, alpha=0.0)
+        ]
+        variants = [{**v, "out": str(tmp_path / f"v{i}")} for i, v in enumerate(variants)]
+        assert {name for v in variants for name in v} == set(AVERAGING_FIELDS)
+        assert len(train_variants(cfg, variants)) == len(variants)
+        for v in variants:
+            assert (Path(v["out"]) / "metrics.csv").exists()
 
     def test_shared_output_directory_is_refused(self, tmp_path):
         with pytest.raises(ConfigError, match="output directory"):

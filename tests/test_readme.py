@@ -1,12 +1,15 @@
 """README's "Library use" snippet runs as written, given the two names it
-leaves to the reader: ``trajectory`` and ``step_of``."""
+leaves to the reader: ``trajectory`` and ``step_of``; and the fields README
+says a sweep variant may set are the ones whose role allows it."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from lawa import uniform_average
+from lawa.config import RunConfig
 from testutil import pset
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -36,3 +39,11 @@ def test_the_snippet_averages_the_six_latest_checkpoints(epochs):
 
 def test_the_snippet_has_no_average_until_the_window_fills():
     assert run_snippet(5)["averaged"] is None
+
+
+def test_the_fields_a_variant_may_set_are_those_of_the_averaging_and_output_roles():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = re.search(r"sets only the fields whose role is averaging or output: ([^.]*)\.", text)
+    named = re.findall(r"`(\w+)`", sentence.group(1))
+    roles = {f.name: f.metadata["role"] for f in fields(RunConfig)}
+    assert named == [name for name, role in roles.items() if role in ("averaging", "output")]
