@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
+from dataclasses import replace
 from functools import partial
 from operator import iadd
 from pathlib import Path
@@ -66,15 +67,20 @@ Slot = Checkpoint | CheckpointFile
 
 def window_slot(path, ckpt: Checkpoint | None = None) -> Slot:
     """The slot of the checkpoint file ``path``: a reference to the file
-    from ``FILE_SLOT_BYTES`` of file size on, else ``ckpt``, the checkpoint
-    that was written there, or, without it, the file read into memory."""
+    from ``FILE_SLOT_BYTES`` of file size on, else a read-only copy of
+    ``ckpt``, the checkpoint that was written there, or, without it, the
+    file read into memory. Either way the slot is the window's own: the
+    caller may go on to change ``ckpt``'s values, as a training loop's
+    parameter buffer does."""
     try:
         size = Path(path).stat().st_size
     except OSError:  # read_checkpoint says why
         size = 0
     if size >= FILE_SLOT_BYTES:
         return open_checkpoint(path)
-    return read_checkpoint(path) if ckpt is None else ckpt
+    if ckpt is None:
+        return read_checkpoint(path)
+    return replace(ckpt, params=ckpt.params.with_flat(ckpt.params.flat.copy()))
 
 
 def _template(slot: Slot) -> ParameterSet:

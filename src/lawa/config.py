@@ -33,9 +33,9 @@ def _field(default, *, role="trajectory", choices=None, low=None, high=None, hel
 class RunConfig:
     # dataset
     dataset: str = _field("spirals", choices=("spirals", "csv"))
-    n_per_class: int = _field(1000)
-    classes: int = _field(2)
-    noise: float = _field(0.2)
+    n_per_class: int = _field(1000, low=1)
+    classes: int = _field(2, low=2)
+    noise: float = _field(0.2, low=0)
     csv: str = _field("", help="CSV path for --dataset csv")
     label_column: str = _field("label")
     # model
@@ -48,15 +48,15 @@ class RunConfig:
     momentum: float = _field(optim.DEFAULT_MOMENTUM, low=0)
     beta1: float = _field(optim.DEFAULT_BETA1)
     beta2: float = _field(optim.DEFAULT_BETA2)
-    adam_eps: float = _field(optim.DEFAULT_ADAM_EPS)
-    lookahead_alpha: float = _field(optim.DEFAULT_LOOKAHEAD_ALPHA)
-    lookahead_k: int = _field(optim.DEFAULT_LOOKAHEAD_K)
+    adam_eps: float = _field(optim.DEFAULT_ADAM_EPS, low=0)
+    lookahead_alpha: float = _field(optim.DEFAULT_LOOKAHEAD_ALPHA, low=0, high=1)
+    lookahead_k: int = _field(optim.DEFAULT_LOOKAHEAD_K, low=1)
     lookahead_inner: str = _field("sgd", choices=("sgd", "adam"))
     # schedule
     schedule: str = _field("cosine", choices=("constant", "cosine", "poly_warmup"))
     warmup_steps: int = _field(0, low=0)
-    end_lr: float = _field(0.0)
-    power: float = _field(1.0)
+    end_lr: float = _field(0.0, low=0)
+    power: float = _field(1.0, low=0)
     # run shape
     epochs: int = _field(50, low=1)
     batch_size: int = _field(64, low=1)
@@ -81,8 +81,10 @@ class RunConfig:
             if not _has_type(value, kind):
                 declared = kind.__name__ if isinstance(kind, type) else str(kind)
                 raise ConfigError(f"{name} must be {declared}, got {type(value).__name__} {value!r}")
-            if kind is float and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+            if kind is float and not _finite(value):
+                big = isinstance(value, numbers.Integral)
+                shown = "an int too large for a float" if big else value
+                raise ConfigError(f"{name} must be finite, got {shown}")
         for f in fields(self):
             value = getattr(self, f.name)
             choices, low, high = f.metadata["choices"], f.metadata["low"], f.metadata["high"]
@@ -119,6 +121,15 @@ def _has_type(value, kind) -> bool:
     if kind is float:
         return isinstance(value, numbers.Real)
     return isinstance(value, tuple) and all(_has_type(v, int) for v in value)
+
+
+def _finite(value) -> bool:
+    """Whether ``value``, a real number, is finite as a float: an int too
+    large for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _parse_value(key: str, text: str):

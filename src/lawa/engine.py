@@ -943,17 +943,19 @@ def train_variants(
     The loop holds one parameter buffer, which each optimizer step
     updates in place. Each epoch builds a :class:`TrainingBuffers` for the
     activations and gradients of its steps and drops it after its last
-    step, before that step's save event and the epoch's evaluations. At
-    each save event and each epoch end the parameters are copied once
-    into an immutable set, which serves both when they fall on the same
-    step; the checkpoint files, the schemes, the evaluations and the
-    averages see only these copies. A variant holds at most one average:
-    the epoch end that evaluates it keeps only its validation loss and
-    accuracy, which an epoch with no save event reports again, and a
-    save event drops an average no epoch end evaluated. An empty training
-    or validation split raises :class:`EmptyDataError`, and an output
-    directory that cannot be created :class:`IoError`, before anything
-    is written.
+    step, before that step's save event and the epoch's evaluations. A
+    save event writes its checkpoint files straight from the buffer, and
+    the epoch's raw evaluations and the ``copy`` fix-up read it in place:
+    each returns before the next step. The one copy a save event makes is
+    :func:`window_slot`'s, of a checkpoint small enough to stay in
+    memory, which the schemes keep; a larger one's slot is its file's
+    headers. So no set a scheme keeps, and no average, shares memory with
+    the buffer. A variant holds at most one average: the epoch end that
+    evaluates it keeps only its validation loss and accuracy, which an
+    epoch with no save event reports again, and a save event drops an
+    average no epoch end evaluated. An empty training or validation split
+    raises :class:`EmptyDataError`, and an output directory that cannot
+    be created :class:`IoError`, before anything is written.
     """
     if not variants:
         raise ConfigError("train_variants needs at least one variant")
@@ -1036,15 +1038,14 @@ def train_variants(
         optimizer.step(params, grads, lr, out=params)
         set_running_stats(params, cache["bn_updates"])
 
-    def save_event() -> ParameterSet:
-        """Write and average an immutable copy of the params; return it."""
+    def save_event() -> None:
+        """Write the params as the next checkpoint and average it."""
         nonlocal slot
         # Every scheme that has yielded an average yields one at each later
         # save event, so an average no epoch end has read can go first.
         for v in runs:
             v.average = None
-        current = params.with_flat(params.flat.copy())
-        ckpt = Checkpoint(params=current, epoch=slot, step=global_step)
+        ckpt = Checkpoint(params=params, epoch=slot, step=global_step)
         # Every directory holds the checkpoint before any scheme can reject it.
         # The file is written once and hard-linked into the other directories;
         # no file is ever rewritten in place, so the links cannot diverge.
@@ -1062,7 +1063,7 @@ def train_variants(
             if averaged is None:
                 continue
             averaged = apply_bn_mode(
-                averaged, spec, v.cfg.bn_mode, current, x_train, buffers=buffers
+                averaged, spec, v.cfg.bn_mode, params, x_train, buffers=buffers
             )
             if v.cfg.save_averaged:
                 write_checkpoint(
@@ -1071,7 +1072,6 @@ def train_variants(
                 )
             v.average = averaged
         slot += 1
-        return current
 
     with ExitStack() as stack:
         for v in runs:
@@ -1087,14 +1087,10 @@ def train_variants(
                     global_step += 1
                     if b == steps_per_epoch - 1:
                         workspace = None  # not held through the save event and evaluations
-                    saved = save_event() if global_step % save_every == 0 else None
-
-                # Unless the epoch's last step saved a copy, make one to evaluate.
-                if saved is None:
-                    saved = params.with_flat(params.flat.copy())
-                train_loss, train_acc = evaluate(saved, spec, x_train, y_train, buffers=buffers)
-                val_loss, val_acc = evaluate(saved, spec, x_val, y_val, buffers=buffers)
-                saved = None  # a window may keep it; this loop need not
+                    if global_step % save_every == 0:
+                        save_event()
+                train_loss, train_acc = evaluate(params, spec, x_train, y_train, buffers=buffers)
+                val_loss, val_acc = evaluate(params, spec, x_val, y_val, buffers=buffers)
                 for v in runs:
                     if v.average is not None:
                         v.avg_metrics = evaluate(v.average, spec, x_val, y_val, buffers=buffers)

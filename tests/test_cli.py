@@ -909,10 +909,24 @@ class TestSchema:
             ("warmup_steps", 0),
             ("seed", 0),
             ("hidden", (1,)),
+            ("end_lr", 0),
+            ("power", 0),
+            ("adam_eps", 0),
+            ("lookahead_alpha", 0.0),
+            ("lookahead_alpha", 1.0),
+            ("lookahead_k", 1),
+            ("n_per_class", 1),
+            ("classes", 2),
+            ("noise", 0),
         ],
     )
     def test_each_bound_is_inclusive(self, field, value):
         assert config_from_mapping({field: value}) == RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    def test_an_int_too_large_for_a_float_is_refused_for_a_float_field(self, value):
+        with pytest.raises(ConfigError, match="^lr must be finite, got an int too large for a float$"):
+            RunConfig(lr=value).validate()
 
     @pytest.mark.parametrize("hidden", [[64, 64], (64, np.int64(64)), [np.int32(64), 64]])
     def test_a_typed_hidden_list_becomes_a_tuple_of_ints(self, hidden):
@@ -965,6 +979,27 @@ class TestBadInputFiles:
         out = tmp_path / "run"
         args = ["train", *TINY, "--epochs", "2", flag, value, "--out", str(out)]
         self.check_exit_2(capsys, args, f"{flag[2:]} must be finite, got {value}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, refusal",
+        [
+            (["--end-lr", "-1"], "end_lr must be >= 0, got -1.0"),
+            (["--power", "-1", "--schedule", "poly_warmup"], "power must be >= 0, got -1.0"),
+            (["--adam-eps", "-1", "--optimizer", "adam"], "adam_eps must be >= 0, got -1.0"),
+            (["--lookahead-alpha", "1.5", "--optimizer", "lookahead"], "lookahead_alpha must be <= 1, got 1.5"),
+            (["--lookahead-alpha", "-0.5", "--optimizer", "lookahead"], "lookahead_alpha must be >= 0, got -0.5"),
+            (["--lookahead-k", "0", "--optimizer", "lookahead"], "lookahead_k must be >= 1, got 0"),
+            (["--n-per-class", "0"], "n_per_class must be >= 1, got 0"),
+            (["--classes", "1"], "classes must be >= 2, got 1"),
+            (["--noise", "-0.1"], "noise must be >= 0, got -0.1"),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else "",
+    )
+    def test_a_value_out_of_its_field_bounds_writes_nothing(self, tmp_path, capsys, flags, refusal):
+        """The schema refuses it before any builder sees it."""
+        out = tmp_path / "run"
+        self.check_exit_2(capsys, ["train", *TINY, "--epochs", "2", *flags, "--out", str(out)], refusal)
         assert not out.exists()
 
     @pytest.mark.parametrize(

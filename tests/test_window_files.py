@@ -146,7 +146,11 @@ class TestTheSizeRule:
             write_checkpoint(ckpts[-1], path)
             assert (path.stat().st_size >= FILE_SLOT_BYTES) == (not below)
             slot = window_slot(path, ckpts[-1])
-            assert slot is ckpts[-1] if below else slot == open_checkpoint(path)
+            if below:  # a read-only copy, which the window owns
+                assert slot == ckpts[-1] and not slot.params.flat.flags.writeable
+                assert not np.shares_memory(slot.params.flat, ckpts[-1].params.flat)
+            else:
+                assert slot == open_checkpoint(path)
             assert window_slot(path) == (read_checkpoint(path) if below else slot)
             average = scheme.observe(slot)
         assert all(isinstance(s, CheckpointFile) != below for s in scheme.window)

@@ -104,3 +104,26 @@ def traced(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return result, peak - before, after - before
+
+
+class PeakSpans:
+    """The traced peak over spans of a call made under :func:`traced`.
+
+    ``open`` starts a span, unless one is open, and ``close`` ends it,
+    unless none is; ``peaks`` lists the most bytes traced at once in each
+    span. ``open`` resets ``tracemalloc``'s peak, so the peak that
+    ``traced`` reports counts only from the last span's opening."""
+
+    def __init__(self):
+        self.peaks: list[int] = []
+        self._open = False
+
+    def open(self) -> None:
+        if not self._open:
+            tracemalloc.reset_peak()
+            self._open = True
+
+    def close(self) -> None:
+        if self._open:
+            self.peaks.append(tracemalloc.get_traced_memory()[1])
+            self._open = False
