@@ -146,6 +146,9 @@ class AveragingScheme:
     """Base interface: feed checkpoints, get averaged parameters when defined."""
 
     kind: str
+    # Whether ``observe`` may keep the slot it is handed past the call; a
+    # caller may hand a scheme that keeps none a checkpoint it goes on to change.
+    keeps_slots = False
     _template: ParameterSet | None = None  # the first checkpoint's layout, without values
     _epoch = -1  # of the newest checkpoint taken in
     _stopped: str | None = None  # why no right average can follow, once none can
@@ -153,9 +156,10 @@ class AveragingScheme:
     def observe(self, slot: Slot) -> ParameterSet | None:
         """Absorb one checkpoint, in memory or in its file; return the
         scheme's current average, if any, as a fresh set over a buffer that
-        nothing else holds, the next ``observe`` included. A scheme may keep
-        the slot as it was handed in, so a file slot's file must stay
-        unchanged while the scheme lives.
+        nothing else holds, the next ``observe`` included. A scheme whose
+        ``keeps_slots`` is set may keep the slot as it was handed in, so a
+        file slot's file must stay unchanged while the scheme lives; any
+        other reads the slot only during the call.
         """
         raise NotImplementedError
 
@@ -202,6 +206,7 @@ class UniformScheme(AveragingScheme):
     """
 
     kind = "uniform"
+    keeps_slots = True
 
     def __init__(self, k: int = DEFAULT_WINDOW):
         if k < 1:

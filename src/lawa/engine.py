@@ -21,12 +21,13 @@ e.g. changing the averaging scheme never perturbs the trajectory.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -147,13 +148,18 @@ def init_params(spec: ModelSpec) -> ParameterSet:
 
 
 class InferenceBuffers:
-    """Where inference walks write their hidden layers: ``full``, two flat
-    buffers for layers held at full height, and ``areas``, two for the row
-    blocks of a wide walk's other layers (see :func:`_blocked_walk` and
-    :func:`_whole_walk`). Each grows on demand and is reused by later
-    walks, so a training loop that holds one set for all its evaluations
-    allocates no fresh layer arrays. Nothing a walk returns is a view of
-    these buffers.
+    """The scratch arena of inference walks: ``full``, two flat buffers
+    for hidden layers held at full height, and ``areas``, two for the row
+    blocks of a wide walk's other layers, each taken as
+    :func:`_walk_plan` says. A walk grows a buffer that is too small and
+    later walks reuse it, so a training loop that holds one set for all
+    its evaluations allocates no fresh layer arrays. :meth:`reserve`
+    sizes them at once for every walk of a list, as ``train_variants``
+    does before a run's first step when a walk of the run goes in row
+    blocks, so that no walk grows them after that. A
+    :class:`TrainingBuffers` built ``within`` them takes its arrays from
+    their room where it fits, since no walk runs during a training step.
+    Nothing a walk returns is a view of these buffers.
     """
 
     __slots__ = ("full", "areas")
@@ -162,21 +168,51 @@ class InferenceBuffers:
         self.full = [np.empty(0), np.empty(0)]
         self.areas = [np.empty(0), np.empty(0)]
 
+    def reserve(self, spec: ModelSpec, walks: Sequence[tuple[int, bool]]) -> None:
+        """Grow each buffer once to the most that any of ``walks`` takes of
+        it, each walk an ``(n, measures)`` pair: ``n`` rows of ``spec``
+        through :func:`recompute_bn_stats` when ``measures``, else through
+        an evaluation."""
+        sizes = [_walk_plan(spec, n, measures).sizes for n, measures in walks]
+        self._take([max(column) for column in zip(*sizes)], spec.np_dtype)
 
-def _grown(arrays: list[np.ndarray], k: int, size: int, dtype: np.dtype) -> np.ndarray:
-    """``arrays[k]``, replaced first by a new buffer of ``size`` elements
-    when it is smaller or of another element type."""
-    if arrays[k].size < size or arrays[k].dtype != dtype:
-        arrays[k] = np.empty(size, dtype)
-    return arrays[k]
+    def _take(self, sizes: Sequence[int], dtype: np.dtype) -> list[np.ndarray | None]:
+        """The leading ``sizes`` elements of ``full[0]``, ``full[1]``,
+        ``areas[0]`` and ``areas[1]``, or None where the size is 0, each
+        replaced first by a new buffer when it is smaller or of another
+        element type."""
+        buffers = [(self.full, 0), (self.full, 1), (self.areas, 0), (self.areas, 1)]
+        taken = []
+        for (arrays, k), size in zip(buffers, sizes):
+            if size and (arrays[k].size < size or arrays[k].dtype != dtype):
+                arrays[k] = np.empty(size, dtype)
+            taken.append(arrays[k][:size] if size else None)
+        return taken
 
 
-def _layer_rows(spec: ModelSpec, n: int) -> list[tuple[np.ndarray, ...]]:
-    """Each hidden layer's ``n`` rows for a training pass: its product,
-    its batch-norm output (None without batch norm), its ReLU output and
-    its ReLU mask."""
+def _carver(regions: Sequence[np.ndarray]):
+    """An ``empty(shape, dtype)`` that takes arrays one after another from
+    the room of ``regions``, each a view of the first region with room
+    left from a 64-byte step of its start, or else a fresh array."""
+    room = [region.view(np.uint8) for region in regions if region.size]
+
+    def empty(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        for k, free in enumerate(room):
+            if nbytes <= free.size:
+                room[k] = free[-(-nbytes // 64) * 64 :]
+                return free[:nbytes].view(dtype).reshape(shape)
+        return np.empty(shape, dtype)
+
+    return empty
+
+
+def _layer_rows(spec: ModelSpec, n: int, empty=np.empty) -> list[tuple[np.ndarray, ...]]:
+    """Each hidden layer's ``n`` rows for a training pass, from
+    ``empty(shape, dtype)``: its product, its batch-norm output (None
+    without batch norm), its ReLU output and its ReLU mask."""
     def rows(width: int, dtype: np.dtype = spec.np_dtype) -> np.ndarray:
-        return np.empty((n, width), dtype)
+        return empty((n, width), dtype)
 
     return [
         (rows(w), rows(w) if spec.use_bn[i] else None, rows(w), rows(w, np.dtype(bool)))
@@ -191,8 +227,11 @@ class TrainingBuffers:
     holds the input batch in the model's element type, each hidden
     layer's batch rows, one spare set of rows as wide as the widest
     hidden layer, and one gradient set, built by
-    :meth:`ParameterSet.over` and laid out like the parameters. A layer's
-    rows are its product (``zhat`` after batch norm), its batch-norm
+    :meth:`ParameterSet.over` and laid out like the parameters. Built
+    ``within`` an :class:`InferenceBuffers`, each of these arrays that
+    fits in the room of the walk buffers is a view of them, in the order
+    gradients, layer rows, spare rows, input; the rest are fresh. A
+    layer's rows are its product (``zhat`` after batch norm), its batch-norm
     output (None without batch norm), its ReLU output and its ReLU mask.
     ``backward`` writes each layer's ``d_h`` into the spare rows: the
     product that makes it may run beside the one that reads the layer's
@@ -204,24 +243,36 @@ class TrainingBuffers:
     passes raise :class:`ShapeError`, before they write anything, on
     buffers built for another model or batch size.
 
-    Every array it hands out is rewritten by a later step: the
-    activations a ``forward`` caches and the gradients ``backward``
-    returns. Copy what must outlive the next step. The memory is freed
-    with this object and every view of it; ``train_variants`` builds one
-    per epoch and drops it after the epoch's last step.
+    Every array it hands out is rewritten by a later step, and, within
+    walk buffers, by any walk between steps: the activations a
+    ``forward`` caches and the gradients ``backward`` returns. A step
+    writes each array before it reads it, so a walk between steps changes
+    no bit of a run. Copy what must outlive the next step or walk. The
+    fresh arrays are freed with this object and every view of them;
+    ``train_variants`` builds one per epoch, within the run's walk
+    buffers when a walk of the run goes in row blocks, and drops it after
+    the epoch's last step.
     """
 
     __slots__ = ("spec", "batch_size", "input", "layers", "spare", "d_h", "grads", "grad_views")
 
-    def __init__(self, params: ParameterSet, spec: ModelSpec, batch_size: int):
+    def __init__(
+        self,
+        params: ParameterSet,
+        spec: ModelSpec,
+        batch_size: int,
+        *,
+        within: InferenceBuffers | None = None,
+    ):
         self.spec, self.batch_size = spec, batch_size
-        self.input = np.empty((batch_size, spec.widths[0]), spec.np_dtype)
-        self.layers = _layer_rows(spec, batch_size)
-        self.spare = np.empty(batch_size * max(spec.widths[1:-1]), spec.np_dtype)
+        empty = _carver([] if within is None else [*within.full, *within.areas])
+        self.grads = params.over(empty((params.total_size(),), params.dtype))
+        self.grad_views = params.entry_views(self.grads.buffer)
+        self.layers = _layer_rows(spec, batch_size, empty)
+        self.spare = empty((batch_size * max(spec.widths[1:-1]),), spec.np_dtype)
         # Hidden layer i's d_h: a leading view of the spare rows.
         self.d_h = [self.spare[: batch_size * w].reshape(batch_size, w) for w in spec.widths[1:-1]]
-        self.grads = params.over(np.empty(params.total_size(), params.dtype))
-        self.grad_views = params.entry_views(self.grads.buffer)
+        self.input = empty((batch_size, spec.widths[0]), spec.np_dtype)
 
     def check(self, spec: ModelSpec, n: int) -> None:
         """Raise :class:`ShapeError` unless these buffers serve ``n``-row
@@ -352,6 +403,49 @@ def _row_blocks(spec: ModelSpec, n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
+class _WalkPlan(NamedTuple):
+    blocks: list[slice]  # the row blocks
+    starts: list[int]  # the first hidden layer of each segment
+    ends: list[int]  # the last hidden layer of each segment
+    held: list[int]  # the layers a walk in row blocks holds at full height
+    area_rows: int  # the rows an area holds: the two largest blocks
+    sizes: tuple[int, int, int, int]  # elements taken of full[0], full[1], areas[0], areas[1]
+
+
+def _walk_plan(spec: ModelSpec, n: int, measures: bool) -> _WalkPlan:
+    """The plan of an inference walk over ``n`` rows: a recompute when
+    ``measures``, whose segments end at each batch-norm layer, else an
+    evaluation, one segment through every hidden layer.
+
+    A walk of one block (:func:`_whole_walk`) takes a full-height layer of
+    the widest hidden width from ``areas[0]``, and one from ``full[0]``
+    when it reaches a second layer. A walk in row blocks
+    (:func:`_blocked_walk`) takes one from ``full[k % 2]`` for the k-th
+    layer it holds, and from each of ``areas[0]`` and ``areas[1]`` that a
+    segment's other layers take in turn, the two largest blocks' rows of
+    the widest width. :meth:`InferenceBuffers.reserve` sizes a run's
+    buffers from these plans, so the two cannot drift apart.
+    """
+    ends = [i for i, on in enumerate(spec.use_bn) if on] if measures else [spec.n_hidden - 1]
+    blocks = _row_blocks(spec, n)
+    widest = max(spec.widths[1:-1])
+    layer = n * widest
+    if len(blocks) == 1:
+        sizes = (layer if ends[-1] > 0 else 0, 0, layer, 0)
+        return _WalkPlan(blocks, [0], ends[-1:], [], n, sizes)
+    held = ends[:-1] if measures else ends
+    starts = [0, *(end + 1 for end in ends[:-1])]
+    in_areas = max(
+        sum(i not in held for i in range(start, end + 1)) for start, end in zip(starts, ends)
+    )
+    area_rows = sum(sorted(b.stop - b.start for b in blocks)[-2:])
+    area = area_rows * widest
+    sizes = (
+        layer * (len(held) > 0), layer * (len(held) > 1), area * (in_areas > 0), area * (in_areas > 1)
+    )
+    return _WalkPlan(blocks, starts, ends, held, area_rows, sizes)
+
+
 def _normalization(
     spec: ModelSpec, params: ParameterSet, stats: ParameterSet | dict[str, np.ndarray], i: int
 ) -> tuple[np.ndarray, ...] | None:
@@ -386,41 +480,36 @@ def _inference_walk(
     layer's float64 sums are taken over each ``ROW_BLOCK`` rows and added
     in row order.
     """
-    if measured is None:
-        last, waits = spec.n_hidden - 1, []
-    else:
-        normalized = [i for i, on in enumerate(spec.use_bn) if on]
-        last, waits = normalized[-1], normalized[:-1]
-    blocks = _row_blocks(spec, len(x))
-    if len(blocks) == 1:
-        return _whole_walk(params, spec, x, buffers, last, measured)
-    return _blocked_walk(params, spec, x, buffers, blocks, [*waits, last], measured)
+    plan = _walk_plan(spec, len(x), measured is not None)
+    taken = buffers._take(plan.sizes, spec.np_dtype)
+    if len(plan.blocks) == 1:
+        return _whole_walk(params, spec, x, taken, plan.ends[-1], measured)
+    return _blocked_walk(params, spec, x, taken, plan, measured)
 
 
 def _whole_walk(
     params: ParameterSet,
     spec: ModelSpec,
     h: np.ndarray,
-    buffers: InferenceBuffers,
+    taken: list[np.ndarray | None],
     last: int,
     measured: dict[str, np.ndarray] | None,
 ) -> np.ndarray | None:
-    """:func:`_inference_walk` in one block, up to hidden layer ``last``:
-    layer ``i`` at full height in ``buffers.areas[0]`` when ``i`` is even
-    and ``buffers.full[0]`` when odd, the two buffers a wide walk of two
-    hidden layers takes. A measured layer squares into the other buffer,
-    or its own rows when it is ``last``.
+    """:func:`_inference_walk` in one block, up to hidden layer ``last``,
+    in the buffers ``taken`` as its plan says: layer ``i`` at full height
+    in ``areas[0]`` when ``i`` is even and ``full[0]`` when odd, the two
+    buffers a wide walk of two hidden layers takes. A measured layer
+    squares into the other buffer, or its own rows when it is ``last``.
     """
     n, dtype, stats = len(h), spec.np_dtype, params if measured is None else measured
-    size = n * max(spec.widths[1:-1])
-    pair = (buffers.areas, buffers.full)
+    pair = (taken[2], taken[0])
     for i in range(last + 1):
         width = spec.widths[i + 1]
-        z = _grown(pair[i % 2], 0, size, dtype)[: n * width].reshape(n, width)
+        z = pair[i % 2][: n * width].reshape(n, width)
         np.matmul(h, params[f"layer{i}.weight"], out=z)
         z += params[f"layer{i}.bias"]
         if measured is not None and spec.use_bn[i]:
-            scratch = None if i == last else _grown(pair[(i + 1) % 2], 0, size, dtype)
+            scratch = None if i == last else pair[(i + 1) % 2]
             sums = np.empty((len(range(0, n, ROW_BLOCK)), 2, width))
             _row_sums(z, 0, sums, scratch)
             _store_statistics(measured, i, sums, n, dtype)
@@ -435,43 +524,32 @@ def _blocked_walk(
     params: ParameterSet,
     spec: ModelSpec,
     x: np.ndarray,
-    buffers: InferenceBuffers,
-    blocks: list[slice],
-    ends: list[int],
+    taken: list[np.ndarray | None],
+    plan: _WalkPlan,
     measured: dict[str, np.ndarray] | None,
 ) -> np.ndarray | None:
-    """:func:`_inference_walk` in the row ``blocks``, in segments of
-    layers up to each of ``ends``.
+    """:func:`_inference_walk` in the row blocks of ``plan``, in its
+    segments of layers, in the buffers ``taken`` as it says.
 
     :func:`lanes.share` hands out a segment's blocks, and a lane carries
     its block through every layer of the segment while the block is in
     that core's cache. Only a layer that a later step reads whole is held
-    at full height, in ``buffers.full``, two in turn: the last layer of an
+    at full height, in ``full``, two in turn: the last layer of an
     evaluation, for the output product, or a measured layer before the
     last, whose rows wait for their statistics (the next segment
     normalizes them block by block). A segment's other layers take
-    ``buffers.areas`` in turn from area 0, lane 0's block at the front and
-    lane 1's at the back; an area holds the two largest blocks, so two
-    blocks never meet. A held measured layer squares into its block's
-    place in area 0, which a walk that measures has, as its last segment
-    starts there. The lane that carries a block changes no bit.
+    ``areas`` in turn from area 0, lane 0's block at the front and lane
+    1's at the back; an area holds the two largest blocks, so two blocks
+    never meet. A held measured layer squares into its block's place in
+    area 0, which a walk that measures has, as its last segment starts
+    there. The lane that carries a block changes no bit.
     """
     n, dtype, widths = len(x), spec.np_dtype, spec.widths[1:-1]
-    widest = max(widths)
-    held = ends if measured is None else ends[:-1]
-    full = {
-        i: _grown(buffers.full, k % 2, n * widest, dtype)[: n * widths[i]].reshape(n, widths[i])
-        for k, i in enumerate(held)
-    }
-    starts = [0, *(end + 1 for end in ends[:-1])]
-    in_areas = max(
-        sum(i not in full for i in range(start, end + 1)) for start, end in zip(starts, ends)
-    )
-    area_rows = sum(sorted(b.stop - b.start for b in blocks)[-2:])
-    areas = [_grown(buffers.areas, a, area_rows * widest, dtype) for a in range(min(2, in_areas))]
+    widest, ends, areas, area_rows = max(widths), plan.ends, taken[2:], plan.area_rows
+    full = {i: taken[k % 2][: n * widths[i]].reshape(n, widths[i]) for k, i in enumerate(plan.held)}
     stats = params if measured is None else measured
     h, norm = x, None  # a segment's input, and the normalization it waits for
-    for start, end in zip(starts, ends):
+    for start, end in zip(plan.starts, ends):
         # Every layer of an evaluation is normalized by its block; a
         # measured layer, by the next segment.
         normalized = {
@@ -500,7 +578,7 @@ def _blocked_walk(
             if sums is not None:
                 _row_sums(g, rows.start // ROW_BLOCK, sums, areas[0][at:] if end in full else None)
 
-        lanes.share(blocks, carry, True)
+        lanes.share(plan.blocks, carry, True)
         if sums is not None:
             _store_statistics(measured, end, sums, n, dtype)
             if end in full:
@@ -832,6 +910,10 @@ def copy_bn_stats(avg: ParameterSet, source: ParameterSet) -> ParameterSet:
     )
 
 
+# The bn modes that recompute an average's statistics on the training split.
+_RECOMPUTE_MODES = ("auto", "recompute")
+
+
 def apply_bn_mode(
     avg: ParameterSet,
     spec: ModelSpec,
@@ -848,7 +930,7 @@ def apply_bn_mode(
     """
     if not spec.has_bn or mode == "off":
         return avg
-    if mode == "auto" or mode == "recompute":
+    if mode in _RECOMPUTE_MODES:
         return recompute_bn_stats(avg, spec, train_x, buffers=buffers)
     if mode == "copy":
         return copy_bn_stats(avg, newest)
@@ -931,9 +1013,11 @@ def train_variants(
     the optimizer step and the raw-model evaluations run once; each save
     event writes the checkpoint once, hard-links it into every other
     output directory (writing it again where a link fails) and feeds
-    every variant's averaging scheme one slot, the first directory's
-    file's :func:`window_slot`: a large model's checkpoint is read back
-    from that file at each average. Each directory ends up
+    every variant's averaging scheme one slot: the first directory's
+    file's :func:`window_slot` when a scheme keeps slots (a large model's
+    checkpoint is then read back from that file at each average), else
+    the loop's checkpoint itself, which each scheme reads only during its
+    ``observe``. Each directory ends up
     byte-identical to a ``train_run`` of its variant's config, except
     for ``wall_seconds``, which counts from the shared start. A
     non-finite value aborts every variant at the same epoch. Every
@@ -941,16 +1025,29 @@ def train_variants(
     before any write.
 
     The loop holds one parameter buffer, which each optimizer step
-    updates in place. Each epoch builds a :class:`TrainingBuffers` for the
-    activations and gradients of its steps and drops it after its last
-    step, before that step's save event and the epoch's evaluations. A
-    save event writes its checkpoint files straight from the buffer, and
-    the epoch's raw evaluations and the ``copy`` fix-up read it in place:
-    each returns before the next step. The one copy a save event makes is
-    :func:`window_slot`'s, of a checkpoint small enough to stay in
-    memory, which the schemes keep; a larger one's slot is its file's
-    headers. So no set a scheme keeps, and no average, shares memory with
-    the buffer. A variant holds at most one average: the epoch end that
+    updates in place, and one :class:`InferenceBuffers` for all its
+    walks. When a walk of the run goes in row blocks (a wide model), those
+    buffers are the run's one scratch arena: reserved before the first
+    step for the largest walk the run will make (the evaluation of either
+    split or, where an average is recomputed, the training split's
+    recompute), they hold each epoch's :class:`TrainingBuffers`, fresh
+    only where an array does not fit (a wide model's gradients beside a
+    tiny split's walk). A walk inside an epoch may overwrite the
+    workspace, which each step writes before it reads; nothing that
+    leaves the loop lives in the arena. A run whose every walk is one
+    block (a small model, such as the 64x64 sweep's) grows its walk
+    buffers at its first evaluation and gives each workspace arrays of
+    its own: reserving early and sharing raised such a sweep's peak
+    resident memory rather than lowering it. Each epoch drops its
+    workspace after its last step, before that step's save event and
+    the epoch's evaluations. A save event writes its checkpoint files
+    straight from the buffer, and the epoch's raw evaluations and the
+    ``copy`` fix-up read it in place: each returns before the next step.
+    The one copy a save event makes is :func:`window_slot`'s, of a
+    checkpoint small enough to stay in memory, and only when a scheme
+    keeps slots; a larger one's slot is its file's headers. So no set a
+    scheme keeps, and no average, shares memory with the buffer. A
+    variant holds at most one average: the epoch end that
     evaluates it keeps only its validation loss and accuracy, which an
     epoch with no save event reports again, and a save event drops an
     average no epoch end evaluated. An empty training or validation split
@@ -1024,7 +1121,18 @@ def train_variants(
             v.out_dir / "config.resolved", resolved_text(v.cfg).encode("utf-8"), "config"
         )
 
-    buffers = InferenceBuffers()  # every evaluation of this call shares them
+    # Every walk of this call shares these buffers. When a walk goes in row
+    # blocks they are the run's one scratch arena, sized for every walk
+    # before the first step and holding each epoch's workspace.
+    buffers = InferenceBuffers()
+    recomputes = spec.has_bn and any(
+        v.cfg.scheme != "none" and v.cfg.bn_mode in _RECOMPUTE_MODES for v in runs
+    )
+    walks = [(n_train, False), (len(x_val), False)] + [(n_train, True)] * recomputes
+    arena = buffers if any(len(_row_blocks(spec, n)) > 1 for n, _ in walks) else None
+    if arena is not None:
+        buffers.reserve(spec, walks)
+    keeps_slots = any(v.scheme.keeps_slots for v in runs)
     started = time.perf_counter()
     global_step = 0
     slot = 0
@@ -1057,7 +1165,8 @@ def train_variants(
                 os.link(first, path)
             except OSError:
                 write_checkpoint(ckpt, path)
-        handed = window_slot(first, ckpt)  # the other files are links or copies
+        # The other files are links or copies.
+        handed = window_slot(first, ckpt) if keeps_slots else ckpt
         for v in runs:
             averaged = v.scheme.observe(handed)
             if averaged is None:
@@ -1079,7 +1188,7 @@ def train_variants(
         for epoch in range(cfg.epochs):
             try:
                 order = rng_for(cfg.seed, f"shuffle:{epoch}").permutation(n_train)
-                workspace = TrainingBuffers(params, spec, cfg.batch_size)
+                workspace = TrainingBuffers(params, spec, cfg.batch_size, within=arena)
                 for b in range(steps_per_epoch):
                     sel = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
                     last_lr = schedule.lr_at(global_step)

@@ -103,11 +103,16 @@ def share(items: Sequence[T], work: Callable[[int, T], object], wide: bool) -> N
         for item in items:
             work(0, item)
         return
-    pending = iter(items)  # a sequence's iterator hands out each item once
+    # A sequence's iterator hands out each item once. The worker's task
+    # reaches the items and ``work`` only through this list, emptied once
+    # lane 1 is cancelled or done: a worker that has not yet dropped the
+    # task, or a cancelled task still queued, keeps none of their arrays.
+    shared = [iter(items), work]
 
     def lane(k: int) -> None:
+        pending, run = shared
         for item in pending:
-            work(k, item)
+            run(k, item)
 
     on_worker = _worker().submit(lane, 1)
     try:
@@ -115,8 +120,9 @@ def share(items: Sequence[T], work: Callable[[int, T], object], wide: bool) -> N
     except BaseException:
         if not on_worker.cancel():
             _wait(on_worker)
+        shared.clear()
         raise
-    if not on_worker.cancel():
-        error = _wait(on_worker)
-        if error is not None:
-            raise error
+    error = None if on_worker.cancel() else _wait(on_worker)
+    shared.clear()
+    if error is not None:
+        raise error

@@ -46,7 +46,7 @@ from lawa.errors import (
 )
 from lawa.optim import Adam, Lookahead, Sgd, make_optimizer
 from lawa.params import Checkpoint, ParameterSet
-from testutil import PeakSpans, traced
+from testutil import PeakSpans, masked_files, traced
 
 
 def small_spec(use_bn=False, loss="cross_entropy", seed=0, widths=(2, 5, 3)):
@@ -403,11 +403,17 @@ class TestInferenceForward:
 
 def two_pass_recompute(params, spec, x):
     """``recompute_bn_stats`` as it was before the one-product version:
-    statistics from 256-row blocks, activations from a second, whole
-    product, and every hidden layer computed."""
+    statistics from the products of 256-row blocks, a last block of fewer
+    than 8 rows joining the one before it, summed 256 rows at a time;
+    activations from a second, whole product; and every hidden layer
+    computed."""
     x = np.asarray(x).astype(spec.np_dtype, copy=False)
     updates = {}
     h = x
+    starts = list(range(0, len(x), 256))
+    if len(starts) > 1 and len(x) - starts[-1] < 8:
+        starts.pop()
+    blocks = list(zip(starts, starts[1:] + [len(x)]))
     for i in range(spec.n_hidden):
         w = params[f"layer{i}.weight"]
         b = params[f"layer{i}.bias"]
@@ -416,11 +422,13 @@ def two_pass_recompute(params, spec, x):
             total = np.zeros(width, dtype=np.float64)
             total_sq = np.zeros(width, dtype=np.float64)
             count = 0
-            for start in range(0, len(h), 256):
-                z = h[start : start + 256] @ w + b
-                total += z.sum(axis=0, dtype=np.float64)
-                total_sq += (z * z).sum(axis=0, dtype=np.float64)
-                count += len(z)
+            for start, stop in blocks:
+                block = h[start:stop] @ w + b
+                for chunk in range(0, len(block), 256):
+                    z = block[chunk : chunk + 256]
+                    total += z.sum(axis=0, dtype=np.float64)
+                    total_sq += (z * z).sum(axis=0, dtype=np.float64)
+                    count += len(z)
             mean = total / count
             var = np.maximum(total_sq / count - mean * mean, 0.0)
             updates[f"layer{i}.bn_running_mean"] = mean.astype(spec.np_dtype)
@@ -550,11 +558,9 @@ class TestInferencePathIsBitwiseTheOutOfPlacePath:
         params = two_pass_recompute(perturbed_bn_params(spec, seed=n), spec, x)
         assert evaluate(params, spec, x, y) == out_of_place_evaluate(params, spec, x, y)
 
-    # Row counts whose blocks are the oracle's 256-row chunks: the oracle
-    # takes a last chunk of under 8 rows as a product of its own, which
-    # OpenBLAS gives other bits through a 512x256 weight than the rows of
-    # the walk's merged block.
-    @pytest.mark.parametrize("n", [1024, 1600])
+    # 519 rows end in a block of 263 rows, whose last 7 rows OpenBLAS gives
+    # other bits through a 512x256 weight as a product of their own.
+    @pytest.mark.parametrize("n", [519, 1024, 1600])
     @pytest.mark.parametrize(
         "hidden,use_bn",
         [
@@ -578,6 +584,29 @@ class TestInferencePathIsBitwiseTheOutOfPlacePath:
         want = two_pass_recompute(params, spec, x)
         for name in params.names:
             assert np.array_equal(got[name], want[name]), name
+
+    @pytest.mark.parametrize("use_bn", [False, True])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_one_wide_hidden_layer_in_row_blocks(self, dtype, use_bn):
+        """An evaluation in row blocks whose one hidden layer is held at
+        full height, so its plan gives the areas no room."""
+        spec = ModelSpec(widths=(2, 4096, 2), use_bn=(use_bn,), init_seed=8, dtype=dtype)
+        n = 1024
+        assert len(engine._row_blocks(spec, n)) > 1
+        assert engine._walk_plan(spec, n, False).sizes[2:] == (0, 0)
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 2))
+        y = rng.integers(0, 2, size=n)
+        params = perturbed_bn_params(spec, seed=n)
+        buffers = InferenceBuffers()
+        if use_bn:
+            got = recompute_bn_stats(params, spec, x, buffers=buffers)
+            want = two_pass_recompute(params, spec, x)
+            for name in params.names:
+                assert np.array_equal(got[name], want[name]), name
+            params = want
+        got = evaluate(params, spec, x, y, buffers=buffers)
+        assert got == out_of_place_evaluate(params, spec, x, y)
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     @pytest.mark.parametrize("use_bn", [False, True])
@@ -868,14 +897,28 @@ class TestTrainRun:
             saved = read_checkpoint(engine.checkpoint_path(Path(cfg.out), epoch)).params
             assert saved.flat.tobytes() == params.flat.tobytes(), epoch
 
+    def test_a_model_of_one_wide_hidden_layer_evaluates_in_row_blocks(self, tmp_path):
+        """Each epoch end evaluates the training split of a one-hidden-layer
+        model in row blocks, as an out-of-place pass over its checkpoint."""
+        cfg = tiny_cfg(tmp_path, n_per_class=640, hidden=(4096,), epochs=2, batch_size=64)
+        records = train_run(cfg)
+        dataset = build_dataset(cfg)
+        spec = engine.model_spec_for(cfg, dataset)
+        x, y = dataset.train()
+        assert len(engine._row_blocks(spec, len(x))) > 1
+        for epoch, record in enumerate(records):
+            saved = read_checkpoint(engine.checkpoint_path(Path(cfg.out), epoch)).params
+            want = out_of_place_evaluate(saved, spec, x, y)
+            assert (record.train_loss, record.train_acc) == want, epoch
+
     def test_an_f32_step_reads_no_old_input_rows(self, tmp_path, monkeypatch):
         """Input batch rows that start as a signalling NaN change no bit of
         an f32 run and raise no cast warning: a step writes them without
         reading them."""
         build = TrainingBuffers.__init__
 
-        def poisoned(self, *args):
-            build(self, *args)
+        def poisoned(self, *args, **kwargs):
+            build(self, *args, **kwargs)
             self.input.view(np.uint32)[...] = 0x7FA00000
 
         runs = {}
@@ -1359,8 +1402,8 @@ class TestTrainVariantsHandsOutCopies:
         class Recorded(TrainingBuffers):
             __slots__ = ("__weakref__",)
 
-            def __init__(self, params, spec, batch_size):
-                super().__init__(params, spec, batch_size)
+            def __init__(self, params, spec, batch_size, **kwargs):
+                super().__init__(params, spec, batch_size, **kwargs)
                 seen["workspaces"].append((weakref.ref(self), params))
 
         def hand_out(pset, kept):
@@ -1408,7 +1451,7 @@ class TestTrainVariantsHandsOutCopies:
             observe = scheme.observe
 
             def recorded_observe(slot):
-                hand_out(slot.params, kept=True)
+                hand_out(slot.params, kept=scheme.keeps_slots)
                 seen["kept"].append((scheme, slot, slot.params.flat.copy()))
                 average = observe(slot)
                 if average is not None and average.buffer is not None:
@@ -1446,9 +1489,12 @@ class TestTrainVariantsHandsOutCopies:
         assert len(seen["workspaces"]) == 6
         assert len(seen["handed_out"]) > 3 * 6
         assert all(seen["handed_out"])
-        # Both schemes are handed one slot per save event, each a copy.
+        # Both schemes are handed one slot per save event: a copy when the
+        # uniform window keeps it, else the loop's parameters in place.
         slots = [slot for _, slot, _ in seen["kept"]]
         assert len({id(slot) for slot in slots}) == len(slots) // 2
+        loop = seen["workspaces"][0][1]
+        assert all((slot.params is loop) == (extra["scheme"] == "ema") for slot in slots)
 
     @pytest.mark.parametrize("save_every_steps", [0, 3])
     def test_no_workspace_is_alive_at_an_epoch_end(
@@ -1511,16 +1557,21 @@ class TestTrainVariantsHandsOutCopies:
         cfg = tiny_cfg(tmp_path, scheme=scheme, k=3, save_every_steps=3)
         train_run(cfg)
         assert len(seen["kept"]) == 8
+        loop = seen["workspaces"][0][1]
         for _, slot, at_observe in seen["kept"]:
             assert isinstance(slot, Checkpoint)
-            assert np.array_equal(slot.params.flat, at_observe)
+            if scheme == "ema":  # it keeps no slot, so it reads the loop's parameters in place
+                assert slot.params is loop
+            else:
+                assert np.array_equal(slot.params.flat, at_observe)
         if scheme == "uniform":  # its window holds the k newest slots, unchanged above
             window = list(seen["kept"][0][0].window)
             assert [id(s) for s in window] == [id(slot) for _, slot, _ in seen["kept"][-cfg.k :]]
 
+    @pytest.mark.parametrize("scheme", ["none", "uniform"])
     @pytest.mark.parametrize("save_every_steps", [0, 3])
     def test_params_are_copied_per_save_event_not_per_step_or_epoch(
-        self, tmp_path, monkeypatch, save_every_steps
+        self, tmp_path, monkeypatch, save_every_steps, scheme
     ):
         calls = []
         with_flat = ParameterSet.with_flat
@@ -1532,12 +1583,13 @@ class TestTrainVariantsHandsOutCopies:
         monkeypatch.setattr(ParameterSet, "with_flat", counted)
         # 64 training rows in batches of 16: 4 steps per epoch, 24 in all;
         # every 3 steps makes 8 save events, 2 of them at an epoch end.
-        cfg = tiny_cfg(tmp_path, scheme="none", save_every_steps=save_every_steps)
+        cfg = tiny_cfg(tmp_path, scheme=scheme, save_every_steps=save_every_steps)
         train_run(cfg)
         saves = len(list((tmp_path / "run").glob("ckpt_*.lawa")))
         assert saves == (8 if save_every_steps else cfg.epochs)
-        # One copy per save event, the window's slot, and none per epoch end.
-        assert len(calls) == saves
+        # One copy per save event, the uniform window's slot, none when no
+        # scheme keeps a slot, and none per epoch end.
+        assert len(calls) == (saves if scheme == "uniform" else 0)
 
 
 class TestPeakMemory:
@@ -1676,6 +1728,150 @@ class TestPeakMemory:
         assert len(spans.peaks) == cfg.epochs
         for epoch, peak in enumerate(spans.peaks):
             assert peak <= budget, (epoch, peak, budget)
+
+
+    def test_the_steps_hold_the_trainer_and_the_walk_and_no_workspace_beside_them(
+        self, tmp_path, monkeypatch
+    ):
+        """Over each epoch's steps, from the build of its workspace to its
+        save event, a run whose walk buffers have room for the workspace
+        holds at most the trainer's state (the parameter buffer and the
+        optimizer's arrays), the walk buffers and slack: the workspace is
+        views of the walk buffers, sized before the first step."""
+        cfg = tiny_cfg(
+            tmp_path, n_per_class=500, hidden=(512, 512), use_bn=True, optimizer="lookahead",
+            lookahead_inner="adam", lr=0.002, batch_size=64, k=2, epochs=3,
+        )
+        spans, optimizers = PeakSpans(), []
+        write, make_optimizer_ = engine.write_checkpoint, engine.make_optimizer
+
+        class Opening(TrainingBuffers):
+            def __init__(self, *args, **kwargs):
+                spans.open()
+                super().__init__(*args, **kwargs)
+
+        def closing(ckpt, path):
+            if Path(path).name.startswith("ckpt_"):
+                spans.close()
+            return write(ckpt, path)
+
+        def recorded(*args, **kwargs):
+            optimizers.append(make_optimizer_(*args, **kwargs))
+            return optimizers[-1]
+
+        monkeypatch.setattr(engine, "TrainingBuffers", Opening)
+        monkeypatch.setattr(engine, "write_checkpoint", closing)
+        monkeypatch.setattr(engine, "make_optimizer", recorded)
+        dataset = build_dataset(cfg)
+        records, _, _ = traced(train_run, cfg, dataset)
+        assert records[-1].avg_val_loss is not None
+        (lookahead,) = optimizers
+        state = sum(
+            a.nbytes for o in (lookahead, lookahead.inner) for a in vars(o).values()
+            if isinstance(a, np.ndarray)
+        )
+        spec = engine.model_spec_for(cfg, dataset)
+        params = init_params(spec)
+        one_set = 8 * params.total_size()
+        n_train = len(dataset.train()[0])
+        assert len(engine._row_blocks(spec, n_train)) > 1
+        # The widest walks, the training split's evaluation and recompute:
+        # one layer at full height and an area of two blocks.
+        walk = 8 * (n_train + 2 * engine.ROW_BLOCK) * 512
+        workspace = sum(a.nbytes for a in workspace_arrays(TrainingBuffers(params, spec, 64)))
+        assert walk > workspace
+        # The slack holds the data, the epoch's order, a step's batch-sized
+        # arrays and the optimizer's finiteness check of the gradients; it
+        # is less than the workspace, so no workspace fits beside the walk.
+        slack = 768 * 1024
+        assert slack < workspace
+        budget = one_set + state + walk + slack
+        assert len(spans.peaks) == cfg.epochs
+        for epoch, peak in enumerate(spans.peaks):
+            assert peak <= budget, (epoch, peak, budget)
+
+
+def in_walk_buffers(workspace, buffers):
+    """Whether each of a workspace's arrays is a view of the walk buffers."""
+    walk = [*buffers.full, *buffers.areas]
+    return [any(np.shares_memory(arr, a) for a in walk) for arr in workspace_arrays(workspace)]
+
+
+class TestTheWorkspaceLivesInTheWalkBuffers:
+    """Each epoch's workspace takes its arrays from the room of the run's
+    walk buffers, where they fit, and a walk between two steps changes no
+    byte of a run."""
+
+    SPEC = ModelSpec(widths=(3, 24, 16, 4), use_bn=(True, True), init_seed=13)
+
+    @pytest.mark.parametrize("room", [0, 500, 10**5], ids=["none", "some", "all"])
+    def test_each_array_is_a_view_of_the_walk_buffers_where_it_fits(self, room):
+        spec = self.SPEC
+        params = init_params(spec)
+        within = InferenceBuffers()
+        within._take((room, 0, room // 2, 0), np.dtype(np.float64))
+        workspace = TrainingBuffers(params, spec, 37, within=within)
+        held = workspace_arrays(workspace)
+        for k, arr in enumerate(held):
+            assert not any(np.shares_memory(arr, other) for other in held[k + 1 :])
+        inside = in_walk_buffers(workspace, within)
+        if room == 0:
+            assert not any(inside)
+        elif room == 500:  # the gradients fit in neither buffer, the masks in one
+            assert 8 * room < held[1].nbytes
+            assert not inside[1] and any(inside)
+        else:
+            assert sum(arr.nbytes for arr in held) < 8 * room
+            assert all(inside)
+
+    def test_a_run_whose_walks_are_one_block_keeps_each_workspace_apart(
+        self, tmp_path, monkeypatch
+    ):
+        """A small model's walk buffers grow at its first evaluation, and
+        each epoch's workspace has arrays of its own."""
+        seen = []
+
+        class Recorded(TrainingBuffers):
+            def __init__(self, params, spec, batch_size, *, within):
+                super().__init__(params, spec, batch_size, within=within)
+                seen.append(within)
+
+        monkeypatch.setattr(engine, "TrainingBuffers", Recorded)
+        train_run(tiny_cfg(tmp_path, epochs=2, use_bn=True))
+        assert seen == [None, None]
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_a_walk_between_two_steps_changes_no_byte(self, tmp_path, monkeypatch, dtype):
+        """Saves every 5 of 12 steps per epoch, so the recompute walk of
+        most save events runs between two steps of one epoch in the
+        buffers that hold the epoch's workspace. The files are those of a
+        run whose workspaces have arrays of their own, as every run had
+        before the walk buffers held them."""
+        cfg = tiny_cfg(
+            tmp_path, n_per_class=500, hidden=(512, 512), use_bn=True, optimizer="lookahead",
+            lookahead_inner="adam", lr=0.002, batch_size=64, k=2, epochs=2,
+            save_every_steps=5, save_averaged=True, dtype=dtype,
+        )
+        within_walk = []
+
+        class Recorded(TrainingBuffers):
+            def __init__(self, params, spec, batch_size, *, within):
+                super().__init__(params, spec, batch_size, within=within)
+                within_walk.append(in_walk_buffers(self, within))
+
+        class Apart(TrainingBuffers):
+            def __init__(self, params, spec, batch_size, *, within):
+                super().__init__(params, spec, batch_size)
+
+        files = {}
+        for name, kind in (("walk", Recorded), ("apart", Apart)):
+            monkeypatch.setattr(engine, "TrainingBuffers", kind)
+            train_run(replace(cfg, out=str(tmp_path / name)))
+            files[name] = masked_files(tmp_path / name)
+            del files[name]["config.resolved"]  # it names the directory
+        assert within_walk and all(all(inside) for inside in within_walk)
+        assert len([n for n in files["walk"] if n.startswith("lawa_")]) == 3
+        assert files["walk"] == files["apart"]
 
 
 class TestEachAverageIsEvaluatedOnce:

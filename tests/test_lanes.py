@@ -436,6 +436,24 @@ class TestNothingOutlivesTheCall:
         gc.collect()
         assert [ref() for ref in arrays] == [None] * len(arrays)
 
+    def test_a_busy_worker_keeps_no_array_of_a_returned_call(self, cpus):
+        """Lane 1 queued behind other work is cancelled once lane 0 has
+        taken every item, and stays queued; it keeps none of the call's
+        arrays once the call has returned, before the worker is idle."""
+        cpus(2)
+        gate = threading.Event()
+        busy = lanes._worker().submit(gate.wait)
+        try:
+            arr = np.ones(4)
+            ref = weakref.ref(arr)
+            lanes.share([0, 1], lambda lane, item, held=arr: held.sum(), True)
+            del arr
+            gc.collect()
+            assert ref() is None
+        finally:
+            gate.set()
+            busy.result()
+
     def test_a_dropped_inference_buffer_is_freed(self, cpus, submits):
         """The blocks a two-lane ``evaluate`` handed out are views of its
         buffers; the worker keeps none of them once the call has returned."""
