@@ -38,7 +38,7 @@ from .config import RunConfig, resolved_text
 from .data import Dataset, load_csv, make_spirals
 from .errors import ConfigError, EmptyDataError, IoError, NonFiniteError, ShapeError
 from .metrics import MetricsRecord, MetricsWriter
-from .optim import make_optimizer, make_schedule
+from .optim import Adam, Lookahead, Sgd, make_optimizer, make_schedule, scratch_size
 from .params import Checkpoint, ParameterSet, check_same_structure
 from .rng import rng_for
 
@@ -226,13 +226,15 @@ class TrainingBuffers:
     Built once from the parameters, the model and the batch size, it
     holds the input batch in the model's element type, each hidden
     layer's batch rows, one spare set of rows as wide as the widest
-    hidden layer, and one gradient set, built by
-    :meth:`ParameterSet.over` and laid out like the parameters. Built
+    hidden layer, one gradient set, built by :meth:`ParameterSet.over`
+    and laid out like the parameters, and, given the ``optimizer``, the
+    scratch of its steps (:func:`optim.scratch_size`), else None. Built
     ``within`` an :class:`InferenceBuffers`, each of these arrays that
     fits in the room of the walk buffers is a view of them, in the order
-    gradients, layer rows, spare rows, input; the rest are fresh. A
-    layer's rows are its product (``zhat`` after batch norm), its batch-norm
-    output (None without batch norm), its ReLU output and its ReLU mask.
+    gradients, scratch, layer rows, spare rows, input; the rest are
+    fresh. A layer's rows are its product (``zhat`` after batch norm), its
+    batch-norm output (None without batch norm), its ReLU output and its
+    ReLU mask.
     ``backward`` writes each layer's ``d_h`` into the spare rows: the
     product that makes it may run beside the one that reads the layer's
     ReLU output for the next weight gradient, so it cannot go there. It
@@ -245,16 +247,18 @@ class TrainingBuffers:
 
     Every array it hands out is rewritten by a later step, and, within
     walk buffers, by any walk between steps: the activations a
-    ``forward`` caches and the gradients ``backward`` returns. A step
-    writes each array before it reads it, so a walk between steps changes
-    no bit of a run. Copy what must outlive the next step or walk. The
-    fresh arrays are freed with this object and every view of them;
-    ``train_variants`` builds one per epoch, within the run's walk
-    buffers when a walk of the run goes in row blocks, and drops it after
-    the epoch's last step.
+    ``forward`` caches, the gradients ``backward`` returns and the
+    optimizer's scratch. A step writes each array before it reads it, so
+    a walk between steps changes no bit of a run. Copy what must outlive
+    the next step or walk. The fresh arrays are freed with this object
+    and every view of them; ``train_variants`` builds one per epoch,
+    within the run's walk buffers when a walk of the run goes in row
+    blocks, and drops it after the epoch's last step.
     """
 
-    __slots__ = ("spec", "batch_size", "input", "layers", "spare", "d_h", "grads", "grad_views")
+    __slots__ = (
+        "spec", "batch_size", "input", "layers", "spare", "d_h", "grads", "grad_views", "scratch"
+    )
 
     def __init__(
         self,
@@ -263,11 +267,15 @@ class TrainingBuffers:
         batch_size: int,
         *,
         within: InferenceBuffers | None = None,
+        optimizer: Sgd | Adam | Lookahead | None = None,
     ):
         self.spec, self.batch_size = spec, batch_size
         empty = _carver([] if within is None else [*within.full, *within.areas])
         self.grads = params.over(empty((params.total_size(),), params.dtype))
         self.grad_views = params.entry_views(self.grads.buffer)
+        self.scratch = (
+            None if optimizer is None else empty((scratch_size(optimizer, params),), params.dtype)
+        )
         self.layers = _layer_rows(spec, batch_size, empty)
         self.spare = empty((batch_size * max(spec.widths[1:-1]),), spec.np_dtype)
         # Hidden layer i's d_h: a leading view of the spare rows.
@@ -1030,10 +1038,11 @@ def train_variants(
     buffers are the run's one scratch arena: reserved before the first
     step for the largest walk the run will make (the evaluation of either
     split or, where an average is recomputed, the training split's
-    recompute), they hold each epoch's :class:`TrainingBuffers`, fresh
-    only where an array does not fit (a wide model's gradients beside a
-    tiny split's walk). A walk inside an epoch may overwrite the
-    workspace, which each step writes before it reads; nothing that
+    recompute), they hold each epoch's :class:`TrainingBuffers`, the
+    optimizer's scratch included, fresh only where an array does not fit
+    (a wide model's gradients beside a tiny split's walk), so the
+    optimizer holds only its state. A walk inside an epoch may overwrite
+    the workspace, which each step writes before it reads; nothing that
     leaves the loop lives in the arena. A run whose every walk is one
     block (a small model, such as the 64x64 sweep's) grows its walk
     buffers at its first evaluation and gives each workspace arrays of
@@ -1143,7 +1152,7 @@ def train_variants(
         xb, yb = workspace.gather(x_train, sel), y_train[sel]
         _, cache = forward(params, spec, xb, training=True, buffers=workspace)
         grads = backward(params, spec, (xb, yb), cache, buffers=workspace)
-        optimizer.step(params, grads, lr, out=params)
+        optimizer.step(params, grads, lr, out=params, scratch=workspace.scratch)
         set_running_stats(params, cache["bn_updates"])
 
     def save_event() -> None:
@@ -1188,7 +1197,9 @@ def train_variants(
         for epoch in range(cfg.epochs):
             try:
                 order = rng_for(cfg.seed, f"shuffle:{epoch}").permutation(n_train)
-                workspace = TrainingBuffers(params, spec, cfg.batch_size, within=arena)
+                workspace = TrainingBuffers(
+                    params, spec, cfg.batch_size, within=arena, optimizer=optimizer
+                )
                 for b in range(steps_per_epoch):
                     sel = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
                     last_lr = schedule.lr_at(global_step)

@@ -10,21 +10,27 @@ update, in the update's usual order through ``out=``, and Lookahead's
 rule, on a sync step, runs the inner rule and then the pullback on the
 block while it is still in cache. So the results are bitwise those of
 the out-of-place expressions over whole buffers. Optimizer state (SGD
-velocity, Adam's m and v, Lookahead's slow weights) is updated in place;
-a block's update is built in scratch blocks (one for SGD, two for Adam),
-then subtracted from the parameters. Blocks touch disjoint slices, so a
-step hands them to :func:`lanes.share`, wide when it has ``LANE_BLOCKS``
-blocks or more: then, when the process may run on two CPUs, two lanes,
-one of them on the worker thread of :mod:`lawa.lanes`, each take the
-next block not yet taken into their own scratch blocks; the bits are
-those of one lane. A step writes the new parameters into the buffer of
-the set it returns: a fresh one, or the caller's when the caller passes
-``out``, a set built by ``ParameterSet.over``. ``out`` may be the
-parameters, which the step then updates in place, but shares no other
-memory with them or the gradients. Without ``out`` the sets going in and
-out are immutable values; with it, the returned set is ``out`` and stays
-unchanged only while its caller leaves that buffer alone. A step that
-raises leaves the state as it was.
+velocity, Adam's m and v, Lookahead's slow weights) is updated in place,
+and it is all an optimizer holds: a block's update is built in scratch
+blocks (one for SGD, two for Adam) of the caller's ``scratch``, of
+:func:`scratch_size` elements, then subtracted from the parameters. A
+step without ``scratch`` takes a new one. No step reads scratch it has
+not written, so its old bytes change no bit. Blocks touch disjoint
+slices, so a step hands them to :func:`lanes.share`, wide when it has
+``LANE_BLOCKS`` blocks or more: then, when the process may run on two
+CPUs, two lanes, one of them on the worker thread of :mod:`lawa.lanes`,
+each take the next block not yet taken into their own scratch blocks;
+the bits are those of one lane. A step writes the new parameters into
+the buffer of the set it returns: a fresh one, or the caller's when the
+caller passes ``out``, a set built by ``ParameterSet.over``. ``out`` may
+be the parameters, which the step then updates in place, but shares no
+other memory with them or the gradients, and ``scratch`` shares none
+with the parameters, the gradients, ``out`` or the state. Without
+``out`` the sets going in and out are immutable values; with it, the
+returned set is ``out`` and stays unchanged only while its caller leaves
+that buffer alone. An optimizer steps sets of one layout, its first
+step's, and refuses any other with :class:`StructureMismatch`. A step
+that raises leaves the state as it was.
 """
 
 from __future__ import annotations
@@ -65,20 +71,11 @@ LANE_BLOCKS = 5
 BlockRule = Callable[[int, slice, np.ndarray, np.ndarray, np.ndarray], None]
 
 
-def _check_step(params: ParameterSet, grads: ParameterSet, out: ParameterSet | None) -> None:
-    """Check a step's inputs before any state changes."""
-    check_same_structure(params, grads)
-    if out is not None:
-        check_same_structure(params, out)
-        if out.buffer is None:
-            raise ValueError("out must be a set built by ParameterSet.over")
-        if out is not params and np.may_share_memory(out.buffer, params.flat):
-            raise ValueError("out shares memory with the parameters but is not them")
-        if np.may_share_memory(out.buffer, grads.flat):
-            raise ValueError("out shares memory with the gradients")
-    if not np.isfinite(grads.flat).all():
-        name = next(n for n, g in grads.items() if not np.all(np.isfinite(g)))
-        raise NonFiniteGradError(f"gradient entry {name!r} contains NaN or Inf")
+def scratch_size(optimizer: Sgd | Adam | Lookahead, params: ParameterSet) -> int:
+    """Elements of the scratch a step of ``optimizer`` on ``params`` takes:
+    each of ``lanes.LANES`` lanes gets the optimizer's scratch blocks, each
+    ``min(BLOCK, size)`` elements."""
+    return lanes.LANES * optimizer._lane_blocks * min(BLOCK, params.flat.size)
 
 
 def _run_blocks(
@@ -99,20 +96,15 @@ def _run_blocks(
     return params.with_flat(flat) if out is None else out
 
 
-def _lane_scratch(params: ParameterSet, blocks: int) -> np.ndarray:
-    """``blocks`` scratch blocks per lane, zeroed, so a lane that never
-    runs leaves its pages untouched. Twin optimizers given the same steps
-    hold the same scratch bytes only while no step is shared out: which
-    block a lane's scratch last held depends on which lane took it. No
-    step reads scratch it has not written."""
-    return np.zeros((lanes.LANES, blocks, min(BLOCK, params.flat.size)), params.dtype)
-
-
 class _BlockOptimizer:
     """An optimizer whose ``step`` runs the block rule it makes per step.
 
-    Subclasses supply ``_block_rule(params, lr)`` and bind ``step`` in their
-    own namespace, so perfbench's tracer can rebind it per class.
+    Subclasses supply ``_lane_blocks``, the scratch blocks a lane takes,
+    ``_layout``, a template of the first step's set (None before it),
+    ``_state()``, the state arrays, and ``_block_rule(params, lr,
+    scratch)``, which gets the scratch as ``(LANES, _lane_blocks,
+    min(BLOCK, size))``; they bind ``step`` in their own namespace, so
+    perfbench's tracer can rebind it per class.
     """
 
     def step(
@@ -122,30 +114,80 @@ class _BlockOptimizer:
         lr: float,
         *,
         out: ParameterSet | None = None,
+        scratch: np.ndarray | None = None,
     ) -> ParameterSet:
-        """The updated parameters, written into ``out`` when given."""
-        _check_step(params, grads, out)
-        return _run_blocks(params, grads, self._block_rule(params, lr), out)
+        """The updated parameters, written into ``out`` when given; the
+        block temporaries go into ``scratch`` when given."""
+        size = scratch_size(self, params)
+        self._check_step(params, grads, out, scratch, size)
+        if scratch is None:
+            scratch = np.empty(size, params.dtype)
+        blocks = scratch.reshape(-1)[:size].reshape(lanes.LANES, self._lane_blocks, -1)
+        return _run_blocks(params, grads, self._block_rule(params, lr, blocks), out)
+
+    def _check_step(
+        self,
+        params: ParameterSet,
+        grads: ParameterSet,
+        out: ParameterSet | None,
+        scratch: np.ndarray | None,
+        size: int,
+    ) -> None:
+        """Check a step's inputs before any state changes; ``size`` is the
+        step's :func:`scratch_size`."""
+        if self._layout is not None:
+            check_same_structure(self._layout, params)
+        check_same_structure(params, grads)
+        if out is not None:
+            check_same_structure(params, out)
+            if out.buffer is None:
+                raise ValueError("out must be a set built by ParameterSet.over")
+            if out is not params and np.may_share_memory(out.buffer, params.flat):
+                raise ValueError("out shares memory with the parameters but is not them")
+            if np.may_share_memory(out.buffer, grads.flat):
+                raise ValueError("out shares memory with the gradients")
+        if scratch is not None:
+            if scratch.dtype != params.dtype:
+                raise ValueError(f"scratch of {scratch.dtype} for parameters of {params.dtype}")
+            if scratch.size < size:
+                raise ValueError(f"scratch of {scratch.size} elements; a step takes {size}")
+            if not scratch.flags.writeable:
+                raise ValueError("scratch is read-only")
+            held = [("the parameters", params.flat), ("the gradients", grads.flat)]
+            if out is not None and out is not params:
+                held.append(("out", out.buffer))
+            held += [("the optimizer state", a) for a in self._state()]
+            for name, arr in held:
+                if np.may_share_memory(scratch, arr):
+                    raise ValueError(f"scratch shares memory with {name}")
+        if not np.isfinite(grads.flat).all():
+            name = next(n for n, g in grads.items() if not np.all(np.isfinite(g)))
+            raise NonFiniteGradError(f"gradient entry {name!r} contains NaN or Inf")
 
 
 class Sgd(_BlockOptimizer):
     """Stochastic gradient descent with heavy-ball momentum."""
+
+    _lane_blocks = 1
 
     def __init__(self, momentum: float = DEFAULT_MOMENTUM):
         if momentum < 0.0:
             raise ConfigError(f"momentum must be >= 0, got {momentum}")
         self.momentum = momentum
         self.step_count = 0
+        self._layout: ParameterSet | None = None
         self._velocity: np.ndarray | None = None
-        self._scratch: np.ndarray | None = None
 
-    def _block_rule(self, params: ParameterSet, lr: float) -> BlockRule:
+    def _state(self) -> list[np.ndarray]:
+        return [] if self._velocity is None else [self._velocity]
+
+    def _block_rule(self, params: ParameterSet, lr: float, scratch: np.ndarray) -> BlockRule:
         """Count the step; return the rule that makes its blocks."""
         if self._velocity is None:
+            self._layout = params.as_template()
             self._velocity = np.zeros_like(params.flat)
-            self._scratch = _lane_scratch(params, 1)
         self.step_count += 1
-        velocity, momentum, scratch = self._velocity, self.momentum, self._scratch
+        velocity, momentum = self._velocity, self.momentum
 
         def rule(lane, block, theta, g, out):
             v, update = velocity[block], scratch[lane, 0, : g.size]
@@ -162,6 +204,8 @@ class Sgd(_BlockOptimizer):
 class Adam(_BlockOptimizer):
     """Adam with bias correction; no weight decay."""
 
+    _lane_blocks = 2
+
     def __init__(
         self,
         beta1: float = DEFAULT_BETA1,
@@ -174,21 +218,24 @@ class Adam(_BlockOptimizer):
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
+        self._layout: ParameterSet | None = None
         self._m: np.ndarray | None = None
         self._v: np.ndarray | None = None
-        self._scratch: np.ndarray | None = None
 
-    def _block_rule(self, params: ParameterSet, lr: float) -> BlockRule:
+    def _state(self) -> list[np.ndarray]:
+        return [] if self._m is None else [self._m, self._v]
+
+    def _block_rule(self, params: ParameterSet, lr: float, scratch: np.ndarray) -> BlockRule:
         """Count the step; return the rule that makes its blocks."""
         if self._m is None:
+            self._layout = params.as_template()
             self._m = np.zeros_like(params.flat)
             self._v = np.zeros_like(params.flat)
-            self._scratch = _lane_scratch(params, 2)
         t = self.step_count + 1
         self.step_count = t
         beta1, beta2, eps = self.beta1, self.beta2, self.eps
         bias1, bias2 = 1.0 - beta1**t, 1.0 - beta2**t
-        m_all, v_all, scratch = self._m, self._v, self._scratch
+        m_all, v_all = self._m, self._v
 
         def rule(lane, block, theta, g, out):
             m, v = m_all[block], v_all[block]
@@ -219,7 +266,8 @@ class Lookahead(_BlockOptimizer):
     Its block rule is the inner optimizer's, followed every ``k`` steps by
     the pullback: the slow weights move a fraction ``alpha`` toward the
     fast weights, which are reset onto them. Slow weights initialize from
-    the parameters of the first step; the inner ``step`` is never called.
+    the parameters of the first step; the inner ``step`` is never called,
+    and the inner optimizer's first layout is this one's.
     """
 
     def __init__(
@@ -239,10 +287,21 @@ class Lookahead(_BlockOptimizer):
         self.inner_counter = 0
         self._slow: np.ndarray | None = None
 
-    def _block_rule(self, params: ParameterSet, lr: float) -> BlockRule:
+    @property
+    def _lane_blocks(self) -> int:
+        return self.inner._lane_blocks
+
+    @property
+    def _layout(self) -> ParameterSet | None:
+        return self.inner._layout
+
+    def _state(self) -> list[np.ndarray]:
+        return ([] if self._slow is None else [self._slow]) + self.inner._state()
+
+    def _block_rule(self, params: ParameterSet, lr: float, scratch: np.ndarray) -> BlockRule:
         """Count the step; return the inner rule, followed on every
         ``k``-th step by the pullback."""
-        inner_rule = self.inner._block_rule(params, lr)
+        inner_rule = self.inner._block_rule(params, lr, scratch)
         if self._slow is None:
             self._slow = params.flat.copy()
         self.inner_counter += 1

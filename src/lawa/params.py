@@ -81,6 +81,13 @@ class ParameterSet:
         out._bind(np.broadcast_to(np.zeros(1, dtype), (out._layout[-1][3],)))
         return out
 
+    def as_template(self) -> "ParameterSet":
+        """A :meth:`template` of this set's layout, which it shares."""
+        out = object.__new__(ParameterSet)
+        out._layout = self._layout
+        out._bind(np.broadcast_to(np.zeros(1, self.dtype), self.flat.shape))
+        return out
+
     def _bind(self, flat: np.ndarray, buffer: np.ndarray | None = None) -> None:
         """Take ``flat`` read-only, viewed as this set's entries; ``buffer``
         is the writeable array ``flat`` views, for a set built by ``over``."""

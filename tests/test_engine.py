@@ -1205,11 +1205,11 @@ class TestTrainVariants:
 
 def optimizer_state(opt):
     """Every counter and state array of an optimizer, Lookahead's inner
-    one included; Adam's scratch holds no state between steps."""
+    one included."""
     state = {
         name: value.copy() if isinstance(value, np.ndarray) else value
         for name, value in vars(opt).items()
-        if name not in ("inner", "_scratch")
+        if name != "inner"
     }
     if isinstance(opt, Lookahead):
         state["inner"] = optimizer_state(opt.inner)
@@ -1238,7 +1238,8 @@ OPTIMIZERS = {
 def workspace_arrays(buffers):
     """Every array a ``TrainingBuffers`` holds."""
     rows = [arr for layer in buffers.layers for arr in layer if arr is not None]
-    return [buffers.input, buffers.grads.buffer, buffers.spare, *rows]
+    scratch = [] if buffers.scratch is None else [buffers.scratch]
+    return [buffers.input, buffers.grads.buffer, *scratch, buffers.spare, *rows]
 
 
 class TestTrainingBuffersAreBitwiseTheFreshPath:
@@ -1653,8 +1654,7 @@ class TestPeakMemory:
         spec = engine.model_spec_for(cfg, dataset)
         size = init_params(spec).total_size()
         one_set = 8 * size
-        # SGD momentum: the velocity and one scratch block.
-        optimizer_state = one_set + 8 * min(optim.BLOCK, size)
+        optimizer_state = one_set  # SGD momentum: the velocity
         # The widest walk: every training row through two 256-wide layers,
         # one held at full height and one in row blocks, or a walk of one
         # block, two in turn.
@@ -1716,7 +1716,7 @@ class TestPeakMemory:
         )
         one_set = 8 * init_params(engine.model_spec_for(cfg, dataset)).total_size()
         assert one_set >= averaging.FILE_SLOT_BYTES
-        assert state > 3 * one_set  # the slow weights, m, v and the scratch blocks
+        assert state == 3 * one_set  # the slow weights, m and v: no scratch
         # Every walk of this run is one block: two layers of every training row.
         walk = 2 * 8 * len(dataset.train()[0]) * 512
         # The slack holds the data, the schemes, the records and the file
@@ -1724,7 +1724,7 @@ class TestPeakMemory:
         # no copy of the checkpoint fits.
         slack = 8 * averaging.READ_BLOCK + 768 * 1024
         assert slack < one_set
-        budget = one_set + state + one_set + walk + slack
+        budget = one_set + 3 * one_set + one_set + walk + slack
         assert len(spans.peaks) == cfg.epochs
         for epoch, peak in enumerate(spans.peaks):
             assert peak <= budget, (epoch, peak, budget)
@@ -1736,8 +1736,9 @@ class TestPeakMemory:
         """Over each epoch's steps, from the build of its workspace to its
         save event, a run whose walk buffers have room for the workspace
         holds at most the trainer's state (the parameter buffer and the
-        optimizer's arrays), the walk buffers and slack: the workspace is
-        views of the walk buffers, sized before the first step."""
+        optimizer's state arrays), the walk buffers and slack: the
+        workspace, the optimizer's scratch included, is views of the walk
+        buffers, sized before the first step."""
         cfg = tiny_cfg(
             tmp_path, n_per_class=500, hidden=(512, 512), use_bn=True, optimizer="lookahead",
             lookahead_inner="adam", lr=0.002, batch_size=64, k=2, epochs=3,
@@ -1773,19 +1774,22 @@ class TestPeakMemory:
         spec = engine.model_spec_for(cfg, dataset)
         params = init_params(spec)
         one_set = 8 * params.total_size()
+        assert state == 3 * one_set  # the slow weights, m and v: no scratch
         n_train = len(dataset.train()[0])
         assert len(engine._row_blocks(spec, n_train)) > 1
         # The widest walks, the training split's evaluation and recompute:
         # one layer at full height and an area of two blocks.
         walk = 8 * (n_train + 2 * engine.ROW_BLOCK) * 512
-        workspace = sum(a.nbytes for a in workspace_arrays(TrainingBuffers(params, spec, 64)))
+        held = TrainingBuffers(params, spec, 64, optimizer=lookahead)
+        workspace = sum(a.nbytes for a in workspace_arrays(held))
         assert walk > workspace
         # The slack holds the data, the epoch's order, a step's batch-sized
         # arrays and the optimizer's finiteness check of the gradients; it
-        # is less than the workspace, so no workspace fits beside the walk.
+        # is less than the scratch, so neither the workspace nor its
+        # scratch fits beside the walk.
         slack = 768 * 1024
-        assert slack < workspace
-        budget = one_set + state + walk + slack
+        assert slack < held.scratch.nbytes < workspace
+        budget = one_set + 3 * one_set + walk + slack
         assert len(spans.peaks) == cfg.epochs
         for epoch, peak in enumerate(spans.peaks):
             assert peak <= budget, (epoch, peak, budget)
@@ -1810,16 +1814,19 @@ class TestTheWorkspaceLivesInTheWalkBuffers:
         params = init_params(spec)
         within = InferenceBuffers()
         within._take((room, 0, room // 2, 0), np.dtype(np.float64))
-        workspace = TrainingBuffers(params, spec, 37, within=within)
+        adam = make_optimizer("adam")
+        workspace = TrainingBuffers(params, spec, 37, within=within, optimizer=adam)
         held = workspace_arrays(workspace)
+        assert held[2] is workspace.scratch
+        assert workspace.scratch.shape == (optim.scratch_size(adam, params),)
         for k, arr in enumerate(held):
             assert not any(np.shares_memory(arr, other) for other in held[k + 1 :])
         inside = in_walk_buffers(workspace, within)
         if room == 0:
             assert not any(inside)
-        elif room == 500:  # the gradients fit in neither buffer, the masks in one
-            assert 8 * room < held[1].nbytes
-            assert not inside[1] and any(inside)
+        elif room == 500:  # the gradients and the scratch fit in neither buffer, the masks in one
+            assert 8 * room < held[1].nbytes < held[2].nbytes
+            assert not inside[1] and not inside[2] and any(inside)
         else:
             assert sum(arr.nbytes for arr in held) < 8 * room
             assert all(inside)
@@ -1832,8 +1839,8 @@ class TestTheWorkspaceLivesInTheWalkBuffers:
         seen = []
 
         class Recorded(TrainingBuffers):
-            def __init__(self, params, spec, batch_size, *, within):
-                super().__init__(params, spec, batch_size, within=within)
+            def __init__(self, params, spec, batch_size, *, within, optimizer):
+                super().__init__(params, spec, batch_size, within=within, optimizer=optimizer)
                 seen.append(within)
 
         monkeypatch.setattr(engine, "TrainingBuffers", Recorded)
@@ -1855,13 +1862,13 @@ class TestTheWorkspaceLivesInTheWalkBuffers:
         within_walk = []
 
         class Recorded(TrainingBuffers):
-            def __init__(self, params, spec, batch_size, *, within):
-                super().__init__(params, spec, batch_size, within=within)
+            def __init__(self, params, spec, batch_size, *, within, optimizer):
+                super().__init__(params, spec, batch_size, within=within, optimizer=optimizer)
                 within_walk.append(in_walk_buffers(self, within))
 
         class Apart(TrainingBuffers):
-            def __init__(self, params, spec, batch_size, *, within):
-                super().__init__(params, spec, batch_size)
+            def __init__(self, params, spec, batch_size, *, within, optimizer):
+                super().__init__(params, spec, batch_size, optimizer=optimizer)
 
         files = {}
         for name, kind in (("walk", Recorded), ("apart", Apart)):
@@ -1959,8 +1966,11 @@ class TestDivergenceThroughTheBuffers:
             def __init__(self, inner):
                 self.inner = inner
 
-            def step(self, params, grads, lr, *, out=None):
-                got = self.inner.step(params, grads, lr, out=out)
+            def __getattr__(self, name):  # what the loop reads of it besides step
+                return getattr(self.inner, name)
+
+            def step(self, params, grads, lr, *, out=None, scratch=None):
+                got = self.inner.step(params, grads, lr, out=out, scratch=scratch)
                 steps.append(None)
                 if len(steps) == 3 * 4:  # 4 steps per epoch
                     got.buffer[0] = np.inf

@@ -102,12 +102,9 @@ def split_pset(rng, dtype, size):
 
 def state_bytes(opt):
     """Every counter and state array of an optimizer, Lookahead's inner one
-    included; the scratch blocks hold nothing between steps, and which
-    block a lane's scratch last held depends on which lane took it."""
+    included."""
     state = {}
     for name, value in vars(opt).items():
-        if name == "_scratch":
-            continue
         if isinstance(value, np.ndarray):
             value = (value.dtype, value.tobytes())
         elif name == "inner":
@@ -732,8 +729,8 @@ def inject(opt, bad_lane, log):
     make_rule = inner._block_rule
     other_began, failed = threading.Event(), threading.Event()
 
-    def block_rule(params, lr):
-        rule = make_rule(params, lr)
+    def block_rule(params, lr, scratch):
+        rule = make_rule(params, lr, scratch)
 
         def failing(lane, block, theta, g, out):
             if lane == bad_lane:

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 
+from lawa import lanes
 from lawa.averaging import UniformScheme
 from lawa.engine import set_running_stats
 from lawa.errors import ConfigError, NonFiniteGradError, StructureMismatch
 from lawa.optim import (
     BLOCK,
+    LANE_BLOCKS,
     Adam,
     ConstantSchedule,
     CosineSchedule,
@@ -16,6 +19,7 @@ from lawa.optim import (
     Sgd,
     make_optimizer,
     make_schedule,
+    scratch_size,
 )
 from lawa.params import Checkpoint, ParameterSet
 from testutil import mixed_pset, pset
@@ -390,6 +394,154 @@ class TestStepThenWrite:
                 set_running_stats(p, bad)
             assert p.flat.tobytes() == before
             assert state_of(opt) == state
+
+
+# NaN bit patterns of each type: quiet, signalling and negative quiet.
+NAN_BITS = {
+    np.float32: np.array([0x7FC00000, 0x7F800001, 0xFFC00000], np.uint32),
+    np.float64: np.array([0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000000], np.uint64),
+}
+
+
+def nan_scratch(size, dtype):
+    """``size`` elements of ``dtype`` holding the NaN bit patterns in turn."""
+    out = np.resize(NAN_BITS[dtype], size).view(dtype)
+    assert np.isnan(out).all()
+    return out
+
+
+def scratch_trajectory(kind, inner, dtype, size, scratch):
+    """Parameters and optimizer after ``4`` in-place steps on ``size``
+    elements (Lookahead pulls back after steps 2 and 4), each step given
+    ``scratch()`` as its scratch."""
+    rng = np.random.default_rng(size)
+    start = sized_pset(rng, dtype, size)
+    p = start.over(start.flat.copy())
+    opt = make_optimizer(kind, lookahead_inner=inner, lookahead_k=2)
+    for t in range(4):
+        g = sized_pset(rng, dtype, size)
+        assert opt.step(p, g, 0.01 * (t + 1), out=p, scratch=scratch()) is p
+    return p, opt
+
+
+class TestTheCallersScratch:
+    """A step writes its block temporaries into the caller's scratch, whose
+    old bytes change no bit, and refuses a scratch it cannot use before
+    any state changes."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "size", [BLOCK + 5, LANE_BLOCKS * BLOCK + 5], ids=["2-blocks", "lane-blocks+1"]
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind,inner", KINDS)
+    def test_nan_scratch_gives_the_bits_of_a_new_scratch(
+        self, monkeypatch, kind, inner, dtype, size, cpus
+    ):
+        monkeypatch.setattr(lanes, "_cpu_count", lambda: cpus)
+        need = scratch_size(make_optimizer(kind, lookahead_inner=inner), sized_pset(
+            np.random.default_rng(0), dtype, size
+        ))
+        assert need == 2 * (2 if "adam" in (kind, inner) else 1) * BLOCK
+        given = []
+
+        def filled():
+            given.append(nan_scratch(need + 3, dtype))  # three elements past the end
+            return given[-1]
+
+        got, got_opt = scratch_trajectory(kind, inner, dtype, size, filled)
+        want, want_opt = scratch_trajectory(kind, inner, dtype, size, lambda: None)
+        assert got.flat.tobytes() == want.flat.tobytes()
+        assert state_of(got_opt) == state_of(want_opt)
+        for scratch in given:  # the step wrote its leading elements only
+            assert scratch[need:].tobytes() == nan_scratch(need + 3, dtype)[need:].tobytes()
+            assert not np.isnan(scratch[:need]).all()
+
+    @pytest.mark.parametrize(
+        "refusal",
+        [
+            "small", "dtype", "read-only", "the parameters", "the gradients", "out",
+            "the optimizer state",
+        ],
+    )
+    @pytest.mark.parametrize("kind,inner", KINDS)
+    def test_a_refused_scratch_changes_nothing(self, kind, inner, refusal):
+        rng = np.random.default_rng(59)
+        size = 3 * BLOCK + 5
+        start = sized_pset(rng, np.float64, size)
+        opt = make_optimizer(kind, lookahead_inner=inner, lookahead_k=2)
+        twin = make_optimizer(kind, lookahead_inner=inner, lookahead_k=2)
+        need = scratch_size(opt, start)
+        # The parameters, the gradients and the output lie in one array, each
+        # with a scratch's room behind it.
+        room = np.empty(3 * (size + need))
+        p, grads, out = (start.over(room[k * (size + need) :][:size]) for k in range(3))
+        p.buffer[...] = start.flat
+        g = sized_pset(rng, np.float64, size)
+        grads.buffer[...] = g.flat
+        for o in (opt, twin):
+            o.step(start, g, 0.01)
+        assert len(opt._state()) == {"sgd": 1, "adam": 2}[inner] + (kind == "lookahead")
+        refused = {
+            "small": [np.empty(need - 1)],
+            "dtype": [np.empty(need, np.float32)],
+            "read-only": [np.broadcast_to(np.empty(need), (need,))],  # a read-only view
+            "the parameters": [room[size - 1 : size - 1 + need]],
+            "the gradients": [room[size + need + 1 : size + need + 1 + need]],
+            "out": [room[2 * (size + need) - need + 2 : 2 * (size + need) + 2]],
+            # A writeable view of one element of each state array, as long as a scratch.
+            "the optimizer state": [as_strided(a[-1:], (need,), (0,)) for a in opt._state()],
+        }[refusal]
+        message = {
+            "small": f"scratch of {need - 1} elements; a step takes {need}",
+            "dtype": "scratch of float32 for parameters of float64",
+            "read-only": "scratch is read-only",
+        }.get(refusal, f"scratch shares memory with {refusal}")
+        before = state_of(opt), room.tobytes()
+        for scratch in refused:
+            with pytest.raises(ValueError, match=message):
+                opt.step(p, grads, 0.02, out=out, scratch=scratch)
+            assert (state_of(opt), room.tobytes()) == before
+        assert state_of(opt) == state_of(twin)
+        got = opt.step(p, grads, 0.02, out=out)
+        assert got.flat.tobytes() == twin.step(p, grads, 0.02).flat.tobytes()
+        assert state_of(opt) == state_of(twin)
+
+
+class TestOneLayout:
+    """An optimizer steps sets of its first step's layout; a step on any
+    other raises :class:`StructureMismatch` before any state changes."""
+
+    @pytest.mark.parametrize("kind,inner", KINDS)
+    def test_a_set_of_another_size_is_refused(self, kind, inner):
+        rng = np.random.default_rng(61)
+        opt = make_optimizer(kind, lookahead_inner=inner, lookahead_k=3)
+        opt.step(sized_pset(rng, np.float64, 40000), sized_pset(rng, np.float64, 40000), 0.01)
+        before = state_of(opt)
+        other = sized_pset(rng, np.float64, 70000)
+        with pytest.raises(StructureMismatch):
+            opt.step(other, sized_pset(rng, np.float64, 70000), 0.01)
+        assert state_of(opt) == before
+        assert opt.step_count == 1
+
+    @pytest.mark.parametrize("kind,inner", KINDS)
+    def test_a_set_of_other_names_or_type_is_refused(self, kind, inner):
+        opt = make_optimizer(kind, lookahead_inner=inner, lookahead_k=3)
+        opt.step(pset({"w": [1.0, 2.0]}), pset({"w": [0.5, 0.5]}), 0.1)
+        before = state_of(opt)
+        for values, dtype in (({"a": [1.0], "b": [2.0]}, np.float64), ({"w": [1.0, 2.0]}, np.float32)):
+            with pytest.raises(StructureMismatch):
+                opt.step(pset(values, dtype), pset(values, dtype), 0.1)
+            assert state_of(opt) == before
+
+    def test_lookahead_steps_the_layout_its_inner_optimizer_began_with(self):
+        inner = Adam()
+        inner.step(pset({"w": [1.0, 2.0]}), pset({"w": [0.5, 0.5]}), 0.1)
+        opt = Lookahead(inner, k=2)
+        with pytest.raises(StructureMismatch):
+            opt.step(pset({"v": [1.0, 2.0]}), pset({"v": [0.5, 0.5]}), 0.1)
+        assert opt.step_count == inner.step_count - 1 == 0
+        assert opt.step(pset({"w": [1.0, 2.0]}), pset({"w": [0.5, 0.5]}), 0.1)["w"].shape == (2,)
 
 
 class TestDescentSanity:

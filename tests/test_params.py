@@ -179,10 +179,15 @@ class TestStructure:
 
 
 class TestTemplate:
+    @pytest.mark.parametrize("shared", [False, True], ids=["template", "as_template"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_has_the_layout_of_a_set_and_no_values(self, dtype):
+    def test_has_the_layout_of_a_set_and_no_values(self, dtype, shared):
         p = mixed_pset(np.random.default_rng(26), dtype)
-        t = ParameterSet.template(dtype, [(name, arr.shape) for name, arr in p.items()])
+        if shared:
+            t = p.as_template()
+            assert t._layout is p._layout
+        else:
+            t = ParameterSet.template(dtype, [(name, arr.shape) for name, arr in p.items()])
         assert t.dtype == dtype and t.names == p.names and t.flat.shape == p.flat.shape
         assert t.flat.strides == (0,) and not t.flat.any() and not t.flat.flags.writeable
         assert all(t[name].shape == arr.shape for name, arr in p.items())
