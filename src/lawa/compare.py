@@ -6,11 +6,14 @@ is how many additional epochs the baseline needs before it first reaches
 the averaged model's value at ``e`` (at-or-better, no interpolation;
 already reached counts as zero). When the baseline never gets there, the
 saving is the remaining horizon. Runs without averaged values fall back
-to comparing the baseline against itself, which yields zero savings.
+to comparing the baseline against itself, which yields zero savings. A
+NaN in either column, such as a regression run's accuracy, is refused:
+no epoch reaches it, so it would count as the whole horizon saved.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -91,6 +94,9 @@ def compare_run(path, metric: str, higher_better: bool | None = None) -> RunComp
             raise SchemaError(f"{path}: empty 'epoch' cell")
         if r[metric] is None:
             raise SchemaError(f"{path}: empty {metric!r} cell at epoch {r['epoch']}")
+        for column in (metric, avg_column) if has_avg else (metric,):
+            if r[column] is not None and math.isnan(r[column]):
+                raise SchemaError(f"{path}: {column!r} is NaN at epoch {r['epoch']}")
         baseline.append((r["epoch"], r[metric]))
         avg_value = r[avg_column] if has_avg else r[metric]
         if avg_value is not None:

@@ -148,61 +148,56 @@ def init_params(spec: ModelSpec) -> ParameterSet:
 
 
 class InferenceBuffers:
-    """The scratch arena of inference walks: ``full``, two flat buffers
-    for hidden layers held at full height, and ``areas``, two for the row
-    blocks of a wide walk's other layers, each taken as
-    :func:`_walk_plan` says. A walk grows a buffer that is too small and
-    later walks reuse it, so a training loop that holds one set for all
-    its evaluations allocates no fresh layer arrays. :meth:`reserve`
-    sizes them at once for every walk of a list, as ``train_variants``
-    does before a run's first step when a walk of the run goes in row
-    blocks, so that no walk grows them after that. A
-    :class:`TrainingBuffers` built ``within`` them takes its arrays from
-    their room where it fits, since no walk runs during a training step.
-    Nothing a walk returns is a view of these buffers.
+    """The scratch arena of inference walks: one byte buffer that holds
+    four regions at 64-byte steps, each taken as :func:`_walk_plan` says.
+    A walk grows the buffer when it is too small, and :meth:`reserve`
+    sizes it once for every walk of a list. A :class:`TrainingBuffers`
+    built ``within`` it takes its arrays from it where they fit. Nothing a
+    walk returns is a view of it.
     """
 
-    __slots__ = ("full", "areas")
+    __slots__ = ("buffer",)
 
     def __init__(self):
-        self.full = [np.empty(0), np.empty(0)]
-        self.areas = [np.empty(0), np.empty(0)]
+        self.buffer = np.empty(0, np.uint8)
 
     def reserve(self, spec: ModelSpec, walks: Sequence[tuple[int, bool]]) -> None:
-        """Grow each buffer once to the most that any of ``walks`` takes of
-        it, each walk an ``(n, measures)`` pair: ``n`` rows of ``spec``
-        through :func:`recompute_bn_stats` when ``measures``, else through
-        an evaluation."""
+        """Grow the buffer once to the most that any of ``walks`` takes of
+        each region, each walk an ``(n, measures)`` pair: ``n`` rows of
+        ``spec`` through :func:`recompute_bn_stats` when ``measures``, else
+        through an evaluation."""
         sizes = [_walk_plan(spec, n, measures).sizes for n, measures in walks]
         self._take([max(column) for column in zip(*sizes)], spec.np_dtype)
 
-    def _take(self, sizes: Sequence[int], dtype: np.dtype) -> list[np.ndarray | None]:
-        """The leading ``sizes`` elements of ``full[0]``, ``full[1]``,
-        ``areas[0]`` and ``areas[1]``, or None where the size is 0, each
-        replaced first by a new buffer when it is smaller or of another
-        element type."""
-        buffers = [(self.full, 0), (self.full, 1), (self.areas, 0), (self.areas, 1)]
-        taken = []
-        for (arrays, k), size in zip(buffers, sizes):
-            if size and (arrays[k].size < size or arrays[k].dtype != dtype):
-                arrays[k] = np.empty(size, dtype)
-            taken.append(arrays[k][:size] if size else None)
+    def _take(self, sizes: Sequence[int], dtype: np.dtype) -> list[np.ndarray]:
+        """Regions 0 to 3 of ``sizes`` elements of ``dtype``, each at a
+        64-byte step from the last, in a larger buffer first when they do
+        not fit."""
+        item = dtype.itemsize
+        steps = [-(-size * item // 64) * 64 // item for size in sizes]
+        nbytes = sum(steps) * item
+        if self.buffer.size < nbytes:
+            self.buffer = np.empty(nbytes, np.uint8)
+        flat = self.buffer[:nbytes].view(dtype)
+        taken, at = [], 0
+        for size, step in zip(sizes, steps):
+            taken.append(flat[at : at + size])
+            at += step
         return taken
 
 
-def _carver(regions: Sequence[np.ndarray]):
+def _carver(free: np.ndarray):
     """An ``empty(shape, dtype)`` that takes arrays one after another from
-    the room of ``regions``, each a view of the first region with room
-    left from a 64-byte step of its start, or else a fresh array."""
-    room = [region.view(np.uint8) for region in regions if region.size]
+    the bytes ``free``, each at a 64-byte step from the last, or a fresh
+    array when one does not fit in what is left."""
 
     def empty(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        nonlocal free
         nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-        for k, free in enumerate(room):
-            if nbytes <= free.size:
-                room[k] = free[-(-nbytes // 64) * 64 :]
-                return free[:nbytes].view(dtype).reshape(shape)
-        return np.empty(shape, dtype)
+        if nbytes > free.size:
+            return np.empty(shape, dtype)
+        taken, free = free[:nbytes], free[-(-nbytes // 64) * 64 :]
+        return taken.view(dtype).reshape(shape)
 
     return empty
 
@@ -221,39 +216,28 @@ def _layer_rows(spec: ModelSpec, n: int, empty=np.empty) -> list[tuple[np.ndarra
 
 
 class TrainingBuffers:
-    """Everything a training step writes, for one model and batch size.
-
-    Built once from the parameters, the model and the batch size, it
-    holds the input batch in the model's element type, each hidden
-    layer's batch rows, one spare set of rows as wide as the widest
-    hidden layer, one gradient set, built by :meth:`ParameterSet.over`
-    and laid out like the parameters, and, given the ``optimizer``, the
-    scratch of its steps (:func:`optim.scratch_size`), else None. Built
-    ``within`` an :class:`InferenceBuffers`, each of these arrays that
-    fits in the room of the walk buffers is a view of them, in the order
-    gradients, scratch, layer rows, spare rows, input; the rest are
-    fresh. A layer's rows are its product (``zhat`` after batch norm), its
+    """Everything a training step writes, for one model and batch size:
+    the input batch in the model's element type, each hidden layer's batch
+    rows, one spare set of rows as wide as the widest hidden layer, one
+    gradient set laid out like the parameters (:meth:`ParameterSet.over`)
+    and, given the ``optimizer``, the scratch of its steps
+    (:func:`optim.scratch_size`), else None. Built ``within`` an
+    :class:`InferenceBuffers`, it takes these arrays from the walk buffer
+    in that order, each a view where it fits in what is left, else fresh.
+    A layer's rows are its product (``zhat`` after batch norm), its
     batch-norm output (None without batch norm), its ReLU output and its
     ReLU mask.
-    ``backward`` writes each layer's ``d_h`` into the spare rows: the
-    product that makes it may run beside the one that reads the layer's
-    ReLU output for the next weight gradient, so it cannot go there. It
-    reuses each layer row once the layer's last read of it is done: the
-    batch-norm product goes into its ReLU output rows, and ``d_pre`` into
-    its pre-activation rows. So a ``backward`` through the buffers that
-    its ``forward`` wrote consumes the activations in the cache. Both
-    passes raise :class:`ShapeError`, before they write anything, on
-    buffers built for another model or batch size.
 
-    Every array it hands out is rewritten by a later step, and, within
-    walk buffers, by any walk between steps: the activations a
-    ``forward`` caches, the gradients ``backward`` returns and the
-    optimizer's scratch. A step writes each array before it reads it, so
-    a walk between steps changes no bit of a run. Copy what must outlive
-    the next step or walk. The fresh arrays are freed with this object
-    and every view of them; ``train_variants`` builds one per epoch,
-    within the run's walk buffers when a walk of the run goes in row
-    blocks, and drops it after the epoch's last step.
+    ``backward`` writes each layer's ``d_h`` into the spare rows, since
+    the product that makes it may run beside the one that reads the
+    layer's ReLU output. It puts the batch-norm product into the ReLU
+    output rows and ``d_pre`` into the pre-activation rows once their last
+    read is done, so it consumes the cache of a ``forward`` through the
+    same buffers. Both passes raise :class:`ShapeError`, before they
+    write anything, on buffers built for another model or batch size.
+    A later step, or a walk between steps, rewrites every array handed
+    out; a step writes each array before it reads it, so such a walk
+    changes no bit of a run.
     """
 
     __slots__ = (
@@ -270,7 +254,7 @@ class TrainingBuffers:
         optimizer: Sgd | Adam | Lookahead | None = None,
     ):
         self.spec, self.batch_size = spec, batch_size
-        empty = _carver([] if within is None else [*within.full, *within.areas])
+        empty = _carver(np.empty(0, np.uint8) if within is None else within.buffer)
         self.grads = params.over(empty((params.total_size(),), params.dtype))
         self.grad_views = params.entry_views(self.grads.buffer)
         self.scratch = (
@@ -415,9 +399,10 @@ class _WalkPlan(NamedTuple):
     blocks: list[slice]  # the row blocks
     starts: list[int]  # the first hidden layer of each segment
     ends: list[int]  # the last hidden layer of each segment
-    held: list[int]  # the layers a walk in row blocks holds at full height
+    held: dict[int, int]  # each layer held at full height, and its region
+    squares: dict[int, int]  # each measured layer held, and the region its squares take
     area_rows: int  # the rows an area holds: the two largest blocks
-    sizes: tuple[int, int, int, int]  # elements taken of full[0], full[1], areas[0], areas[1]
+    sizes: tuple[int, ...]  # elements taken of regions 0 to 3
 
 
 def _walk_plan(spec: ModelSpec, n: int, measures: bool) -> _WalkPlan:
@@ -425,33 +410,37 @@ def _walk_plan(spec: ModelSpec, n: int, measures: bool) -> _WalkPlan:
     ``measures``, whose segments end at each batch-norm layer, else an
     evaluation, one segment through every hidden layer.
 
-    A walk of one block (:func:`_whole_walk`) takes a full-height layer of
-    the widest hidden width from ``areas[0]``, and one from ``full[0]``
-    when it reaches a second layer. A walk in row blocks
-    (:func:`_blocked_walk`) takes one from ``full[k % 2]`` for the k-th
-    layer it holds, and from each of ``areas[0]`` and ``areas[1]`` that a
-    segment's other layers take in turn, the two largest blocks' rows of
-    the widest width. :meth:`InferenceBuffers.reserve` sizes a run's
-    buffers from these plans, so the two cannot drift apart.
+    Regions 0 and 1 hold layers at full height, and regions 2 and 3 are
+    areas of the two largest blocks' rows, each as wide as the widest
+    hidden layer. A walk in row blocks holds each layer that a later step
+    reads whole, in regions 0 and 1 in turn: the last layer of an
+    evaluation, or each measured layer before the last. A segment's other
+    layers take the areas in turn, and a held measured layer squares into
+    area 0 at its block's place. A walk of one block holds every layer it
+    computes, in regions 0 and 2 in turn, which a walk in row blocks takes
+    first, and a held measured layer squares into the other of the two.
+    The last measured layer squares in its own rows.
     """
     ends = [i for i, on in enumerate(spec.use_bn) if on] if measures else [spec.n_hidden - 1]
     blocks = _row_blocks(spec, n)
-    widest = max(spec.widths[1:-1])
-    layer = n * widest
     if len(blocks) == 1:
-        sizes = (layer if ends[-1] > 0 else 0, 0, layer, 0)
-        return _WalkPlan(blocks, [0], ends[-1:], [], n, sizes)
-    held = ends[:-1] if measures else ends
+        held = {i: (0, 2)[i % 2] for i in range(ends[-1] + 1)}
+        squares = {end: (2, 0)[end % 2] for end in ends[:-1]}
+    else:
+        held = {i: k % 2 for k, i in enumerate(ends[:-1] if measures else ends)}
+        squares = {end: 2 for end in ends[:-1]}
     starts = [0, *(end + 1 for end in ends[:-1])]
     in_areas = max(
         sum(i not in held for i in range(start, end + 1)) for start, end in zip(starts, ends)
     )
     area_rows = sum(sorted(b.stop - b.start for b in blocks)[-2:])
-    area = area_rows * widest
-    sizes = (
-        layer * (len(held) > 0), layer * (len(held) > 1), area * (in_areas > 0), area * (in_areas > 1)
-    )
-    return _WalkPlan(blocks, starts, ends, held, area_rows, sizes)
+    widest = max(spec.widths[1:-1])
+    sizes = [0, 0, 0, 0]
+    for region in held.values():
+        sizes[region] = n * widest
+    for region in (2, 3)[:in_areas]:
+        sizes[region] = area_rows * widest
+    return _WalkPlan(blocks, starts, ends, held, squares, area_rows, tuple(sizes))
 
 
 def _normalization(
@@ -476,88 +465,31 @@ def _inference_walk(
     buffers: InferenceBuffers,
     measured: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray | None:
-    """The hidden layers of an inference pass over the rows of ``x``.
+    """The hidden layers of an inference pass over the rows of ``x``, in
+    the row blocks and segments of its :func:`_walk_plan` and in
+    ``buffers`` as the plan says.
 
     With ``measured`` None, each layer is normalized with the running
     statistics of ``params`` and rectified, and the last hidden layer is
     returned at full height, for the output product. Otherwise the walk
     ends at the last batch-norm layer and returns None: it stores in
     ``measured`` each batch-norm layer's mean and population variance over
-    every row, and normalizes the layer with them before the next layer
-    reads it; the last one is not normalized, since nothing reads it. A
+    every row, and the next segment normalizes the layer with them block
+    by block; the last one is not normalized, since nothing reads it. A
     layer's float64 sums are taken over each ``ROW_BLOCK`` rows and added
-    in row order.
+    in row order. :func:`lanes.share` hands out a segment's blocks, and a
+    lane carries its block through every layer of the segment, lane 0's
+    at the front of an area and lane 1's at its back. The lane that
+    carries a block changes no bit.
     """
     plan = _walk_plan(spec, len(x), measured is not None)
     taken = buffers._take(plan.sizes, spec.np_dtype)
-    if len(plan.blocks) == 1:
-        return _whole_walk(params, spec, x, taken, plan.ends[-1], measured)
-    return _blocked_walk(params, spec, x, taken, plan, measured)
-
-
-def _whole_walk(
-    params: ParameterSet,
-    spec: ModelSpec,
-    h: np.ndarray,
-    taken: list[np.ndarray | None],
-    last: int,
-    measured: dict[str, np.ndarray] | None,
-) -> np.ndarray | None:
-    """:func:`_inference_walk` in one block, up to hidden layer ``last``,
-    in the buffers ``taken`` as its plan says: layer ``i`` at full height
-    in ``areas[0]`` when ``i`` is even and ``full[0]`` when odd, the two
-    buffers a wide walk of two hidden layers takes. A measured layer
-    squares into the other buffer, or its own rows when it is ``last``.
-    """
-    n, dtype, stats = len(h), spec.np_dtype, params if measured is None else measured
-    pair = (taken[2], taken[0])
-    for i in range(last + 1):
-        width = spec.widths[i + 1]
-        z = pair[i % 2][: n * width].reshape(n, width)
-        np.matmul(h, params[f"layer{i}.weight"], out=z)
-        z += params[f"layer{i}.bias"]
-        if measured is not None and spec.use_bn[i]:
-            scratch = None if i == last else pair[(i + 1) % 2]
-            sums = np.empty((len(range(0, n, ROW_BLOCK)), 2, width))
-            _row_sums(z, 0, sums, scratch)
-            _store_statistics(measured, i, sums, n, dtype)
-            if i == last:
-                return None
-        _normalize_rectify(z, _normalization(spec, params, stats, i))
-        h = z
-    return h
-
-
-def _blocked_walk(
-    params: ParameterSet,
-    spec: ModelSpec,
-    x: np.ndarray,
-    taken: list[np.ndarray | None],
-    plan: _WalkPlan,
-    measured: dict[str, np.ndarray] | None,
-) -> np.ndarray | None:
-    """:func:`_inference_walk` in the row blocks of ``plan``, in its
-    segments of layers, in the buffers ``taken`` as it says.
-
-    :func:`lanes.share` hands out a segment's blocks, and a lane carries
-    its block through every layer of the segment while the block is in
-    that core's cache. Only a layer that a later step reads whole is held
-    at full height, in ``full``, two in turn: the last layer of an
-    evaluation, for the output product, or a measured layer before the
-    last, whose rows wait for their statistics (the next segment
-    normalizes them block by block). A segment's other layers take
-    ``areas`` in turn from area 0, lane 0's block at the front and lane
-    1's at the back; an area holds the two largest blocks, so two blocks
-    never meet. A held measured layer squares into its block's place in
-    area 0, which a walk that measures has, as its last segment starts
-    there. The lane that carries a block changes no bit.
-    """
     n, dtype, widths = len(x), spec.np_dtype, spec.widths[1:-1]
-    widest, ends, areas, area_rows = max(widths), plan.ends, taken[2:], plan.area_rows
-    full = {i: taken[k % 2][: n * widths[i]].reshape(n, widths[i]) for k, i in enumerate(plan.held)}
+    widest, area_rows = max(widths), plan.area_rows
+    full = {i: taken[k][: n * widths[i]].reshape(n, widths[i]) for i, k in plan.held.items()}
     stats = params if measured is None else measured
     h, norm = x, None  # a segment's input, and the normalization it waits for
-    for start, end in zip(plan.starts, ends):
+    for start, end in zip(plan.starts, plan.ends):
         # Every layer of an evaluation is normalized by its block; a
         # measured layer, by the next segment.
         normalized = {
@@ -577,21 +509,22 @@ def _blocked_walk(
                 if i in full:
                     z = full[i][rows]
                 else:
-                    z = areas[(i - start) % 2][at : at + r * widths[i]].reshape(r, widths[i])
+                    z = taken[2 + (i - start) % 2][at : at + r * widths[i]].reshape(r, widths[i])
                 np.matmul(g, params[f"layer{i}.weight"], out=z)
                 z += params[f"layer{i}.bias"]
                 if i in normalized:
                     _normalize_rectify(z, normalized[i])
                 g = z
             if sums is not None:
-                _row_sums(g, rows.start // ROW_BLOCK, sums, areas[0][at:] if end in full else None)
+                squares = taken[plan.squares[end]][at:] if end in plan.squares else None
+                _row_sums(g, rows.start // ROW_BLOCK, sums, squares)
 
         lanes.share(plan.blocks, carry, True)
         if sums is not None:
             _store_statistics(measured, end, sums, n, dtype)
-            if end in full:
+            if end in plan.squares:
                 h, norm = full[end], _normalization(spec, params, measured, end)
-    return full.get(ends[-1])
+    return None if measured is not None else full[plan.ends[-1]]
 
 
 def _row_sums(z: np.ndarray, first: int, sums: np.ndarray, scratch: np.ndarray | None) -> None:
@@ -666,10 +599,10 @@ def _loss_pieces(
     outputs: np.ndarray, labels: np.ndarray, spec: ModelSpec
 ) -> tuple[np.ndarray, ...]:
     """The pieces that the loss under ``spec.loss`` and its gradient are
-    built from, once the labels are checked. Softmax cross-entropy rejects labels outside ``[0, n_classes)`` and
-    gives ``(y, shifted, probs, row_sums)``: the labels, the outputs less
-    each row's max, their unnormalized ``exp`` and its row sums. Squared
-    error gives ``(diff,)``.
+    built from, once the labels are checked. Softmax cross-entropy rejects
+    labels outside ``[0, n_classes)`` and gives ``(y, shifted, probs,
+    row_sums)``: the labels, the outputs less each row's max, their
+    unnormalized ``exp`` and its row sums. Squared error gives ``(diff,)``.
     """
     n = outputs.shape[0]
     if spec.loss == "cross_entropy":
@@ -886,18 +819,11 @@ def recompute_bn_stats(
     Layers are processed front to back: each batch-norm layer's mean and
     population variance are accumulated over the whole dataset, stored,
     and then used when producing the activations feeding later layers.
-    Non-normalization entries are returned untouched (bitwise).
-
-    The walk goes into ``buffers`` (a fresh set when None), in row blocks
-    that each lane carries through the layers when it is wide (see
-    :func:`_blocked_walk`). There every batch-norm layer but the last
-    waits at full height for its statistics, and the last stays in its
-    blocks. A batch-norm layer's float64 sums are taken over each
-    ``ROW_BLOCK`` rows of its product and added in row order, so the CPU
-    count changes no bit. Nothing after the last batch-norm layer is
-    computed, and the last one is not normalized, since no layer reads its
-    output. The statistics are written by :func:`set_running_stats`, in
-    place into a set built by :meth:`ParameterSet.over`.
+    Non-normalization entries are returned untouched (bitwise). The walk
+    (:func:`_inference_walk`) goes into ``buffers``, a fresh set when
+    None, and computes nothing after the last batch-norm layer. The
+    statistics are written by :func:`set_running_stats`, in place into a
+    set built by :meth:`ParameterSet.over`.
     """
     if len(x) == 0:
         raise EmptyDataError("cannot recompute normalization statistics without data")
@@ -1017,51 +943,32 @@ def train_variants(
 
     A variant maps fields of ``AVERAGING_FIELDS`` to typed values, and
     its config is ``dataclasses.replace(cfg, **variant)``; a key outside
-    ``AVERAGING_FIELDS`` raises :class:`ConfigError`. Forward, backward,
-    the optimizer step and the raw-model evaluations run once; each save
-    event writes the checkpoint once, hard-links it into every other
-    output directory (writing it again where a link fails) and feeds
-    every variant's averaging scheme one slot: the first directory's
-    file's :func:`window_slot` when a scheme keeps slots (a large model's
-    checkpoint is then read back from that file at each average), else
-    the loop's checkpoint itself, which each scheme reads only during its
-    ``observe``. Each directory ends up
-    byte-identical to a ``train_run`` of its variant's config, except
-    for ``wall_seconds``, which counts from the shared start. A
-    non-finite value aborts every variant at the same epoch. Every
-    variant's config is validated and every output directory checked
-    before any write.
+    ``AVERAGING_FIELDS`` raises :class:`ConfigError`. Every variant's
+    config is validated and every output directory checked before any
+    write. Forward, backward, the optimizer step and the raw-model
+    evaluations run once. Each save event writes the checkpoint once,
+    hard-links it into every other output directory (writing it again
+    where a link fails) and feeds every variant's scheme one slot: the
+    first directory's file's :func:`window_slot` when a scheme keeps
+    slots, else the loop's checkpoint itself. Each directory ends up
+    byte-identical to a ``train_run`` of its variant's config, except for
+    ``wall_seconds``, which counts from the shared start. A non-finite
+    value aborts every variant at the same epoch. An empty training or
+    validation split raises :class:`EmptyDataError`, and an output
+    directory that cannot be created :class:`IoError`, before anything is
+    written.
 
     The loop holds one parameter buffer, which each optimizer step
-    updates in place, and one :class:`InferenceBuffers` for all its
-    walks. When a walk of the run goes in row blocks (a wide model), those
-    buffers are the run's one scratch arena: reserved before the first
-    step for the largest walk the run will make (the evaluation of either
-    split or, where an average is recomputed, the training split's
-    recompute), they hold each epoch's :class:`TrainingBuffers`, the
-    optimizer's scratch included, fresh only where an array does not fit
-    (a wide model's gradients beside a tiny split's walk), so the
-    optimizer holds only its state. A walk inside an epoch may overwrite
-    the workspace, which each step writes before it reads; nothing that
-    leaves the loop lives in the arena. A run whose every walk is one
-    block (a small model, such as the 64x64 sweep's) grows its walk
-    buffers at its first evaluation and gives each workspace arrays of
-    its own: reserving early and sharing raised such a sweep's peak
-    resident memory rather than lowering it. Each epoch drops its
-    workspace after its last step, before that step's save event and
-    the epoch's evaluations. A save event writes its checkpoint files
-    straight from the buffer, and the epoch's raw evaluations and the
-    ``copy`` fix-up read it in place: each returns before the next step.
-    The one copy a save event makes is :func:`window_slot`'s, of a
-    checkpoint small enough to stay in memory, and only when a scheme
-    keeps slots; a larger one's slot is its file's headers. So no set a
-    scheme keeps, and no average, shares memory with the buffer. A
-    variant holds at most one average: the epoch end that
+    updates in place, and one :class:`InferenceBuffers`, reserved before
+    the first step for every walk of the run. Each epoch's
+    :class:`TrainingBuffers` is built within it and dropped after the
+    epoch's last step. Save events and evaluations read the parameter
+    buffer in place, and nothing that leaves the loop lives in either
+    buffer; a scheme reads the loop's checkpoint only during its
+    ``observe``. A variant holds at most one average: the epoch end that
     evaluates it keeps only its validation loss and accuracy, which an
     epoch with no save event reports again, and a save event drops an
-    average no epoch end evaluated. An empty training or validation split
-    raises :class:`EmptyDataError`, and an output directory that cannot
-    be created :class:`IoError`, before anything is written.
+    average no epoch end evaluated.
     """
     if not variants:
         raise ConfigError("train_variants needs at least one variant")
@@ -1130,17 +1037,12 @@ def train_variants(
             v.out_dir / "config.resolved", resolved_text(v.cfg).encode("utf-8"), "config"
         )
 
-    # Every walk of this call shares these buffers. When a walk goes in row
-    # blocks they are the run's one scratch arena, sized for every walk
-    # before the first step and holding each epoch's workspace.
+    # The run's one scratch arena: every walk and each epoch's workspace.
     buffers = InferenceBuffers()
     recomputes = spec.has_bn and any(
         v.cfg.scheme != "none" and v.cfg.bn_mode in _RECOMPUTE_MODES for v in runs
     )
-    walks = [(n_train, False), (len(x_val), False)] + [(n_train, True)] * recomputes
-    arena = buffers if any(len(_row_blocks(spec, n)) > 1 for n, _ in walks) else None
-    if arena is not None:
-        buffers.reserve(spec, walks)
+    buffers.reserve(spec, [(n_train, False), (len(x_val), False)] + [(n_train, True)] * recomputes)
     keeps_slots = any(v.scheme.keeps_slots for v in runs)
     started = time.perf_counter()
     global_step = 0
@@ -1198,7 +1100,7 @@ def train_variants(
             try:
                 order = rng_for(cfg.seed, f"shuffle:{epoch}").permutation(n_train)
                 workspace = TrainingBuffers(
-                    params, spec, cfg.batch_size, within=arena, optimizer=optimizer
+                    params, spec, cfg.batch_size, within=buffers, optimizer=optimizer
                 )
                 for b in range(steps_per_epoch):
                     sel = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]

@@ -2,35 +2,26 @@
 
 SGD uses the heavy-ball convention (v = mu*v + g; theta -= lr*v), Adam
 is the bias-corrected variant with its usual constants, and Lookahead
-wraps either of them, pulling fast weights back onto the slow weights
-every ``k`` inner steps. Each optimizer makes a block rule per step, and
-one ``step`` runs it for all three: the rule writes a block of ``BLOCK``
-elements of the flat buffers through every per-element operation of the
-update, in the update's usual order through ``out=``, and Lookahead's
-rule, on a sync step, runs the inner rule and then the pullback on the
-block while it is still in cache. So the results are bitwise those of
-the out-of-place expressions over whole buffers. Optimizer state (SGD
-velocity, Adam's m and v, Lookahead's slow weights) is updated in place,
-and it is all an optimizer holds: a block's update is built in scratch
-blocks (one for SGD, two for Adam) of the caller's ``scratch``, of
-:func:`scratch_size` elements, then subtracted from the parameters. A
-step without ``scratch`` takes a new one. No step reads scratch it has
-not written, so its old bytes change no bit. Blocks touch disjoint
-slices, so a step hands them to :func:`lanes.share`, wide when it has
-``LANE_BLOCKS`` blocks or more: then, when the process may run on two
-CPUs, two lanes, one of them on the worker thread of :mod:`lawa.lanes`,
-each take the next block not yet taken into their own scratch blocks;
-the bits are those of one lane. A step writes the new parameters into
-the buffer of the set it returns: a fresh one, or the caller's when the
-caller passes ``out``, a set built by ``ParameterSet.over``. ``out`` may
-be the parameters, which the step then updates in place, but shares no
-other memory with them or the gradients, and ``scratch`` shares none
-with the parameters, the gradients, ``out`` or the state. Without
-``out`` the sets going in and out are immutable values; with it, the
-returned set is ``out`` and stays unchanged only while its caller leaves
-that buffer alone. An optimizer steps sets of one layout, its first
-step's, and refuses any other with :class:`StructureMismatch`. A step
-that raises leaves the state as it was.
+wraps either, pulling fast weights back onto the slow weights every
+``k`` inner steps.
+
+A step runs its optimizer's block rule on each ``BLOCK``-element block
+of the flat buffers: every per-element operation of the update, in the
+order of the out-of-place expression, and on a Lookahead sync step the
+pullback, so the bits are those of whole buffers. Blocks are disjoint,
+and :func:`lanes.share` runs them, in two lanes from ``LANE_BLOCKS``
+blocks on, with the bits of one lane. An optimizer holds only its state
+(SGD velocity, Adam's m and v, Lookahead's slow weights), updated in
+place. A block's update is built in the caller's ``scratch`` of
+:func:`scratch_size` elements, or a new one, and no step reads scratch
+it has not written. The new parameters go into a fresh set, or into
+``out``, a set built by ``ParameterSet.over``, which may be the
+parameters but shares no other memory with them or the gradients;
+``scratch`` shares none with the parameters, the gradients, ``out`` or
+the state. Without ``out`` the sets in and out are immutable values.
+An optimizer steps sets of its first step's layout and refuses any
+other with :class:`StructureMismatch`. A step that raises leaves the
+state as it was.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import argparse
 import errno
+import math
 import os
 import subprocess
 import sys
@@ -528,6 +529,38 @@ class TestCompare:
         assert run_cli(["compare", str(path), "--metric", "nope"]) == 2
         with pytest.raises(SchemaError):
             compare_run(path, "nope")
+
+    @pytest.mark.parametrize("column", ["val_loss", "avg_val_loss"])
+    def test_a_nan_cell_is_refused_naming_the_column_and_epoch(self, tmp_path, column):
+        path = tmp_path / "metrics.csv"
+        rows = [(1.0, 0.9), (0.8, 0.7), (0.6, 0.5)]
+        rows[1] = (float("nan"), 0.7) if column == "val_loss" else (0.8, float("nan"))
+        write_metrics_csv(path, rows)
+        with pytest.raises(SchemaError, match=f"'{column}' is NaN at epoch 1"):
+            compare_run(path, "val_loss")
+
+    def test_a_regression_run_s_accuracy_is_refused(self, tmp_path, capsys):
+        """A float label makes a regression run, whose every accuracy cell,
+        raw and averaged, is NaN: no epoch saves anything on it."""
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(40, 2))
+        lines = ["x,y,target", *(f"{a:.6f},{b:.6f},{a + 0.5 * b:.6f}" for a, b in rows)]
+        data = tmp_path / "reg.csv"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "run"
+        args = [
+            "train", "--dataset", "csv", "--csv", str(data), "--label-column", "target",
+            "--hidden", "4", "--epochs", "3", "--batch-size", "8", "--k", "2", "--out", str(out),
+        ]
+        assert run_cli(args) == 0
+        metrics = out / "metrics.csv"
+        assert all(math.isnan(row["val_acc"]) for row in read_metrics(metrics))
+        capsys.readouterr()
+        assert run_cli(["compare", str(metrics), "--metric", "val_acc"]) == 2
+        captured = capsys.readouterr()
+        assert "max_savings" not in captured.out
+        assert "'val_acc' is NaN at epoch 0" in captured.err, captured.err
+        assert run_cli(["compare", str(metrics), "--metric", "val_loss"]) == 0
 
     def test_cli_writes_comparison_csv_and_summary(self, tmp_path, capsys):
         path = tmp_path / "metrics.csv"

@@ -661,13 +661,9 @@ class TestInferenceBuffers:
             forward(params, spec, x, training=False, buffers=buffers)[0],
             forward(params, spec, x[:400], training=False, buffers=buffers)[0],
         ]
-        held = [a for a in (*buffers.full, *buffers.areas) if a.size]
-        assert held
-        for k, a in enumerate(held):
-            assert not any(np.shares_memory(a, b) for b in held[k + 1 :])
+        assert buffers.buffer.size
         for arr in returned:
-            for a in held:
-                assert not np.shares_memory(arr, a)
+            assert not np.shares_memory(arr, buffers.buffer)
 
     @pytest.mark.parametrize(
         "extra",
@@ -1796,9 +1792,8 @@ class TestPeakMemory:
 
 
 def in_walk_buffers(workspace, buffers):
-    """Whether each of a workspace's arrays is a view of the walk buffers."""
-    walk = [*buffers.full, *buffers.areas]
-    return [any(np.shares_memory(arr, a) for a in walk) for arr in workspace_arrays(workspace)]
+    """Whether each of a workspace's arrays is a view of the walk buffer."""
+    return [np.shares_memory(arr, buffers.buffer) for arr in workspace_arrays(workspace)]
 
 
 class TestTheWorkspaceLivesInTheWalkBuffers:
@@ -1813,7 +1808,7 @@ class TestTheWorkspaceLivesInTheWalkBuffers:
         spec = self.SPEC
         params = init_params(spec)
         within = InferenceBuffers()
-        within._take((room, 0, room // 2, 0), np.dtype(np.float64))
+        within._take((room, 0, 0, 0), np.dtype(np.float64))
         adam = make_optimizer("adam")
         workspace = TrainingBuffers(params, spec, 37, within=within, optimizer=adam)
         held = workspace_arrays(workspace)
@@ -1824,38 +1819,23 @@ class TestTheWorkspaceLivesInTheWalkBuffers:
         inside = in_walk_buffers(workspace, within)
         if room == 0:
             assert not any(inside)
-        elif room == 500:  # the gradients and the scratch fit in neither buffer, the masks in one
+        elif room == 500:  # the gradients and the scratch do not fit, the masks do
             assert 8 * room < held[1].nbytes < held[2].nbytes
             assert not inside[1] and not inside[2] and any(inside)
         else:
             assert sum(arr.nbytes for arr in held) < 8 * room
             assert all(inside)
 
-    def test_a_run_whose_walks_are_one_block_keeps_each_workspace_apart(
-        self, tmp_path, monkeypatch
-    ):
-        """A small model's walk buffers grow at its first evaluation, and
-        each epoch's workspace has arrays of its own."""
-        seen = []
-
-        class Recorded(TrainingBuffers):
-            def __init__(self, params, spec, batch_size, *, within, optimizer):
-                super().__init__(params, spec, batch_size, within=within, optimizer=optimizer)
-                seen.append(within)
-
-        monkeypatch.setattr(engine, "TrainingBuffers", Recorded)
-        train_run(tiny_cfg(tmp_path, epochs=2, use_bn=True))
-        assert seen == [None, None]
-
+    @pytest.mark.parametrize("width", [512, 64], ids=["row-blocks", "one-block"])
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
-    def test_a_walk_between_two_steps_changes_no_byte(self, tmp_path, monkeypatch, dtype):
+    def test_a_walk_between_two_steps_changes_no_byte(self, tmp_path, monkeypatch, dtype, width):
         """Saves every 5 of 12 steps per epoch, so the recompute walk of
         most save events runs between two steps of one epoch in the
-        buffers that hold the epoch's workspace. The files are those of a
-        run whose workspaces have arrays of their own, as every run had
-        before the walk buffers held them."""
+        buffer that holds the epoch's workspace, for a model whose walks
+        go in row blocks and one whose walks are one block. The files are
+        those of a run whose workspaces have arrays of their own."""
         cfg = tiny_cfg(
-            tmp_path, n_per_class=500, hidden=(512, 512), use_bn=True, optimizer="lookahead",
+            tmp_path, n_per_class=500, hidden=(width, width), use_bn=True, optimizer="lookahead",
             lookahead_inner="adam", lr=0.002, batch_size=64, k=2, epochs=2,
             save_every_steps=5, save_averaged=True, dtype=dtype,
         )
@@ -1879,6 +1859,71 @@ class TestTheWorkspaceLivesInTheWalkBuffers:
         assert within_walk and all(all(inside) for inside in within_walk)
         assert len([n for n in files["walk"] if n.startswith("lawa_")]) == 3
         assert files["walk"] == files["apart"]
+
+
+class SizedOnce(InferenceBuffers):
+    """Walk buffers that record, in every object made, each ``reserve``
+    and each time a walk or a reserve replaces the buffer."""
+
+    made: list = []
+    __slots__ = ("events",)
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+        SizedOnce.made.append(self)
+
+    def reserve(self, spec, walks):
+        self.events.append("reserve")
+        super().reserve(spec, walks)
+
+    def _take(self, sizes, dtype):
+        before = self.buffer
+        taken = super()._take(sizes, dtype)
+        self.events.append("grow" if self.buffer is not before else "take")
+        return taken
+
+
+class TestTheArenaIsSizedOnce:
+    """A run allocates its walk buffer once, at ``reserve`` before its first
+    step, and no later walk grows it: ``reserve``'s list of walks holds
+    every walk the run makes. With three batch-norm layers in row blocks,
+    a recompute holds two layers at full height and an evaluation one."""
+
+    def run(self, tmp_path, monkeypatch, cfg, variants=({},)):
+        monkeypatch.setattr(SizedOnce, "made", [])
+        monkeypatch.setattr(engine, "InferenceBuffers", SizedOnce)
+        train_variants(cfg, list(variants))
+        (buffers,) = SizedOnce.made
+        assert buffers.events[:2] == ["reserve", "grow"]
+        assert buffers.events.count("take") >= 2 * cfg.epochs  # the raw evaluations at least
+        assert "grow" not in buffers.events[2:]
+
+    @pytest.mark.parametrize("save_every_steps", [0, 3])
+    @pytest.mark.parametrize("scheme", ["none", "uniform"])
+    @pytest.mark.parametrize("use_bn", [False, True])
+    @pytest.mark.parametrize("width", [64, 512], ids=["one-block", "row-blocks"])
+    def test_one_run(self, tmp_path, monkeypatch, width, use_bn, scheme, save_every_steps):
+        cfg = tiny_cfg(
+            tmp_path, n_per_class=500, hidden=(width,) * 3, use_bn=use_bn, scheme=scheme,
+            k=2, epochs=2, batch_size=64, save_every_steps=save_every_steps, save_averaged=True,
+        )
+        dataset = build_dataset(cfg)
+        spec = engine.model_spec_for(cfg, dataset)
+        assert (len(engine._row_blocks(spec, len(dataset.train()[0]))) > 1) == (width == 512)
+        self.run(tmp_path, monkeypatch, cfg)
+
+    @pytest.mark.parametrize("width", [64, 512], ids=["one-block", "row-blocks"])
+    def test_two_variants(self, tmp_path, monkeypatch, width):
+        cfg = tiny_cfg(
+            tmp_path, n_per_class=500, hidden=(width,) * 3, use_bn=True, scheme="none",
+            epochs=2, batch_size=64, save_averaged=True,
+        )
+        variants = [
+            dict(out=str(tmp_path / "none")),
+            dict(out=str(tmp_path / "uniform"), scheme="uniform", k=2),
+        ]
+        self.run(tmp_path, monkeypatch, cfg, variants)
 
 
 class TestEachAverageIsEvaluatedOnce:

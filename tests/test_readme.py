@@ -1,7 +1,9 @@
 """README's "Library use" snippet runs as written, given the two names it
-leaves to the reader: ``trajectory`` and ``step_of``; and the fields README
-says a sweep variant may set are the ones whose role allows it."""
+leaves to the reader: ``trajectory`` and ``step_of``; the fields README
+says a sweep variant may set are the ones whose role allows it; and every
+``engine``, ``optim`` and ``averaging`` name README puts in code exists."""
 
+import importlib
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -47,3 +49,24 @@ def test_the_fields_a_variant_may_set_are_those_of_the_averaging_and_output_role
     named = re.findall(r"`(\w+)`", sentence.group(1))
     roles = {f.name: f.metadata["role"] for f in fields(RunConfig)}
     assert named == [name for name, role in roles.items() if role in ("averaging", "output")]
+
+
+def module_names_in_code() -> set[str]:
+    """Each ``module.name`` of lawa's engine, optim and averaging modules
+    that a code span of README holds, such as ``optim.BLOCK`` or
+    ``engine.TrainingBuffers(params, spec, batch_size)``."""
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    spans = re.findall(r"`([^`]+)`", prose)
+    pattern = r"\b((?:engine|optim|averaging)(?:\.\w+)+)"
+    return {name for span in spans for name in re.findall(pattern, span)}
+
+
+def test_every_module_name_readme_gives_resolves():
+    named = module_names_in_code()
+    assert named, "README's code spans name no engine, optim or averaging name"
+    for name in sorted(named):
+        module, *path = name.split(".")
+        value = importlib.import_module(f"lawa.{module}")
+        for part in path:
+            assert hasattr(value, part), f"README names {name}, which lawa.{module} lacks"
+            value = getattr(value, part)
